@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__, geometry, probes
 from .config import apply_overrides, config_from_doc, config_to_doc, load_config, save_config
-from .policy import exact_response_entropy, load_checkpoint, pathwise_entropy, random_policy
-from .trainer import TrainConfig, load_metrics, masked_train, train
+from .policy import EnumerationBudgetError, exact_response_entropy, load_checkpoint, pathwise_entropy, random_policy
+from .trainer import TrainConfig, load_metrics, train
 
 
 class CliError(Exception):
@@ -60,10 +60,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     save_config(config, os.path.join(args.out, "config.json"))
     metrics_path = os.path.join(args.out, "metrics.jsonl")
-    if args.mask_sign is not None:
-        result = masked_train(config, args.mask_sign, metrics_path=metrics_path, checkpoint_dir=args.out)
-    else:
-        result = train(config, metrics_path=metrics_path, checkpoint_dir=args.out)
+    result = train(config, metrics_path=metrics_path, checkpoint_dir=args.out, mask_sign=args.mask_sign)
     outputs = sorted(f for f in os.listdir(args.out) if f != "manifest.json")
     _write_manifest(args.out, "train", config_to_doc(config), config.seed, outputs, result.timings)
     final = result.metrics[-1]
@@ -350,10 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (CliError, OSError, ValueError, EnumerationBudgetError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

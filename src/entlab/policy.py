@@ -161,28 +161,41 @@ def _check_budget(policy: TablePolicy) -> None:
         )
 
 
-def enumerate_responses(policy: TablePolicy, state: str) -> list[tuple[tuple[int, ...], float]]:
-    """All complete responses at ``state`` with their probabilities.
+def _response_tree(policy: TablePolicy, state: str, with_entropy: bool = False):
+    """Walk the response tree at ``state`` once; every exact route reads this walk.
 
-    A path is complete when it ends with the terminator or reaches max_len.
-    The returned probabilities sum to 1 exactly up to roundoff because the
-    two stopping rules partition the outcome space.
+    Returns each internal prefix's softmax, the complete responses sorted by
+    tokens with probabilities multiplied root to leaf in walk order, and each
+    internal prefix's entropy if ``with_entropy`` (else None).
     """
     _check_budget(policy)
+    dists: dict[tuple[int, ...], np.ndarray] = {}
     out: list[tuple[tuple[int, ...], float]] = []
     stack: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
     while stack:
         prefix, prob = stack.pop()
-        p = token_distribution(policy, state, prefix)
-        for tok in range(policy.vocab.size):
+        p = dists[prefix] = token_distribution(policy, state, prefix)
+        for tok, p_tok in enumerate(p.tolist()):
             path = prefix + (tok,)
-            path_prob = prob * float(p[tok])
+            path_prob = prob * p_tok
             if tok == policy.vocab.terminator_id or len(path) == policy.max_len:
                 out.append((path, path_prob))
             else:
                 stack.append((path, path_prob))
     out.sort(key=lambda item: item[0])
-    return out
+    entropies = {u: _entropy(p) for u, p in dists.items()} if with_entropy else None
+    return dists, out, entropies
+
+
+def enumerate_responses(policy: TablePolicy, state: str) -> list[tuple[tuple[int, ...], float]]:
+    """All complete responses at ``state`` with their probabilities.
+
+    A path is complete when it ends with the terminator or reaches max_len.
+    The returned probabilities sum to 1 exactly up to roundoff because the
+    two stopping rules partition the outcome space.  The probabilities are
+    _response_tree's, bit for bit the same as every other exact route sees.
+    """
+    return _response_tree(policy, state)[1]
 
 
 def exact_response_entropy(policy: TablePolicy, state: str) -> float:
@@ -205,13 +218,14 @@ def pathwise_entropy(policy: TablePolicy, state: str) -> float:
     Agrees with exact_response_entropy (the -sum p log p route) up to float
     roundoff; the two routes share only the tree enumeration, not the formula.
     """
+    _, paths, entropies = _response_tree(policy, state, with_entropy=True)
     total = 0.0
-    for tokens, prob in enumerate_responses(policy, state):
+    for tokens, prob in paths:
         if prob == 0.0:
             continue
         path_sum = 0.0
         for k in range(len(tokens)):
-            path_sum += _entropy(token_distribution(policy, state, tuple(tokens[:k])))
+            path_sum += entropies[tokens[:k]]
         total += prob * path_sum
     return total
 
@@ -230,15 +244,9 @@ def random_policy(vocab_size: int, max_len: int, rng: np.random.Generator,
                   scale: float = 1.5, state: str = "s") -> TablePolicy:
     """Policy with normal(0, scale) logits on every reachable prefix of one state."""
     policy = TablePolicy(vocab=Vocabulary(size=vocab_size, terminator_id=vocab_size - 1), max_len=max_len)
-    _check_budget(policy)
-    stack: list[tuple[int, ...]] = [()]
-    while stack:
-        prefix = stack.pop()
+    # Draws follow the walk's fixed prefix order, so a seed always gives the same policy.
+    for prefix in _response_tree(policy, state)[0]:
         policy.logits[(state, prefix)] = scale * rng.normal(size=vocab_size)
-        for tok in range(vocab_size):
-            path = prefix + (tok,)
-            if tok != policy.vocab.terminator_id and len(path) < max_len:
-                stack.append(path)
     return policy
 
 

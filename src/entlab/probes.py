@@ -12,7 +12,7 @@ import numpy as np
 
 from .envs import Env, response_space
 from .modulation import group_minmax_normalize, modulation_coeffs
-from .policy import TablePolicy, enumerate_responses, sample_response, token_distribution
+from .policy import TablePolicy, _response_tree, sample_response
 from .trainer import StepMetrics
 
 
@@ -122,15 +122,14 @@ def doob_probe(policy: TablePolicy, state: str, n_samples: int, rng: np.random.G
     complete path is precomputed once and paths are drawn categorically;
     this keeps large n_samples cheap without changing the estimand.
     """
-    paths = enumerate_responses(policy, state)
+    _, paths, entropies = _response_tree(policy, state, with_entropy=True)
     probs = np.array([p for _, p in paths])
     residuals = np.empty(len(paths))
     lengths = np.empty(len(paths), dtype=int)
     for j, (tokens, prob) in enumerate(paths):
         entropy_sum = 0.0
         for k in range(len(tokens)):
-            p = token_distribution(policy, state, tuple(tokens[:k]))
-            entropy_sum -= float((p * np.log(p)).sum())
+            entropy_sum += entropies[tokens[:k]]
         surprisal = -math.log(prob) if prob > 0.0 else math.inf
         residuals[j] = surprisal - entropy_sum
         lengths[j] = len(tokens)
@@ -156,18 +155,8 @@ def doob_exact_residuals(policy: TablePolicy, state: str) -> dict[tuple[int, ...
     Each value is sum_y p(y|prefix) * (-log p(y|prefix) - H(prefix)), which is
     identically zero; the numbers returned measure only float roundoff.
     """
-    out: dict[tuple[int, ...], float] = {}
-    stack: list[tuple[int, ...]] = [()]
-    while stack:
-        prefix = stack.pop()
-        p = token_distribution(policy, state, prefix)
-        h = float(-(p * np.log(p)).sum())
-        out[prefix] = float((p * (-np.log(p) - h)).sum())
-        for tok in range(policy.vocab.size):
-            path = prefix + (tok,)
-            if tok != policy.vocab.terminator_id and len(path) < policy.max_len:
-                stack.append(path)
-    return out
+    dists, _, entropies = _response_tree(policy, state, with_entropy=True)
+    return {u: float((p * (-np.log(p) - entropies[u])).sum()) for u, p in dists.items()}
 
 
 @dataclass

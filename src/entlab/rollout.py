@@ -16,6 +16,8 @@ import numpy as np
 from .envs import Env, EnvState, RewardScheme, terminal_reward
 from .policy import Response, TablePolicy, sample_response
 
+FILTER_MODES = ("off", "drop_uniform")
+
 
 @dataclass
 class Turn:

@@ -14,14 +14,16 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import modulation as mod
-from .advantage import AdvantageTable, compute_advantages
-from .envs import REWARD_SCHEMES, make_env
-from .policy import TablePolicy, enumerate_responses, save_checkpoint, token_distribution
-from .rollout import Group, collect_group, filter_degenerate_groups
+from .advantage import ESTIMATORS, AdvantageTable, compute_advantages
+from .envs import REWARD_SCHEMES, make_env, response_space
+from .policy import (TablePolicy, Vocabulary, _response_tree, enumerate_responses, save_checkpoint,
+                     token_distribution)
+from .rollout import FILTER_MODES, Group, collect_group, filter_degenerate_groups
 
 LOSSES = ("grpo_clip", "dapo_token", "gspo_seq")
 
@@ -59,6 +61,10 @@ class TrainConfig:
             raise ValueError(f"aem_mode must be one of {mod.MODES}, got {self.aem_mode!r}")
         if self.reward_scheme not in REWARD_SCHEMES:
             raise ValueError(f"reward_scheme must be one of {sorted(REWARD_SCHEMES)}")
+        if self.estimator not in ESTIMATORS:
+            raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
+        if self.filter_mode not in FILTER_MODES:
+            raise ValueError(f"filter_mode must be one of {FILTER_MODES}, got {self.filter_mode!r}")
         if not (0.0 < self.clip_low < 1.0 and 0.0 < self.clip_high < 1.0):
             raise ValueError("clip_low and clip_high must lie in (0, 1)")
         if self.lr <= 0.0 or self.group_size < 2 or self.steps < 1 or self.epochs < 1:
@@ -104,19 +110,13 @@ def _clipped_term(ratio: float, advantage: float, clip_low: float, clip_high: fl
     return min(ratio * advantage, clipped * advantage)
 
 
-class _GradAccum:
-    """Logit-table gradient accumulator with lazy zero entries."""
-
-    def __init__(self, vocab_size: int) -> None:
-        self.vocab_size = vocab_size
-        self.table: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
-
-    def add(self, key: tuple[str, tuple[int, ...]], vec: np.ndarray) -> None:
-        acc = self.table.get(key)
-        if acc is None:
-            self.table[key] = vec.copy()
-        else:
-            acc += vec
+def _grad_add(grad: dict, key: tuple[str, tuple[int, ...]], vec: np.ndarray) -> None:
+    """Add vec into the logit-table gradient at key, copying it on first touch."""
+    acc = grad.get(key)
+    if acc is None:
+        grad[key] = vec.copy()
+    else:
+        acc += vec
 
 
 def _one_hot_minus_p(p: np.ndarray, tok: int) -> np.ndarray:
@@ -133,6 +133,7 @@ def surrogate_loss(
     config: TrainConfig,
     ref_policy: TablePolicy | None = None,
     masked_keys: set[tuple[int, int, int]] | None = None,
+    ref_logprobs: dict[str, dict[tuple[int, ...], float]] | None = None,
 ) -> tuple[float, dict[tuple[str, tuple[int, ...]], np.ndarray]]:
     """Negated clipped objective plus regularizers, with its analytic logit gradient.
 
@@ -140,20 +141,16 @@ def surrogate_loss(
     groups[g]; each span's recorded logprobs are the behavior policy's, so the
     importance ratio per token is exp(logprob_now - logprob_behavior).
     masked_keys are (group_idx, rollout, turn) triples excluded entirely.
+    ref_logprobs caches ref_policy's path log-probs per state while ref_policy stays unchanged.
     At the behavior policy all ratios are 1 and the per-token gradient of the
     unclipped surrogate reduces to -A * dlogpi.
     """
     masked_keys = masked_keys or set()
-    dist_cache: dict[tuple[str, tuple[int, ...]], tuple[np.ndarray, np.ndarray]] = {}
 
+    @lru_cache(maxsize=None)
     def dist(state: str, prefix: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        key = (state, prefix)
-        hit = dist_cache.get(key)
-        if hit is None:
-            p = token_distribution(policy, state, prefix)
-            hit = (p, np.log(p))
-            dist_cache[key] = hit
-        return hit
+        p = token_distribution(policy, state, prefix)
+        return p, np.log(p)
 
     # (advantage, state_key, tokens, behavior logprobs) per surviving span.
     span_rows = []
@@ -164,7 +161,7 @@ def surrogate_loss(
                 continue
             span_rows.append((table.values[key], span.state_key, span.tokens, span.logprobs))
 
-    grad = _GradAccum(policy.vocab.size)
+    grad: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
     j_clip = 0.0
     n_spans = len(span_rows)
     total_tokens = sum(len(row[2]) for row in span_rows)
@@ -183,7 +180,7 @@ def surrogate_loss(
                 coeff = adv * seq_ratio / (n_spans * length)
                 for k, tok in enumerate(tokens):
                     p, _ = dist(state, tuple(tokens[:k]))
-                    grad.add((state, tuple(tokens[:k])), coeff * _one_hot_minus_p(p, tok))
+                    _grad_add(grad, (state, tuple(tokens[:k])), coeff * _one_hot_minus_p(p, tok))
             continue
 
         if config.loss == "grpo_clip":
@@ -195,7 +192,7 @@ def surrogate_loss(
             ratio = math.exp(float(logp[tok]) - behavior_lp[k])
             j_clip += token_weight * _clipped_term(ratio, adv, config.clip_low, config.clip_high)
             if adv != 0.0 and _clip_active(ratio, adv, config.clip_low, config.clip_high):
-                grad.add((state, tuple(tokens[:k])), (token_weight * adv * ratio) * _one_hot_minus_p(p, tok))
+                _grad_add(grad, (state, tuple(tokens[:k])), (token_weight * adv * ratio) * _one_hot_minus_p(p, tok))
 
     j_reg = 0.0
     if (config.entropy_coef != 0.0 or config.kl_coef != 0.0) and n_spans > 0:
@@ -206,11 +203,22 @@ def surrogate_loss(
             state_counts[state] = state_counts.get(state, 0) + 1
         for state, count in state_counts.items():
             weight = count / n_spans
-            j_reg += weight * _regularizer_state(policy, ref_policy, state, config, grad, weight)
+            j_reg += weight * _regularizer_state(policy, ref_policy, state, config, grad, weight,
+                                                 {} if ref_logprobs is None else ref_logprobs)
 
     # Loss is the negated objective; the accumulator holds dJ/dz, so flip it.
     loss = -(j_clip + j_reg)
-    return loss, {key: -vec for key, vec in grad.table.items()}
+    return loss, {key: -vec for key, vec in grad.items()}
+
+
+@lru_cache(maxsize=16)
+def _tree_rows(vocab: Vocabulary, max_len: int) -> tuple:
+    """(prefixes, row_path, row_prefix, row_tok) of a tree shape: one row per (path, position),
+    paths sorted; row_prefix indexes the internal prefixes, listed in order of first appearance."""
+    prefixes: dict[tuple[int, ...], int] = {}
+    rows = [(j, prefixes.setdefault(tuple(path[:k]), len(prefixes)), tok)
+            for j, path in enumerate(response_space(vocab, max_len)) for k, tok in enumerate(path)]
+    return (list(prefixes), *(np.array(col) for col in zip(*rows)))
 
 
 def _regularizer_state(
@@ -218,61 +226,59 @@ def _regularizer_state(
     ref_policy: TablePolicy | None,
     state: str,
     config: TrainConfig,
-    grad: _GradAccum,
+    grad: dict[tuple[str, tuple[int, ...]], np.ndarray],
     weight: float,
+    ref_logprobs: dict[str, dict[tuple[int, ...], float]],
 ) -> float:
     """Exact entropy bonus and KL penalty at one state, accumulating dJ/dz in place.
 
-    Enumerates the response space once: the entropy gradient weights each
-    path's score by (surprisal - H), the KL gradient by (ref surprisal -
-    surprisal); both use sum-over-positions score decompositions.
+    Walks the response tree once: the entropy gradient weights each path's
+    score by (surprisal - H), the KL gradient by (ref surprisal - surprisal);
+    both use sum-over-positions score decompositions.  The value and every
+    gradient entry are bit-identical to calling _grad_add with
+    (weight * coeff) * (onehot - p) at each position of each path in order.
     """
-    paths = enumerate_responses(policy, state)
+    dists, paths, _ = _response_tree(policy, state)
     h = 0.0
     for _, prob in paths:
         if prob > 0.0:
             h -= prob * math.log(prob)
 
+    if config.kl_coef != 0.0 and state not in ref_logprobs:
+        ref_logprobs[state] = {tokens: math.log(prob) if prob > 0.0 else -math.inf
+                               for tokens, prob in enumerate_responses(ref_policy, state)}
     kl = 0.0
-    ref_logprob: dict[tuple[int, ...], float] = {}
-    if config.kl_coef != 0.0:
-        for tokens, prob in enumerate_responses(ref_policy, state):
-            ref_logprob[tokens] = math.log(prob) if prob > 0.0 else -math.inf
-        for tokens, prob in paths:
-            if prob > 0.0:
-                kl += prob * (math.log(prob) - ref_logprob[tokens])
-
+    coeffs = []
+    for tokens, prob in paths:
+        coeff = 0.0
+        if prob > 0.0:
+            logprob = math.log(prob)
+            coeff = config.entropy_coef * prob * (-logprob - h)
+            if config.kl_coef != 0.0:
+                log_ratio = logprob - ref_logprobs[state][tokens]
+                kl += prob * log_ratio
+                coeff -= config.kl_coef * prob * log_ratio
+        coeffs.append(coeff)
     value = config.entropy_coef * h - config.kl_coef * kl
 
-    for tokens, prob in paths:
-        if prob <= 0.0:
-            continue
-        logprob = math.log(prob)
-        coeff = config.entropy_coef * prob * (-logprob - h)
-        if config.kl_coef != 0.0:
-            coeff -= config.kl_coef * prob * (logprob - ref_logprob[tokens])
-        if coeff == 0.0:
-            continue
-        for k, tok in enumerate(tokens):
-            prefix = tuple(tokens[:k])
-            p = token_distribution(policy, state, prefix)
-            grad.add((state, prefix), (weight * coeff) * _one_hot_minus_p(p, tok))
+    coeffs = np.array(coeffs)
+    prefixes, row_path, row_prefix, row_tok = _tree_rows(policy.vocab, policy.max_len)
+    rows = coeffs[row_path] != 0.0
+    pre = row_prefix[rows]
+    vecs = -np.stack([dists[u] for u in prefixes])[pre]
+    vecs[np.arange(len(pre)), row_tok[rows]] += 1.0
+    vecs *= (weight * coeffs[row_path[rows]])[:, None]
+    # An absent key takes its first row, the rest add in path order; prefix order is insertion order.
+    used, first = np.unique(pre, return_index=True)
+    block = np.empty((len(prefixes), policy.vocab.size))
+    rest = np.ones(len(pre), dtype=bool)
+    for i, r in zip(used.tolist(), first.tolist()):
+        acc = grad.get((state, prefixes[i]))
+        rest[r] = acc is not None
+        block[i] = vecs[r] if acc is None else acc
+    np.add.at(block, pre[rest], vecs[rest])
+    grad.update(((state, prefixes[i]), block[i]) for i in used.tolist())
     return value
-
-
-def regularizer_terms(policy: TablePolicy, ref_policy: TablePolicy, states: list[str],
-                      config: TrainConfig) -> tuple[float, float]:
-    """Exact (entropy bonus, KL penalty) values averaged over the given states."""
-    bonus = 0.0
-    penalty = 0.0
-    for state in states:
-        paths = enumerate_responses(policy, state)
-        h = -sum(p * math.log(p) for _, p in paths if p > 0.0)
-        ref = {tokens: prob for tokens, prob in enumerate_responses(ref_policy, state)}
-        kl = sum(p * (math.log(p) - math.log(ref[t])) for t, p in paths if p > 0.0)
-        bonus += config.entropy_coef * h / len(states)
-        penalty += config.kl_coef * kl / len(states)
-    return bonus, penalty
 
 
 def _rng_for(seed: int, *path: int) -> np.random.Generator:
@@ -295,6 +301,7 @@ def train(
     scheme = REWARD_SCHEMES[config.reward_scheme]
     policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
     ref_policy = policy.copy()
+    ref_logprobs: dict[str, dict[tuple[int, ...], float]] = {}
 
     timings = {"rollout": 0.0, "advantage": 0.0, "aem": 0.0, "update": 0.0, "total": 0.0}
     metrics: list[StepMetrics] = []
@@ -351,7 +358,7 @@ def train(
             loss_value = 0.0
             if trained:
                 for epoch in range(config.epochs):
-                    loss, grad = surrogate_loss(policy, trained, applied, config, ref_policy, masked)
+                    loss, grad = surrogate_loss(policy, trained, applied, config, ref_policy, masked, ref_logprobs)
                     if epoch == 0:
                         loss_value = loss
                     for key, gvec in grad.items():

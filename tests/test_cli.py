@@ -203,10 +203,19 @@ def test_report_cli(tmp_path):
     assert len(scatter) > 1
 
 
+def test_enumeration_budget_error_exits_1(tmp_path, capsys):
+    assert _train(tmp_path / "run", ["--set", "env_overrides.key_len=13"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "enumeration budget" in err
+    assert err.count("\n") == 1
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["train"]) == 1
     assert "error:" in capsys.readouterr().err
     assert main(["no-such-command"]) == 1
     assert main(["train", "--out", str(tmp_path / "x"), "--set", "steps=0"]) == 1
+    assert main(["train", "--out", str(tmp_path / "z"), "--set", "estimator=bogus"]) == 1
+    assert not (tmp_path / "z").exists()
     assert main(["train", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "y")]) == 1

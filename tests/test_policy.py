@@ -132,6 +132,20 @@ def test_entropy_routes_agree_on_random_policies():
         assert abs(direct - chained) < 1e-10
 
 
+def test_pathwise_entropy_matches_per_position_formula_bit_for_bit():
+    rng = np.random.default_rng(6)
+    for size, max_len in [(5, 3), (3, 2), (4, 4), (2, 1)]:
+        policy = random_policy(size, max_len, rng)
+        want = 0.0
+        for tokens, prob in enumerate_responses(policy, "s"):
+            path_sum = 0.0
+            for k in range(len(tokens)):
+                p = token_distribution(policy, "s", tuple(tokens[:k]))
+                path_sum += float(-(p * np.log(p)).sum())
+            want += prob * path_sum
+        assert pathwise_entropy(policy, "s") == want
+
+
 def test_uniform_single_token_entropy_value():
     policy = TablePolicy(vocab=Vocabulary(size=4, terminator_id=3), max_len=1)
     assert exact_response_entropy(policy, "s") == pytest.approx(math.log(4.0))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -15,14 +16,18 @@ from entlab.policy import (
     enumerate_responses,
     exact_response_entropy,
     load_checkpoint,
+    random_policy,
+    token_distribution,
 )
 from entlab.rollout import collect_group
 from entlab.trainer import (
     LOSSES,
     TrainConfig,
     load_metrics,
+    _grad_add,
+    _one_hot_minus_p,
+    _regularizer_state,
     masked_train,
-    regularizer_terms,
     surrogate_loss,
     train,
 )
@@ -56,6 +61,10 @@ def test_config_rejects_bad_fields():
         TrainConfig(steps=0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+    with pytest.raises(ValueError):
+        TrainConfig(estimator="bogus")
+    with pytest.raises(ValueError):
+        TrainConfig(filter_mode="drop_all")
 
 
 def _loss_inputs(config, jitter=0.0, jitter_seed=3):
@@ -141,6 +150,7 @@ def test_kl_coef_without_reference_raises():
 
 
 def test_regularizer_terms_match_exact_enumeration():
+    """_regularizer_state's value is the entropy bonus minus the KL penalty, by exact enumeration."""
     env = make_env("key-chain", seed=0, task_count=2, chain_len=1)
     policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
     rng = np.random.default_rng(5)
@@ -149,16 +159,111 @@ def test_regularizer_terms_match_exact_enumeration():
     vec += rng.normal(scale=1.0, size=vec.shape)
     ref_policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
 
-    config = TrainConfig(entropy_coef=0.3, kl_coef=0.7, **FAST)
-    bonus, penalty = regularizer_terms(policy, ref_policy, [state], config)
+    def value(entropy_coef, kl_coef):
+        config = TrainConfig(entropy_coef=entropy_coef, kl_coef=kl_coef, **FAST)
+        return _regularizer_state(policy, ref_policy, state, config, {}, 1.0, {})
 
-    assert bonus == pytest.approx(0.3 * exact_response_entropy(policy, state), abs=1e-12)
+    assert value(0.3, 0.0) == pytest.approx(0.3 * exact_response_entropy(policy, state), abs=1e-12)
 
     ref = dict(enumerate_responses(ref_policy, state))
     kl = sum(p * (math.log(p) - math.log(ref[t]))
              for t, p in enumerate_responses(policy, state) if p > 0.0)
     assert kl > 0.0
-    assert penalty == pytest.approx(0.7 * kl, abs=1e-12)
+    assert value(0.0, 0.7) == pytest.approx(-0.7 * kl, abs=1e-12)
+    assert value(0.3, 0.7) == pytest.approx(0.3 * exact_response_entropy(policy, state) - 0.7 * kl,
+                                            abs=1e-12)
+
+
+def _regularizer_state_per_path(policy, ref_policy, state, config, grad, weight):
+    """The per-path regularizer walk the trainer's vectorized one must match bit for bit."""
+    paths = enumerate_responses(policy, state)
+    h = 0.0
+    for _, prob in paths:
+        if prob > 0.0:
+            h -= prob * math.log(prob)
+
+    kl = 0.0
+    ref_logprob = {}
+    if config.kl_coef != 0.0:
+        for tokens, prob in enumerate_responses(ref_policy, state):
+            ref_logprob[tokens] = math.log(prob) if prob > 0.0 else -math.inf
+        for tokens, prob in paths:
+            if prob > 0.0:
+                kl += prob * (math.log(prob) - ref_logprob[tokens])
+
+    value = config.entropy_coef * h - config.kl_coef * kl
+
+    for tokens, prob in paths:
+        if prob <= 0.0:
+            continue
+        logprob = math.log(prob)
+        coeff = config.entropy_coef * prob * (-logprob - h)
+        if config.kl_coef != 0.0:
+            coeff -= config.kl_coef * prob * (logprob - ref_logprob[tokens])
+        if coeff == 0.0:
+            continue
+        for k, tok in enumerate(tokens):
+            prefix = tuple(tokens[:k])
+            p = token_distribution(policy, state, prefix)
+            _grad_add(grad, (state, prefix), (weight * coeff) * _one_hot_minus_p(p, tok))
+    return value
+
+
+def _seeded_accum(vocab_size, state, rng):
+    """An accumulator already holding clip-term entries, two of them at regularizer keys."""
+    grad = {}
+    for key in [(state, (0,)), ("other", ()), (state, ())]:
+        _grad_add(grad, key, rng.normal(scale=0.1, size=vocab_size))
+    return grad
+
+
+@pytest.mark.parametrize("shape", ["grid-fetch", "key-chain"])
+def test_regularizer_state_is_bit_identical_to_per_path_walk(shape):
+    if shape == "grid-fetch":
+        policy = random_policy(5, 3, np.random.default_rng(11))
+        ref_policy = random_policy(5, 3, np.random.default_rng(12), scale=0.5)
+        state = "s"
+    else:
+        env = make_env("key-chain", seed=0, chain_len=1)
+        state = "key-chain#0#0"
+        policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
+        ref_policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
+        rng = np.random.default_rng(13)
+        for prefix, _ in enumerate_responses(policy, state):
+            for k in range(len(prefix)):
+                policy.logit_vector(state, prefix[:k])[:] = rng.normal(scale=1.5, size=env.vocab.size)
+        assert len(enumerate_responses(policy, state)) == 7
+    config = TrainConfig(entropy_coef=0.02, kl_coef=0.05, **FAST)
+    cache = {}
+    for weight in (0.375, 1.0):
+        expect = _seeded_accum(policy.vocab.size, state, np.random.default_rng(7))
+        got = _seeded_accum(policy.vocab.size, state, np.random.default_rng(7))
+        want = _regularizer_state_per_path(policy, ref_policy, state, config, expect, weight)
+        # The second pass reads the reference log-probs from the cache the first one filled.
+        assert _regularizer_state(policy, ref_policy, state, config, got, weight, cache) == want
+        assert list(got) == list(expect)
+        for key, vec in expect.items():
+            assert np.array_equal(got[key], vec), key
+    assert list(cache) == [state]
+
+
+GRID_KL = dict(env_kind="grid-fetch", kl_coef=0.01, steps=3)
+#: sha256 of each run's metrics.jsonl, pinned from the per-path regularizer (x86-64, Python 3.11, numpy 2.4).
+GOLDEN_METRICS = {
+    "grid-fetch-kl": (GRID_KL, "42eeb1259335b89af6a2c367ec2c016d262cd3661aefdbd5ff0d76ee5f898fcd"),
+    "key-chain-fast": (FAST, "40e93b38b391b9b4a65a76fb085db3439e00e16ecada9075bc2072bd23ebb0e6"),
+    "key-chain-entropy": (dict(FAST, entropy_coef=0.05, epochs=2),
+                          "721ee3d270bdada3e969cfd70840e6e9f0c3f62f31f3b71c4cc9377709e7b65d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_METRICS))
+def test_metrics_log_matches_golden_digest(name, tmp_path):
+    """A change to training arithmetic that reaches the logged numbers fails here, benchmark or not."""
+    fields, digest = GOLDEN_METRICS[name]
+    path = tmp_path / "metrics.jsonl"
+    train(TrainConfig(**fields), metrics_path=str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_train_is_deterministic():
