@@ -31,7 +31,7 @@ from .policy import (
 )
 from .probes import consistency_probe, doob_probe, transition_tracker
 from .rollout import Group, Trajectory, collect_group, parse_spans
-from .trainer import StepMetrics, TrainConfig, TrainResult, masked_train, surrogate_loss, train
+from .trainer import StepMetrics, TrainConfig, TrainResult, surrogate_loss, train
 
 __all__ = [
     "AdvantageTable",
@@ -58,7 +58,6 @@ __all__ = [
     "fisher_rao_inner",
     "grpo_advantage",
     "make_env",
-    "masked_train",
     "mc_response_entropy",
     "modulate_batch",
     "natural_gradient",

@@ -18,12 +18,12 @@ reproduces its states exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Protocol
 
 import numpy as np
 
-from .policy import Vocabulary
+from .policy import Vocabulary, response_space
 
 
 @dataclass(frozen=True)
@@ -288,22 +288,6 @@ _ENV_CLASSES = {
 }
 
 
-def response_space(vocab: Vocabulary, max_len: int) -> list[list[int]]:
-    """Every complete response (terminator-ended or max_len-truncated) over a vocabulary."""
-    out: list[list[int]] = []
-    stack: list[list[int]] = [[]]
-    while stack:
-        prefix = stack.pop()
-        for tok in range(vocab.size):
-            path = prefix + [tok]
-            if tok == vocab.terminator_id or len(path) == max_len:
-                out.append(path)
-            else:
-                stack.append(path)
-    out.sort()
-    return out
-
-
 def verify_success_reachable(env: Env) -> None:
     """Exhaustive check that every task has at least one success trajectory within the horizon."""
     responses = response_space(env.vocab, env.max_len)
@@ -329,15 +313,18 @@ def verify_success_reachable(env: Env) -> None:
             raise ValueError(f"{env.kind} task {task_id} has no success trajectory within the horizon")
 
 
-def make_env(kind: str, seed: int = 0, **overrides) -> Env:
-    """Construct an environment by kind name and verify its tasks are solvable."""
+def env_class(kind: str, overrides: dict) -> type:
+    """The environment class of ``kind``, after checking that it takes every override key."""
     if kind not in _ENV_CLASSES:
         raise ValueError(f"unknown env kind {kind!r}; choose from {sorted(_ENV_CLASSES)}")
-    env = _ENV_CLASSES[kind](seed=seed, **overrides)
+    params = {f.name for f in fields(_ENV_CLASSES[kind]) if f.init and f.name != "seed"}
+    if not isinstance(overrides, dict) or not params.issuperset(overrides):
+        raise ValueError(f"{kind} overrides must be an object with keys from {sorted(params)}, got {overrides!r}")
+    return _ENV_CLASSES[kind]
+
+
+def make_env(kind: str, seed: int = 0, **overrides) -> Env:
+    """Construct an environment by kind name and verify its tasks are solvable."""
+    env = env_class(kind, overrides)(seed=seed, **overrides)
     verify_success_reachable(env)
     return env
-
-
-def reset(env_kind: str, task_id: int, seed: int) -> EnvState:
-    """Convenience constructor: initial state of a default-parameter environment."""
-    return make_env(env_kind, seed=seed).reset(task_id)

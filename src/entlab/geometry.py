@@ -105,19 +105,6 @@ def resp_entropy_drift(pi: np.ndarray, a: int, advantage: float) -> float:
     return advantage * (float(s[a]) - entropy(pi))
 
 
-def resp_entropy_drift_inner(pi: np.ndarray, a: int, advantage: float) -> float:
-    """Same drift via the Fisher inner product of the two natural gradients."""
-    return fisher_rao_inner(pi, entropy_natural_gradient(pi), score_direction(pi, a, advantage))
-
-
-def occupancy_weighted_drift(drifts: np.ndarray, probs: np.ndarray) -> float:
-    """State-visitation average of per-state drifts; probs must be a distribution."""
-    probs = np.asarray(probs, dtype=float)
-    if np.any(probs < 0.0) or abs(probs.sum() - 1.0) > SIMPLEX_TOL:
-        raise ValueError("visitation weights must be a probability distribution")
-    return float(np.dot(np.asarray(drifts, dtype=float), probs))
-
-
 def _identity(h: float) -> float:
     return h
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .advantage import AdvantageTable
+from .policy import Response
 from .rollout import Group, ResponseSpan
 
 #: Population range below which modulation is a no-op (alpha identically 1).
@@ -49,8 +50,8 @@ class ModulationSet:
     degenerate: bool = False
 
 
-def response_entropy_proxy(span: ResponseSpan) -> float:
-    """Length-normalized entropy of a span: mean recorded per-token entropy."""
+def response_entropy_proxy(span: ResponseSpan | Response) -> float:
+    """Length-normalized entropy of a span or sampled response: mean recorded per-token entropy."""
     return sum(span.entropies) / len(span.entropies)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,11 +75,12 @@ class Response:
 
 @dataclass
 class TablePolicy:
-    """Lazily materialized logit table keyed by (state, prefix).
+    """Logit table keyed by (state, prefix).
 
     States are opaque hashable keys (strings in practice); prefixes are the
     exact token tuples emitted so far within the current response.  Missing
-    entries read as zero logits, i.e. a uniform conditional distribution.
+    entries read as zero logits, i.e. a uniform conditional distribution;
+    reads never store them, only the write path logit_vector does.
     """
 
     vocab: Vocabulary
@@ -89,16 +91,18 @@ class TablePolicy:
         if self.max_len < 1:
             raise ValueError("max_len must be at least 1")
 
-    def logit_vector(self, state: str, prefix: tuple[int, ...]) -> np.ndarray:
-        """Return the live logit array for (state, prefix), materializing zeros on first touch."""
+    def _key(self, state: str, prefix: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
+        """Table key of (state, prefix); a prefix of max_len tokens has no successor to score."""
         if len(prefix) >= self.max_len:
             raise ValueError(f"prefix of length {len(prefix)} has no successor under max_len={self.max_len}")
-        key = (state, tuple(prefix))
-        vec = self.logits.get(key)
-        if vec is None:
-            vec = np.zeros(self.vocab.size)
-            self.logits[key] = vec
-        return vec
+        return state, tuple(prefix)
+
+    def logit_vector(self, state: str, prefix: tuple[int, ...]) -> np.ndarray:
+        """Return the live logit array for (state, prefix), storing zeros on first touch (the write path)."""
+        key = self._key(state, prefix)
+        if key not in self.logits:
+            self.logits[key] = np.zeros(self.vocab.size)
+        return self.logits[key]
 
     def copy(self) -> TablePolicy:
         return TablePolicy(
@@ -112,9 +116,11 @@ def token_distribution(policy: TablePolicy, state: str, prefix: tuple[int, ...])
     """Conditional next-token distribution softmax(logits) at (state, prefix).
 
     Returns a probability vector of length |V| with all entries positive and
-    summing to 1 up to float roundoff.
+    summing to 1 up to float roundoff.  Reading leaves the policy unchanged.
     """
-    z = policy.logit_vector(state, prefix)
+    z = policy.logits.get(policy._key(state, prefix))
+    if z is None:  # zero logits: their softmax is exactly 1/|V| per token
+        return np.full(policy.vocab.size, 1.0 / policy.vocab.size)
     z = z - z.max()
     p = np.exp(z)
     return p / p.sum()
@@ -144,21 +150,37 @@ def sample_response(policy: TablePolicy, state: str, rng: np.random.Generator) -
     return Response(tokens=tokens, logprobs=logprobs, entropies=entropies)
 
 
-def response_surprisal(policy: TablePolicy, state: str, tokens: list[int]) -> float:
-    """Recompute -log pi(tokens | state) for a complete response under the current policy."""
-    total = 0.0
-    for k, tok in enumerate(tokens):
-        p = token_distribution(policy, state, tuple(tokens[:k]))
-        total -= float(np.log(p[tok]))
-    return total
-
-
-def _check_budget(policy: TablePolicy) -> None:
-    if policy.vocab.size**policy.max_len > ENUMERATION_BUDGET:
+def _check_budget(vocab: Vocabulary, max_len: int) -> None:
+    """Refuse an exact enumeration of more than ENUMERATION_BUDGET (|V|^max_len) paths."""
+    if vocab.size**max_len > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
-            f"|V|^max_len = {policy.vocab.size}^{policy.max_len} exceeds the "
+            f"|V|^max_len = {vocab.size}^{max_len} exceeds the "
             f"enumeration budget of {ENUMERATION_BUDGET} paths"
         )
+
+
+@lru_cache(maxsize=16)
+def _tree_shape(vocab: Vocabulary, max_len: int) -> tuple:
+    """The one definition of when a response ends: each internal (prefix, children) in
+    depth-first walk order, and the sorted complete responses (terminator or max_len)."""
+    internal: list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = []
+    leaves: list[tuple[int, ...]] = []
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
+        children = tuple(prefix + (tok,) for tok in range(vocab.size))
+        internal.append((prefix, children))
+        for path in children:
+            if path[-1] == vocab.terminator_id or len(path) == max_len:
+                leaves.append(path)
+            else:
+                stack.append(path)
+    return tuple(internal), tuple(sorted(leaves))
+
+
+def response_space(vocab: Vocabulary, max_len: int) -> tuple[tuple[int, ...], ...]:
+    """Every complete response (terminator-ended or max_len-truncated) over a vocabulary, sorted."""
+    return _tree_shape(vocab, max_len)[1]
 
 
 def _response_tree(policy: TablePolicy, state: str, with_entropy: bool = False):
@@ -168,21 +190,16 @@ def _response_tree(policy: TablePolicy, state: str, with_entropy: bool = False):
     tokens with probabilities multiplied root to leaf in walk order, and each
     internal prefix's entropy if ``with_entropy`` (else None).
     """
-    _check_budget(policy)
+    _check_budget(policy.vocab, policy.max_len)
+    internal, leaves = _tree_shape(policy.vocab, policy.max_len)
     dists: dict[tuple[int, ...], np.ndarray] = {}
-    out: list[tuple[tuple[int, ...], float]] = []
-    stack: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
-    while stack:
-        prefix, prob = stack.pop()
+    probs: dict[tuple[int, ...], float] = {(): 1.0}
+    for prefix, children in internal:
         p = dists[prefix] = token_distribution(policy, state, prefix)
-        for tok, p_tok in enumerate(p.tolist()):
-            path = prefix + (tok,)
-            path_prob = prob * p_tok
-            if tok == policy.vocab.terminator_id or len(path) == policy.max_len:
-                out.append((path, path_prob))
-            else:
-                stack.append((path, path_prob))
-    out.sort(key=lambda item: item[0])
+        prob = probs[prefix]
+        for path, p_tok in zip(children, p.tolist()):
+            probs[path] = prob * p_tok
+    out = [(path, probs[path]) for path in leaves]
     entropies = {u: _entropy(p) for u, p in dists.items()} if with_entropy else None
     return dists, out, entropies
 

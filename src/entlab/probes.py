@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envs import Env, response_space
-from .modulation import group_minmax_normalize, modulation_coeffs
-from .policy import TablePolicy, _response_tree, sample_response
+from .envs import Env
+from .modulation import group_minmax_normalize, modulation_coeffs, response_entropy_proxy
+from .policy import TablePolicy, _response_tree, response_space, sample_response
 from .trainer import StepMetrics
 
 
@@ -56,7 +56,7 @@ def consistency_probe(
     pairs: list[tuple[float, float]] = []
     for state in states:
         responses = [sample_response(policy, state, rng) for _ in range(k_samples)]
-        h_bars = [sum(r.entropies) / len(r.entropies) for r in responses]
+        h_bars = [response_entropy_proxy(r) for r in responses]
         surprisals = [r.surprisal for r in responses]
         h_mc = sum(surprisals) / len(surprisals)
         h_tilde, degenerate = group_minmax_normalize(h_bars, eps)
@@ -248,8 +248,4 @@ def reachable_states(env: Env, limit: int = 10000) -> list[str]:
                         raise ValueError(f"more than {limit} reachable states")
         frontier = nxt
     # Distinct policy keys in first-seen order (different raw states can share a key).
-    out: list[str] = []
-    for key in keys:
-        if key not in out:
-            out.append(key)
-    return out
+    return list(dict.fromkeys(keys))

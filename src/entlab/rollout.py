@@ -8,7 +8,6 @@ is what the modulation and the trainer consume.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,11 +68,6 @@ class ResponseSpan:
     @property
     def length(self) -> int:
         return self.token_range[1] - self.token_range[0]
-
-    @property
-    def h_bar(self) -> float:
-        """Length-normalized entropy: mean per-token conditional entropy over the span."""
-        return sum(self.entropies) / len(self.entropies)
 
 
 @dataclass
@@ -168,46 +162,3 @@ def filter_degenerate_groups(groups: list[Group], mode: str = "off") -> list[Gro
         return [g for g in groups if max(g.rewards) > min(g.rewards)]
     raise ValueError(f"unknown filter mode {mode!r}")
 
-
-def write_trajectories(groups: list[Group], path: str) -> None:
-    """Append-style JSONL dump of every trajectory in collection order."""
-    with open(path, "w") as fh:
-        for g_idx, group in enumerate(groups):
-            for i, traj in enumerate(group.trajectories):
-                record = {
-                    "group": g_idx,
-                    "rollout": i,
-                    "prompt_id": traj.prompt_id,
-                    "reward": traj.reward,
-                    "success": traj.success,
-                    "turns": [
-                        {
-                            "state": _state_doc(turn.state),
-                            "tokens": turn.response.tokens,
-                            "logprobs": turn.response.logprobs,
-                            "entropies": turn.response.entropies,
-                            "valid": turn.valid,
-                        }
-                        for turn in traj.turns
-                    ],
-                    "final_state": _state_doc(traj.final_state),
-                }
-                fh.write(json.dumps(record, sort_keys=True))
-                fh.write("\n")
-
-
-def read_trajectories(path: str) -> list[dict]:
-    """Parse a trajectory JSONL file back into plain records."""
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
-
-
-def _state_doc(state: EnvState) -> dict:
-    return {
-        "env_kind": state.env_kind,
-        "task_id": state.task_id,
-        "step_index": state.step_index,
-        "features": list(state.features),
-        "done": state.done,
-        "success": state.success,
-    }

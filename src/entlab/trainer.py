@@ -20,9 +20,9 @@ import numpy as np
 
 from . import modulation as mod
 from .advantage import ESTIMATORS, AdvantageTable, compute_advantages
-from .envs import REWARD_SCHEMES, make_env, response_space
-from .policy import (TablePolicy, Vocabulary, _response_tree, enumerate_responses, save_checkpoint,
-                     token_distribution)
+from .envs import REWARD_SCHEMES, env_class, make_env
+from .policy import (TablePolicy, Vocabulary, _check_budget, _response_tree, enumerate_responses, response_space,
+                     save_checkpoint, token_distribution)
 from .rollout import FILTER_MODES, Group, collect_group, filter_degenerate_groups
 
 LOSSES = ("grpo_clip", "dapo_token", "gspo_seq")
@@ -69,6 +69,11 @@ class TrainConfig:
             raise ValueError("clip_low and clip_high must lie in (0, 1)")
         if self.lr <= 0.0 or self.group_size < 2 or self.steps < 1 or self.epochs < 1:
             raise ValueError("lr > 0, group_size >= 2, steps >= 1, epochs >= 1 required")
+        env_cls = env_class(self.env_kind, self.env_overrides)
+        if self.kl_coef != 0.0 or self.entropy_coef != 0.0 or self.estimator == "oracle_value":
+            # The run will enumerate response trees: refuse an over-budget one before any file is written.
+            env = env_cls(seed=self.env_seed, **self.env_overrides)
+            _check_budget(env.vocab, env.max_len)
 
 
 @dataclass
@@ -216,7 +221,7 @@ def _tree_rows(vocab: Vocabulary, max_len: int) -> tuple:
     """(prefixes, row_path, row_prefix, row_tok) of a tree shape: one row per (path, position),
     paths sorted; row_prefix indexes the internal prefixes, listed in order of first appearance."""
     prefixes: dict[tuple[int, ...], int] = {}
-    rows = [(j, prefixes.setdefault(tuple(path[:k]), len(prefixes)), tok)
+    rows = [(j, prefixes.setdefault(path[:k], len(prefixes)), tok)
             for j, path in enumerate(response_space(vocab, max_len)) for k, tok in enumerate(path)]
     return (list(prefixes), *(np.array(col) for col in zip(*rows)))
 
@@ -293,10 +298,12 @@ def train(
 ) -> TrainResult:
     """Run the full training loop described by the config.
 
-    mask_sign, when given, drops every span whose sgn(A * (alpha - 1))
+    mask_sign (+1 or -1), when given, drops every span whose sgn(A * (alpha - 1))
     equals it from the update (the masked-quadrant experiment); modulation
     coefficients are computed for the mask even when aem_mode is "off".
     """
+    if mask_sign not in (None, 1, -1):
+        raise ValueError(f"mask_sign must be None, +1 or -1, got {mask_sign!r}")
     env = make_env(config.env_kind, seed=config.env_seed, **config.env_overrides)
     scheme = REWARD_SCHEMES[config.reward_scheme]
     policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
@@ -381,14 +388,6 @@ def train(
     if checkpoint_dir:
         save_checkpoint(policy, f"{checkpoint_dir}/policy_final.json")
     return TrainResult(policy=policy, ref_policy=ref_policy, metrics=metrics, timings=timings)
-
-
-def masked_train(config: TrainConfig, mask_sign: int, metrics_path: str | None = None,
-                 checkpoint_dir: str | None = None) -> TrainResult:
-    """Train while zeroing the gradient of spans whose sgn(A * (alpha - 1)) matches mask_sign."""
-    if mask_sign not in (1, -1):
-        raise ValueError("mask_sign must be +1 or -1")
-    return train(config, metrics_path=metrics_path, checkpoint_dir=checkpoint_dir, mask_sign=mask_sign)
 
 
 def load_metrics(path: str) -> list[dict]:

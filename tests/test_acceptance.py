@@ -33,7 +33,7 @@ from entlab.modulation import compute_modulation, group_minmax_normalize, modula
 from entlab.policy import TablePolicy, exact_response_entropy, pathwise_entropy, random_policy
 from entlab.probes import consistency_probe, doob_exact_residuals, doob_probe, reachable_states
 from entlab.rollout import Group, ResponseSpan, collect_group
-from entlab.trainer import LOSSES, TrainConfig, masked_train, surrogate_loss, train
+from entlab.trainer import LOSSES, TrainConfig, surrogate_loss, train
 
 
 def _report(tag: str, ok: bool, detail: str) -> None:
@@ -238,8 +238,8 @@ def test_quadrant_masking_entropy_direction():
     gaps = []
     for seed in range(10):
         config = TrainConfig(seed=seed, **base)
-        drop_pos = masked_train(config, mask_sign=1)
-        drop_neg = masked_train(config, mask_sign=-1)
+        drop_pos = train(config, mask_sign=1)
+        drop_neg = train(config, mask_sign=-1)
         high = np.mean([m.policy_entropy_estimate for m in drop_pos.metrics[10:50]])
         low = np.mean([m.policy_entropy_estimate for m in drop_neg.metrics[10:50]])
         gaps.append(high - low)

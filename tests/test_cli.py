@@ -208,6 +208,7 @@ def test_enumeration_budget_error_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "enumeration budget" in err
     assert err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):
@@ -215,7 +216,10 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["no-such-command"]) == 1
     assert main(["train", "--out", str(tmp_path / "x"), "--set", "steps=0"]) == 1
-    assert main(["train", "--out", str(tmp_path / "z"), "--set", "estimator=bogus"]) == 1
-    assert not (tmp_path / "z").exists()
+    for bad in ("estimator=bogus", "env_kind=bogus", "env_overrides.bogus=1", "env_overrides=[1]"):
+        capsys.readouterr()
+        assert main(["train", "--out", str(tmp_path / "z"), "--set", bad]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "z").exists()
     assert main(["train", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "y")]) == 1

@@ -12,8 +12,6 @@ from entlab.envs import (
     KeyChainEnv,
     RewardScheme,
     make_env,
-    reset,
-    response_space,
     terminal_reward,
     verify_success_reachable,
 )
@@ -156,13 +154,13 @@ def test_stepping_a_terminated_state_raises():
 
 
 def test_response_space_is_complete_and_sorted():
-    from entlab.policy import Vocabulary
+    from entlab.policy import Vocabulary, response_space
 
     space = response_space(Vocabulary(size=3, terminator_id=2), max_len=2)
-    assert space == sorted(space)
-    # 2-token window over {0, 1, term}: [term], [0,*], [1,*]
-    assert [2] in space
-    assert [0, 2] in space and [1, 1] in space
+    assert list(space) == sorted(space)
+    # 2-token window over {0, 1, term}: (term,), (0,*), (1,*)
+    assert (2,) in space
+    assert (0, 2) in space and (1, 1) in space
     assert len(space) == 1 + 2 * 3
 
 
@@ -183,7 +181,7 @@ def test_env_seeds_change_tasks():
 
 
 def test_reset_helper_returns_initial_state():
-    state = reset("bandit-chain", task_id=2, seed=0)
+    state = make_env("bandit-chain", seed=0).reset(2)
     assert state.policy_key == "bandit-chain#2#0,0"
     assert not state.done
 

@@ -17,14 +17,12 @@ from entlab.geometry import (
     kl_divergence,
     natural_gradient,
     objective_direction,
-    occupancy_weighted_drift,
     param_entropy_gradient,
     param_objective_gradient,
     parametrized_drift,
     random_interior_simplex,
     regularized_drift,
     resp_entropy_drift,
-    resp_entropy_drift_inner,
     score_direction,
     surprisal,
     verify_drift_fd,
@@ -100,7 +98,7 @@ def test_drift_routes_agree():
         a = int(rng.integers(m))
         adv = float(rng.uniform(-2.0, 2.0))
         closed = resp_entropy_drift(pi, a, adv)
-        inner = resp_entropy_drift_inner(pi, a, adv)
+        inner = fisher_rao_inner(pi, entropy_natural_gradient(pi), score_direction(pi, a, adv))
         assert abs(closed - inner) < 1e-12
 
 
@@ -112,15 +110,6 @@ def test_drift_sign_follows_relative_surprisal():
     # a negative advantage flips both
     assert resp_entropy_drift(pi, 0, -1.0) > 0.0
     assert resp_entropy_drift(pi, 2, -1.0) < 0.0
-
-
-def test_occupancy_weighted_drift_three_state_chain():
-    drifts = np.array([0.5, -0.2, 0.1])
-    probs = np.array([0.6, 0.3, 0.1])
-    want = 0.6 * 0.5 + 0.3 * -0.2 + 0.1 * 0.1
-    assert occupancy_weighted_drift(drifts, probs) == pytest.approx(want)
-    with pytest.raises(ValueError):
-        occupancy_weighted_drift(drifts, np.array([0.5, 0.5, 0.5]))
 
 
 def test_regularized_drift_reduces_to_plain_task_term():

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from entlab.advantage import state_value
+from entlab.envs import REWARD_SCHEMES, make_env
 from entlab.policy import (
     EnumerationBudgetError,
     Response,
@@ -18,11 +20,13 @@ from entlab.policy import (
     mc_response_entropy,
     pathwise_entropy,
     random_policy,
-    response_surprisal,
+    response_space,
     sample_response,
     save_checkpoint,
     token_distribution,
+    _response_tree,
 )
+from entlab.probes import consistency_probe, doob_exact_residuals, doob_probe
 
 
 def test_vocabulary_validation():
@@ -48,6 +52,11 @@ def test_uniform_distribution_from_zero_logits():
     policy = TablePolicy(vocab=Vocabulary(size=3, terminator_id=2), max_len=2)
     p = token_distribution(policy, "s", ())
     np.testing.assert_allclose(p, np.full(3, 1.0 / 3.0), atol=1e-12)
+    for size in range(2, 12):
+        empty = TablePolicy(vocab=Vocabulary(size=size, terminator_id=size - 1), max_len=2)
+        stored = empty.copy()
+        stored.logit_vector("s", ())
+        assert token_distribution(empty, "s", ()).tobytes() == token_distribution(stored, "s", ()).tobytes()
 
 
 def test_softmax_shift_invariance_and_stability():
@@ -65,6 +74,8 @@ def test_prefix_past_max_len_rejected():
     policy = TablePolicy(vocab=Vocabulary(size=3, terminator_id=2), max_len=2)
     with pytest.raises(ValueError):
         policy.logit_vector("s", (0, 1))
+    with pytest.raises(ValueError):
+        token_distribution(policy, "s", (0, 1))
 
 
 def test_sample_response_stops_at_terminator_or_max_len():
@@ -87,7 +98,8 @@ def test_sample_response_records_consistent_stats():
             p = token_distribution(policy, "s", tuple(r.tokens[:k]))
             assert r.logprobs[k] == pytest.approx(math.log(p[tok]))
             assert r.entropies[k] == pytest.approx(float(-(p * np.log(p)).sum()))
-        assert response_surprisal(policy, "s", r.tokens) == pytest.approx(r.surprisal)
+        prob = dict(enumerate_responses(policy, "s"))[tuple(r.tokens)]
+        assert r.surprisal == pytest.approx(-math.log(prob))
 
 
 def test_sampling_is_deterministic_per_seed():
@@ -111,6 +123,68 @@ def test_enumeration_partitions_probability():
             assert tokens[-1] == term or len(tokens) == max_len
             assert all(t != term for t in tokens[:-1])
         assert [t for t, _ in paths] == sorted(t for t, _ in paths)
+
+
+def _response_tree_dfs(policy, state, with_entropy=False):
+    """Reference copy of the response-tree walk that built and sorted its paths on every call."""
+    dists = {}
+    out = []
+    stack = [((), 1.0)]
+    while stack:
+        prefix, prob = stack.pop()
+        p = dists[prefix] = token_distribution(policy, state, prefix)
+        for tok, p_tok in enumerate(p.tolist()):
+            path = prefix + (tok,)
+            path_prob = prob * p_tok
+            if tok == policy.vocab.terminator_id or len(path) == policy.max_len:
+                out.append((path, path_prob))
+            else:
+                stack.append((path, path_prob))
+    out.sort(key=lambda item: item[0])
+    entropies = {u: float(-(p * np.log(p)).sum()) for u, p in dists.items()} if with_entropy else None
+    return dists, out, entropies
+
+
+@pytest.mark.parametrize("size,max_len", [(3, 2), (5, 3), (4, 4), (3, 6)])
+def test_response_tree_is_bit_identical_to_per_call_walk(size, max_len):
+    for seed in range(4):
+        policy = random_policy(size, max_len, np.random.default_rng(seed))
+        # random_policy draws in walk order, so the same seed must fill the same prefixes the same way.
+        rng = np.random.default_rng(seed)
+        want_logits = {("s", u): 1.5 * rng.normal(size=size) for u in _response_tree_dfs(policy, "s")[0]}
+        assert list(policy.logits) == list(want_logits)
+        assert all(np.array_equal(policy.logits[k], v) for k, v in want_logits.items())
+
+        dists, paths, entropies = _response_tree(policy, "s", with_entropy=True)
+        want_dists, want_paths, want_entropies = _response_tree_dfs(policy, "s", with_entropy=True)
+        assert list(dists) == list(want_dists)
+        assert all(np.array_equal(dists[u], p) for u, p in want_dists.items())
+        assert paths == want_paths
+        assert entropies == want_entropies
+        assert [tokens for tokens, _ in paths] == list(response_space(policy.vocab, max_len))
+
+
+def test_reads_leave_the_policy_unchanged():
+    env = make_env("key-chain", seed=0, task_count=2, chain_len=1, n_content=3)
+    policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
+    states = [env.reset(t) for t in range(env.task_count)]
+    policy.logit_vector(states[0].policy_key, ())[:] = (2.0, -1.0, 0.5, 0.0)
+    policy.logit_vector(states[0].policy_key, (0,))[:] = (3.0, -3.0, 0.0, 1.0)
+    before = {k: v.copy() for k, v in policy.logits.items()}
+    rng = np.random.default_rng(0)
+    keys = [s.policy_key for s in states]
+
+    for state, key in zip(states, keys):
+        sample_response(policy, key, rng)
+        exact_response_entropy(policy, key)
+        pathwise_entropy(policy, key)
+        doob_probe(policy, key, 100, rng)
+        doob_exact_residuals(policy, key)
+        state_value(policy, env, state, REWARD_SCHEMES["binary"])
+    consistency_probe(policy, keys, 16, rng, n_bootstrap=10)
+
+    assert list(policy.logits) == list(before)
+    assert all(np.array_equal(policy.logits[k], v) for k, v in before.items())
 
 
 def test_enumeration_budget_guard():

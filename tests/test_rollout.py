@@ -1,4 +1,4 @@
-"""Tests for trajectory collection, span parsing and trajectory serialization."""
+"""Tests for trajectory collection, span parsing and degenerate-group filtering."""
 
 from __future__ import annotations
 
@@ -6,15 +6,9 @@ import numpy as np
 import pytest
 
 from entlab.envs import REWARD_SCHEMES, make_env
+from entlab.modulation import response_entropy_proxy
 from entlab.policy import TablePolicy
-from entlab.rollout import (
-    collect_group,
-    filter_degenerate_groups,
-    parse_spans,
-    read_trajectories,
-    rollout_trajectory,
-    write_trajectories,
-)
+from entlab.rollout import collect_group, filter_degenerate_groups, parse_spans, rollout_trajectory
 
 
 def _uniform_policy(env) -> TablePolicy:
@@ -69,7 +63,7 @@ def test_span_h_bar_is_mean_entropy():
     policy = _uniform_policy(env)
     traj = rollout_trajectory(policy, env, 0, REWARD_SCHEMES["binary"], np.random.default_rng(3))
     for span in parse_spans(traj):
-        assert span.h_bar == pytest.approx(sum(span.entropies) / len(span.entropies))
+        assert response_entropy_proxy(span) == pytest.approx(sum(span.entropies) / len(span.entropies))
 
 
 def test_collect_group_shapes_and_determinism():
@@ -104,30 +98,3 @@ def test_filter_degenerate_groups():
     with pytest.raises(ValueError):
         filter_degenerate_groups(groups, mode="drop_everything")
 
-
-def test_trajectory_jsonl_round_trip(tmp_path):
-    env = make_env("key-chain", seed=0)
-    policy = _uniform_policy(env)
-    rng = np.random.default_rng(5)
-    groups = [collect_group(policy, env, i, 3, REWARD_SCHEMES["sparse"], rng) for i in range(2)]
-    path = tmp_path / "rollouts.jsonl"
-    write_trajectories(groups, str(path))
-    records = read_trajectories(str(path))
-    assert len(records) == 6
-    first = records[0]
-    assert first["group"] == 0 and first["rollout"] == 0
-    src = groups[0].trajectories[0]
-    assert first["reward"] == pytest.approx(src.reward)
-    assert first["success"] == src.success
-    assert [t["tokens"] for t in first["turns"]] == [turn.response.tokens for turn in src.turns]
-    assert first["final_state"]["done"] is True
-
-
-def test_trajectory_jsonl_bytes_stable(tmp_path):
-    env = make_env("key-chain", seed=0)
-    policy = _uniform_policy(env)
-    groups = [collect_group(policy, env, 0, 3, REWARD_SCHEMES["binary"], np.random.default_rng(9))]
-    p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_trajectories(groups, str(p1))
-    write_trajectories(groups, str(p2))
-    assert p1.read_bytes() == p2.read_bytes()

@@ -12,6 +12,7 @@ import pytest
 from entlab.advantage import compute_advantages
 from entlab.envs import REWARD_SCHEMES, make_env
 from entlab.policy import (
+    EnumerationBudgetError,
     TablePolicy,
     enumerate_responses,
     exact_response_entropy,
@@ -27,7 +28,6 @@ from entlab.trainer import (
     _grad_add,
     _one_hot_minus_p,
     _regularizer_state,
-    masked_train,
     surrogate_loss,
     train,
 )
@@ -65,6 +65,24 @@ def test_config_rejects_bad_fields():
         TrainConfig(estimator="bogus")
     with pytest.raises(ValueError):
         TrainConfig(filter_mode="drop_all")
+    with pytest.raises(ValueError):
+        TrainConfig(env_kind="bogus")
+    with pytest.raises(ValueError):
+        TrainConfig(env_overrides=[1])
+    with pytest.raises(ValueError):
+        TrainConfig(env_overrides={"bogus": 1})
+    with pytest.raises(ValueError):
+        TrainConfig(env_kind="grid-fetch", env_overrides={"key_len": 2})
+    with pytest.raises(ValueError):
+        TrainConfig(env_overrides={"seed": 1})  # the env seed is env_seed
+
+
+def test_config_checks_enumeration_budget_only_when_the_run_enumerates():
+    big = {"key_len": 13}  # 3^13 paths, over the budget
+    for fields in ({}, {"kl_coef": 0.0, "entropy_coef": 0.1}, {"kl_coef": 0.0, "estimator": "oracle_value"}):
+        with pytest.raises(EnumerationBudgetError):
+            TrainConfig(env_overrides=big, **fields)
+    assert TrainConfig(env_overrides=big, kl_coef=0.0).env_overrides == big
 
 
 def _loss_inputs(config, jitter=0.0, jitter_seed=3):
@@ -358,9 +376,15 @@ def test_checkpoint_cadence(tmp_path):
         assert np.allclose(vec, final.logits[key])
 
 
+def test_reference_policy_stays_empty_after_kl_training():
+    result = train(TrainConfig(**dict(FAST, kl_coef=0.01)))
+    assert result.ref_policy.logits == {}
+    assert result.policy.logits
+
+
 def test_masked_train_validates_sign():
     with pytest.raises(ValueError):
-        masked_train(TrainConfig(**FAST), mask_sign=0)
+        train(TrainConfig(**FAST), mask_sign=0)
 
 
 def test_masked_runs_diverge_by_sign():
@@ -372,8 +396,8 @@ def test_masked_runs_diverge_by_sign():
         lr=2.0,
         steps=30,
     )
-    up = masked_train(config, mask_sign=1)
-    down = masked_train(config, mask_sign=-1)
+    up = train(config, mask_sign=1)
+    down = train(config, mask_sign=-1)
     identical = all(
         np.array_equal(vec, down.policy.logits[key])
         for key, vec in up.policy.logits.items()
