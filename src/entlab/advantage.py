@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .envs import Env, EnvState, RewardScheme
-from .policy import TablePolicy, enumerate_responses
+from .policy import TablePolicy, enumerate_responses, response_space
 from .rollout import Group
 
 GRPO_EPS = 1e-8
@@ -24,9 +24,6 @@ class AdvantageTable:
 
     estimator: str
     values: dict[tuple[int, int], float] = field(default_factory=dict)
-
-    def get(self, rollout_index: int, turn_index: int) -> float:
-        return self.values[(rollout_index, turn_index)]
 
 
 def _broadcast(group: Group, per_traj: list[float], estimator: str) -> AdvantageTable:
@@ -61,38 +58,66 @@ def rloo_advantage(group: Group) -> AdvantageTable:
     return _broadcast(group, per_traj, "rloo")
 
 
+def _transition_row(env: Env, state: EnvState, transitions: dict) -> tuple:
+    """env.step(state, response) for every response of response_space, cached in ``transitions``.
+
+    Dynamics are a pure function of (state, response), so a row holds for the
+    whole run, whatever the policy.  The table also maps each distinct
+    (next state, valid) pair to itself, so equal pairs in all rows share one object.
+    """
+    row = transitions.get(state)
+    if row is None:
+        row = transitions[state] = tuple(transitions.setdefault(pair, pair) for pair in (
+            env.step(state, list(tokens)) for tokens in response_space(env.vocab, env.max_len)))
+    return row
+
+
 def state_value(policy: TablePolicy, env: Env, state: EnvState, scheme: RewardScheme,
-                _memo: dict | None = None) -> float:
+                _memo: dict | None = None, transitions: dict | None = None) -> float:
     """Exact on-policy value of a state by enumerating all continuations.
 
     Counts the terminal outcome payoff plus invalid penalties incurred from
     this state onward (penalties already paid earlier in the episode are sunk).
+    ``_memo`` holds, for one frozen policy, each state's value and each policy
+    key's response probabilities; ``transitions`` (see _transition_row) does
+    not depend on the policy and may be shared across calls.
     """
     if _memo is None:
         _memo = {}
+    if transitions is None:
+        transitions = {}
+    value = _memo.get(state)
+    if value is not None:
+        return value
     if state.done:
-        return scheme.success if state.success else scheme.failure
-    if state in _memo:
-        return _memo[state]
-    total = 0.0
-    for tokens, prob in enumerate_responses(policy, state.policy_key):
-        if prob == 0.0:
-            continue
-        nxt, valid = env.step(state, list(tokens))
-        contrib = (0.0 if valid else scheme.invalid_penalty) + state_value(policy, env, nxt, scheme, _memo)
-        total += prob * contrib
-    _memo[state] = total
-    return total
+        value = scheme.success if state.success else scheme.failure
+    else:
+        probs = _memo.get(state.policy_key)
+        if probs is None:
+            probs = _memo[state.policy_key] = [prob for _, prob in enumerate_responses(policy, state.policy_key)]
+        row = _transition_row(env, state, transitions)
+        penalty = scheme.invalid_penalty
+        value = 0.0
+        for prob, (nxt, valid) in zip(probs, row, strict=True):
+            if prob == 0.0:
+                continue
+            v = _memo.get(nxt)
+            if v is None:
+                v = state_value(policy, env, nxt, scheme, _memo, transitions)
+            value += prob * ((0.0 if valid else penalty) + v)
+    _memo[state] = value
+    return value
 
 
 def oracle_value_advantage(group: Group, env: Env, policy: TablePolicy,
-                           scheme: RewardScheme) -> AdvantageTable:
+                           scheme: RewardScheme, transitions: dict | None = None) -> AdvantageTable:
     """Exact-baseline advantage: R(trajectory) minus the enumerated value of each turn's state."""
     memo: dict = {}
+    transitions = {} if transitions is None else transitions
     table = AdvantageTable(estimator="oracle_value")
     for i, traj in enumerate(group.trajectories):
         for t, turn in enumerate(traj.turns):
-            v = state_value(policy, env, turn.state, scheme, memo)
+            v = state_value(policy, env, turn.state, scheme, memo, transitions)
             table.values[(i, t)] = traj.reward - v
     return table
 
@@ -102,8 +127,10 @@ ESTIMATORS = ("grpo", "rloo", "oracle_value")
 
 def compute_advantages(group: Group, estimator: str, env: Env | None = None,
                        policy: TablePolicy | None = None,
-                       scheme: RewardScheme | None = None) -> AdvantageTable:
-    """Dispatch by estimator name; the oracle needs env, policy and scheme."""
+                       scheme: RewardScheme | None = None,
+                       transitions: dict | None = None) -> AdvantageTable:
+    """Dispatch by estimator name; the oracle needs env, policy and scheme and reads or
+    fills ``transitions`` (see _transition_row)."""
     if estimator == "grpo":
         return grpo_advantage(group)
     if estimator == "rloo":
@@ -111,5 +138,5 @@ def compute_advantages(group: Group, estimator: str, env: Env | None = None,
     if estimator == "oracle_value":
         if env is None or policy is None or scheme is None:
             raise ValueError("oracle_value advantage needs env, policy and scheme")
-        return oracle_value_advantage(group, env, policy, scheme)
+        return oracle_value_advantage(group, env, policy, scheme, transitions)
     raise ValueError(f"unknown estimator {estimator!r}; choose from {ESTIMATORS}")

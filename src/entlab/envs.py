@@ -18,6 +18,7 @@ reproduces its states exactly.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Protocol
 
@@ -314,12 +315,16 @@ def verify_success_reachable(env: Env) -> None:
 
 
 def env_class(kind: str, overrides: dict) -> type:
-    """The environment class of ``kind``, after checking that it takes every override key."""
+    """The environment class of ``kind``, after checking that it takes every override key
+    and that each value given for an ``int`` field is an integer."""
     if kind not in _ENV_CLASSES:
         raise ValueError(f"unknown env kind {kind!r}; choose from {sorted(_ENV_CLASSES)}")
-    params = {f.name for f in fields(_ENV_CLASSES[kind]) if f.init and f.name != "seed"}
-    if not isinstance(overrides, dict) or not params.issuperset(overrides):
+    params = {f.name: f.type for f in fields(_ENV_CLASSES[kind]) if f.init and f.name != "seed"}
+    if not isinstance(overrides, dict) or not params.keys() >= overrides.keys():
         raise ValueError(f"{kind} overrides must be an object with keys from {sorted(params)}, got {overrides!r}")
+    for name, value in overrides.items():
+        if params[name] == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{kind} override {name} must be an integer, got {value!r}")
     return _ENV_CLASSES[kind]
 
 

@@ -44,14 +44,6 @@ class Trajectory:
     def invalid_count(self) -> int:
         return sum(1 for turn in self.turns if not turn.valid)
 
-    @property
-    def token_stream(self) -> list[int]:
-        """All generated tokens in order, terminators included."""
-        out: list[int] = []
-        for turn in self.turns:
-            out.extend(turn.response.tokens)
-        return out
-
 
 @dataclass
 class ResponseSpan:

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -26,6 +27,8 @@ from .policy import (TablePolicy, Vocabulary, _check_budget, _response_tree, enu
 from .rollout import FILTER_MODES, Group, collect_group, filter_degenerate_groups
 
 LOSSES = ("grpo_clip", "dapo_token", "gspo_seq")
+#: Accepted value types per TrainConfig annotation (as written, a string); bool is refused everywhere.
+_FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real, "dict": dict}
 
 
 @dataclass
@@ -55,6 +58,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if self.aem_mode not in mod.MODES:
@@ -309,6 +316,7 @@ def train(
     policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
     ref_policy = policy.copy()
     ref_logprobs: dict[str, dict[tuple[int, ...], float]] = {}
+    transitions: dict = {}
 
     timings = {"rollout": 0.0, "advantage": 0.0, "aem": 0.0, "update": 0.0, "total": 0.0}
     metrics: list[StepMetrics] = []
@@ -330,7 +338,7 @@ def train(
             t0 = time.perf_counter()
             trained = filter_degenerate_groups(groups, config.filter_mode)
             tables = [
-                compute_advantages(g, config.estimator, env=env, policy=policy, scheme=scheme)
+                compute_advantages(g, config.estimator, env=env, policy=policy, scheme=scheme, transitions=transitions)
                 for g in trained
             ]
             timings["advantage"] += time.perf_counter() - t0

@@ -13,7 +13,7 @@ from entlab.advantage import (
     state_value,
 )
 from entlab.envs import REWARD_SCHEMES, make_env
-from entlab.policy import Response, TablePolicy
+from entlab.policy import Response, TablePolicy, _tree_shape, enumerate_responses, response_space
 from entlab.rollout import Group, Trajectory, Turn, collect_group
 
 
@@ -38,7 +38,7 @@ def _group_with_rewards(rewards):
 def test_grpo_worked_values():
     group = _group_with_rewards([10.0, 0.0, 0.0, 10.0])
     table = grpo_advantage(group)
-    got = [table.get(i, 0) for i in range(4)]
+    got = [table.values[(i, 0)] for i in range(4)]
     np.testing.assert_allclose(got, [1.0, -1.0, -1.0, 1.0], rtol=1e-6)
 
 
@@ -63,16 +63,16 @@ def test_grpo_mean_zero():
     for _ in range(20):
         rewards = rng.normal(size=5)
         table = grpo_advantage(_group_with_rewards(rewards))
-        per_traj = [table.get(i, 0) for i in range(5)]
+        per_traj = [table.values[(i, 0)] for i in range(5)]
         assert sum(per_traj) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_rloo_worked_values():
     group = _group_with_rewards([10.0, 0.0, 0.0, 0.0])
     table = rloo_advantage(group)
-    assert table.get(0, 0) == pytest.approx(10.0)
+    assert table.values[(0, 0)] == pytest.approx(10.0)
     for i in (1, 2, 3):
-        assert table.get(i, 0) == pytest.approx(-10.0 / 3.0)
+        assert table.values[(i, 0)] == pytest.approx(-10.0 / 3.0)
 
 
 def test_rloo_needs_two_rollouts():
@@ -88,7 +88,7 @@ def test_advantage_broadcast_covers_every_span():
     assert set(table.values) == {(s.rollout_index, s.turn_index) for s in group.spans}
     # every span of one trajectory shares that trajectory's scalar
     for span in group.spans:
-        assert table.get(span.rollout_index, span.turn_index) == table.get(span.rollout_index, 0)
+        assert table.values[(span.rollout_index, span.turn_index)] == table.values[(span.rollout_index, 0)]
 
 
 def test_state_value_uniform_key_chain():
@@ -127,7 +127,7 @@ def test_oracle_value_advantage_matches_reward_minus_value():
     for i, traj in enumerate(group.trajectories):
         for t, turn in enumerate(traj.turns):
             want = traj.reward - state_value(policy, env, turn.state, scheme, memo)
-            assert table.get(i, t) == pytest.approx(want)
+            assert table.values[(i, t)] == pytest.approx(want)
 
 
 def test_oracle_advantage_mean_zero_over_on_policy_samples():
@@ -137,7 +137,7 @@ def test_oracle_advantage_mean_zero_over_on_policy_samples():
     scheme = REWARD_SCHEMES["binary"]
     group = collect_group(policy, env, 0, 2000, scheme, np.random.default_rng(8))
     table = oracle_value_advantage(group, env, policy, scheme)
-    first_turn = np.array([table.get(i, 0) for i in range(len(group.trajectories))])
+    first_turn = np.array([table.values[(i, 0)] for i in range(len(group.trajectories))])
     stderr = first_turn.std() / np.sqrt(len(first_turn))
     assert abs(float(first_turn.mean())) < 4.0 * stderr
 
@@ -155,3 +155,70 @@ def test_compute_advantages_dispatch():
         compute_advantages(group, "oracle_value")
     with pytest.raises(ValueError):
         compute_advantages(group, "vtrace")
+
+
+def _state_value_recursive(policy, env, state, scheme, memo):
+    """Straight-line copy of the per-call recursive state_value: env.step and enumeration at every state."""
+    if state.done:
+        return scheme.success if state.success else scheme.failure
+    if state in memo:
+        return memo[state]
+    total = 0.0
+    for tokens, prob in enumerate_responses(policy, state.policy_key):
+        if prob == 0.0:
+            continue
+        nxt, valid = env.step(state, list(tokens))
+        contrib = (0.0 if valid else scheme.invalid_penalty) + _state_value_recursive(policy, env, nxt, scheme, memo)
+        total += prob * contrib
+    memo[state] = total
+    return total
+
+
+def _reachable(env):
+    """Every non-done state reachable from any task, in breadth-first order."""
+    states = [env.reset(task) for task in range(env.task_count)]
+    seen = set(states)
+    for state in states:
+        for tokens in response_space(env.vocab, env.max_len):
+            nxt, _ = env.step(state, list(tokens))
+            if not nxt.done and nxt not in seen:
+                seen.add(nxt)
+                states.append(nxt)
+    return states
+
+
+def _random_logits(env, states, seed):
+    """Normal(0, 1.5) logits on every prefix of every visited policy key."""
+    rng = np.random.default_rng(seed)
+    policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
+    for key in dict.fromkeys(s.policy_key for s in states):
+        for prefix, _ in _tree_shape(env.vocab, env.max_len)[0]:
+            policy.logit_vector(key, prefix)[:] = 1.5 * rng.normal(size=env.vocab.size)
+    return policy
+
+
+@pytest.mark.parametrize("kind, overrides", [
+    ("key-chain", {"chain_len": 2}),
+    ("grid-fetch", {}),
+    ("bandit-chain", {}),
+])
+def test_state_value_is_bit_identical_to_recursive_walk(kind, overrides):
+    """The transition table and the per-key enumeration change no float bit, whatever the policy."""
+    env = make_env(kind, seed=0, **overrides)
+    scheme = REWARD_SCHEMES["sparse"]
+    states = _reachable(env)
+    shared: dict = {}
+    for seed in (0, 1):
+        policy = _random_logits(env, states, seed)
+        logits = {key: vec.copy() for key, vec in policy.logits.items()}
+        want_memo: dict = {}
+        want = [_state_value_recursive(policy, env, s, scheme, want_memo) for s in states]
+        memo: dict = {}
+        # One table across both policies (the second reads what the first filled) ...
+        assert [state_value(policy, env, s, scheme, memo, shared) for s in states] == want
+        # ... against fresh caches at each task's initial state, which walk every state below it.
+        roots = states[:env.task_count]
+        assert [state_value(policy, env, s, scheme) for s in roots] == want[:env.task_count]
+        assert policy.logits.keys() == logits.keys()
+        assert all(np.array_equal(policy.logits[key], vec) for key, vec in logits.items())
+    assert all(shared[s] for s in states)

@@ -216,10 +216,14 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["no-such-command"]) == 1
     assert main(["train", "--out", str(tmp_path / "x"), "--set", "steps=0"]) == 1
-    for bad in ("estimator=bogus", "env_kind=bogus", "env_overrides.bogus=1", "env_overrides=[1]"):
+    for bad in ("estimator=bogus", "env_kind=bogus", "env_overrides.bogus=1", "env_overrides=[1]",
+                'env_overrides.key_len="x"', "env_overrides.key_len=2.5", "env_overrides.task_count=true",
+                "group_size=2.5", "kl_coef=null", 'lr="x"', 'steps="3"', 'aem_lambda="x"', "seed=true",
+                "loss=1"):
         capsys.readouterr()
-        assert main(["train", "--out", str(tmp_path / "z"), "--set", bad]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["train", "--out", str(tmp_path / "z"), "--set", bad]) == 1, bad
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (bad, lines)
         assert not (tmp_path / "z").exists()
     assert main(["train", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "y")]) == 1

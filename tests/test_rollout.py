@@ -15,6 +15,11 @@ def _uniform_policy(env) -> TablePolicy:
     return TablePolicy(vocab=env.vocab, max_len=env.max_len)
 
 
+def _tokens(traj) -> list[int]:
+    """All generated tokens of a trajectory in order, terminators included."""
+    return [tok for turn in traj.turns for tok in turn.response.tokens]
+
+
 def test_rollout_terminates_and_scores():
     env = make_env("key-chain", seed=0)
     policy = _uniform_policy(env)
@@ -34,7 +39,7 @@ def test_spans_tile_the_token_stream():
     rng = np.random.default_rng(1)
     traj = rollout_trajectory(policy, env, 0, REWARD_SCHEMES["binary"], rng)
     spans = parse_spans(traj, rollout_index=3)
-    stream = traj.token_stream
+    stream = _tokens(traj)
     cursor = 0
     for t, span in enumerate(spans):
         assert span.rollout_index == 3
@@ -73,7 +78,7 @@ def test_collect_group_shapes_and_determinism():
     g2 = collect_group(policy, env, 2, 6, REWARD_SCHEMES["binary"], np.random.default_rng(7))
     assert len(g1.trajectories) == 6
     assert g1.prompt_id == 2
-    assert [t.token_stream for t in g1.trajectories] == [t.token_stream for t in g2.trajectories]
+    assert [_tokens(t) for t in g1.trajectories] == [_tokens(t) for t in g2.trajectories]
     assert g1.rewards == g2.rewards
     assert len(g1.spans) == sum(len(t.turns) for t in g1.trajectories)
 
@@ -83,7 +88,7 @@ def test_collect_group_varies_with_seed():
     policy = _uniform_policy(env)
     g1 = collect_group(policy, env, 0, 8, REWARD_SCHEMES["binary"], np.random.default_rng(0))
     g2 = collect_group(policy, env, 0, 8, REWARD_SCHEMES["binary"], np.random.default_rng(1))
-    assert [t.token_stream for t in g1.trajectories] != [t.token_stream for t in g2.trajectories]
+    assert [_tokens(t) for t in g1.trajectories] != [_tokens(t) for t in g2.trajectories]
 
 
 def test_filter_degenerate_groups():

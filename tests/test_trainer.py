@@ -75,6 +75,16 @@ def test_config_rejects_bad_fields():
         TrainConfig(env_kind="grid-fetch", env_overrides={"key_len": 2})
     with pytest.raises(ValueError):
         TrainConfig(env_overrides={"seed": 1})  # the env seed is env_seed
+    # Every field is checked against its annotation before anything else; bool is no number.
+    for bad in ({"group_size": 2.5}, {"steps": "3"}, {"steps": True}, {"seed": 1.0}, {"kl_coef": None},
+                {"lr": "x"}, {"aem_lambda": "x"}, {"clip_low": False}, {"loss": 1}, {"env_kind": None},
+                {"env_overrides": {"key_len": "x"}}, {"env_overrides": {"key_len": 2.0}},
+                {"env_overrides": {"chain_len": True}},
+                {"env_kind": "grid-fetch", "env_overrides": {"width": None}}):
+        with pytest.raises(ValueError, match="must be"):
+            TrainConfig(**bad)
+    # float fields take ints, int fields take numpy integers.
+    assert TrainConfig(lr=1, kl_coef=0, seed=np.int64(3), env_overrides={"task_count": np.int64(2)}).lr == 1
 
 
 def test_config_checks_enumeration_budget_only_when_the_run_enumerates():
@@ -266,9 +276,12 @@ def test_regularizer_state_is_bit_identical_to_per_path_walk(shape):
 
 
 GRID_KL = dict(env_kind="grid-fetch", kl_coef=0.01, steps=3)
-#: sha256 of each run's metrics.jsonl, pinned from the per-path regularizer (x86-64, Python 3.11, numpy 2.4).
+GRID_ORACLE = dict(env_kind="grid-fetch", estimator="oracle_value", kl_coef=0.0, aem_mode="batch_norm", steps=3)
+#: sha256 of each run's metrics.jsonl, pinned from the per-path regularizer and the per-call recursive
+#: state_value (x86-64, Python 3.11, numpy 2.4).
 GOLDEN_METRICS = {
     "grid-fetch-kl": (GRID_KL, "42eeb1259335b89af6a2c367ec2c016d262cd3661aefdbd5ff0d76ee5f898fcd"),
+    "grid-fetch-oracle": (GRID_ORACLE, "fcc3b8aa339f45fbb8404a8f8f8dd90e047ddaf1338a28f658f8917ca6a35607"),
     "key-chain-fast": (FAST, "40e93b38b391b9b4a65a76fb085db3439e00e16ecada9075bc2072bd23ebb0e6"),
     "key-chain-entropy": (dict(FAST, entropy_coef=0.05, epochs=2),
                           "721ee3d270bdada3e969cfd70840e6e9f0c3f62f31f3b71c4cc9377709e7b65d"),
