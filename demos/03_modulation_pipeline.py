@@ -17,18 +17,18 @@ import numpy as np
 
 from entlab.modulation import (
     DEGENERATE_RANGE,
-    compute_modulation,
     group_minmax_normalize,
+    modulate_batch,
     modulation_coeffs,
 )
+from entlab.policy import Response
 from entlab.rollout import Group, ResponseSpan
 
 
 def span(i: int, turn: int, entropies: list[float]) -> ResponseSpan:
-    return ResponseSpan(rollout_index=i, turn_index=turn,
-                        token_range=(0, len(entropies)), entropies=entropies,
-                        logprobs=[-1.0] * len(entropies), state_key="s",
-                        tokens=[0] * len(entropies))
+    n = len(entropies)
+    return ResponseSpan(rollout_index=i, turn_index=turn, state_key="s",
+                        response=Response(tokens=[0] * n, logprobs=[-1.0] * n, entropies=entropies))
 
 
 def worked_example() -> None:
@@ -53,7 +53,7 @@ def ablation_modes(seed: int) -> None:
     print("\nablation variants on one two-rollout group (keys are rollout, turn):")
     rng = np.random.default_rng(seed)
     for mode in ("aem", "reverse", "shuffle", "traj_norm"):
-        out = compute_modulation(group, mode=mode, rng=rng)
+        out = modulate_batch([group], mode, rng=rng)[0]
         rendered = {key: round(val, 4) for key, val in sorted(out.alpha.items())}
         print(f"  {mode:<9} alpha={rendered}")
     print("  (reverse flips the ordering; shuffle permutes the standard alphas;")

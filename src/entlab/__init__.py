@@ -20,7 +20,7 @@ from .geometry import (
     resp_entropy_drift,
     verify_drift_fd,
 )
-from .modulation import ModulationSet, apply_modulation, compute_modulation, modulate_batch
+from .modulation import ModulationSet, apply_modulation, modulate_batch
 from .policy import (
     Response,
     TablePolicy,
@@ -51,7 +51,6 @@ __all__ = [
     "Vocabulary",
     "apply_modulation",
     "collect_group",
-    "compute_modulation",
     "consistency_probe",
     "doob_probe",
     "exact_response_entropy",

@@ -22,12 +22,11 @@ GRPO_EPS = 1e-8
 class AdvantageTable:
     """Span-indexed advantages: values[(rollout_index, turn_index)] for one group."""
 
-    estimator: str
     values: dict[tuple[int, int], float] = field(default_factory=dict)
 
 
-def _broadcast(group: Group, per_traj: list[float], estimator: str) -> AdvantageTable:
-    table = AdvantageTable(estimator=estimator)
+def _broadcast(group: Group, per_traj: list[float]) -> AdvantageTable:
+    table = AdvantageTable()
     for span in group.spans:
         table.values[(span.rollout_index, span.turn_index)] = per_traj[span.rollout_index]
     return table
@@ -44,7 +43,7 @@ def grpo_advantage(group: Group, eps: float = GRPO_EPS) -> AdvantageTable:
     var = sum((r - mean) ** 2 for r in rewards) / n
     std = math.sqrt(var)
     per_traj = [(r - mean) / (std + eps) for r in rewards]
-    return _broadcast(group, per_traj, "grpo")
+    return _broadcast(group, per_traj)
 
 
 def rloo_advantage(group: Group) -> AdvantageTable:
@@ -55,7 +54,7 @@ def rloo_advantage(group: Group) -> AdvantageTable:
         raise ValueError("rloo needs at least two rollouts per group")
     total = sum(rewards)
     per_traj = [r - (total - r) / (n - 1) for r in rewards]
-    return _broadcast(group, per_traj, "rloo")
+    return _broadcast(group, per_traj)
 
 
 def _transition_row(env: Env, state: EnvState, transitions: dict) -> tuple:
@@ -114,7 +113,7 @@ def oracle_value_advantage(group: Group, env: Env, policy: TablePolicy,
     """Exact-baseline advantage: R(trajectory) minus the enumerated value of each turn's state."""
     memo: dict = {}
     transitions = {} if transitions is None else transitions
-    table = AdvantageTable(estimator="oracle_value")
+    table = AdvantageTable()
     for i, traj in enumerate(group.trajectories):
         for t, turn in enumerate(traj.turns):
             v = state_value(policy, env, turn.state, scheme, memo, transitions)

@@ -75,6 +75,13 @@ def terminal_reward(trajectory, scheme: RewardScheme) -> float:
     return base + scheme.invalid_penalty * trajectory.invalid_count
 
 
+def _require_positive(env, *names: str) -> None:
+    """Refuse a size below 1 before it reaches the tables and loops that the size drives."""
+    for name in names:
+        if getattr(env, name) < 1:
+            raise ValueError(f"{env.kind} {name} must be >= 1, got {getattr(env, name)}")
+
+
 def _content(tokens: list[int], terminator_id: int) -> list[int]:
     """Tokens before the first terminator (all tokens when truncation ended the response)."""
     out: list[int] = []
@@ -115,6 +122,7 @@ class KeyChainEnv:
     kind: str = field(init=False, default="key-chain")
 
     def __post_init__(self) -> None:
+        _require_positive(self, "task_count", "n_content", "key_len", "chain_len", "horizon")
         if self.chain_len > self.horizon:
             raise ValueError("chain_len cannot exceed the horizon")
         self.vocab = Vocabulary(size=self.n_content + 1, terminator_id=self.n_content)
@@ -182,6 +190,9 @@ class GridFetchEnv:
     kind: str = field(init=False, default="grid-fetch")
 
     def __post_init__(self) -> None:
+        _require_positive(self, "task_count", "width", "height", "moves_per_turn", "horizon")
+        if self.width + self.height - 2 < 2 or self.moves_per_turn * self.horizon < 2:
+            raise ValueError("grid-fetch needs a start and a goal 2 to moves_per_turn * horizon moves apart")
         self.vocab = Vocabulary(size=5, terminator_id=4)
         self.max_len = self.moves_per_turn + 1
         rng = np.random.default_rng(np.random.SeedSequence([11, self.seed]))
@@ -244,6 +255,7 @@ class BanditChainEnv:
     kind: str = field(init=False, default="bandit-chain")
 
     def __post_init__(self) -> None:
+        _require_positive(self, "task_count", "n_arms", "chain_len", "horizon")
         if self.chain_len > self.horizon:
             raise ValueError("chain_len cannot exceed the horizon")
         self.vocab = Vocabulary(size=self.n_arms + 1, terminator_id=self.n_arms)

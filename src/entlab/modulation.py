@@ -2,9 +2,14 @@
 
 Each environment-reactive span gets a coefficient alpha derived from its
 length-normalized entropy proxy: proxies are min-max normalized over a
-population (the group, by default), passed through exp(-lambda * h), and
-rescaled by the population mean so that alpha averages to ~1.  Advantages
-are then multiplied by alpha, span-uniformly.
+population, passed through exp(-lambda * h), and rescaled by the population
+mean so that alpha averages to ~1.  Advantages are then multiplied by alpha,
+span-uniformly.
+
+The modes differ only in the population: "aem" normalizes over the group,
+"reverse" does the same with lambda negated, "shuffle" permutes the group's
+coefficients, "traj_norm" normalizes over one trajectory and "batch_norm"
+over the whole batch.
 
 Deliberately plain Python floats throughout: the arithmetic is tiny and the
 exact operation order is part of the contract (tests hold a straight-line
@@ -20,7 +25,7 @@ import numpy as np
 
 from .advantage import AdvantageTable
 from .policy import Response
-from .rollout import Group, ResponseSpan
+from .rollout import Group
 
 #: Population range below which modulation is a no-op (alpha identically 1).
 #: Guards the min-max normalization against noise amplification.
@@ -29,30 +34,36 @@ DEGENERATE_RANGE = 0.1
 DEFAULT_LAMBDA = 1.0
 DEFAULT_EPS = 1e-8
 
-#: Modulation modes understood by the trainer.  "off" skips modulation,
-#: "aem" is the standard per-group pipeline, the rest are ablation variants.
-MODES = ("off", "aem", "reverse", "shuffle", "traj_norm", "batch_norm")
+#: Each mode's normalization population, as a key of (group index, span).
+_POPULATION = {
+    "aem": lambda g_idx, span: g_idx,
+    "reverse": lambda g_idx, span: g_idx,
+    "shuffle": lambda g_idx, span: g_idx,
+    "traj_norm": lambda g_idx, span: (g_idx, span.rollout_index),
+    "batch_norm": lambda g_idx, span: None,
+}
+
+#: Modulation modes understood by the trainer: "off" skips modulation.
+MODES = ("off", *_POPULATION)
 
 
 @dataclass
 class ModulationSet:
     """Per-span modulation results for one group.
 
-    h_tilde entries are None when the span's normalization population hit the
-    degenerate-range guard (in which case its alpha is exactly 1).
+    h_tilde entries are None when the span's population hit the degenerate-range
+    guard (its alpha is then exactly 1).  degenerate is True when every population
+    holding one of the group's spans is degenerate.
     """
 
-    lam: float
-    eps: float
-    h_bar: dict[tuple[int, int], float] = field(default_factory=dict)
     h_tilde: dict[tuple[int, int], float | None] = field(default_factory=dict)
     alpha: dict[tuple[int, int], float] = field(default_factory=dict)
     degenerate: bool = False
 
 
-def response_entropy_proxy(span: ResponseSpan | Response) -> float:
-    """Length-normalized entropy of a span or sampled response: mean recorded per-token entropy."""
-    return sum(span.entropies) / len(span.entropies)
+def response_entropy_proxy(response: Response) -> float:
+    """Length-normalized entropy of a sampled response: mean recorded per-token entropy."""
+    return sum(response.entropies) / len(response.entropies)
 
 
 def group_minmax_normalize(h_bars: list[float], eps: float = DEFAULT_EPS) -> tuple[list[float] | None, bool]:
@@ -75,64 +86,6 @@ def modulation_coeffs(h_tilde: list[float], lam: float = DEFAULT_LAMBDA, eps: fl
     return [r / (mean_raw + eps) for r in raw]
 
 
-def _population_alphas(h_bars: list[float], lam: float, eps: float) -> tuple[list[float | None], list[float], bool]:
-    """Normalize and calibrate one population; degenerate populations get alpha 1."""
-    h_tilde, degenerate = group_minmax_normalize(h_bars, eps)
-    if degenerate:
-        return [None] * len(h_bars), [1.0] * len(h_bars), True
-    return list(h_tilde), modulation_coeffs(h_tilde, lam, eps), False
-
-
-def compute_modulation(
-    group: Group,
-    lam: float = DEFAULT_LAMBDA,
-    eps: float = DEFAULT_EPS,
-    mode: str = "aem",
-    rng: np.random.Generator | None = None,
-) -> ModulationSet:
-    """Modulation coefficients for one group under a per-group population mode.
-
-    Modes here: "aem" (standard), "reverse" (sign-flipped exponent),
-    "shuffle" (standard coefficients permuted within the group, needs rng),
-    "traj_norm" (population per trajectory instead of per group).
-    Use modulate_batch for "batch_norm", whose population spans groups.
-    """
-    keys = [(s.rollout_index, s.turn_index) for s in group.spans]
-    h_bars = [response_entropy_proxy(s) for s in group.spans]
-    out = ModulationSet(lam=lam, eps=eps, h_bar=dict(zip(keys, h_bars)))
-
-    if mode in ("aem", "reverse", "shuffle"):
-        eff_lam = -lam if mode == "reverse" else lam
-        h_tilde, alphas, degenerate = _population_alphas(h_bars, eff_lam, eps)
-        if mode == "shuffle" and not degenerate:
-            if rng is None:
-                raise ValueError("shuffle mode needs an rng for the permutation")
-            perm = rng.permutation(len(alphas))
-            alphas = [alphas[int(j)] for j in perm]
-        out.h_tilde = dict(zip(keys, h_tilde))
-        out.alpha = dict(zip(keys, alphas))
-        out.degenerate = degenerate
-        return out
-
-    if mode == "traj_norm":
-        rollout_ids: list[int] = []
-        for key in keys:
-            if key[0] not in rollout_ids:
-                rollout_ids.append(key[0])
-        all_degenerate = True
-        for rid in rollout_ids:
-            idx = [k for k, key in enumerate(keys) if key[0] == rid]
-            h_tilde, alphas, degenerate = _population_alphas([h_bars[k] for k in idx], lam, eps)
-            all_degenerate = all_degenerate and degenerate
-            for pos, k in enumerate(idx):
-                out.h_tilde[keys[k]] = h_tilde[pos]
-                out.alpha[keys[k]] = alphas[pos]
-        out.degenerate = all_degenerate
-        return out
-
-    raise ValueError(f"unknown per-group modulation mode {mode!r}")
-
-
 def modulate_batch(
     groups: list[Group],
     mode: str,
@@ -142,28 +95,39 @@ def modulate_batch(
 ) -> list[ModulationSet]:
     """Modulation for a whole training batch, one ModulationSet per group.
 
-    "batch_norm" pools every span of every group into a single normalization
-    population; all other modes defer to compute_modulation per group.
+    Splits the batch's spans into the populations of ``mode`` (see _POPULATION)
+    and normalizes and calibrates each population once, in order of first span.
+    "reverse" negates lambda; "shuffle" permutes each non-degenerate
+    population's coefficients with ``rng``.
     """
-    if mode != "batch_norm":
-        return [compute_modulation(g, lam=lam, eps=eps, mode=mode, rng=rng) for g in groups]
-
-    flat_keys: list[tuple[int, tuple[int, int]]] = []
-    flat_h: list[float] = []
+    if mode not in _POPULATION:
+        raise ValueError(f"unknown modulation mode {mode!r}; choose from {tuple(_POPULATION)}")
+    if mode == "shuffle" and rng is None:
+        raise ValueError("shuffle mode needs an rng for the permutation")
+    population_of = _POPULATION[mode]
+    populations: dict = {}
     for g_idx, group in enumerate(groups):
         for span in group.spans:
-            flat_keys.append((g_idx, (span.rollout_index, span.turn_index)))
-            flat_h.append(response_entropy_proxy(span))
-    h_tilde, alphas, degenerate = _population_alphas(flat_h, lam, eps)
-    sets = [ModulationSet(lam=lam, eps=eps, degenerate=degenerate) for _ in groups]
-    for (g_idx, key), h, ht, a in zip(flat_keys, flat_h, h_tilde, alphas):
-        sets[g_idx].h_bar[key] = h
-        sets[g_idx].h_tilde[key] = ht
-        sets[g_idx].alpha[key] = a
+            populations.setdefault(population_of(g_idx, span), []).append(
+                (g_idx, (span.rollout_index, span.turn_index), response_entropy_proxy(span.response)))
+    sets = [ModulationSet(degenerate=True) for _ in groups]
+    for members in populations.values():
+        h_tilde, degenerate = group_minmax_normalize([h for _, _, h in members], eps)
+        if degenerate:
+            h_tilde, alphas = [None] * len(members), [1.0] * len(members)
+        else:
+            alphas = modulation_coeffs(h_tilde, -lam if mode == "reverse" else lam, eps)
+            if mode == "shuffle":
+                alphas = [alphas[int(j)] for j in rng.permutation(len(alphas))]
+        for (g_idx, key, _), ht, a in zip(members, h_tilde, alphas):
+            out = sets[g_idx]
+            out.h_tilde[key] = ht
+            out.alpha[key] = a
+            out.degenerate = out.degenerate and degenerate
     return sets
 
 
 def apply_modulation(table: AdvantageTable, mod: ModulationSet) -> AdvantageTable:
     """Multiply every span advantage by its coefficient, span-uniformly."""
     values = {key: mod.alpha[key] * val for key, val in table.values.items()}
-    return AdvantageTable(estimator=table.estimator, values=values)
+    return AdvantageTable(values=values)

@@ -163,6 +163,8 @@ def _check_budget(vocab: Vocabulary, max_len: int) -> None:
 def _tree_shape(vocab: Vocabulary, max_len: int) -> tuple:
     """The one definition of when a response ends: each internal (prefix, children) in
     depth-first walk order, and the sorted complete responses (terminator or max_len)."""
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
     internal: list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = []
     leaves: list[tuple[int, ...]] = []
     stack: list[tuple[int, ...]] = [()]

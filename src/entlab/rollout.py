@@ -1,9 +1,9 @@
 """Group rollouts and the span bookkeeping that links tokens back to turns.
 
 A group is N independent trajectories from the same prompt (an environment
-task).  Every turn's response becomes one environment-reactive span; spans
-carry the per-token entropies and logprobs recorded at sampling time, which
-is what the modulation and the trainer consume.
+task).  Every turn's response becomes one environment-reactive span; a span
+references its Response, whose per-token entropies and logprobs recorded at
+sampling time are what the modulation and the trainer consume.
 """
 
 from __future__ import annotations
@@ -47,19 +47,12 @@ class Trajectory:
 
 @dataclass
 class ResponseSpan:
-    """The slice of a trajectory's token stream belonging to turn t of rollout i."""
+    """Turn t of rollout i: the policy key it was sampled at and the sampled response."""
 
     rollout_index: int
     turn_index: int
-    token_range: tuple[int, int]
-    entropies: list[float]
-    logprobs: list[float]
     state_key: str
-    tokens: list[int]
-
-    @property
-    def length(self) -> int:
-        return self.token_range[1] - self.token_range[0]
+    response: Response
 
 
 @dataclass
@@ -81,27 +74,9 @@ class Group:
 
 
 def parse_spans(trajectory: Trajectory, rollout_index: int = 0) -> list[ResponseSpan]:
-    """Split a trajectory's token stream into per-turn spans by direct index arithmetic.
-
-    Spans are ordered, non-overlapping and cover the stream exactly.
-    """
-    spans: list[ResponseSpan] = []
-    cursor = 0
-    for t, turn in enumerate(trajectory.turns):
-        n = turn.response.length
-        spans.append(
-            ResponseSpan(
-                rollout_index=rollout_index,
-                turn_index=t,
-                token_range=(cursor, cursor + n),
-                entropies=list(turn.response.entropies),
-                logprobs=list(turn.response.logprobs),
-                state_key=turn.state.policy_key,
-                tokens=list(turn.response.tokens),
-            )
-        )
-        cursor += n
-    return spans
+    """One span per turn, in turn order; the spans' responses tile the trajectory's token stream."""
+    return [ResponseSpan(rollout_index, t, turn.state.policy_key, turn.response)
+            for t, turn in enumerate(trajectory.turns)]
 
 
 def rollout_trajectory(

@@ -29,6 +29,20 @@ from .rollout import FILTER_MODES, Group, collect_group, filter_degenerate_group
 LOSSES = ("grpo_clip", "dapo_token", "gspo_seq")
 #: Accepted value types per TrainConfig annotation (as written, a string); bool is refused everywhere.
 _FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real, "dict": dict}
+#: Range rule per numeric TrainConfig field, checked after its type; every float field must also be finite.
+_FIELD_RANGES = {
+    "env_seed": (">= 0", lambda v: v >= 0),
+    "seed": (">= 0", lambda v: v >= 0),
+    "aem_eps": (">= 0", lambda v: v >= 0.0),
+    "clip_low": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "clip_high": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "lr": ("> 0", lambda v: v > 0.0),
+    "group_size": (">= 2", lambda v: v >= 2),
+    "prompts_per_step": (">= 1", lambda v: v >= 1),
+    "steps": (">= 1", lambda v: v >= 1),
+    "epochs": (">= 1", lambda v: v >= 1),
+    "ckpt_every": (">= 0", lambda v: v >= 0),
+}
 
 
 @dataclass
@@ -62,6 +76,10 @@ class TrainConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if f.name in _FIELD_RANGES and not _FIELD_RANGES[f.name][1](value):
+                raise ValueError(f"{f.name} must be {_FIELD_RANGES[f.name][0]}, got {value!r}")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if self.aem_mode not in mod.MODES:
@@ -72,14 +90,10 @@ class TrainConfig:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         if self.filter_mode not in FILTER_MODES:
             raise ValueError(f"filter_mode must be one of {FILTER_MODES}, got {self.filter_mode!r}")
-        if not (0.0 < self.clip_low < 1.0 and 0.0 < self.clip_high < 1.0):
-            raise ValueError("clip_low and clip_high must lie in (0, 1)")
-        if self.lr <= 0.0 or self.group_size < 2 or self.steps < 1 or self.epochs < 1:
-            raise ValueError("lr > 0, group_size >= 2, steps >= 1, epochs >= 1 required")
-        env_cls = env_class(self.env_kind, self.env_overrides)
+        # Build the env so that bad sizes fail before any file is written.
+        env = env_class(self.env_kind, self.env_overrides)(seed=self.env_seed, **self.env_overrides)
         if self.kl_coef != 0.0 or self.entropy_coef != 0.0 or self.estimator == "oracle_value":
-            # The run will enumerate response trees: refuse an over-budget one before any file is written.
-            env = env_cls(seed=self.env_seed, **self.env_overrides)
+            # The run will enumerate response trees: refuse an over-budget one up front too.
             _check_budget(env.vocab, env.max_len)
 
 
@@ -171,7 +185,7 @@ def surrogate_loss(
             key = (span.rollout_index, span.turn_index)
             if (g_idx, *key) in masked_keys:
                 continue
-            span_rows.append((table.values[key], span.state_key, span.tokens, span.logprobs))
+            span_rows.append((table.values[key], span.state_key, span.response.tokens, span.response.logprobs))
 
     grad: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
     j_clip = 0.0
@@ -344,8 +358,8 @@ def train(
             timings["advantage"] += time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            want_alpha = config.aem_mode != "off" or mask_sign is not None
-            if want_alpha:
+            sets = None
+            if config.aem_mode != "off" or mask_sign is not None:
                 sets = mod.modulate_batch(
                     trained,
                     mode=config.aem_mode if config.aem_mode != "off" else "aem",
@@ -353,12 +367,9 @@ def train(
                     eps=config.aem_eps,
                     rng=_rng_for(config.seed, 2, step),
                 )
-            else:
-                sets = [_identity_modulation(g, config) for g in trained]
+            applied = tables
             if config.aem_mode != "off":
                 applied = [mod.apply_modulation(t, s) for t, s in zip(tables, sets)]
-            else:
-                applied = tables
             masked = set()
             if mask_sign is not None:
                 for g_idx, (group, table, mset) in enumerate(zip(trained, tables, sets)):
@@ -404,40 +415,31 @@ def load_metrics(path: str) -> list[dict]:
         return [json.loads(line) for line in fh if line.strip()]
 
 
-def _identity_modulation(group: Group, config: TrainConfig) -> mod.ModulationSet:
-    """Alpha identically 1 with no normalization computed (aem off)."""
-    out = mod.ModulationSet(lam=config.aem_lambda, eps=config.aem_eps, degenerate=False)
-    for span in group.spans:
-        key = (span.rollout_index, span.turn_index)
-        out.h_bar[key] = mod.response_entropy_proxy(span)
-        out.h_tilde[key] = None
-        out.alpha[key] = 1.0
-    return out
-
-
 def _step_metrics(step: int, collected: list[Group], trained: list[Group],
-                  applied: list[AdvantageTable], sets: list[mod.ModulationSet],
+                  applied: list[AdvantageTable], sets: list[mod.ModulationSet] | None,
                   loss_value: float) -> StepMetrics:
+    """Step summaries; with no modulation sets (aem off, no mask) every alpha is 1 and h_tilde None."""
     rewards = [traj.reward for g in collected for traj in g.trajectories]
     successes = [traj.success for g in collected for traj in g.trajectories]
-    h_bars = [mod.response_entropy_proxy(span) for g in collected for span in g.spans]
+    h_bars = [mod.response_entropy_proxy(span.response) for g in collected for span in g.spans]
 
     span_docs = []
     alphas: list[float] = []
     n_pos = 0
     n_spans = 0
-    for g_idx, (group, table, mset) in enumerate(zip(trained, applied, sets)):
+    for g_idx, (group, table) in enumerate(zip(trained, applied)):
         for span in group.spans:
             key = (span.rollout_index, span.turn_index)
             adv = table.values[key]
-            alphas.append(mset.alpha[key])
+            alpha = sets[g_idx].alpha[key] if sets else 1.0
+            alphas.append(alpha)
             n_spans += 1
             n_pos += 1 if adv > 0.0 else 0
             span_docs.append([
                 g_idx, key[0], key[1],
-                mset.h_bar[key],
-                mset.h_tilde[key],
-                mset.alpha[key],
+                mod.response_entropy_proxy(span.response),
+                sets[g_idx].h_tilde[key] if sets else None,
+                alpha,
                 adv,
             ])
 

@@ -29,8 +29,8 @@ from entlab.geometry import (
     surprisal,
     verify_drift_fd,
 )
-from entlab.modulation import compute_modulation, group_minmax_normalize, modulation_coeffs
-from entlab.policy import TablePolicy, exact_response_entropy, pathwise_entropy, random_policy
+from entlab.modulation import group_minmax_normalize, modulate_batch, modulation_coeffs
+from entlab.policy import Response, TablePolicy, exact_response_entropy, pathwise_entropy, random_policy
 from entlab.probes import consistency_probe, doob_exact_residuals, doob_probe, reachable_states
 from entlab.rollout import Group, ResponseSpan, collect_group
 from entlab.trainer import LOSSES, TrainConfig, surrogate_loss, train
@@ -117,8 +117,8 @@ def test_parametrized_drift_matches_theta_gradients():
 
 
 def _span(i: int, h: float) -> ResponseSpan:
-    return ResponseSpan(rollout_index=i, turn_index=0, token_range=(0, 1),
-                        entropies=[h], logprobs=[-1.0], state_key="s", tokens=[0])
+    return ResponseSpan(rollout_index=i, turn_index=0, state_key="s",
+                        response=Response(tokens=[0], logprobs=[-1.0], entropies=[h]))
 
 
 def _reference_pipeline(h_bars: list[float], lam: float, eps: float):
@@ -150,7 +150,7 @@ def test_modulation_pipeline_matches_straight_line_reference():
             h_bars = [float(h) for h in rng.uniform(0.0, 2.0, size=n)]
         lam = 1.0 if g % 2 == 0 else float(rng.uniform(0.25, 4.0))
         group = Group(prompt_id=0, trajectories=[], spans=[_span(i, h) for i, h in enumerate(h_bars)])
-        got = compute_modulation(group, lam=lam, eps=eps, mode="aem")
+        got = modulate_batch([group], "aem", lam=lam, eps=eps)[0]
 
         ref_tilde, ref_alpha, degenerate = _reference_pipeline(h_bars, lam, eps)
         for i in range(n):
@@ -319,12 +319,12 @@ def test_loss_gradients_match_finite_differences():
         policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
         ref_policy = policy.copy()
         group = collect_group(policy, env, c % 2, 4, scheme, rng)
-        table = AdvantageTable(estimator="grpo", values={
+        table = AdvantageTable(values={
             (s.rollout_index, s.turn_index): float(rng.normal()) for s in group.spans})
         if c % 2 == 1:
             for span in group.spans:
-                for k in range(len(span.tokens)):
-                    vec = policy.logit_vector(span.state_key, tuple(span.tokens[:k]))
+                for k in range(len(span.response.tokens)):
+                    vec = policy.logit_vector(span.state_key, tuple(span.response.tokens[:k]))
                     vec += rng.normal(scale=0.3, size=vec.shape)
 
         _, grad = surrogate_loss(policy, [group], [table], config, ref_policy)

@@ -147,10 +147,11 @@ def test_compute_advantages_dispatch():
     policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
     scheme = REWARD_SCHEMES["binary"]
     group = collect_group(policy, env, 0, 4, scheme, np.random.default_rng(2))
-    assert compute_advantages(group, "grpo").estimator == "grpo"
-    assert compute_advantages(group, "rloo").estimator == "rloo"
+    mixed = _group_with_rewards([1.0, 0.0, 0.0, 0.5])
+    assert compute_advantages(mixed, "grpo").values == grpo_advantage(mixed).values
+    assert compute_advantages(mixed, "rloo").values == rloo_advantage(mixed).values != grpo_advantage(mixed).values
     oracle = compute_advantages(group, "oracle_value", env=env, policy=policy, scheme=scheme)
-    assert oracle.estimator == "oracle_value"
+    assert oracle.values == oracle_value_advantage(group, env, policy, scheme).values
     with pytest.raises(ValueError):
         compute_advantages(group, "oracle_value")
     with pytest.raises(ValueError):

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import entlab
 
 from entlab.cli import main
 from entlab.config import apply_overrides, config_from_doc, config_to_doc, load_config, save_config
@@ -227,3 +232,41 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert not (tmp_path / "z").exists()
     assert main(["train", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "y")]) == 1
+
+
+#: Values out of range, one per row: each must be refused before the run directory exists.
+#: key_len=0 used to hang with growing memory, so every row runs in a subprocess with a timeout.
+RANGE_ERRORS = [
+    ["lr=NaN"], ["aem_lambda=Infinity"], ["aem_eps=-1"], ["prompts_per_step=0"], ["ckpt_every=-1"], ["seed=-1"],
+    ["env_overrides.key_len=0"], ["env_overrides.key_len=0", "kl_coef=0"], ["env_overrides.chain_len=0"],
+    ["env_overrides.task_count=0", "kl_coef=0"], ["env_overrides.n_content=0"], ["env_overrides.horizon=0"],
+    ["env_kind=grid-fetch", "env_overrides.width=0"], ["env_kind=grid-fetch", "env_overrides.height=0"],
+    ["env_kind=grid-fetch", "env_overrides.moves_per_turn=0"], ["env_kind=grid-fetch", "env_overrides.horizon=0"],
+    ["env_kind=grid-fetch", "env_overrides.width=1", "env_overrides.height=1"],
+    ["env_kind=bandit-chain", "env_overrides.n_arms=0"], ["env_kind=bandit-chain", "env_overrides.chain_len=0"],
+    ["env_kind=bandit-chain", "env_overrides.task_count=0"],
+]
+
+
+@pytest.mark.parametrize("sets", RANGE_ERRORS, ids=lambda sets: ",".join(sets))
+def test_range_errors_exit_1_before_any_file(sets, tmp_path):
+    out = tmp_path / "run"
+    args = [sys.executable, "-m", "entlab.cli", "train", "--out", str(out)]
+    for item in sets:
+        args += ["--set", item]
+    src = os.path.dirname(os.path.dirname(entlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(args, capture_output=True, text=True, timeout=30, env=env)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 1, (proc.returncode, proc.stderr)
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert not out.exists()
+
+
+def test_train_survives_a_step_with_every_group_filtered(tmp_path, capsys):
+    """Under a uniform policy most binary-reward groups are uniform, so drop_uniform empties whole batches."""
+    out = tmp_path / "run"
+    sets = ["filter_mode=drop_uniform", "aem_mode=batch_norm", "reward_scheme=binary"]
+    assert main(["train", "--out", str(out), *[a for s in sets for a in ("--set", s)]]) == 0
+    docs = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+    assert any(not doc["spans"] for doc in docs)

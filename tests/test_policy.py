@@ -25,6 +25,7 @@ from entlab.policy import (
     save_checkpoint,
     token_distribution,
     _response_tree,
+    _tree_shape,
 )
 from entlab.probes import consistency_probe, doob_exact_residuals, doob_probe
 
@@ -76,6 +77,12 @@ def test_prefix_past_max_len_rejected():
         policy.logit_vector("s", (0, 1))
     with pytest.raises(ValueError):
         token_distribution(policy, "s", (0, 1))
+
+
+def test_tree_shape_refuses_empty_responses():
+    """With max_len 0 no content path would ever end, so the walk would not stop."""
+    with pytest.raises(ValueError, match="max_len"):
+        _tree_shape(Vocabulary(size=3, terminator_id=2), 0)
 
 
 def test_sample_response_stops_at_terminator_or_max_len():

@@ -40,16 +40,12 @@ def test_spans_tile_the_token_stream():
     traj = rollout_trajectory(policy, env, 0, REWARD_SCHEMES["binary"], rng)
     spans = parse_spans(traj, rollout_index=3)
     stream = _tokens(traj)
-    cursor = 0
-    for t, span in enumerate(spans):
+    assert len(spans) == len(traj.turns)
+    for t, (span, turn) in enumerate(zip(spans, traj.turns)):
         assert span.rollout_index == 3
         assert span.turn_index == t
-        lo, hi = span.token_range
-        assert lo == cursor
-        assert stream[lo:hi] == span.tokens
-        assert span.length == len(span.tokens) == len(span.entropies) == len(span.logprobs)
-        cursor = hi
-    assert cursor == len(stream)
+        assert span.response is turn.response  # referenced, not copied
+    assert [tok for span in spans for tok in span.response.tokens] == stream
 
 
 def test_span_state_keys_follow_turn_states():
@@ -68,7 +64,8 @@ def test_span_h_bar_is_mean_entropy():
     policy = _uniform_policy(env)
     traj = rollout_trajectory(policy, env, 0, REWARD_SCHEMES["binary"], np.random.default_rng(3))
     for span in parse_spans(traj):
-        assert response_entropy_proxy(span) == pytest.approx(sum(span.entropies) / len(span.entropies))
+        entropies = span.response.entropies
+        assert response_entropy_proxy(span.response) == pytest.approx(sum(entropies) / len(entropies))
 
 
 def test_collect_group_shapes_and_determinism():

@@ -83,6 +83,16 @@ def test_config_rejects_bad_fields():
                 {"env_kind": "grid-fetch", "env_overrides": {"width": None}}):
         with pytest.raises(ValueError, match="must be"):
             TrainConfig(**bad)
+    # Ranges: every float is finite, and each bounded field keeps its bound.
+    for bad in ({"lr": math.nan}, {"aem_lambda": math.inf}, {"kl_coef": -math.inf}, {"aem_eps": -1.0},
+                {"prompts_per_step": 0}, {"ckpt_every": -1}, {"lr": -0.5}, {"epochs": -1}, {"seed": -1},
+                {"env_seed": -1}):
+        with pytest.raises(ValueError, match="must be"):
+            TrainConfig(**bad)
+    # Env sizes are checked when the config is built, whether or not the run enumerates.
+    for overrides in ({"key_len": 0}, {"task_count": 0}, {"chain_len": 0}):
+        with pytest.raises(ValueError, match=">= 1"):
+            TrainConfig(env_overrides=overrides, kl_coef=0.0)
     # float fields take ints, int fields take numpy integers.
     assert TrainConfig(lr=1, kl_coef=0, seed=np.int64(3), env_overrides={"task_count": np.int64(2)}).lr == 1
 
@@ -121,8 +131,8 @@ def _loss_inputs(config, jitter=0.0, jitter_seed=3):
     if jitter > 0.0:
         for group in groups:
             for span in group.spans:
-                for k in range(len(span.tokens)):
-                    vec = policy.logit_vector(span.state_key, tuple(span.tokens[:k]))
+                for k in range(len(span.response.tokens)):
+                    vec = policy.logit_vector(span.state_key, tuple(span.response.tokens[:k]))
                     vec += rng.normal(scale=jitter, size=vec.shape)
     return policy, ref_policy, groups, tables
 
@@ -277,14 +287,30 @@ def test_regularizer_state_is_bit_identical_to_per_path_walk(shape):
 
 GRID_KL = dict(env_kind="grid-fetch", kl_coef=0.01, steps=3)
 GRID_ORACLE = dict(env_kind="grid-fetch", estimator="oracle_value", kl_coef=0.0, aem_mode="batch_norm", steps=3)
-#: sha256 of each run's metrics.jsonl, pinned from the per-path regularizer and the per-call recursive
-#: state_value (x86-64, Python 3.11, numpy 2.4).
+#: FAST keeps every population degenerate; with these sizes about a third of the spans get alpha != 1.
+MODULATING = dict(FAST, group_size=8, lr=4.0, steps=6)
+#: Two turns per rollout, so traj_norm has a population per trajectory; some are degenerate, some not.
+BANDIT_TRAJ = dict(FAST, env_kind="bandit-chain", env_overrides={"task_count": 2, "chain_len": 2},
+                   group_size=8, lr=8.0, steps=8, aem_mode="traj_norm")
+#: sha256 of each run's metrics.jsonl, pinned from the per-path regularizer, the per-call recursive
+#: state_value and the per-mode modulation code paths (x86-64, Python 3.11, numpy 2.4).
+#: A "mask_sign" entry is passed to train() rather than to TrainConfig.
 GOLDEN_METRICS = {
     "grid-fetch-kl": (GRID_KL, "42eeb1259335b89af6a2c367ec2c016d262cd3661aefdbd5ff0d76ee5f898fcd"),
     "grid-fetch-oracle": (GRID_ORACLE, "fcc3b8aa339f45fbb8404a8f8f8dd90e047ddaf1338a28f658f8917ca6a35607"),
     "key-chain-fast": (FAST, "40e93b38b391b9b4a65a76fb085db3439e00e16ecada9075bc2072bd23ebb0e6"),
     "key-chain-entropy": (dict(FAST, entropy_coef=0.05, epochs=2),
                           "721ee3d270bdada3e969cfd70840e6e9f0c3f62f31f3b71c4cc9377709e7b65d"),
+    "key-chain-aem": (MODULATING, "1d545676bebe78b0a8180c2b4974cbf051966de5f94a85f849c47ee1aad509ec"),
+    "key-chain-off": (dict(MODULATING, aem_mode="off"),
+                      "b5af2f3a39e8180a6c4b21f3d876237875db079394fef8ff7e9b5856f0d1999c"),
+    "key-chain-reverse": (dict(MODULATING, aem_mode="reverse"),
+                          "81dca9bd8686de431a87bc6374dac990724323d1fb089f3afc703a6a857cf492"),
+    "key-chain-shuffle": (dict(MODULATING, aem_mode="shuffle"),
+                          "570d9aaff6ca5dd2452e086c0d63ac13395d86c9468a144a30c7f39135e657b0"),
+    "key-chain-off-mask-neg": (dict(MODULATING, aem_mode="off", mask_sign=-1),
+                               "0557c1f71796151a56aaba4bb163d12bfa183e9b64d7d5f7c2252fe62b0d86c5"),
+    "bandit-chain-traj-norm": (BANDIT_TRAJ, "5a6666032a1095280cdef3eb61017175e388db78360c7bd9770d8e9e86d9063e"),
 }
 
 
@@ -292,8 +318,10 @@ GOLDEN_METRICS = {
 def test_metrics_log_matches_golden_digest(name, tmp_path):
     """A change to training arithmetic that reaches the logged numbers fails here, benchmark or not."""
     fields, digest = GOLDEN_METRICS[name]
+    fields = dict(fields)
+    mask_sign = fields.pop("mask_sign", None)
     path = tmp_path / "metrics.jsonl"
-    train(TrainConfig(**fields), metrics_path=str(path))
+    train(TrainConfig(**fields), metrics_path=str(path), mask_sign=mask_sign)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
