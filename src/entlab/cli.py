@@ -1,10 +1,11 @@
 """Command-line entry points.
 
 Subcommands: train, verify, probe-consistency, probe-doob, probe-transition,
-ablate, report.  Every run directory gets a manifest (resolved config, seed,
-package version, output paths, per-phase wall-clock timings) next to its
-artifacts.  Exit codes: 0 success, 1 config/usage error, 2 verification
-failure.
+ablate, report.  Each command checks all of its inputs before it creates
+--out, so a bad input leaves no files.  Every run directory gets a manifest
+(resolved config, seed, package version, per-phase wall-clock timings, and
+the names of exactly the files written) next to its artifacts.  Exit codes:
+0 success, 1 config/usage error, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -21,7 +23,9 @@ import numpy as np
 
 from . import __version__, geometry, probes
 from .config import apply_overrides, config_from_doc, config_to_doc, load_config, save_config
-from .policy import EnumerationBudgetError, exact_response_entropy, load_checkpoint, pathwise_entropy, random_policy
+from .envs import make_env
+from .policy import (EnumerationBudgetError, TablePolicy, exact_response_entropy, load_checkpoint, pathwise_entropy,
+                     random_policy)
 from .trainer import TrainConfig, load_metrics, train
 
 
@@ -47,6 +51,39 @@ def _write_manifest(out_dir: str, command: str, config_doc: dict | None, seed: i
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_outputs(out: str, command: str, files: dict[str, object], config_doc: dict | None,
+                   seed: int, timings: dict[str, float]) -> None:
+    """Create ``out`` and write each file by suffix, then a manifest listing them in order.
+
+    ``.json`` is one sorted, indented document; ``.jsonl`` one sorted document
+    per line; ``.csv`` a list of rows.
+    """
+    os.makedirs(out, exist_ok=True)
+    for name, content in files.items():
+        with open(os.path.join(out, name), "w", newline="") as fh:
+            if name.endswith(".json"):
+                json.dump(content, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            elif name.endswith(".jsonl"):
+                fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in content)
+            else:
+                csv.writer(fh).writerows(content)
+    _write_manifest(out, command, config_doc, seed, list(files), timings)
+
+
+def _number(kind: type, low: float, strict: bool = False):
+    """argparse type: a finite ``kind`` that is >= low, or > low if ``strict``."""
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            raise argparse.ArgumentTypeError(f"must be {'a finite number' if kind is float else 'an integer'} "
+                                             f"{'>' if strict else '>='} {low}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _resolve_config(args: argparse.Namespace) -> TrainConfig:
@@ -91,7 +128,6 @@ def _nesting_reports(trials: int, rng: np.random.Generator, tol_abs: float) -> l
 
 def cmd_verify(args: argparse.Namespace) -> int:
     kinds = ["resp", "regularized", "parametrized", "nesting"] if args.kind == "all" else [args.kind]
-    os.makedirs(args.out, exist_ok=True)
     t0 = time.perf_counter()
     rows: list[dict] = []
     for kind in kinds:
@@ -104,10 +140,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 fd_step=args.fd_step, tol_rel=args.tol_rel, tol_abs=args.tol_abs,
             )
             rows.extend(dataclasses.asdict(r) for r in reports)
-    with open(os.path.join(args.out, "reports.jsonl"), "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True))
-            fh.write("\n")
     n_fail = sum(1 for row in rows if not row["ok"])
     summary = {
         "kinds": kinds,
@@ -116,65 +148,51 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "n_fail": n_fail,
         "max_abs_error": max(row["abs_error"] for row in rows),
     }
-    with open(os.path.join(args.out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(args.out, "verify", None, args.seed, ["reports.jsonl", "summary.json"],
-                    {"total": time.perf_counter() - t0})
+    _write_outputs(args.out, "verify", {"reports.jsonl": rows, "summary.json": summary}, None, args.seed,
+                   {"total": time.perf_counter() - t0})
     print(f"verify {'+'.join(kinds)}: {len(rows)} reports, {n_fail} failures")
     return 0 if n_fail == 0 else 2
 
 
-def _env_from_config(config: TrainConfig):
-    from .envs import make_env
-
-    return make_env(config.env_kind, seed=config.env_seed, **config.env_overrides)
+def _probe_inputs(args: argparse.Namespace) -> tuple[TrainConfig, TablePolicy, list[str]]:
+    """A probe's config, its checkpoint, and the reachable states of the config's env."""
+    config = _resolve_config(args)
+    policy = load_checkpoint(args.checkpoint)
+    env = make_env(config.env_kind, seed=config.env_seed, **config.env_overrides)
+    if (policy.vocab, policy.max_len) != (env.vocab, env.max_len):
+        raise CliError(f"checkpoint {args.checkpoint} has vocab {policy.vocab} and max_len {policy.max_len}, "
+                       f"but env {config.env_kind} has vocab {env.vocab} and max_len {env.max_len}")
+    return config, policy, probes.reachable_states(env)
 
 
 def cmd_probe_consistency(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    policy = load_checkpoint(args.checkpoint)
-    env = _env_from_config(config)
-    states = probes.reachable_states(env)
+    config, policy, states = _probe_inputs(args)
     rng = np.random.default_rng(args.seed)
     if len(states) > args.states:
         idx = rng.permutation(len(states))[: args.states]
         states = [states[int(i)] for i in sorted(idx)]
     report = probes.consistency_probe(policy, states, args.samples, rng,
                                       lam=config.aem_lambda, eps=config.aem_eps)
-    os.makedirs(args.out, exist_ok=True)
     doc = dataclasses.asdict(report)
-    pairs = doc.pop("pairs")
-    with open(os.path.join(args.out, "consistency.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(args.out, "pairs.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha_minus_one", "mc_entropy_change"])
-        writer.writerows(pairs)
-    _write_manifest(args.out, "probe-consistency", config_to_doc(config), args.seed,
-                    ["consistency.json", "pairs.csv"], {})
+    pairs = [["alpha_minus_one", "mc_entropy_change"], *doc.pop("pairs")]
+    _write_outputs(args.out, "probe-consistency", {"consistency.json": doc, "pairs.csv": pairs},
+                   config_to_doc(config), args.seed, {})
     print(f"consistency: r={report.pearson_r:.4f} ci=[{report.ci_low:.4f}, {report.ci_high:.4f}] "
           f"sign_agreement={report.sign_agreement:.3f} over {report.n_sign_pairs} pairs")
     return 0
 
 
 def cmd_probe_doob(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    policy = load_checkpoint(args.checkpoint)
-    env = _env_from_config(config)
-    states = probes.reachable_states(env)
-    state = args.state if args.state else states[0]
+    config, policy, states = _probe_inputs(args)
+    state = states[0] if args.state is None else args.state
+    if state not in states:
+        raise CliError(f"--state {state!r} is not a reachable state of env {config.env_kind}")
     rng = np.random.default_rng(args.seed)
     report = probes.doob_probe(policy, state, args.samples, rng)
     exact = probes.doob_exact_residuals(policy, state)
-    os.makedirs(args.out, exist_ok=True)
     doc = dataclasses.asdict(report)
     doc["exact_residual_max"] = max(abs(v) for v in exact.values())
-    with open(os.path.join(args.out, "doob.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(args.out, "probe-doob", config_to_doc(config), args.seed, ["doob.json"], {})
+    _write_outputs(args.out, "probe-doob", {"doob.json": doc}, config_to_doc(config), args.seed, {})
     print(f"doob at {state}: mean={report.residual_mean:.6f} stderr={report.residual_stderr:.6f} "
           f"ok={report.ok}")
     return 0 if report.ok else 2
@@ -184,18 +202,11 @@ def cmd_probe_transition(args: argparse.Namespace) -> int:
     baseline = load_metrics(os.path.join(args.baseline, "metrics.jsonl"))
     modulated = load_metrics(os.path.join(args.modulated, "metrics.jsonl"))
     summary = probes.transition_tracker(baseline, modulated)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "transition.json"), "w") as fh:
-        json.dump(dataclasses.asdict(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(args.out, "transition.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "baseline_entropy", "modulated_entropy",
-                         "baseline_success", "modulated_success"])
-        for step, (b, m) in enumerate(zip(baseline, modulated)):
-            writer.writerow([step, b["policy_entropy_estimate"], m["policy_entropy_estimate"],
-                             b["success_rate"], m["success_rate"]])
-    _write_manifest(args.out, "probe-transition", None, 0, ["transition.json", "transition.csv"], {})
+    rows = [["step", "baseline_entropy", "modulated_entropy", "baseline_success", "modulated_success"]]
+    rows += [[step, b["policy_entropy_estimate"], m["policy_entropy_estimate"], b["success_rate"], m["success_rate"]]
+             for step, (b, m) in enumerate(zip(baseline, modulated))]
+    _write_outputs(args.out, "probe-transition",
+                   {"transition.json": dataclasses.asdict(summary), "transition.csv": rows}, None, 0, {})
     print(f"transition: early entropy {summary.baseline_early_entropy:.4f} -> "
           f"{summary.modulated_early_entropy:.4f}, late {summary.baseline_late_entropy:.4f} -> "
           f"{summary.modulated_late_entropy:.4f}")
@@ -206,22 +217,19 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     variants = args.variants.split(",")
     seeds = [int(s) for s in args.seeds.split(",")]
+    runs = [[config_from_doc({**config_to_doc(config), "aem_mode": variant, "seed": seed}) for seed in seeds]
+            for variant in variants]
     os.makedirs(args.out, exist_ok=True)
-    results_path = os.path.join(args.out, "results.csv")
     rows = []
-    with open(results_path, "w", newline="") as fh:
+    with open(os.path.join(args.out, "results.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "n_seeds", "success_mean", "success_std",
                          "reward_mean", "reward_std"])
         fh.flush()
-        for variant in variants:
+        for variant, run_cfgs in zip(variants, runs):
             successes, rewards = [], []
-            for seed in seeds:
-                doc = config_to_doc(config)
-                doc["aem_mode"] = variant
-                doc["seed"] = seed
-                run_cfg = config_from_doc(doc)
-                run_dir = os.path.join(args.out, f"{variant}_seed{seed}")
+            for run_cfg in run_cfgs:
+                run_dir = os.path.join(args.out, f"{variant}_seed{run_cfg.seed}")
                 os.makedirs(run_dir, exist_ok=True)
                 result = train(run_cfg, metrics_path=os.path.join(run_dir, "metrics.jsonl"))
                 q = max(1, len(result.metrics) // 4)
@@ -240,39 +248,28 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    os.makedirs(args.out, exist_ok=True)
-    outputs = []
-    for run_dir in args.run:
-        name = os.path.basename(os.path.normpath(run_dir))
+    names = [os.path.basename(os.path.normpath(run_dir)) for run_dir in args.run]
+    if len(set(names)) < len(names):
+        raise CliError(f"--run directories must have distinct names, got {names}")
+    files: dict[str, object] = {}
+    for name, run_dir in zip(names, args.run):
         metrics = load_metrics(os.path.join(run_dir, "metrics.jsonl"))
-        series_path = os.path.join(args.out, f"{name}_series.csv")
-        with open(series_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "entropy", "success_rate", "mean_reward",
-                             "mean_alpha", "frac_positive_advantage"])
-            for m in metrics:
-                writer.writerow([m["step"], m["policy_entropy_estimate"], m["success_rate"],
-                                 m["mean_reward"], m["mean_alpha"], m["frac_positive_advantage"]])
-        scatter_path = os.path.join(args.out, f"{name}_alpha_scatter.csv")
-        with open(scatter_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "group", "rollout", "turn", "h_bar", "h_tilde", "alpha", "advantage"])
-            for m in metrics:
-                for g, i, t, h_bar, h_tilde, alpha, adv in m["spans"]:
-                    writer.writerow([m["step"], g, i, t, h_bar,
-                                     "" if h_tilde is None else h_tilde, alpha, adv])
-        outputs.extend([os.path.basename(series_path), os.path.basename(scatter_path)])
+        files[f"{name}_series.csv"] = [
+            ["step", "entropy", "success_rate", "mean_reward", "mean_alpha", "frac_positive_advantage"],
+            *([m["step"], m["policy_entropy_estimate"], m["success_rate"], m["mean_reward"], m["mean_alpha"],
+               m["frac_positive_advantage"]] for m in metrics),
+        ]
+        files[f"{name}_alpha_scatter.csv"] = [
+            ["step", "group", "rollout", "turn", "h_bar", "h_tilde", "alpha", "advantage"],
+            *([m["step"], g, i, t, h_bar, "" if h_tilde is None else h_tilde, alpha, adv]
+              for m in metrics for g, i, t, h_bar, h_tilde, alpha, adv in m["spans"]),
+        ]
         verify_path = os.path.join(run_dir, "summary.json")
         if os.path.exists(verify_path):
             with open(verify_path) as fh:
-                summary = json.load(fh)
-            out_path = os.path.join(args.out, f"{name}_verify_summary.json")
-            with open(out_path, "w") as vh:
-                json.dump(summary, vh, indent=2, sort_keys=True)
-                vh.write("\n")
-            outputs.append(os.path.basename(out_path))
-    _write_manifest(args.out, "report", None, 0, outputs, {})
-    print(f"report: wrote {len(outputs)} files to {args.out}")
+                files[f"{name}_verify_summary.json"] = json.load(fh)
+    _write_outputs(args.out, "report", files, None, 0, {})
+    print(f"report: wrote {len(files)} files to {args.out}")
     return 0
 
 
@@ -295,20 +292,20 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="check drift identities against finite differences")
     p.add_argument("--kind", choices=("resp", "regularized", "parametrized", "nesting", "all"),
                    default="all")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fd-step", type=float, default=geometry.DEFAULT_FD_STEP)
-    p.add_argument("--tol-rel", type=float, default=geometry.DEFAULT_REL_TOL)
-    p.add_argument("--tol-abs", type=float, default=geometry.DEFAULT_ABS_TOL)
+    p.add_argument("--trials", type=_number(int, 1), default=200)
+    p.add_argument("--seed", type=_number(int, 0), default=0)
+    p.add_argument("--fd-step", type=_number(float, 0, strict=True), default=geometry.DEFAULT_FD_STEP)
+    p.add_argument("--tol-rel", type=_number(float, 0), default=geometry.DEFAULT_REL_TOL)
+    p.add_argument("--tol-abs", type=_number(float, 0), default=geometry.DEFAULT_ABS_TOL)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("probe-consistency", help="coefficient vs MC entropy-change consistency")
     add_config_args(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--states", type=int, default=64)
-    p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--states", type=_number(int, 1), default=64)
+    p.add_argument("--samples", type=_number(int, 2), default=64)
+    p.add_argument("--seed", type=_number(int, 0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_probe_consistency)
 
@@ -316,8 +313,8 @@ def build_parser() -> _Parser:
     add_config_args(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--state", default=None, help="policy state key (default: first reachable)")
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_number(int, 2), default=100000)
+    p.add_argument("--seed", type=_number(int, 0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_probe_doob)
 

@@ -12,8 +12,7 @@ per trial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,29 +104,18 @@ def resp_entropy_drift(pi: np.ndarray, a: int, advantage: float) -> float:
     return advantage * (float(s[a]) - entropy(pi))
 
 
-def _identity(h: float) -> float:
-    return h
-
-
-def _one(h: float) -> float:
-    return 1.0
-
-
 @dataclass
 class DriftConfig:
     """Inputs of the regularized drift: advantage plus regularizer settings.
 
-    psi/psi_prime define the entropy-bonus shaping function and its
-    derivative; the defaults make the bonus linear in the entropy.
-    pi_ref defaults to uniform when a KL term is active.
+    The entropy bonus is linear in the entropy, beta * H, so its derivative
+    is beta.  pi_ref defaults to uniform when a KL term is active.
     """
 
     advantage: float = 1.0
     beta: float = 0.0
     gamma: float = 0.0
     pi_ref: np.ndarray | None = None
-    psi: Callable[[float], float] = field(default=_identity)
-    psi_prime: Callable[[float], float] = field(default=_one)
 
     def reference(self, m: int) -> np.ndarray:
         if self.pi_ref is None:
@@ -149,7 +137,7 @@ def regularized_drift(pi: np.ndarray, a: int, cfg: DriftConfig) -> RegularizedDr
     """Entropy drift under the update direction of the regularized objective.
 
     task_term     A * (S_a - H)                     (sign set by the advantage)
-    pressure_term (beta * psi'(H) + gamma) * Var(S)  (never negative)
+    pressure_term (beta + gamma) * Var(S)            (never negative)
     ref_term      gamma * Cov(S, S_ref)              (subtracted)
     """
     pi = check_simplex(pi)
@@ -157,7 +145,7 @@ def regularized_drift(pi: np.ndarray, a: int, cfg: DriftConfig) -> RegularizedDr
     h = entropy(pi)
     var_s = float(np.dot(pi, (s - h) ** 2))
     task = cfg.advantage * (float(s[a]) - h)
-    pressure = (cfg.beta * cfg.psi_prime(h) + cfg.gamma) * var_s
+    pressure = (cfg.beta + cfg.gamma) * var_s
     if cfg.gamma != 0.0:
         s_ref = surprisal(cfg.reference(pi.size))
         s_ref_mean = float(np.dot(pi, s_ref))
@@ -171,13 +159,13 @@ def regularized_drift(pi: np.ndarray, a: int, cfg: DriftConfig) -> RegularizedDr
 def objective_direction(pi: np.ndarray, a: int, cfg: DriftConfig) -> np.ndarray:
     """Natural-gradient direction of the full regularized objective at pi.
 
-    Advantage-weighted score plus beta * psi'(H) times the entropy gradient
+    Advantage-weighted score plus beta times the entropy gradient
     minus gamma times the KL-to-reference gradient.  Tangent by construction.
     """
     pi = check_simplex(pi)
     direction = score_direction(pi, a, cfg.advantage)
     if cfg.beta != 0.0:
-        direction = direction + cfg.beta * cfg.psi_prime(entropy(pi)) * entropy_natural_gradient(pi)
+        direction = direction + cfg.beta * entropy_natural_gradient(pi)
     if cfg.gamma != 0.0:
         ref = cfg.reference(pi.size)
         log_ratio = np.log(pi) - np.log(ref)
@@ -233,7 +221,7 @@ def param_objective_gradient(policy: ParamPolicy, a: int, cfg: DriftConfig) -> n
     g = policy.scores()
     grad = cfg.advantage * g[a]
     if cfg.beta != 0.0:
-        grad = grad + cfg.beta * cfg.psi_prime(entropy(pi)) * param_entropy_gradient(policy)
+        grad = grad + cfg.beta * param_entropy_gradient(policy)
     if cfg.gamma != 0.0:
         s = surprisal(pi)
         s_ref = surprisal(cfg.reference(pi.size))
@@ -247,7 +235,7 @@ class ParamDrift:
 
     task_term bundles the advantage-driven part (diagonal kernel piece plus
     the cross-response kernel sum b_ker); total = task_term
-    + (beta * psi'(H) + gamma) * v_theta - gamma * c_theta.
+    + (beta + gamma) * v_theta - gamma * c_theta.
     """
 
     total: float
@@ -283,7 +271,7 @@ def parametrized_drift(policy: ParamPolicy, a: int, cfg: DriftConfig) -> ParamDr
     else:
         c_theta = 0.0
 
-    total = task + (cfg.beta * cfg.psi_prime(h) + cfg.gamma) * v_theta - cfg.gamma * c_theta
+    total = task + (cfg.beta + cfg.gamma) * v_theta - cfg.gamma * c_theta
     return ParamDrift(total=total, task_term=task, b_ker=b_ker, v_theta=v_theta, c_theta=c_theta)
 
 

@@ -185,6 +185,16 @@ def response_space(vocab: Vocabulary, max_len: int) -> tuple[tuple[int, ...], ..
     return _tree_shape(vocab, max_len)[1]
 
 
+@lru_cache(maxsize=16)
+def _tree_rows(vocab: Vocabulary, max_len: int) -> tuple:
+    """(prefixes, row_path, row_prefix, row_tok) of a tree shape: one row per (path, position),
+    paths sorted; row_prefix indexes the internal prefixes, listed in order of first appearance."""
+    prefixes: dict[tuple[int, ...], int] = {}
+    rows = [(j, prefixes.setdefault(path[:k], len(prefixes)), tok)
+            for j, path in enumerate(response_space(vocab, max_len)) for k, tok in enumerate(path)]
+    return (list(prefixes), *(np.array(col) for col in zip(*rows)))
+
+
 def _response_tree(policy: TablePolicy, state: str, with_entropy: bool = False):
     """Walk the response tree at ``state`` once; every exact route reads this walk.
 

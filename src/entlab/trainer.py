@@ -22,8 +22,8 @@ import numpy as np
 from . import modulation as mod
 from .advantage import ESTIMATORS, AdvantageTable, compute_advantages
 from .envs import REWARD_SCHEMES, env_class, make_env
-from .policy import (TablePolicy, Vocabulary, _check_budget, _response_tree, enumerate_responses, response_space,
-                     save_checkpoint, token_distribution)
+from .policy import (TablePolicy, _check_budget, _response_tree, _tree_rows, enumerate_responses, save_checkpoint,
+                     token_distribution)
 from .rollout import FILTER_MODES, Group, collect_group, filter_degenerate_groups
 
 LOSSES = ("grpo_clip", "dapo_token", "gspo_seq")
@@ -235,16 +235,6 @@ def surrogate_loss(
     # Loss is the negated objective; the accumulator holds dJ/dz, so flip it.
     loss = -(j_clip + j_reg)
     return loss, {key: -vec for key, vec in grad.items()}
-
-
-@lru_cache(maxsize=16)
-def _tree_rows(vocab: Vocabulary, max_len: int) -> tuple:
-    """(prefixes, row_path, row_prefix, row_tok) of a tree shape: one row per (path, position),
-    paths sorted; row_prefix indexes the internal prefixes, listed in order of first appearance."""
-    prefixes: dict[tuple[int, ...], int] = {}
-    rows = [(j, prefixes.setdefault(path[:k], len(prefixes)), tok)
-            for j, path in enumerate(response_space(vocab, max_len)) for k, tok in enumerate(path)]
-    return (list(prefixes), *(np.array(col) for col in zip(*rows)))
 
 
 def _regularizer_state(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -248,19 +249,49 @@ RANGE_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("sets", RANGE_ERRORS, ids=lambda sets: ",".join(sets))
-def test_range_errors_exit_1_before_any_file(sets, tmp_path):
-    out = tmp_path / "run"
-    args = [sys.executable, "-m", "entlab.cli", "train", "--out", str(out)]
-    for item in sets:
-        args += ["--set", item]
+def _assert_refused_before_out(argv: list[str], cwd, timeout: float) -> None:
+    """Run ``entlab <argv> --out <cwd>/out`` in a subprocess: exit 1, one error line, no --out."""
+    out = cwd / "out"
     src = os.path.dirname(os.path.dirname(entlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(args, capture_output=True, text=True, timeout=30, env=env)
+    proc = subprocess.run([sys.executable, "-m", "entlab.cli", *argv, "--out", str(out)],
+                          capture_output=True, text=True, timeout=timeout, env=env, cwd=cwd)
     lines = proc.stderr.splitlines()
     assert proc.returncode == 1, (proc.returncode, proc.stderr)
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sets", RANGE_ERRORS, ids=lambda sets: ",".join(sets))
+def test_range_errors_exit_1_before_any_file(sets, tmp_path):
+    _assert_refused_before_out(["train", *(a for item in sets for a in ("--set", item))], tmp_path, timeout=30)
+
+
+#: Bad inputs of every command other than train, one per row; "{ckpt}" is a key-chain checkpoint.
+#: Each must be refused before --out exists, so a run that starts work anyway is caught by the timeout.
+COMMAND_ERRORS = [
+    ["verify", "--trials", "0"], ["verify", "--trials", "x"], ["verify", "--kind", "resp", "--trials", "3", "--fd-step", "0"],
+    ["verify", "--fd-step", "nan"], ["verify", "--fd-step", "inf"], ["verify", "--fd-step=-1e-6"],
+    ["verify", "--tol-rel", "-1"], ["verify", "--tol-rel", "inf"], ["verify", "--tol-abs", "nan"],
+    ["verify", "--tol-abs=-1e-8"], ["verify", "--seed", "-1"],
+    ["report", "--run", "nonexistent"], ["report", "--run", "a/run", "--run", "b/run"],
+    ["ablate", "--variants", "off,bogus", "--seeds", "0"], ["ablate", "--variants", "off", "--seeds", "0,-1"],
+    ["probe-transition", "--baseline", "nonexistent", "--modulated", "nonexistent"],
+    ["probe-doob", "--checkpoint", "{ckpt}", "--samples", "0"], ["probe-doob", "--checkpoint", "{ckpt}", "--samples", "1"],
+    ["probe-doob", "--checkpoint", "{ckpt}", "--state", "bogus"], ["probe-doob", "--checkpoint", "{ckpt}", "--seed", "-1"],
+    ["probe-doob", "--checkpoint", "{ckpt}", "--set", "env_kind=grid-fetch"],
+    ["probe-doob", "--checkpoint", "{ckpt}", "--set", "env_overrides.key_len=3"],
+    ["probe-doob", "--checkpoint", "missing.json"],
+    ["probe-consistency", "--checkpoint", "{ckpt}", "--states", "0"],
+    ["probe-consistency", "--checkpoint", "{ckpt}", "--samples", "1"],
+    ["probe-consistency", "--checkpoint", "{ckpt}", "--set", "env_kind=grid-fetch"],
+]
+
+
+@pytest.mark.parametrize("argv", COMMAND_ERRORS, ids=" ".join)
+def test_command_errors_exit_1_before_any_file(argv, tmp_path):
+    ckpt = str(_structured_checkpoint(tmp_path))
+    _assert_refused_before_out([a.replace("{ckpt}", ckpt) for a in argv], tmp_path, timeout=60)
 
 
 def test_train_survives_a_step_with_every_group_filtered(tmp_path, capsys):
@@ -270,3 +301,66 @@ def test_train_survives_a_step_with_every_group_filtered(tmp_path, capsys):
     assert main(["train", "--out", str(out), *[a for s in sets for a in ("--set", s)]]) == 0
     docs = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
     assert any(not doc["spans"] for doc in docs)
+
+
+def _digests(out_dir) -> dict[str, str]:
+    """sha256 of every file in a command's output directory; the manifest is hashed without timings."""
+    digests = {}
+    for path in sorted(out_dir.iterdir()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            doc = json.loads(data)
+            assert "timings" in doc
+            doc.pop("timings")
+            data = json.dumps(doc, sort_keys=True).encode()
+        digests[path.name] = hashlib.sha256(data).hexdigest()[:16]
+    return digests
+
+
+def _command_outputs(tmp_path) -> dict[str, dict[str, str]]:
+    """Run verify, the three probes and report on small seeded inputs; digests per command."""
+    ckpt = _structured_checkpoint(tmp_path)
+    sizes = ["--set", "group_size=8", "--set", "lr=4.0", "--set", "steps=6"]  # some alphas != 1
+    assert _train(tmp_path / "off", extra=[*sizes, "--set", "aem_mode=off"]) == 0
+    assert _train(tmp_path / "aem", extra=sizes) == 0
+    runs = [
+        ("verify", ["verify", "--kind", "all", "--trials", "3", "--seed", "1"]),
+        ("verify-fail", ["verify", "--kind", "resp", "--trials", "2", "--tol-rel", "1e-18", "--tol-abs", "1e-18"]),
+        ("probe-consistency", ["probe-consistency", "--checkpoint", str(ckpt), "--states", "6",
+                               "--samples", "24", "--seed", "3"]),
+        ("probe-doob", ["probe-doob", "--checkpoint", str(ckpt), "--samples", "500", "--seed", "2",
+                        "--state", "key-chain#1#0"]),
+        ("probe-transition", ["probe-transition", "--baseline", str(tmp_path / "off"),
+                              "--modulated", str(tmp_path / "aem")]),
+    ]
+    digests = {}
+    for name, argv in runs:
+        out = tmp_path / "out" / name
+        assert main([*argv, "--out", str(out)]) in (0, 2), name
+        digests[name] = _digests(out)
+    (tmp_path / "aem" / "summary.json").write_bytes((tmp_path / "out/verify/summary.json").read_bytes())
+    out = tmp_path / "out" / "report"
+    assert main(["report", "--run", str(tmp_path / "off"), "--run", str(tmp_path / "aem"), "--out", str(out)]) == 0
+    digests["report"] = _digests(out)
+    return digests
+
+
+#: sha256 prefixes of what `_command_outputs` writes; any change to a file's bytes fails here.
+PINNED_OUTPUTS = {
+    "verify": {"manifest.json": "6bcfed73e5e561dc", "reports.jsonl": "43f0ba0e00cddece",
+               "summary.json": "2fc0f2aa4f30d15d"},
+    "verify-fail": {"manifest.json": "bcdf554323558d56", "reports.jsonl": "7308ac2f15adca4b",
+                    "summary.json": "bd05c923e8f23254"},
+    "probe-consistency": {"consistency.json": "202c38f8f5e69861", "manifest.json": "e9d68c58cabca7d3",
+                          "pairs.csv": "d294db3f2861c918"},
+    "probe-doob": {"doob.json": "5e27d1c9ce9a5fc6", "manifest.json": "0b8bdeaf67ba4ac1"},
+    "probe-transition": {"manifest.json": "ace1b948b01eba8f", "transition.csv": "331c72aab0e2166f",
+                         "transition.json": "55b64843b148eb6d"},
+    "report": {"aem_alpha_scatter.csv": "9d444f840683c4e6", "aem_series.csv": "40dc8fbd17338546",
+               "aem_verify_summary.json": "2fc0f2aa4f30d15d", "manifest.json": "7777af050f5798e6",
+               "off_alpha_scatter.csv": "09407b21619ee556", "off_series.csv": "2eb8f4b692b0b04f"},
+}
+
+
+def test_command_outputs_match_pinned_digests(tmp_path):
+    assert _command_outputs(tmp_path) == PINNED_OUTPUTS
