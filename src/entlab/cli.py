@@ -155,14 +155,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _probe_inputs(args: argparse.Namespace) -> tuple[TrainConfig, TablePolicy, list[str]]:
-    """A probe's config, its checkpoint, and the reachable states of the config's env."""
+    """A probe's config, its checkpoint, and the reachable states of the config's env.
+
+    A checkpoint must match the env's vocabulary and max_len and, unless it is
+    empty (an untrained policy), hold an entry at one of the env's reachable states.
+    """
     config = _resolve_config(args)
     policy = load_checkpoint(args.checkpoint)
     env = make_env(config.env_kind, seed=config.env_seed, **config.env_overrides)
     if (policy.vocab, policy.max_len) != (env.vocab, env.max_len):
         raise CliError(f"checkpoint {args.checkpoint} has vocab {policy.vocab} and max_len {policy.max_len}, "
                        f"but env {config.env_kind} has vocab {env.vocab} and max_len {env.max_len}")
-    return config, policy, probes.reachable_states(env)
+    states = probes.reachable_states(env)
+    if policy.logits and not {state for state, _ in policy.logits}.intersection(states):
+        raise CliError(f"checkpoint {args.checkpoint} holds no entry at a reachable state of env {config.env_kind}")
+    return config, policy, states
 
 
 def cmd_probe_consistency(args: argparse.Namespace) -> int:

@@ -105,25 +105,26 @@ def modulate_batch(
     if mode == "shuffle" and rng is None:
         raise ValueError("shuffle mode needs an rng for the permutation")
     population_of = _POPULATION[mode]
+    sets = [ModulationSet(degenerate=True) for _ in groups]
     populations: dict = {}
-    for g_idx, group in enumerate(groups):
+    for g_idx, (group, out) in enumerate(zip(groups, sets)):
         for span in group.spans:
             populations.setdefault(population_of(g_idx, span), []).append(
-                (g_idx, (span.rollout_index, span.turn_index), response_entropy_proxy(span.response)))
-    sets = [ModulationSet(degenerate=True) for _ in groups]
+                (out, (span.rollout_index, span.turn_index), response_entropy_proxy(span.response)))
     for members in populations.values():
         h_tilde, degenerate = group_minmax_normalize([h for _, _, h in members], eps)
         if degenerate:
-            h_tilde, alphas = [None] * len(members), [1.0] * len(members)
-        else:
-            alphas = modulation_coeffs(h_tilde, -lam if mode == "reverse" else lam, eps)
-            if mode == "shuffle":
-                alphas = [alphas[int(j)] for j in rng.permutation(len(alphas))]
-        for (g_idx, key, _), ht, a in zip(members, h_tilde, alphas):
-            out = sets[g_idx]
+            for out, key, _ in members:
+                out.h_tilde[key] = None
+                out.alpha[key] = 1.0
+            continue
+        alphas = modulation_coeffs(h_tilde, -lam if mode == "reverse" else lam, eps)
+        if mode == "shuffle":
+            alphas = [alphas[int(j)] for j in rng.permutation(len(alphas))]
+        for (out, key, _), ht, a in zip(members, h_tilde, alphas):
             out.h_tilde[key] = ht
             out.alpha[key] = a
-            out.degenerate = out.degenerate and degenerate
+            out.degenerate = False
     return sets
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -80,12 +81,14 @@ class TablePolicy:
     States are opaque hashable keys (strings in practice); prefixes are the
     exact token tuples emitted so far within the current response.  Missing
     entries read as zero logits, i.e. a uniform conditional distribution;
-    reads never store them, only the write path logit_vector does.
+    reads never store them, only the write path logit_vector does.  ``writes``
+    counts logit_vector calls, so that a PolicySnapshot can tell it is stale.
     """
 
     vocab: Vocabulary
     max_len: int
     logits: dict[tuple[str, tuple[int, ...]], np.ndarray] = field(default_factory=dict)
+    writes: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.max_len < 1:
@@ -100,6 +103,7 @@ class TablePolicy:
     def logit_vector(self, state: str, prefix: tuple[int, ...]) -> np.ndarray:
         """Return the live logit array for (state, prefix), storing zeros on first touch (the write path)."""
         key = self._key(state, prefix)
+        self.writes += 1
         if key not in self.logits:
             self.logits[key] = np.zeros(self.vocab.size)
         return self.logits[key]
@@ -130,23 +134,70 @@ def _entropy(p: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def sample_response(policy: TablePolicy, state: str, rng: np.random.Generator) -> Response:
+#: Generator.choice's tolerance on |sum(p) - 1|, which a snapshot checks once per entry.
+_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+class PolicySnapshot:
+    """Read-only view of a policy, valid until its next logit_vector write.
+
+    entry(state, prefix) is (p, cdf, logp, H), built on first read from
+    token_distribution: cdf is cumsum(p) / cumsum(p)[-1] as a list, the array
+    Generator.choice searches, logp is np.log(p) as a list and H is _entropy(p).
+    Each entry is checked as choice checks p (non-negative, finite, summing to
+    1 within its tolerance) once, when it is built.  Reading a snapshot after
+    a write to its policy raises.
+    """
+
+    def __init__(self, policy: TablePolicy) -> None:
+        self.policy = policy
+        self._writes = policy.writes
+        self._entries: dict[tuple[str, tuple[int, ...]], tuple[np.ndarray, list[float], list[float], float]] = {}
+
+    @classmethod
+    def of(cls, policy: TablePolicy | PolicySnapshot) -> PolicySnapshot:
+        """The snapshot itself, or a new snapshot of a TablePolicy."""
+        return policy if isinstance(policy, PolicySnapshot) else cls(policy)
+
+    def entry(self, state: str, prefix: tuple[int, ...]) -> tuple[np.ndarray, list[float], list[float], float]:
+        if self.policy.writes != self._writes:
+            raise RuntimeError("policy snapshot read after a logit_vector write to its policy")
+        found = self._entries.get((state, prefix))
+        if found is None:
+            p = token_distribution(self.policy, state, prefix)
+            if not ((p >= 0.0).all() and abs(math.fsum(p) - 1.0) <= _SUM_ATOL):
+                raise ValueError(f"next-token probabilities at {(state, prefix)!r} are not a distribution: {p}")
+            cdf = p.cumsum()
+            cdf /= cdf[-1]
+            found = self._entries[(state, prefix)] = (p, cdf.tolist(), np.log(p).tolist(), _entropy(p))
+        return found
+
+
+def sample_response(policy: TablePolicy | PolicySnapshot, state: str, rng: np.random.Generator) -> Response:
     """Sample one response token by token, recording logprob and conditional entropy per token.
 
     Sampling stops after the terminator token or once the response reaches
-    max_len tokens, whichever comes first.
+    max_len tokens, whichever comes first.  Each token is one rng.random()
+    draw searched right-sided in the snapshot's cdf: the draw and the search of
+    rng.choice(|V|, p=p), so a seed gives the same tokens and generator state.
+    A TablePolicy is read through a new snapshot.
     """
+    snapshot = PolicySnapshot.of(policy)
+    max_len = snapshot.policy.max_len
+    terminator = snapshot.policy.vocab.terminator_id
     tokens: list[int] = []
     logprobs: list[float] = []
     entropies: list[float] = []
-    while len(tokens) < policy.max_len:
-        p = token_distribution(policy, state, tuple(tokens))
-        tok = int(rng.choice(policy.vocab.size, p=p))
+    prefix: tuple[int, ...] = ()
+    while len(tokens) < max_len:
+        _, cdf, logp, h = snapshot.entry(state, prefix)
+        tok = bisect_right(cdf, rng.random())
         tokens.append(tok)
-        logprobs.append(float(np.log(p[tok])))
-        entropies.append(_entropy(p))
-        if tok == policy.vocab.terminator_id:
+        logprobs.append(logp[tok])
+        entropies.append(h)
+        if tok == terminator:
             break
+        prefix += (tok,)
     return Response(tokens=tokens, logprobs=logprobs, entropies=entropies)
 
 
@@ -263,9 +314,10 @@ def mc_response_entropy(policy: TablePolicy, state: str, n_samples: int, rng: np
     """Monte-Carlo estimate of the response entropy: mean surprisal of sampled responses."""
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
+    snapshot = PolicySnapshot(policy)
     acc = 0.0
     for _ in range(n_samples):
-        acc += sample_response(policy, state, rng).surprisal
+        acc += sample_response(snapshot, state, rng).surprisal
     return acc / n_samples
 
 

@@ -12,8 +12,11 @@ import numpy as np
 
 from .envs import Env
 from .modulation import group_minmax_normalize, modulation_coeffs, response_entropy_proxy
-from .policy import TablePolicy, _response_tree, response_space, sample_response
+from .policy import PolicySnapshot, TablePolicy, _response_tree, response_space, sample_response
 from .trainer import StepMetrics
+
+#: A doob_probe residual mean this small is float roundoff and passes, whatever its stderr.
+DOOB_ROUNDOFF = 1e-12
 
 
 @dataclass
@@ -53,9 +56,10 @@ def consistency_probe(
     sampled response; sign agreement counts only pairs where both sides are
     nonzero.
     """
+    snapshot = PolicySnapshot(policy)
     pairs: list[tuple[float, float]] = []
     for state in states:
-        responses = [sample_response(policy, state, rng) for _ in range(k_samples)]
+        responses = [sample_response(snapshot, state, rng) for _ in range(k_samples)]
         h_bars = [response_entropy_proxy(r) for r in responses]
         surprisals = [r.surprisal for r in responses]
         h_mc = sum(surprisals) / len(surprisals)
@@ -120,7 +124,8 @@ def doob_probe(policy: TablePolicy, state: str, n_samples: int, rng: np.random.G
     Sampling a full response token by token is distributionally identical to
     sampling a leaf of the enumerated response tree, so the residual of each
     complete path is precomputed once and paths are drawn categorically;
-    this keeps large n_samples cheap without changing the estimand.
+    this keeps large n_samples cheap without changing the estimand.  ok means
+    |mean| <= max(4 * stderr, DOOB_ROUNDOFF).
     """
     _, paths, entropies = _response_tree(policy, state, with_entropy=True)
     probs = np.array([p for _, p in paths])
@@ -144,7 +149,7 @@ def doob_probe(policy: TablePolicy, state: str, n_samples: int, rng: np.random.G
         sel = sample[lengths[idx] == length]
         per_length[int(length)] = {"mean": float(sel.mean()), "count": int(sel.size)}
 
-    ok = abs(mean) <= 4.0 * stderr if stderr > 0.0 else mean == 0.0
+    ok = abs(mean) <= max(4.0 * stderr, DOOB_ROUNDOFF)
     return DoobReport(state=state, n_samples=n_samples, residual_mean=mean,
                       residual_stderr=stderr, per_length=per_length, ok=ok)
 

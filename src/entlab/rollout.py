@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .envs import Env, EnvState, RewardScheme, terminal_reward
-from .policy import Response, TablePolicy, sample_response
+from .policy import PolicySnapshot, Response, TablePolicy, sample_response
 
 FILTER_MODES = ("off", "drop_uniform")
 
@@ -80,7 +80,7 @@ def parse_spans(trajectory: Trajectory, rollout_index: int = 0) -> list[Response
 
 
 def rollout_trajectory(
-    policy: TablePolicy,
+    policy: PolicySnapshot | TablePolicy,
     env: Env,
     task_id: int,
     scheme: RewardScheme,
@@ -100,7 +100,7 @@ def rollout_trajectory(
 
 
 def collect_group(
-    policy: TablePolicy,
+    policy: PolicySnapshot | TablePolicy,
     env: Env,
     prompt_id: int,
     n_rollouts: int,
@@ -111,7 +111,8 @@ def collect_group(
 
     Each rollout runs on its own generator seeded from a single upfront draw,
     so the result is identical whether the rollouts execute sequentially or
-    in parallel.
+    in parallel.  Pass a PolicySnapshot to share its softmaxes across
+    groups; a TablePolicy is read through a new snapshot per response.
     """
     child_seeds = rng.integers(0, 2**63 - 1, size=n_rollouts)
     trajectories = [

@@ -15,15 +15,14 @@ import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
-from functools import lru_cache
 
 import numpy as np
 
 from . import modulation as mod
 from .advantage import ESTIMATORS, AdvantageTable, compute_advantages
 from .envs import REWARD_SCHEMES, env_class, make_env
-from .policy import (TablePolicy, _check_budget, _response_tree, _tree_rows, enumerate_responses, save_checkpoint,
-                     token_distribution)
+from .policy import (PolicySnapshot, TablePolicy, _check_budget, _response_tree, _tree_rows, enumerate_responses,
+                     save_checkpoint)
 from .rollout import FILTER_MODES, Group, collect_group, filter_degenerate_groups
 
 LOSSES = ("grpo_clip", "dapo_token", "gspo_seq")
@@ -153,7 +152,7 @@ def _one_hot_minus_p(p: np.ndarray, tok: int) -> np.ndarray:
 
 
 def surrogate_loss(
-    policy: TablePolicy,
+    policy: TablePolicy | PolicySnapshot,
     groups: list[Group],
     tables: list[AdvantageTable],
     config: TrainConfig,
@@ -169,14 +168,12 @@ def surrogate_loss(
     masked_keys are (group_idx, rollout, turn) triples excluded entirely.
     ref_logprobs caches ref_policy's path log-probs per state while ref_policy stays unchanged.
     At the behavior policy all ratios are 1 and the per-token gradient of the
-    unclipped surrogate reduces to -A * dlogpi.
+    unclipped surrogate reduces to -A * dlogpi.  The token distributions are
+    read from ``policy`` as a PolicySnapshot (see PolicySnapshot.of).
     """
     masked_keys = masked_keys or set()
-
-    @lru_cache(maxsize=None)
-    def dist(state: str, prefix: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        p = token_distribution(policy, state, prefix)
-        return p, np.log(p)
+    snapshot = PolicySnapshot.of(policy)
+    policy = snapshot.policy
 
     # (advantage, state_key, tokens, behavior logprobs) per surviving span.
     span_rows = []
@@ -198,14 +195,14 @@ def surrogate_loss(
             # Sequence-level ratio: geometric mean of the per-token ratios.
             log_ratios = []
             for k, tok in enumerate(tokens):
-                _, logp = dist(state, tuple(tokens[:k]))
-                log_ratios.append(float(logp[tok]) - behavior_lp[k])
+                logp = snapshot.entry(state, tuple(tokens[:k]))[2]
+                log_ratios.append(logp[tok] - behavior_lp[k])
             seq_ratio = math.exp(sum(log_ratios) / length)
             j_clip += _clipped_term(seq_ratio, adv, config.clip_low, config.clip_high) / n_spans
             if adv != 0.0 and _clip_active(seq_ratio, adv, config.clip_low, config.clip_high):
                 coeff = adv * seq_ratio / (n_spans * length)
                 for k, tok in enumerate(tokens):
-                    p, _ = dist(state, tuple(tokens[:k]))
+                    p = snapshot.entry(state, tuple(tokens[:k]))[0]
                     _grad_add(grad, (state, tuple(tokens[:k])), coeff * _one_hot_minus_p(p, tok))
             continue
 
@@ -214,8 +211,8 @@ def surrogate_loss(
         else:  # dapo_token
             token_weight = 1.0 / total_tokens
         for k, tok in enumerate(tokens):
-            p, logp = dist(state, tuple(tokens[:k]))
-            ratio = math.exp(float(logp[tok]) - behavior_lp[k])
+            p, _, logp, _ = snapshot.entry(state, tuple(tokens[:k]))
+            ratio = math.exp(logp[tok] - behavior_lp[k])
             j_clip += token_weight * _clipped_term(ratio, adv, config.clip_low, config.clip_high)
             if adv != 0.0 and _clip_active(ratio, adv, config.clip_low, config.clip_high):
                 _grad_add(grad, (state, tuple(tokens[:k])), (token_weight * adv * ratio) * _one_hot_minus_p(p, tok))
@@ -332,11 +329,13 @@ def train(
     try:
         for step in range(config.steps):
             t0 = time.perf_counter()
+            # Rollout and epoch 0 of the update read the policy as it was at the start of the step.
+            snapshot = PolicySnapshot(policy)
             groups: list[Group] = []
             for p_idx in range(config.prompts_per_step):
                 task = (step * config.prompts_per_step + p_idx) % env.task_count
                 rng = _rng_for(config.seed, 1, step, p_idx)
-                groups.append(collect_group(policy, env, task, config.group_size, scheme, rng))
+                groups.append(collect_group(snapshot, env, task, config.group_size, scheme, rng))
             timings["rollout"] += time.perf_counter() - t0
 
             t0 = time.perf_counter()
@@ -355,26 +354,27 @@ def train(
                     mode=config.aem_mode if config.aem_mode != "off" else "aem",
                     lam=config.aem_lambda,
                     eps=config.aem_eps,
-                    rng=_rng_for(config.seed, 2, step),
+                    rng=_rng_for(config.seed, 2, step) if config.aem_mode == "shuffle" else None,
                 )
             applied = tables
             if config.aem_mode != "off":
                 applied = [mod.apply_modulation(t, s) for t, s in zip(tables, sets)]
             masked = set()
             if mask_sign is not None:
-                for g_idx, (group, table, mset) in enumerate(zip(trained, tables, sets)):
-                    for span in group.spans:
-                        key = (span.rollout_index, span.turn_index)
-                        signal = table.values[key] * (mset.alpha[key] - 1.0)
-                        if (signal > 0.0 and mask_sign > 0) or (signal < 0.0 and mask_sign < 0):
-                            masked.add((g_idx, *key))
+                # A span is masked when sgn(A * (alpha - 1)) == mask_sign; a table holds one value per span.
+                for g_idx, (table, mset) in enumerate(zip(tables, sets)):
+                    alpha = mset.alpha
+                    masked.update((g_idx, *key) for key, adv in table.values.items()
+                                  if mask_sign * (adv * (alpha[key] - 1.0)) > 0.0)
             timings["aem"] += time.perf_counter() - t0
 
             t0 = time.perf_counter()
             loss_value = 0.0
             if trained:
                 for epoch in range(config.epochs):
-                    loss, grad = surrogate_loss(policy, trained, applied, config, ref_policy, masked, ref_logprobs)
+                    # The first write below ends the snapshot, so later epochs read a new one.
+                    loss, grad = surrogate_loss(snapshot if epoch == 0 else policy, trained, applied, config,
+                                                ref_policy, masked, ref_logprobs)
                     if epoch == 0:
                         loss_value = loss
                     for key, gvec in grad.items():

@@ -285,6 +285,8 @@ COMMAND_ERRORS = [
     ["probe-consistency", "--checkpoint", "{ckpt}", "--states", "0"],
     ["probe-consistency", "--checkpoint", "{ckpt}", "--samples", "1"],
     ["probe-consistency", "--checkpoint", "{ckpt}", "--set", "env_kind=grid-fetch"],
+    ["probe-doob", "--checkpoint", "{ckpt}", "--set", "env_kind=bandit-chain"],
+    ["probe-consistency", "--checkpoint", "{ckpt}", "--set", "env_kind=bandit-chain"],
 ]
 
 
@@ -292,6 +294,16 @@ COMMAND_ERRORS = [
 def test_command_errors_exit_1_before_any_file(argv, tmp_path):
     ckpt = str(_structured_checkpoint(tmp_path))
     _assert_refused_before_out([a.replace("{ckpt}", ckpt) for a in argv], tmp_path, timeout=60)
+
+
+def test_probes_accept_an_empty_checkpoint(tmp_path):
+    """An untrained policy (what train saves as policy_init.json) has no entries; every state reads uniform."""
+    env = make_env("key-chain", seed=0)
+    ckpt = tmp_path / "policy_init.json"
+    save_checkpoint(TablePolicy(vocab=env.vocab, max_len=env.max_len), str(ckpt))
+    out = tmp_path / "doob"
+    assert main(["probe-doob", "--checkpoint", str(ckpt), "--samples", "500", "--out", str(out)]) == 0
+    assert json.loads((out / "doob.json").read_text())["ok"] is True
 
 
 def test_train_survives_a_step_with_every_group_filtered(tmp_path, capsys):

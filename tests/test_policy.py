@@ -11,6 +11,7 @@ from entlab.advantage import state_value
 from entlab.envs import REWARD_SCHEMES, make_env
 from entlab.policy import (
     EnumerationBudgetError,
+    PolicySnapshot,
     Response,
     TablePolicy,
     Vocabulary,
@@ -24,6 +25,7 @@ from entlab.policy import (
     sample_response,
     save_checkpoint,
     token_distribution,
+    _entropy,
     _response_tree,
     _tree_shape,
 )
@@ -114,6 +116,118 @@ def test_sampling_is_deterministic_per_seed():
     a = [sample_response(policy, "s", np.random.default_rng(5)).tokens for _ in range(1)]
     b = [sample_response(policy, "s", np.random.default_rng(5)).tokens for _ in range(1)]
     assert a == b
+
+
+def _sample_with_choice(policy, state, rng):
+    """The sampler as it was before PolicySnapshot: rng.choice on each fresh token_distribution."""
+    tokens, logprobs, entropies = [], [], []
+    while len(tokens) < policy.max_len:
+        p = token_distribution(policy, state, tuple(tokens))
+        tok = int(rng.choice(policy.vocab.size, p=p))
+        tokens.append(tok)
+        logprobs.append(float(np.log(p[tok])))
+        entropies.append(_entropy(p))
+        if tok == policy.vocab.terminator_id:
+            break
+    return Response(tokens=tokens, logprobs=logprobs, entropies=entropies)
+
+
+def _same_response(a, b) -> bool:
+    """Equal tokens and bit-equal stats; an entropy over a p with exact zeros is NaN on both sides."""
+    return a.tokens == b.tokens and all(np.array_equal(x, y, equal_nan=True) for x, y in
+                                        ((a.logprobs, b.logprobs), (a.entropies, b.entropies)))
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_inverse_cdf_sampler_matches_generator_choice():
+    """Same tokens, logprobs, entropies and generator state as rng.choice, over |V| 2-6.
+
+    Scale 400 puts exact zeros in p, so equal cdf entries test the right-sided search.
+    """
+    rng = np.random.default_rng(31)
+    draws = 0
+    for size in range(2, 7):
+        for scale in (0.5, 2.0, 6.0, 400.0):
+            policy = random_policy(size, 3, rng, scale=scale)
+            seed = int(rng.integers(2**32))
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            snapshot = PolicySnapshot(policy)
+            for _ in range(250):
+                got = sample_response(snapshot, "s", ours)
+                assert _same_response(got, _sample_with_choice(policy, "s", theirs))
+                draws += len(got.tokens)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            # A TablePolicy is read through a snapshot of its own, with the same draws.
+            assert _same_response(sample_response(policy, "s", ours), _sample_with_choice(policy, "s", theirs))
+    assert draws >= 10000
+
+
+class _Draws:
+    """Stands in for a Generator whose random() returns the given values in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_inverse_cdf_sampler_searches_right_sided():
+    """A draw equal to a cdf value takes the next token, as choice's searchsorted(side="right") does,
+    so a zero-probability token is never drawn; random draws almost never hit a cdf value exactly."""
+    policy = TablePolicy(vocab=Vocabulary(size=4, terminator_id=3), max_len=1)
+    policy.logit_vector("s", ())[:] = (0.0, -1000.0, 1.0, 0.5)
+    cdf = PolicySnapshot(policy).entry("s", ())[1]
+    assert cdf[0] == cdf[1]
+    draws = [0.0, *cdf[:-1], 0.5]
+    got = [sample_response(policy, "s", _Draws([u])).tokens[0] for u in draws]
+    assert got == np.searchsorted(cdf, draws, side="right").tolist()
+    assert 1 not in got
+
+
+def test_snapshot_entries_are_the_token_distribution_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for size, max_len in ((2, 4), (4, 3), (6, 2)):
+        policy = random_policy(size, max_len, rng)
+        before = {k: v.copy() for k, v in policy.logits.items()}
+        snapshot = PolicySnapshot(policy)
+        # Every reachable prefix, plus a state with no stored logits (uniform).
+        keys = [("s", u) for u in _response_tree(policy, "s")[0]] + [("other", ())]
+        for state, prefix in keys:
+            p, cdf, logp, h = snapshot.entry(state, prefix)
+            want = token_distribution(policy, state, prefix)
+            assert p.tobytes() == want.tobytes()
+            csum = want.cumsum()
+            assert cdf == (csum / csum[-1]).tolist()
+            assert logp == np.log(want).tolist()
+            assert h == _entropy(want)
+            assert snapshot.entry(state, prefix)[1] is cdf
+        assert list(policy.logits) == list(before)
+        assert all(np.array_equal(policy.logits[k], v) for k, v in before.items())
+        assert PolicySnapshot.of(snapshot) is snapshot
+
+
+def test_snapshot_ends_at_the_first_write():
+    policy = random_policy(3, 2, np.random.default_rng(2))
+    snapshot = PolicySnapshot(policy)
+    snapshot.entry("s", ())
+    policy.logit_vector("s", ())[0] += 1.0
+    with pytest.raises(RuntimeError, match="after a logit_vector write"):
+        snapshot.entry("s", ())
+    with pytest.raises(RuntimeError):
+        sample_response(snapshot, "s", np.random.default_rng(0))
+    assert PolicySnapshot(policy).entry("s", ())[0].tobytes() == token_distribution(policy, "s", ()).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("logits", [(np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0)])
+def test_sampling_refuses_logits_that_give_no_distribution(logits):
+    """rng.choice refused such p; the snapshot checks it once per entry instead."""
+    policy = TablePolicy(vocab=Vocabulary(size=3, terminator_id=2), max_len=2)
+    policy.logit_vector("s", ())[:] = logits
+    with pytest.raises(ValueError, match="not a distribution"):
+        sample_response(policy, "s", np.random.default_rng(0))
 
 
 def test_enumeration_partitions_probability():

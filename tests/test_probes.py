@@ -8,6 +8,7 @@ import pytest
 from entlab.envs import make_env
 from entlab.policy import TablePolicy, Vocabulary, random_policy
 from entlab.probes import (
+    DOOB_ROUNDOFF,
     consistency_probe,
     doob_exact_residuals,
     doob_probe,
@@ -98,6 +99,17 @@ def test_doob_probe_uniform_policy_is_roundoff_zero():
     report = doob_probe(policy, "s", n_samples=500, rng=np.random.default_rng(0))
     assert abs(report.residual_mean) < 1e-12
     assert report.residual_stderr < 1e-12
+
+
+def test_doob_probe_accepts_roundoff_residuals():
+    # Near-constant roundoff residuals have a stderr far below their mean (3.6e-16 vs 4.8e-18 at
+    # V=3, L=2), so 4 * stderr alone would fail them; the DOOB_ROUNDOFF floor accepts them.
+    for size, max_len in ((3, 2), (2, 3), (4, 3), (3, 1)):
+        policy = TablePolicy(vocab=Vocabulary(size=size, terminator_id=size - 1), max_len=max_len)
+        for seed in range(3):
+            report = doob_probe(policy, "s", n_samples=500, rng=np.random.default_rng(seed))
+            assert abs(report.residual_mean) <= DOOB_ROUNDOFF
+            assert report.ok, (size, max_len, seed, report.residual_mean, report.residual_stderr)
 
 
 def _metrics(step, entropy, success, pos):

@@ -293,7 +293,7 @@ MODULATING = dict(FAST, group_size=8, lr=4.0, steps=6)
 BANDIT_TRAJ = dict(FAST, env_kind="bandit-chain", env_overrides={"task_count": 2, "chain_len": 2},
                    group_size=8, lr=8.0, steps=8, aem_mode="traj_norm")
 #: sha256 of each run's metrics.jsonl, pinned from the per-path regularizer, the per-call recursive
-#: state_value and the per-mode modulation code paths (x86-64, Python 3.11, numpy 2.4).
+#: state_value, the per-mode modulation code paths and the rng.choice sampler (x86-64, Python 3.11, numpy 2.4).
 #: A "mask_sign" entry is passed to train() rather than to TrainConfig.
 GOLDEN_METRICS = {
     "grid-fetch-kl": (GRID_KL, "42eeb1259335b89af6a2c367ec2c016d262cd3661aefdbd5ff0d76ee5f898fcd"),
@@ -311,6 +311,11 @@ GOLDEN_METRICS = {
     "key-chain-off-mask-neg": (dict(MODULATING, aem_mode="off", mask_sign=-1),
                                "0557c1f71796151a56aaba4bb163d12bfa183e9b64d7d5f7c2252fe62b0d86c5"),
     "bandit-chain-traj-norm": (BANDIT_TRAJ, "5a6666032a1095280cdef3eb61017175e388db78360c7bd9770d8e9e86d9063e"),
+    # epochs=2: epoch 1 must read the policy after epoch 0's write, not the step's rollout snapshot.
+    "key-chain-dapo-epochs2": (dict(MODULATING, loss="dapo_token", epochs=2),
+                               "6b2ce7d5e4c353441ababf464a16eb4b4afba52556fad1da653a212a03dfd204"),
+    "key-chain-gspo-epochs2": (dict(MODULATING, loss="gspo_seq", epochs=2),
+                               "e1e981f61db55c513e46cc2e1272a72a3218976db20b53762868578215ccb8f1"),
 }
 
 
