@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .envs import Env, EnvState, RewardScheme
-from .policy import TablePolicy, enumerate_responses, response_space
+from .policy import PolicySnapshot, TablePolicy, response_space
 from .rollout import Group
 
 GRPO_EPS = 1e-8
@@ -71,52 +71,50 @@ def _transition_row(env: Env, state: EnvState, transitions: dict) -> tuple:
     return row
 
 
-def state_value(policy: TablePolicy, env: Env, state: EnvState, scheme: RewardScheme,
+def state_value(policy: TablePolicy | PolicySnapshot, env: Env, state: EnvState, scheme: RewardScheme,
                 _memo: dict | None = None, transitions: dict | None = None) -> float:
     """Exact on-policy value of a state by enumerating all continuations.
 
     Counts the terminal outcome payoff plus invalid penalties incurred from
     this state onward (penalties already paid earlier in the episode are sunk).
-    ``_memo`` holds, for one frozen policy, each state's value and each policy
-    key's response probabilities; ``transitions`` (see _transition_row) does
-    not depend on the policy and may be shared across calls.
+    ``_memo`` holds each state's value under one policy version, read through
+    PolicySnapshot.tree; ``transitions`` (see _transition_row) does not depend
+    on the policy and may be shared across calls.
     """
-    if _memo is None:
-        _memo = {}
-    if transitions is None:
-        transitions = {}
+    _memo = {} if _memo is None else _memo
+    transitions = {} if transitions is None else transitions
     value = _memo.get(state)
     if value is not None:
         return value
     if state.done:
         value = scheme.success if state.success else scheme.failure
     else:
-        probs = _memo.get(state.policy_key)
-        if probs is None:
-            probs = _memo[state.policy_key] = [prob for _, prob in enumerate_responses(policy, state.policy_key)]
+        snapshot = PolicySnapshot.of(policy)
+        leaves = snapshot.tree(state.policy_key)[1]
         row = _transition_row(env, state, transitions)
         penalty = scheme.invalid_penalty
         value = 0.0
-        for prob, (nxt, valid) in zip(probs, row, strict=True):
+        for (_, prob), (nxt, valid) in zip(leaves, row, strict=True):
             if prob == 0.0:
                 continue
             v = _memo.get(nxt)
             if v is None:
-                v = state_value(policy, env, nxt, scheme, _memo, transitions)
+                v = state_value(snapshot, env, nxt, scheme, _memo, transitions)
             value += prob * ((0.0 if valid else penalty) + v)
     _memo[state] = value
     return value
 
 
-def oracle_value_advantage(group: Group, env: Env, policy: TablePolicy,
+def oracle_value_advantage(group: Group, env: Env, policy: TablePolicy | PolicySnapshot,
                            scheme: RewardScheme, transitions: dict | None = None) -> AdvantageTable:
     """Exact-baseline advantage: R(trajectory) minus the enumerated value of each turn's state."""
+    snapshot = PolicySnapshot.of(policy)
     memo: dict = {}
     transitions = {} if transitions is None else transitions
     table = AdvantageTable()
     for i, traj in enumerate(group.trajectories):
         for t, turn in enumerate(traj.turns):
-            v = state_value(policy, env, turn.state, scheme, memo, transitions)
+            v = state_value(snapshot, env, turn.state, scheme, memo, transitions)
             table.values[(i, t)] = traj.reward - v
     return table
 
@@ -125,7 +123,7 @@ ESTIMATORS = ("grpo", "rloo", "oracle_value")
 
 
 def compute_advantages(group: Group, estimator: str, env: Env | None = None,
-                       policy: TablePolicy | None = None,
+                       policy: TablePolicy | PolicySnapshot | None = None,
                        scheme: RewardScheme | None = None,
                        transitions: dict | None = None) -> AdvantageTable:
     """Dispatch by estimator name; the oracle needs env, policy and scheme and reads or

@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__, geometry, probes
 from .config import apply_overrides, config_from_doc, config_to_doc, load_config, save_config
 from .envs import make_env
-from .policy import (EnumerationBudgetError, TablePolicy, exact_response_entropy, load_checkpoint, pathwise_entropy,
-                     random_policy)
+from .policy import (EnumerationBudgetError, PolicySnapshot, TablePolicy, exact_response_entropy, load_checkpoint,
+                     pathwise_entropy, random_policy)
 from .trainer import TrainConfig, load_metrics, train
 
 
@@ -111,7 +111,7 @@ def _nesting_reports(trials: int, rng: np.random.Generator, tol_abs: float) -> l
     for _ in range(trials):
         vocab_size = int(rng.integers(2, 5))
         max_len = int(rng.integers(2, 5))
-        policy = random_policy(vocab_size, max_len, rng)
+        policy = PolicySnapshot(random_policy(vocab_size, max_len, rng))  # both routes read one tree
         route_a = exact_response_entropy(policy, "s")
         route_b = pathwise_entropy(policy, "s")
         err = abs(route_a - route_b)

@@ -37,12 +37,15 @@ class EnvState:
     features: tuple[int, ...]
     done: bool = False
     success: bool = False
+    # policy_key, set on first read: a field keeps one attribute layout, where cached_property slowed hashing.
+    _key: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def policy_key(self) -> str:
-        """Hashable key the policy conditions on (kind, task and features, not raw step)."""
-        feats = ",".join(str(f) for f in self.features)
-        return f"{self.env_kind}#{self.task_id}#{feats}"
+        """Hashable key the policy conditions on (kind, task and features, not raw step), joined once per state."""
+        if self._key is None:
+            object.__setattr__(self, "_key", f"{self.env_kind}#{self.task_id}#{','.join(map(str, self.features))}")
+        return self._key
 
 
 @dataclass(frozen=True)

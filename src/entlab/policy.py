@@ -18,8 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 # Hard ceiling on the number of complete responses an exact enumeration is
-# allowed to touch.  |V|^max_len beyond this means the caller asked for an
-# exact quantity on a policy that is not desk-scale any more.
+# allowed to touch.  More than this means the caller asked for an exact
+# quantity on a policy that is not desk-scale any more.
 ENUMERATION_BUDGET = 10**6
 
 
@@ -139,20 +139,22 @@ _SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 class PolicySnapshot:
-    """Read-only view of a policy, valid until its next logit_vector write.
+    """Read-only view of one policy version, the one reader of its softmaxes; valid until its next write.
 
-    entry(state, prefix) is (p, cdf, logp, H), built on first read from
-    token_distribution: cdf is cumsum(p) / cumsum(p)[-1] as a list, the array
-    Generator.choice searches, logp is np.log(p) as a list and H is _entropy(p).
-    Each entry is checked as choice checks p (non-negative, finite, summing to
-    1 within its tolerance) once, when it is built.  Reading a snapshot after
-    a write to its policy raises.
+    entry(state, prefix) is the sampler's (p, cdf, logp, H), built on first read from
+    token_distribution and checked once as Generator.choice checks p (non-negative, finite,
+    summing to 1 within its tolerance): cdf is cumsum(p) / cumsum(p)[-1] as a list, the array
+    choice searches, logp is np.log(p) as a list and H is _entropy(p).  tree(state) is
+    (dists, leaves), walked once in _tree_shape order, taking an entry's p where there is
+    one: each internal prefix's softmax, and the sorted complete responses with probabilities
+    multiplied root to leaf.  Every exact route reads it.  Reading after a write raises.
     """
 
     def __init__(self, policy: TablePolicy) -> None:
         self.policy = policy
         self._writes = policy.writes
         self._entries: dict[tuple[str, tuple[int, ...]], tuple[np.ndarray, list[float], list[float], float]] = {}
+        self._trees: dict[str, tuple[dict[tuple[int, ...], np.ndarray], list[tuple[tuple[int, ...], float]]]] = {}
 
     @classmethod
     def of(cls, policy: TablePolicy | PolicySnapshot) -> PolicySnapshot:
@@ -170,6 +172,25 @@ class PolicySnapshot:
             cdf = p.cumsum()
             cdf /= cdf[-1]
             found = self._entries[(state, prefix)] = (p, cdf.tolist(), np.log(p).tolist(), _entropy(p))
+        return found
+
+    def tree(self, state: str) -> tuple[dict[tuple[int, ...], np.ndarray], list[tuple[tuple[int, ...], float]]]:
+        """(dists, leaves) at ``state``, memoized; callers must not mutate them."""
+        if self.policy.writes != self._writes:
+            raise RuntimeError("policy snapshot read after a logit_vector write to its policy")
+        found = self._trees.get(state)
+        if found is None:
+            _check_budget(self.policy.vocab, self.policy.max_len)
+            internal, leaves = _tree_shape(self.policy.vocab, self.policy.max_len)
+            dists: dict[tuple[int, ...], np.ndarray] = {}
+            probs: dict[tuple[int, ...], float] = {(): 1.0}
+            for prefix, children in internal:
+                sampled = self._entries.get((state, prefix))
+                p = dists[prefix] = sampled[0] if sampled else token_distribution(self.policy, state, prefix)
+                prob = probs[prefix]
+                for path, p_tok in zip(children, p.tolist()):
+                    probs[path] = prob * p_tok
+            found = self._trees[state] = (dists, [(path, probs[path]) for path in leaves])
         return found
 
 
@@ -202,12 +223,16 @@ def sample_response(policy: TablePolicy | PolicySnapshot, state: str, rng: np.ra
 
 
 def _check_budget(vocab: Vocabulary, max_len: int) -> None:
-    """Refuse an exact enumeration of more than ENUMERATION_BUDGET (|V|^max_len) paths."""
-    if vocab.size**max_len > ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(
-            f"|V|^max_len = {vocab.size}^{max_len} exceeds the "
-            f"enumeration budget of {ENUMERATION_BUDGET} paths"
-        )
+    """Refuse an exact enumeration of more than ENUMERATION_BUDGET complete responses:
+    (V-1)^(k-1) end with the terminator at each length k < max_len, V (V-1)^(max_len-1) at max_len."""
+    ended, open_ = 0, 1  # responses shorter than k tokens, terminator-free prefixes of k - 1 tokens
+    for _ in range(max_len - 1):
+        if ended + open_ > ENUMERATION_BUDGET:
+            break
+        ended, open_ = ended + open_, open_ * (vocab.size - 1)
+    if ended + vocab.size * open_ > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(f"|V|={vocab.size}, max_len={max_len} gives more than the "
+                                     f"enumeration budget of {ENUMERATION_BUDGET} complete responses")
 
 
 @lru_cache(maxsize=16)
@@ -246,43 +271,22 @@ def _tree_rows(vocab: Vocabulary, max_len: int) -> tuple:
     return (list(prefixes), *(np.array(col) for col in zip(*rows)))
 
 
-def _response_tree(policy: TablePolicy, state: str, with_entropy: bool = False):
-    """Walk the response tree at ``state`` once; every exact route reads this walk.
-
-    Returns each internal prefix's softmax, the complete responses sorted by
-    tokens with probabilities multiplied root to leaf in walk order, and each
-    internal prefix's entropy if ``with_entropy`` (else None).
-    """
-    _check_budget(policy.vocab, policy.max_len)
-    internal, leaves = _tree_shape(policy.vocab, policy.max_len)
-    dists: dict[tuple[int, ...], np.ndarray] = {}
-    probs: dict[tuple[int, ...], float] = {(): 1.0}
-    for prefix, children in internal:
-        p = dists[prefix] = token_distribution(policy, state, prefix)
-        prob = probs[prefix]
-        for path, p_tok in zip(children, p.tolist()):
-            probs[path] = prob * p_tok
-    out = [(path, probs[path]) for path in leaves]
-    entropies = {u: _entropy(p) for u, p in dists.items()} if with_entropy else None
-    return dists, out, entropies
-
-
-def enumerate_responses(policy: TablePolicy, state: str) -> list[tuple[tuple[int, ...], float]]:
+def enumerate_responses(policy: TablePolicy | PolicySnapshot, state: str) -> list[tuple[tuple[int, ...], float]]:
     """All complete responses at ``state`` with their probabilities.
 
     A path is complete when it ends with the terminator or reaches max_len.
     The returned probabilities sum to 1 exactly up to roundoff because the
-    two stopping rules partition the outcome space.  The probabilities are
-    _response_tree's, bit for bit the same as every other exact route sees.
+    two stopping rules partition the outcome space.  They are the leaves of
+    PolicySnapshot.tree, bit for bit the same as every other exact route sees.
     """
-    return _response_tree(policy, state)[1]
+    return PolicySnapshot.of(policy).tree(state)[1]
 
 
-def exact_response_entropy(policy: TablePolicy, state: str) -> float:
+def exact_response_entropy(policy: TablePolicy | PolicySnapshot, state: str) -> float:
     """Exact Shannon entropy of the full response distribution at ``state``.
 
     Computed as sum_a pi(a) * (-log pi(a)) over the enumerated response space.
-    Raises EnumerationBudgetError when |V|^max_len exceeds the path budget.
+    Raises EnumerationBudgetError when the response count exceeds the path budget.
     """
     total = 0.0
     for _, prob in enumerate_responses(policy, state):
@@ -291,14 +295,15 @@ def exact_response_entropy(policy: TablePolicy, state: str) -> float:
     return total
 
 
-def pathwise_entropy(policy: TablePolicy, state: str) -> float:
+def pathwise_entropy(policy: TablePolicy | PolicySnapshot, state: str) -> float:
     """Response entropy via the chain rule: E over responses of the summed
     per-position conditional entropies along the sampled path.
 
     Agrees with exact_response_entropy (the -sum p log p route) up to float
     roundoff; the two routes share only the tree enumeration, not the formula.
     """
-    _, paths, entropies = _response_tree(policy, state, with_entropy=True)
+    dists, paths = PolicySnapshot.of(policy).tree(state)
+    entropies = {u: _entropy(p) for u, p in dists.items()}
     total = 0.0
     for tokens, prob in paths:
         if prob == 0.0:
@@ -326,7 +331,7 @@ def random_policy(vocab_size: int, max_len: int, rng: np.random.Generator,
     """Policy with normal(0, scale) logits on every reachable prefix of one state."""
     policy = TablePolicy(vocab=Vocabulary(size=vocab_size, terminator_id=vocab_size - 1), max_len=max_len)
     # Draws follow the walk's fixed prefix order, so a seed always gives the same policy.
-    for prefix in _response_tree(policy, state)[0]:
+    for prefix, _ in _tree_shape(policy.vocab, max_len)[0]:
         policy.logits[(state, prefix)] = scale * rng.normal(size=vocab_size)
     return policy
 
@@ -353,7 +358,7 @@ def save_checkpoint(policy: TablePolicy, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> TablePolicy:
-    """Load a policy checkpoint, refusing unknown format versions."""
+    """Load a policy checkpoint, refusing unknown format versions and the first malformed entry."""
     with open(path) as fh:
         doc = json.load(fh)
     version = doc.get("format_version")
@@ -363,6 +368,13 @@ def load_checkpoint(path: str) -> TablePolicy:
         vocab=Vocabulary(size=doc["vocab_size"], terminator_id=doc["terminator_id"]),
         max_len=doc["max_len"],
     )
-    for state, prefix, vec in doc["entries"]:
+    size = policy.vocab.size
+    for i, entry in enumerate(doc["entries"]):
+        state, prefix, vec = entry if isinstance(entry, list) and len(entry) == 3 else (None, None, None)
+        if not (isinstance(state, str) and isinstance(prefix, list) and len(prefix) < policy.max_len
+                and all(type(t) is int and 0 <= t < size for t in prefix) and isinstance(vec, list)
+                and len(vec) == size and all(type(x) in (int, float) and math.isfinite(x) for x in vec)):
+            raise ValueError(f"checkpoint {path} entry {i} {entry!r} is not [state, prefix of fewer than "
+                             f"{policy.max_len} tokens in range({size}), {size} finite logits]")
         policy.logits[(state, tuple(prefix))] = np.asarray(vec, dtype=float)
     return policy

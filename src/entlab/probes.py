@@ -12,7 +12,7 @@ import numpy as np
 
 from .envs import Env
 from .modulation import group_minmax_normalize, modulation_coeffs, response_entropy_proxy
-from .policy import PolicySnapshot, TablePolicy, _response_tree, response_space, sample_response
+from .policy import PolicySnapshot, TablePolicy, _entropy, response_space, sample_response
 from .trainer import StepMetrics
 
 #: A doob_probe residual mean this small is float roundoff and passes, whatever its stderr.
@@ -127,7 +127,8 @@ def doob_probe(policy: TablePolicy, state: str, n_samples: int, rng: np.random.G
     this keeps large n_samples cheap without changing the estimand.  ok means
     |mean| <= max(4 * stderr, DOOB_ROUNDOFF).
     """
-    _, paths, entropies = _response_tree(policy, state, with_entropy=True)
+    dists, paths = PolicySnapshot.of(policy).tree(state)
+    entropies = {u: _entropy(p) for u, p in dists.items()}
     probs = np.array([p for _, p in paths])
     residuals = np.empty(len(paths))
     lengths = np.empty(len(paths), dtype=int)
@@ -160,8 +161,8 @@ def doob_exact_residuals(policy: TablePolicy, state: str) -> dict[tuple[int, ...
     Each value is sum_y p(y|prefix) * (-log p(y|prefix) - H(prefix)), which is
     identically zero; the numbers returned measure only float roundoff.
     """
-    dists, _, entropies = _response_tree(policy, state, with_entropy=True)
-    return {u: float((p * (-np.log(p) - entropies[u])).sum()) for u, p in dists.items()}
+    dists = PolicySnapshot.of(policy).tree(state)[0]
+    return {u: float((p * (-np.log(p) - _entropy(p))).sum()) for u, p in dists.items()}
 
 
 @dataclass

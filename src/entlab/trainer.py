@@ -21,8 +21,7 @@ import numpy as np
 from . import modulation as mod
 from .advantage import ESTIMATORS, AdvantageTable, compute_advantages
 from .envs import REWARD_SCHEMES, env_class, make_env
-from .policy import (PolicySnapshot, TablePolicy, _check_budget, _response_tree, _tree_rows, enumerate_responses,
-                     save_checkpoint)
+from .policy import PolicySnapshot, TablePolicy, _check_budget, _tree_rows, exact_response_entropy, save_checkpoint
 from .rollout import FILTER_MODES, Group, collect_group, filter_degenerate_groups
 
 LOSSES = ("grpo_clip", "dapo_token", "gspo_seq")
@@ -156,9 +155,8 @@ def surrogate_loss(
     groups: list[Group],
     tables: list[AdvantageTable],
     config: TrainConfig,
-    ref_policy: TablePolicy | None = None,
+    ref_policy: TablePolicy | PolicySnapshot | None = None,
     masked_keys: set[tuple[int, int, int]] | None = None,
-    ref_logprobs: dict[str, dict[tuple[int, ...], float]] | None = None,
 ) -> tuple[float, dict[tuple[str, tuple[int, ...]], np.ndarray]]:
     """Negated clipped objective plus regularizers, with its analytic logit gradient.
 
@@ -166,14 +164,12 @@ def surrogate_loss(
     groups[g]; each span's recorded logprobs are the behavior policy's, so the
     importance ratio per token is exp(logprob_now - logprob_behavior).
     masked_keys are (group_idx, rollout, turn) triples excluded entirely.
-    ref_logprobs caches ref_policy's path log-probs per state while ref_policy stays unchanged.
     At the behavior policy all ratios are 1 and the per-token gradient of the
-    unclipped surrogate reduces to -A * dlogpi.  The token distributions are
-    read from ``policy`` as a PolicySnapshot (see PolicySnapshot.of).
+    unclipped surrogate reduces to -A * dlogpi.  ``policy`` and ``ref_policy`` are read
+    as PolicySnapshots (see PolicySnapshot.of); train() passes one ref snapshot per run.
     """
     masked_keys = masked_keys or set()
     snapshot = PolicySnapshot.of(policy)
-    policy = snapshot.policy
 
     # (advantage, state_key, tokens, behavior logprobs) per surviving span.
     span_rows = []
@@ -226,8 +222,7 @@ def surrogate_loss(
             state_counts[state] = state_counts.get(state, 0) + 1
         for state, count in state_counts.items():
             weight = count / n_spans
-            j_reg += weight * _regularizer_state(policy, ref_policy, state, config, grad, weight,
-                                                 {} if ref_logprobs is None else ref_logprobs)
+            j_reg += weight * _regularizer_state(snapshot, ref_policy, state, config, grad, weight)
 
     # Loss is the negated objective; the accumulator holds dJ/dz, so flip it.
     loss = -(j_clip + j_reg)
@@ -235,47 +230,40 @@ def surrogate_loss(
 
 
 def _regularizer_state(
-    policy: TablePolicy,
-    ref_policy: TablePolicy | None,
+    snapshot: PolicySnapshot,
+    ref_policy: TablePolicy | PolicySnapshot | None,
     state: str,
     config: TrainConfig,
     grad: dict[tuple[str, tuple[int, ...]], np.ndarray],
     weight: float,
-    ref_logprobs: dict[str, dict[tuple[int, ...], float]],
 ) -> float:
     """Exact entropy bonus and KL penalty at one state, accumulating dJ/dz in place.
 
-    Walks the response tree once: the entropy gradient weights each path's
-    score by (surprisal - H), the KL gradient by (ref surprisal - surprisal);
-    both use sum-over-positions score decompositions.  The value and every
-    gradient entry are bit-identical to calling _grad_add with
+    Reads the response tree of ``snapshot`` (and of ref_policy when kl_coef != 0): the
+    entropy gradient weights each path's score by (surprisal - H), the KL gradient by
+    (ref surprisal - surprisal); both use sum-over-positions score decompositions.  The
+    value and every gradient entry are bit-identical to calling _grad_add with
     (weight * coeff) * (onehot - p) at each position of each path in order.
     """
-    dists, paths, _ = _response_tree(policy, state)
-    h = 0.0
-    for _, prob in paths:
-        if prob > 0.0:
-            h -= prob * math.log(prob)
-
-    if config.kl_coef != 0.0 and state not in ref_logprobs:
-        ref_logprobs[state] = {tokens: math.log(prob) if prob > 0.0 else -math.inf
-                               for tokens, prob in enumerate_responses(ref_policy, state)}
+    dists, paths = snapshot.tree(state)
+    h = exact_response_entropy(snapshot, state)
+    ref_paths = PolicySnapshot.of(ref_policy).tree(state)[1] if config.kl_coef != 0.0 else paths
     kl = 0.0
     coeffs = []
-    for tokens, prob in paths:
+    for (_, prob), (_, ref_prob) in zip(paths, ref_paths, strict=True):
         coeff = 0.0
         if prob > 0.0:
             logprob = math.log(prob)
             coeff = config.entropy_coef * prob * (-logprob - h)
             if config.kl_coef != 0.0:
-                log_ratio = logprob - ref_logprobs[state][tokens]
+                log_ratio = logprob - (math.log(ref_prob) if ref_prob > 0.0 else -math.inf)
                 kl += prob * log_ratio
                 coeff -= config.kl_coef * prob * log_ratio
         coeffs.append(coeff)
     value = config.entropy_coef * h - config.kl_coef * kl
 
     coeffs = np.array(coeffs)
-    prefixes, row_path, row_prefix, row_tok = _tree_rows(policy.vocab, policy.max_len)
+    prefixes, row_path, row_prefix, row_tok = _tree_rows(snapshot.policy.vocab, snapshot.policy.max_len)
     rows = coeffs[row_path] != 0.0
     pre = row_prefix[rows]
     vecs = -np.stack([dists[u] for u in prefixes])[pre]
@@ -283,7 +271,7 @@ def _regularizer_state(
     vecs *= (weight * coeffs[row_path[rows]])[:, None]
     # An absent key takes its first row, the rest add in path order; prefix order is insertion order.
     used, first = np.unique(pre, return_index=True)
-    block = np.empty((len(prefixes), policy.vocab.size))
+    block = np.empty((len(prefixes), snapshot.policy.vocab.size))
     rest = np.ones(len(pre), dtype=bool)
     for i, r in zip(used.tolist(), first.tolist()):
         acc = grad.get((state, prefixes[i]))
@@ -316,7 +304,7 @@ def train(
     scheme = REWARD_SCHEMES[config.reward_scheme]
     policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
     ref_policy = policy.copy()
-    ref_logprobs: dict[str, dict[tuple[int, ...], float]] = {}
+    ref = PolicySnapshot(ref_policy)  # never written, so one snapshot serves the whole run
     transitions: dict = {}
 
     timings = {"rollout": 0.0, "advantage": 0.0, "aem": 0.0, "update": 0.0, "total": 0.0}
@@ -329,7 +317,7 @@ def train(
     try:
         for step in range(config.steps):
             t0 = time.perf_counter()
-            # Rollout and epoch 0 of the update read the policy as it was at the start of the step.
+            # Rollout, advantages and epoch 0 of the update read the policy as it was at the start of the step.
             snapshot = PolicySnapshot(policy)
             groups: list[Group] = []
             for p_idx in range(config.prompts_per_step):
@@ -340,10 +328,8 @@ def train(
 
             t0 = time.perf_counter()
             trained = filter_degenerate_groups(groups, config.filter_mode)
-            tables = [
-                compute_advantages(g, config.estimator, env=env, policy=policy, scheme=scheme, transitions=transitions)
-                for g in trained
-            ]
+            tables = [compute_advantages(g, config.estimator, env=env, policy=snapshot, scheme=scheme,
+                                         transitions=transitions) for g in trained]
             timings["advantage"] += time.perf_counter() - t0
 
             t0 = time.perf_counter()
@@ -374,7 +360,7 @@ def train(
                 for epoch in range(config.epochs):
                     # The first write below ends the snapshot, so later epochs read a new one.
                     loss, grad = surrogate_loss(snapshot if epoch == 0 else policy, trained, applied, config,
-                                                ref_policy, masked, ref_logprobs)
+                                                ref, masked)
                     if epoch == 0:
                         loss_value = loss
                     for key, gvec in grad.items():

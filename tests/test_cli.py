@@ -210,7 +210,7 @@ def test_report_cli(tmp_path):
 
 
 def test_enumeration_budget_error_exits_1(tmp_path, capsys):
-    assert _train(tmp_path / "run", ["--set", "env_overrides.key_len=13"]) == 1
+    assert _train(tmp_path / "run", ["--set", "env_overrides.key_len=20"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "enumeration budget" in err
     assert err.count("\n") == 1
@@ -287,13 +287,30 @@ COMMAND_ERRORS = [
     ["probe-consistency", "--checkpoint", "{ckpt}", "--set", "env_kind=grid-fetch"],
     ["probe-doob", "--checkpoint", "{ckpt}", "--set", "env_kind=bandit-chain"],
     ["probe-consistency", "--checkpoint", "{ckpt}", "--set", "env_kind=bandit-chain"],
+    ["probe-doob", "--checkpoint", "{short_vector}"], ["probe-doob", "--checkpoint", "{long_prefix}"],
+    ["probe-doob", "--checkpoint", "{bad_token}"], ["probe-consistency", "--checkpoint", "{short_vector}"],
 ]
+#: Copies of "{ckpt}" whose first entry is broken one way each (vocab 3, max_len 2).
+BROKEN_ENTRIES = {
+    "{short_vector}": lambda state, prefix, vec: [state, prefix, vec[:2]],
+    "{long_prefix}": lambda state, prefix, vec: [state, [0, 0], vec],
+    "{bad_token}": lambda state, prefix, vec: [state, [7], vec],
+}
+
+
+def _broken_checkpoint(ckpt, name: str):
+    doc = json.loads(ckpt.read_text())
+    doc["entries"][0] = BROKEN_ENTRIES[name](*doc["entries"][0])
+    path = ckpt.with_name(name.strip("{}") + ".json")
+    path.write_text(json.dumps(doc))
+    return path
 
 
 @pytest.mark.parametrize("argv", COMMAND_ERRORS, ids=" ".join)
 def test_command_errors_exit_1_before_any_file(argv, tmp_path):
-    ckpt = str(_structured_checkpoint(tmp_path))
-    _assert_refused_before_out([a.replace("{ckpt}", ckpt) for a in argv], tmp_path, timeout=60)
+    ckpt = _structured_checkpoint(tmp_path)
+    paths = {"{ckpt}": ckpt, **{name: _broken_checkpoint(ckpt, name) for name in BROKEN_ENTRIES}}
+    _assert_refused_before_out([str(paths.get(a, a)) for a in argv], tmp_path, timeout=60)
 
 
 def test_probes_accept_an_empty_checkpoint(tmp_path):

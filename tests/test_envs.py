@@ -28,6 +28,11 @@ def test_reward_scheme_validation():
 def test_policy_key_format():
     s = EnvState(env_kind="key-chain", task_id=3, step_index=1, features=(2, 5))
     assert s.policy_key == "key-chain#3#2,5"
+    # Joined once per state; the cached key takes no part in equality, hashing or repr.
+    assert s.policy_key is s.policy_key
+    fresh = EnvState(env_kind="key-chain", task_id=3, step_index=1, features=(2, 5))
+    assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+    assert s != EnvState(env_kind="key-chain", task_id=3, step_index=2, features=(2, 5))
 
 
 def _run_to_reward(env, task_id, responses, scheme):

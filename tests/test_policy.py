@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -25,10 +26,11 @@ from entlab.policy import (
     sample_response,
     save_checkpoint,
     token_distribution,
+    _check_budget,
     _entropy,
-    _response_tree,
     _tree_shape,
 )
+import entlab.policy as policy_module
 from entlab.probes import consistency_probe, doob_exact_residuals, doob_probe
 
 
@@ -193,7 +195,7 @@ def test_snapshot_entries_are_the_token_distribution_bit_for_bit():
         before = {k: v.copy() for k, v in policy.logits.items()}
         snapshot = PolicySnapshot(policy)
         # Every reachable prefix, plus a state with no stored logits (uniform).
-        keys = [("s", u) for u in _response_tree(policy, "s")[0]] + [("other", ())]
+        keys = [("s", u) for u, _ in _tree_shape(policy.vocab, max_len)[0]] + [("other", ())]
         for state, prefix in keys:
             p, cdf, logp, h = snapshot.entry(state, prefix)
             want = token_distribution(policy, state, prefix)
@@ -276,13 +278,19 @@ def test_response_tree_is_bit_identical_to_per_call_walk(size, max_len):
         assert list(policy.logits) == list(want_logits)
         assert all(np.array_equal(policy.logits[k], v) for k, v in want_logits.items())
 
-        dists, paths, entropies = _response_tree(policy, "s", with_entropy=True)
         want_dists, want_paths, want_entropies = _response_tree_dfs(policy, "s", with_entropy=True)
-        assert list(dists) == list(want_dists)
-        assert all(np.array_equal(dists[u], p) for u, p in want_dists.items())
-        assert paths == want_paths
-        assert entropies == want_entropies
-        assert [tokens for tokens, _ in paths] == list(response_space(policy.vocab, max_len))
+        # A fresh snapshot walks from token_distribution; a sampled one takes its entries' p where it has them.
+        sampled = PolicySnapshot(policy)
+        for _ in range(8):
+            sample_response(sampled, "s", rng)
+        for snapshot in (PolicySnapshot(policy), sampled):
+            dists, paths = snapshot.tree("s")
+            assert list(dists) == list(want_dists)
+            assert all(np.array_equal(dists[u], p) for u, p in want_dists.items())
+            assert paths == want_paths
+            assert {u: _entropy(p) for u, p in dists.items()} == want_entropies
+            assert [tokens for tokens, _ in paths] == list(response_space(policy.vocab, max_len))
+            assert snapshot.tree("s") is snapshot.tree("s")
 
 
 def test_reads_leave_the_policy_unchanged():
@@ -306,6 +314,29 @@ def test_reads_leave_the_policy_unchanged():
 
     assert list(policy.logits) == list(before)
     assert all(np.array_equal(policy.logits[k], v) for k, v in before.items())
+
+
+def test_tree_ends_at_the_first_write():
+    policy = random_policy(3, 2, np.random.default_rng(2))
+    snapshot = PolicySnapshot(policy)
+    snapshot.tree("s")
+    policy.logit_vector("other", ())
+    with pytest.raises(RuntimeError, match="after a logit_vector write"):
+        snapshot.tree("s")
+    with pytest.raises(RuntimeError):
+        enumerate_responses(snapshot, "s")
+
+
+@pytest.mark.parametrize("size,max_len", [(2, 1), (2, 5), (3, 2), (3, 13), (4, 4), (5, 3), (6, 2)])
+def test_enumeration_budget_counts_complete_responses(size, max_len, monkeypatch):
+    """The budget check counts real leaves: a budget of exactly len(response_space) passes, one less refuses."""
+    vocab = Vocabulary(size=size, terminator_id=size - 1)
+    n_paths = len(response_space(vocab, max_len))
+    monkeypatch.setattr(policy_module, "ENUMERATION_BUDGET", n_paths)
+    _check_budget(vocab, max_len)
+    monkeypatch.setattr(policy_module, "ENUMERATION_BUDGET", n_paths - 1)
+    with pytest.raises(EnumerationBudgetError):
+        _check_budget(vocab, max_len)
 
 
 def test_enumeration_budget_guard():
@@ -397,3 +428,31 @@ def test_checkpoint_bytes_are_stable(tmp_path):
     save_checkpoint(policy, str(p1))
     save_checkpoint(policy.copy(), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _write_entries(path, entries):
+    """A key-chain checkpoint document (vocab 3, max_len 2) holding the given entries."""
+    path.write_text(json.dumps({"format_version": 1, "vocab_size": 3, "terminator_id": 2, "max_len": 2,
+                                "entries": entries}))
+
+
+@pytest.mark.parametrize("entry", [
+    ["s", [], [0.5, -0.5]],  # 2 logits for a vocabulary of 3
+    ["s", [0, 1], [0.0, 0.0, 0.0]],  # a prefix as long as max_len has no successor
+    ["s", [7], [0.0, 0.0, 0.0]],  # token outside range(3)
+    ["s", [-1], [0.0, 0.0, 0.0]],
+    ["s", [True], [0.0, 0.0, 0.0]],
+    [3, [], [0.0, 0.0, 0.0]],  # state not a string
+    ["s", [], [0.0, float("nan"), 0.0]],
+    ["s", [], [0.0, "1.0", 0.0]],
+    ["s", [], [0.0, 0.0, 0.0], "extra"],
+    "s",
+])
+def test_checkpoint_refuses_a_malformed_entry(tmp_path, entry):
+    path = tmp_path / "policy.json"
+    _write_entries(path, [["s", [0], [1.0, 2.0, 3.0]], entry])
+    with pytest.raises(ValueError, match=r"entry 1 .* is not \[state, prefix"):
+        load_checkpoint(str(path))
+    _write_entries(path, [["s", [0], [1.0, 2, -3.5]], ["t", [], [0, 0, 0]]])
+    loaded = load_checkpoint(str(path))
+    assert loaded.logits[("s", (0,))].tolist() == [1.0, 2.0, -3.5]

@@ -11,8 +11,10 @@ import pytest
 
 from entlab.advantage import compute_advantages
 from entlab.envs import REWARD_SCHEMES, make_env
+import entlab.policy
 from entlab.policy import (
     EnumerationBudgetError,
+    PolicySnapshot,
     TablePolicy,
     enumerate_responses,
     exact_response_entropy,
@@ -98,11 +100,13 @@ def test_config_rejects_bad_fields():
 
 
 def test_config_checks_enumeration_budget_only_when_the_run_enumerates():
-    big = {"key_len": 13}  # 3^13 paths, over the budget
+    big = {"key_len": 20}  # 2,097,151 complete responses, over the budget
     for fields in ({}, {"kl_coef": 0.0, "entropy_coef": 0.1}, {"kl_coef": 0.0, "estimator": "oracle_value"}):
         with pytest.raises(EnumerationBudgetError):
             TrainConfig(env_overrides=big, **fields)
     assert TrainConfig(env_overrides=big, kl_coef=0.0).env_overrides == big
+    # 3^13 = 1.59M is |V|^max_len, but key_len=13 has only 16,383 complete responses.
+    assert TrainConfig(env_overrides={"key_len": 13}).kl_coef == 0.01
 
 
 def _loss_inputs(config, jitter=0.0, jitter_seed=3):
@@ -199,7 +203,7 @@ def test_regularizer_terms_match_exact_enumeration():
 
     def value(entropy_coef, kl_coef):
         config = TrainConfig(entropy_coef=entropy_coef, kl_coef=kl_coef, **FAST)
-        return _regularizer_state(policy, ref_policy, state, config, {}, 1.0, {})
+        return _regularizer_state(PolicySnapshot(policy), PolicySnapshot(ref_policy), state, config, {}, 1.0)
 
     assert value(0.3, 0.0) == pytest.approx(0.3 * exact_response_entropy(policy, state), abs=1e-12)
 
@@ -272,17 +276,17 @@ def test_regularizer_state_is_bit_identical_to_per_path_walk(shape):
                 policy.logit_vector(state, prefix[:k])[:] = rng.normal(scale=1.5, size=env.vocab.size)
         assert len(enumerate_responses(policy, state)) == 7
     config = TrainConfig(entropy_coef=0.02, kl_coef=0.05, **FAST)
-    cache = {}
+    snapshot, ref = PolicySnapshot(policy), PolicySnapshot(ref_policy)
     for weight in (0.375, 1.0):
         expect = _seeded_accum(policy.vocab.size, state, np.random.default_rng(7))
         got = _seeded_accum(policy.vocab.size, state, np.random.default_rng(7))
         want = _regularizer_state_per_path(policy, ref_policy, state, config, expect, weight)
-        # The second pass reads the reference log-probs from the cache the first one filled.
-        assert _regularizer_state(policy, ref_policy, state, config, got, weight, cache) == want
+        # The second pass reads both trees from the snapshots the first one filled.
+        assert _regularizer_state(snapshot, ref, state, config, got, weight) == want
         assert list(got) == list(expect)
         for key, vec in expect.items():
             assert np.array_equal(got[key], vec), key
-    assert list(cache) == [state]
+    assert list(ref._trees) == list(snapshot._trees) == [state]
 
 
 GRID_KL = dict(env_kind="grid-fetch", kl_coef=0.01, steps=3)
@@ -450,3 +454,21 @@ def test_masked_runs_diverge_by_sign():
         if key in down.policy.logits
     )
     assert not (identical and up.policy.logits.keys() == down.policy.logits.keys())
+
+
+@pytest.mark.parametrize("fields", [dict(FAST, kl_coef=0.01), dict(GRID_ORACLE, steps=2),
+                                    dict(MODULATING, entropy_coef=0.05, epochs=2, steps=3)],
+                         ids=["key-chain-kl", "grid-fetch-oracle", "key-chain-entropy-epochs2"])
+def test_one_softmax_per_policy_version(fields, monkeypatch):
+    """Rollout, the value oracle and the regularizers of a step share one snapshot, so every
+    (policy, version, state, prefix) softmax is computed once."""
+    keys = []
+    original = entlab.policy.token_distribution
+
+    def counted(policy, state, prefix):
+        keys.append((id(policy), policy.writes, state, prefix))
+        return original(policy, state, prefix)
+
+    monkeypatch.setattr(entlab.policy, "token_distribution", counted)
+    train(TrainConfig(**fields))
+    assert keys and len(keys) == len(set(keys))
