@@ -195,8 +195,9 @@ def cmd_probe_doob(args: argparse.Namespace) -> int:
     if state not in states:
         raise CliError(f"--state {state!r} is not a reachable state of env {config.env_kind}")
     rng = np.random.default_rng(args.seed)
-    report = probes.doob_probe(policy, state, args.samples, rng)
-    exact = probes.doob_exact_residuals(policy, state)
+    snapshot = PolicySnapshot(policy)  # both probes read the one response tree at state
+    report = probes.doob_probe(snapshot, state, args.samples, rng)
+    exact = probes.doob_exact_residuals(snapshot, state)
     doc = dataclasses.asdict(report)
     doc["exact_residual_max"] = max(abs(v) for v in exact.values())
     _write_outputs(args.out, "probe-doob", {"doob.json": doc}, config_to_doc(config), args.seed, {})

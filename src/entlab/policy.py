@@ -358,12 +358,19 @@ def save_checkpoint(policy: TablePolicy, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> TablePolicy:
-    """Load a policy checkpoint, refusing unknown format versions and the first malformed entry."""
+    """Load a policy checkpoint, refusing an unknown format version and the first malformed field or entry."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"checkpoint {path} is not a JSON object")
     version = doc.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {version!r}")
+    for name, kind in (("vocab_size", int), ("terminator_id", int), ("max_len", int), ("entries", list)):
+        if name not in doc:
+            raise ValueError(f"checkpoint {path} has no {name!r} field")
+        if type(doc[name]) is not kind:
+            raise ValueError(f"checkpoint {path} field {name!r} must be a {kind.__name__}, got {doc[name]!r}")
     policy = TablePolicy(
         vocab=Vocabulary(size=doc["vocab_size"], terminator_id=doc["terminator_id"]),
         max_len=doc["max_len"],

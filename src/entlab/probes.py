@@ -118,7 +118,8 @@ class DoobReport:
     ok: bool
 
 
-def doob_probe(policy: TablePolicy, state: str, n_samples: int, rng: np.random.Generator) -> DoobReport:
+def doob_probe(policy: TablePolicy | PolicySnapshot, state: str, n_samples: int,
+               rng: np.random.Generator) -> DoobReport:
     """Monte-Carlo check that mean(surprisal - summed conditional entropies) ~ 0.
 
     Sampling a full response token by token is distributionally identical to
@@ -155,7 +156,7 @@ def doob_probe(policy: TablePolicy, state: str, n_samples: int, rng: np.random.G
                       residual_stderr=stderr, per_length=per_length, ok=ok)
 
 
-def doob_exact_residuals(policy: TablePolicy, state: str) -> dict[tuple[int, ...], float]:
+def doob_exact_residuals(policy: TablePolicy | PolicySnapshot, state: str) -> dict[tuple[int, ...], float]:
     """Conditional residual mean at every reachable prefix, by exact enumeration.
 
     Each value is sum_y p(y|prefix) * (-log p(y|prefix) - H(prefix)), which is

@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -22,9 +23,11 @@ from . import modulation as mod
 from .advantage import ESTIMATORS, AdvantageTable, compute_advantages
 from .envs import REWARD_SCHEMES, env_class, make_env
 from .policy import PolicySnapshot, TablePolicy, _check_budget, _tree_rows, exact_response_entropy, save_checkpoint
-from .rollout import FILTER_MODES, Group, collect_group, filter_degenerate_groups
+from .rollout import FILTER_MODES, Group, collect_group, filter_degenerate_groups, generator_from, seed_states
 
 LOSSES = ("grpo_clip", "dapo_token", "gspo_seq")
+#: Rollout generators are derived for whole steps at a time, about this many rollouts per block.
+_ROLLOUTS_PER_BLOCK = 1024
 #: Accepted value types per TrainConfig annotation (as written, a string); bool is refused everywhere.
 _FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real, "dict": dict}
 #: Range rule per numeric TrainConfig field, checked after its type; every float field must also be finite.
@@ -286,6 +289,25 @@ def _rng_for(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *path]))
 
 
+def _group_rngs(config: TrainConfig) -> Iterator[list[np.random.Generator]]:
+    """The per-rollout generators of each group of a run, in (step, prompt) order.
+
+    Group (step, p) draws group_size child seeds with integers(0, 2**63 - 1) from
+    _rng_for(seed, 1, step, p), and its rollout i runs on default_rng(child seed i).
+    seed_states hashes the prompt entropies, then the child seeds, of a block of
+    steps at once, so every generator, and every sampled byte, is the same.
+    """
+    n_prompts, size = config.prompts_per_step, config.group_size
+    block = max(1, _ROLLOUTS_PER_BLOCK // (n_prompts * size))
+    for start in range(0, config.steps, block):
+        prompts = seed_states([[config.seed, 1, step, p]
+                               for step in range(start, min(start + block, config.steps)) for p in range(n_prompts)])
+        children = np.concatenate([generator_from(row).integers(0, 2**63 - 1, size=size) for row in prompts])
+        rows = seed_states(children)
+        for first in range(0, len(rows), size):
+            yield [generator_from(row) for row in rows[first:first + size]]
+
+
 def train(
     config: TrainConfig,
     metrics_path: str | None = None,
@@ -314,6 +336,7 @@ def train(
         save_checkpoint(policy, f"{checkpoint_dir}/policy_init.json")
 
     t_run = time.perf_counter()
+    group_rngs = _group_rngs(config)
     try:
         for step in range(config.steps):
             t0 = time.perf_counter()
@@ -322,8 +345,7 @@ def train(
             groups: list[Group] = []
             for p_idx in range(config.prompts_per_step):
                 task = (step * config.prompts_per_step + p_idx) % env.task_count
-                rng = _rng_for(config.seed, 1, step, p_idx)
-                groups.append(collect_group(snapshot, env, task, config.group_size, scheme, rng))
+                groups.append(collect_group(snapshot, env, task, scheme, next(group_rngs)))
             timings["rollout"] += time.perf_counter() - t0
 
             t0 = time.perf_counter()

@@ -34,6 +34,7 @@ from entlab.policy import Response, TablePolicy, exact_response_entropy, pathwis
 from entlab.probes import consistency_probe, doob_exact_residuals, doob_probe, reachable_states
 from entlab.rollout import Group, ResponseSpan, collect_group
 from entlab.trainer import LOSSES, TrainConfig, surrogate_loss, train
+from seeding import child_rngs
 
 
 def _report(tag: str, ok: bool, detail: str) -> None:
@@ -318,7 +319,7 @@ def test_loss_gradients_match_finite_differences():
                              group_size=4, steps=1, lr=0.1)
         policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
         ref_policy = policy.copy()
-        group = collect_group(policy, env, c % 2, 4, scheme, rng)
+        group = collect_group(policy, env, c % 2, scheme, child_rngs(rng, 4))
         table = AdvantageTable(values={
             (s.rollout_index, s.turn_index): float(rng.normal()) for s in group.spans})
         if c % 2 == 1:

@@ -15,6 +15,7 @@ from entlab.advantage import (
 from entlab.envs import REWARD_SCHEMES, make_env
 from entlab.policy import Response, TablePolicy, _tree_shape, enumerate_responses, response_space
 from entlab.rollout import Group, Trajectory, Turn, collect_group
+from seeding import child_rngs
 
 
 def _group_with_rewards(rewards):
@@ -83,7 +84,7 @@ def test_rloo_needs_two_rollouts():
 def test_advantage_broadcast_covers_every_span():
     env = make_env("key-chain", seed=0)
     policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
-    group = collect_group(policy, env, 0, 8, REWARD_SCHEMES["sparse"], np.random.default_rng(3))
+    group = collect_group(policy, env, 0, REWARD_SCHEMES["sparse"], child_rngs(np.random.default_rng(3), 8))
     table = grpo_advantage(group)
     assert set(table.values) == {(s.rollout_index, s.turn_index) for s in group.spans}
     # every span of one trajectory shares that trajectory's scalar
@@ -121,7 +122,7 @@ def test_oracle_value_advantage_matches_reward_minus_value():
     env = make_env("key-chain", seed=0)
     policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
     scheme = REWARD_SCHEMES["binary"]
-    group = collect_group(policy, env, 0, 6, scheme, np.random.default_rng(5))
+    group = collect_group(policy, env, 0, scheme, child_rngs(np.random.default_rng(5), 6))
     table = oracle_value_advantage(group, env, policy, scheme)
     memo: dict = {}
     for i, traj in enumerate(group.trajectories):
@@ -135,7 +136,7 @@ def test_oracle_advantage_mean_zero_over_on_policy_samples():
     env = make_env("key-chain", seed=0, chain_len=1)
     policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
     scheme = REWARD_SCHEMES["binary"]
-    group = collect_group(policy, env, 0, 2000, scheme, np.random.default_rng(8))
+    group = collect_group(policy, env, 0, scheme, child_rngs(np.random.default_rng(8), 2000))
     table = oracle_value_advantage(group, env, policy, scheme)
     first_turn = np.array([table.values[(i, 0)] for i in range(len(group.trajectories))])
     stderr = first_turn.std() / np.sqrt(len(first_turn))
@@ -146,7 +147,7 @@ def test_compute_advantages_dispatch():
     env = make_env("key-chain", seed=0)
     policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
     scheme = REWARD_SCHEMES["binary"]
-    group = collect_group(policy, env, 0, 4, scheme, np.random.default_rng(2))
+    group = collect_group(policy, env, 0, scheme, child_rngs(np.random.default_rng(2), 4))
     mixed = _group_with_rewards([1.0, 0.0, 0.0, 0.5])
     assert compute_advantages(mixed, "grpo").values == grpo_advantage(mixed).values
     assert compute_advantages(mixed, "rloo").values == rloo_advantage(mixed).values != grpo_advantage(mixed).values

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import entlab
+import entlab.policy
 
 from entlab.cli import main
 from entlab.config import apply_overrides, config_from_doc, config_to_doc, load_config, save_config
@@ -289,6 +290,10 @@ COMMAND_ERRORS = [
     ["probe-consistency", "--checkpoint", "{ckpt}", "--set", "env_kind=bandit-chain"],
     ["probe-doob", "--checkpoint", "{short_vector}"], ["probe-doob", "--checkpoint", "{long_prefix}"],
     ["probe-doob", "--checkpoint", "{bad_token}"], ["probe-consistency", "--checkpoint", "{short_vector}"],
+    ["probe-doob", "--checkpoint", "{list_document}"], ["probe-doob", "--checkpoint", "{version_only}"],
+    ["probe-doob", "--checkpoint", "{no_max_len}"], ["probe-doob", "--checkpoint", "{string_max_len}"],
+    ["probe-doob", "--checkpoint", "{bool_vocab_size}"], ["probe-doob", "--checkpoint", "{float_terminator_id}"],
+    ["probe-doob", "--checkpoint", "{entries_object}"], ["probe-consistency", "--checkpoint", "{string_max_len}"],
 ]
 #: Copies of "{ckpt}" whose first entry is broken one way each (vocab 3, max_len 2).
 BROKEN_ENTRIES = {
@@ -298,9 +303,24 @@ BROKEN_ENTRIES = {
 }
 
 
+#: Copies of "{ckpt}" whose document around the entries is broken one way each.
+BROKEN_DOCUMENTS = {
+    "{list_document}": lambda doc: [doc],
+    "{version_only}": lambda doc: {"format_version": doc["format_version"]},
+    "{no_max_len}": lambda doc: {k: v for k, v in doc.items() if k != "max_len"},
+    "{string_max_len}": lambda doc: dict(doc, max_len=str(doc["max_len"])),
+    "{bool_vocab_size}": lambda doc: dict(doc, vocab_size=True),
+    "{float_terminator_id}": lambda doc: dict(doc, terminator_id=float(doc["terminator_id"])),
+    "{entries_object}": lambda doc: dict(doc, entries={}),
+}
+
+
 def _broken_checkpoint(ckpt, name: str):
     doc = json.loads(ckpt.read_text())
-    doc["entries"][0] = BROKEN_ENTRIES[name](*doc["entries"][0])
+    if name in BROKEN_DOCUMENTS:
+        doc = BROKEN_DOCUMENTS[name](doc)
+    else:
+        doc["entries"][0] = BROKEN_ENTRIES[name](*doc["entries"][0])
     path = ckpt.with_name(name.strip("{}") + ".json")
     path.write_text(json.dumps(doc))
     return path
@@ -309,8 +329,24 @@ def _broken_checkpoint(ckpt, name: str):
 @pytest.mark.parametrize("argv", COMMAND_ERRORS, ids=" ".join)
 def test_command_errors_exit_1_before_any_file(argv, tmp_path):
     ckpt = _structured_checkpoint(tmp_path)
-    paths = {"{ckpt}": ckpt, **{name: _broken_checkpoint(ckpt, name) for name in BROKEN_ENTRIES}}
+    paths = {"{ckpt}": ckpt, **{name: _broken_checkpoint(ckpt, name) for name in [*BROKEN_ENTRIES, *BROKEN_DOCUMENTS]}}
     _assert_refused_before_out([str(paths.get(a, a)) for a in argv], tmp_path, timeout=60)
+
+
+def test_probe_doob_reads_one_snapshot(tmp_path, monkeypatch):
+    """doob_probe and doob_exact_residuals share the command's snapshot: one softmax per (state, prefix)."""
+    ckpt = _structured_checkpoint(tmp_path)
+    keys = []
+    original = entlab.policy.token_distribution
+
+    def counted(policy, state, prefix):
+        keys.append((state, prefix))
+        return original(policy, state, prefix)
+
+    monkeypatch.setattr(entlab.policy, "token_distribution", counted)
+    argv = ["probe-doob", "--checkpoint", str(ckpt), "--samples", "500", "--state", "key-chain#1#0"]
+    assert main([*argv, "--out", str(tmp_path / "doob")]) == 0
+    assert sorted(keys) == [("key-chain#1#0", ()), ("key-chain#1#0", (0,)), ("key-chain#1#0", (1,))]
 
 
 def test_probes_accept_an_empty_checkpoint(tmp_path):

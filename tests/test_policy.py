@@ -436,6 +436,32 @@ def _write_entries(path, entries):
                                 "entries": entries}))
 
 
+_GOOD_DOCUMENT = {"format_version": 1, "vocab_size": 3, "terminator_id": 2, "max_len": 2, "entries": []}
+
+
+@pytest.mark.parametrize("doc, field", [
+    ([_GOOD_DOCUMENT], "JSON object"),
+    ("policy", "JSON object"),
+    ({"format_version": 1}, "vocab_size"),
+    ({k: v for k, v in _GOOD_DOCUMENT.items() if k != "terminator_id"}, "terminator_id"),
+    ({k: v for k, v in _GOOD_DOCUMENT.items() if k != "entries"}, "entries"),
+    (dict(_GOOD_DOCUMENT, max_len="2"), "max_len"),
+    (dict(_GOOD_DOCUMENT, max_len=2.0), "max_len"),
+    (dict(_GOOD_DOCUMENT, vocab_size=True), "vocab_size"),
+    (dict(_GOOD_DOCUMENT, terminator_id=None), "terminator_id"),
+    (dict(_GOOD_DOCUMENT, entries={}), "entries"),
+    (dict(_GOOD_DOCUMENT, format_version=True), "format_version"),  # True == 1 in Python
+    (dict(_GOOD_DOCUMENT, format_version=1.0), "format_version"),
+])
+def test_checkpoint_refuses_a_malformed_document(tmp_path, doc, field):
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=field):
+        load_checkpoint(str(path))
+    path.write_text(json.dumps(_GOOD_DOCUMENT))
+    assert load_checkpoint(str(path)).logits == {}
+
+
 @pytest.mark.parametrize("entry", [
     ["s", [], [0.5, -0.5]],  # 2 logits for a vocabulary of 3
     ["s", [0, 1], [0.0, 0.0, 0.0]],  # a prefix as long as max_len has no successor

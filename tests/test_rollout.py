@@ -8,7 +8,15 @@ import pytest
 from entlab.envs import REWARD_SCHEMES, make_env
 from entlab.modulation import response_entropy_proxy
 from entlab.policy import TablePolicy
-from entlab.rollout import collect_group, filter_degenerate_groups, parse_spans, rollout_trajectory
+from entlab.rollout import (
+    collect_group,
+    filter_degenerate_groups,
+    generator_from,
+    parse_spans,
+    rollout_trajectory,
+    seed_states,
+)
+from seeding import child_rngs
 
 
 def _uniform_policy(env) -> TablePolicy:
@@ -71,8 +79,8 @@ def test_span_h_bar_is_mean_entropy():
 def test_collect_group_shapes_and_determinism():
     env = make_env("key-chain", seed=0)
     policy = _uniform_policy(env)
-    g1 = collect_group(policy, env, 2, 6, REWARD_SCHEMES["binary"], np.random.default_rng(7))
-    g2 = collect_group(policy, env, 2, 6, REWARD_SCHEMES["binary"], np.random.default_rng(7))
+    g1 = collect_group(policy, env, 2, REWARD_SCHEMES["binary"], child_rngs(np.random.default_rng(7), 6))
+    g2 = collect_group(policy, env, 2, REWARD_SCHEMES["binary"], child_rngs(np.random.default_rng(7), 6))
     assert len(g1.trajectories) == 6
     assert g1.prompt_id == 2
     assert [_tokens(t) for t in g1.trajectories] == [_tokens(t) for t in g2.trajectories]
@@ -83,8 +91,8 @@ def test_collect_group_shapes_and_determinism():
 def test_collect_group_varies_with_seed():
     env = make_env("key-chain", seed=0)
     policy = _uniform_policy(env)
-    g1 = collect_group(policy, env, 0, 8, REWARD_SCHEMES["binary"], np.random.default_rng(0))
-    g2 = collect_group(policy, env, 0, 8, REWARD_SCHEMES["binary"], np.random.default_rng(1))
+    g1 = collect_group(policy, env, 0, REWARD_SCHEMES["binary"], child_rngs(np.random.default_rng(0), 8))
+    g2 = collect_group(policy, env, 0, REWARD_SCHEMES["binary"], child_rngs(np.random.default_rng(1), 8))
     assert [_tokens(t) for t in g1.trajectories] != [_tokens(t) for t in g2.trajectories]
 
 
@@ -92,7 +100,8 @@ def test_filter_degenerate_groups():
     env = make_env("key-chain", seed=0)
     policy = _uniform_policy(env)
     rng = np.random.default_rng(11)
-    groups = [collect_group(policy, env, i % env.task_count, 4, REWARD_SCHEMES["binary"], rng) for i in range(40)]
+    groups = [collect_group(policy, env, i % env.task_count, REWARD_SCHEMES["binary"], child_rngs(rng, 4))
+              for i in range(40)]
     kept = filter_degenerate_groups(groups, mode="drop_uniform")
     assert all(max(g.rewards) > min(g.rewards) for g in kept)
     assert len(kept) < len(groups)  # uniform groups are common under a uniform policy
@@ -100,3 +109,48 @@ def test_filter_degenerate_groups():
     with pytest.raises(ValueError):
         filter_degenerate_groups(groups, mode="drop_everything")
 
+
+
+def _seed_sequence_states(entropies) -> np.ndarray:
+    return np.stack([np.random.SeedSequence(e).generate_state(4, np.uint64) for e in entropies])
+
+
+def test_seed_states_match_seed_sequence_on_random_seeds():
+    seeds = np.random.default_rng(17).integers(0, 2**63 - 1, size=20_000)
+    expect = _seed_sequence_states([int(s) for s in seeds])
+    assert np.array_equal(seed_states(seeds), expect)
+    assert np.array_equal(seed_states([int(s) for s in seeds[:500]]), expect[:500])
+
+
+def test_seed_states_match_seed_sequence_at_the_word_edges():
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63 - 2, 2**64 + 1]  # one, one, one, two, two and three words
+    assert np.array_equal(seed_states(edges), _seed_sequence_states(edges))
+    assert np.array_equal(seed_states(np.array(edges[:5], dtype=np.int64)), _seed_sequence_states(edges[:5]))
+    assert np.array_equal(seed_states(np.array([2**64 - 1], dtype=np.uint64)), _seed_sequence_states([2**64 - 1]))
+
+
+def test_seed_states_match_seed_sequence_on_prompt_rows():
+    four = [[seed, 1, step, p] for seed in (0, 7, 2**32 - 1) for step in (0, 1, 399) for p in range(4)]
+    five = [[seed, 1, step, p] for seed in (2**32, 2**40 + 3, 2**63 + 5) for step in (0, 1, 399) for p in range(4)]
+    assert np.array_equal(seed_states(four), _seed_sequence_states(four))
+    assert np.array_equal(seed_states(five), _seed_sequence_states(five))
+    # One call over rows of 1 to 8 words: a short row is not run through a long row's extra words.
+    mixed = [0, [3], 2**32, [2**64 + 1, 1, 0, 2], [2**40 + 3, 1, 12, 3], [2**96, 5, 6, 7, 8], [], [2**200, 1]]
+    assert np.array_equal(seed_states(mixed), _seed_sequence_states(mixed))
+    assert seed_states([]).shape == (0, 4)
+
+
+def test_seed_states_refuse_negative_entropy():
+    with pytest.raises(ValueError):
+        seed_states([[1, -2]])
+    with pytest.raises(ValueError):
+        seed_states(np.array([3, -1]))
+
+
+def test_generator_from_a_row_is_default_rng_of_its_seed_sequence():
+    entropies = [0, 2**32, 2**63 - 2, [5, 1, 2, 3], [2**40 + 3, 1, 7, 1]]
+    for entropy, row in zip(entropies, seed_states(entropies)):
+        ours = generator_from(row)
+        theirs = np.random.default_rng(np.random.SeedSequence(entropy))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert np.array_equal(ours.random(8), theirs.random(8))

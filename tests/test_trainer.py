@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,9 +24,12 @@ from entlab.policy import (
     token_distribution,
 )
 from entlab.rollout import collect_group
+import entlab.trainer
 from entlab.trainer import (
     LOSSES,
     TrainConfig,
+    _group_rngs,
+    _rng_for,
     load_metrics,
     _grad_add,
     _one_hot_minus_p,
@@ -33,6 +37,7 @@ from entlab.trainer import (
     surrogate_loss,
     train,
 )
+from seeding import child_rngs
 
 FAST = dict(
     env_overrides={"task_count": 2, "chain_len": 1, "n_content": 2, "key_len": 2},
@@ -124,7 +129,7 @@ def _loss_inputs(config, jitter=0.0, jitter_seed=3):
 
     rng = np.random.default_rng(jitter_seed)
     groups = [
-        collect_group(policy, env, task, 6, scheme, np.random.default_rng(28 + task))
+        collect_group(policy, env, task, scheme, child_rngs(np.random.default_rng(28 + task), 6))
         for task in range(2)
     ]
     assert all(len(set(g.rewards)) > 1 for g in groups)
@@ -320,6 +325,11 @@ GOLDEN_METRICS = {
                                "6b2ce7d5e4c353441ababf464a16eb4b4afba52556fad1da653a212a03dfd204"),
     "key-chain-gspo-epochs2": (dict(MODULATING, loss="gspo_seq", epochs=2),
                                "e1e981f61db55c513e46cc2e1272a72a3218976db20b53762868578215ccb8f1"),
+    # A seed of 2**32 or more is two words, so each prompt's entropy row has five.
+    "key-chain-seed-2^32": (dict(MODULATING, seed=2**32),
+                            "10b582ecc50475caa95008f4d157b4b906adee99c4ca9a8f0555759f50dae06d"),
+    "key-chain-seed-2^40+3": (dict(MODULATING, seed=2**40 + 3),
+                              "bab4e6445b2dd183167927d70b518fd1428be227764601af66bf51b40e70f62b"),
 }
 
 
@@ -472,3 +482,41 @@ def test_one_softmax_per_policy_version(fields, monkeypatch):
     monkeypatch.setattr(entlab.policy, "token_distribution", counted)
     train(TrainConfig(**fields))
     assert keys and len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**40 + 3, 2**64 + 1])
+@pytest.mark.parametrize("per_block", [12, 24, 1024], ids=["1-step-blocks", "2-step-blocks", "one-block"])
+def test_group_rngs_are_default_rng_of_each_child_seed(seed, per_block, monkeypatch):
+    """Group (step, p) gets child_rngs(_rng_for(seed, 1, step, p), group_size), whatever the block size.
+
+    3 prompts of 4 rollouts are 12 per step, so 5 steps end in a partial block of 24.
+    """
+    monkeypatch.setattr(entlab.trainer, "_ROLLOUTS_PER_BLOCK", per_block)
+    config = TrainConfig(**dict(FAST, prompts_per_step=3, steps=5, seed=seed))
+    got = [[r.bit_generator.state for r in rngs] for rngs in _group_rngs(config)]
+    expect = [[r.bit_generator.state for r in child_rngs(_rng_for(seed, 1, step, p), config.group_size)]
+              for step in range(config.steps) for p in range(config.prompts_per_step)]
+    assert got == expect
+
+
+def test_train_builds_no_default_rng_outside_shuffle(monkeypatch):
+    """Rollout generators come from seed_states; only the shuffle generator is a default_rng of the trainer.
+
+    Env construction keeps its own task-layout generator, so calls are counted by the calling module.
+    """
+    callers = []
+    original = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    for mode in ("aem", "off", "batch_norm"):
+        callers.clear()
+        train(TrainConfig(**dict(MODULATING, aem_mode=mode)))
+        assert callers and set(callers) == {"entlab.envs"}, (mode, callers)
+    callers.clear()
+    train(TrainConfig(**dict(MODULATING, aem_mode="shuffle")))
+    assert callers.count("entlab.trainer") == MODULATING["steps"]
+    assert set(callers) == {"entlab.envs", "entlab.trainer"}
