@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .envs import Env, EnvState, RewardScheme
-from .policy import PolicySnapshot, TablePolicy, response_space
+from .envs import Env, EnvState, RewardScheme, successors
+from .policy import PolicySnapshot, TablePolicy
 from .rollout import Group
 
 GRPO_EPS = 1e-8
@@ -57,32 +57,16 @@ def rloo_advantage(group: Group) -> AdvantageTable:
     return _broadcast(group, per_traj)
 
 
-def _transition_row(env: Env, state: EnvState, transitions: dict) -> tuple:
-    """env.step(state, response) for every response of response_space, cached in ``transitions``.
-
-    Dynamics are a pure function of (state, response), so a row holds for the
-    whole run, whatever the policy.  The table also maps each distinct
-    (next state, valid) pair to itself, so equal pairs in all rows share one object.
-    """
-    row = transitions.get(state)
-    if row is None:
-        row = transitions[state] = tuple(transitions.setdefault(pair, pair) for pair in (
-            env.step(state, list(tokens)) for tokens in response_space(env.vocab, env.max_len)))
-    return row
-
-
 def state_value(policy: TablePolicy | PolicySnapshot, env: Env, state: EnvState, scheme: RewardScheme,
-                _memo: dict | None = None, transitions: dict | None = None) -> float:
+                _memo: dict | None = None) -> float:
     """Exact on-policy value of a state by enumerating all continuations.
 
     Counts the terminal outcome payoff plus invalid penalties incurred from
     this state onward (penalties already paid earlier in the episode are sunk).
     ``_memo`` holds each state's value under one policy version, read through
-    PolicySnapshot.tree; ``transitions`` (see _transition_row) does not depend
-    on the policy and may be shared across calls.
+    PolicySnapshot.tree; next states are read from envs.successors.
     """
     _memo = {} if _memo is None else _memo
-    transitions = {} if transitions is None else transitions
     value = _memo.get(state)
     if value is not None:
         return value
@@ -91,30 +75,28 @@ def state_value(policy: TablePolicy | PolicySnapshot, env: Env, state: EnvState,
     else:
         snapshot = PolicySnapshot.of(policy)
         leaves = snapshot.tree(state.policy_key)[1]
-        row = _transition_row(env, state, transitions)
         penalty = scheme.invalid_penalty
         value = 0.0
-        for (_, prob), (nxt, valid) in zip(leaves, row, strict=True):
+        for (_, prob), (nxt, valid) in zip(leaves, successors(env, state), strict=True):
             if prob == 0.0:
                 continue
             v = _memo.get(nxt)
             if v is None:
-                v = state_value(snapshot, env, nxt, scheme, _memo, transitions)
+                v = state_value(snapshot, env, nxt, scheme, _memo)
             value += prob * ((0.0 if valid else penalty) + v)
     _memo[state] = value
     return value
 
 
 def oracle_value_advantage(group: Group, env: Env, policy: TablePolicy | PolicySnapshot,
-                           scheme: RewardScheme, transitions: dict | None = None) -> AdvantageTable:
+                           scheme: RewardScheme) -> AdvantageTable:
     """Exact-baseline advantage: R(trajectory) minus the enumerated value of each turn's state."""
     snapshot = PolicySnapshot.of(policy)
     memo: dict = {}
-    transitions = {} if transitions is None else transitions
     table = AdvantageTable()
     for i, traj in enumerate(group.trajectories):
         for t, turn in enumerate(traj.turns):
-            v = state_value(snapshot, env, turn.state, scheme, memo, transitions)
+            v = state_value(snapshot, env, turn.state, scheme, memo)
             table.values[(i, t)] = traj.reward - v
     return table
 
@@ -124,10 +106,8 @@ ESTIMATORS = ("grpo", "rloo", "oracle_value")
 
 def compute_advantages(group: Group, estimator: str, env: Env | None = None,
                        policy: TablePolicy | PolicySnapshot | None = None,
-                       scheme: RewardScheme | None = None,
-                       transitions: dict | None = None) -> AdvantageTable:
-    """Dispatch by estimator name; the oracle needs env, policy and scheme and reads or
-    fills ``transitions`` (see _transition_row)."""
+                       scheme: RewardScheme | None = None) -> AdvantageTable:
+    """Dispatch by estimator name; the oracle needs env, policy and scheme."""
     if estimator == "grpo":
         return grpo_advantage(group)
     if estimator == "rloo":
@@ -135,5 +115,5 @@ def compute_advantages(group: Group, estimator: str, env: Env | None = None,
     if estimator == "oracle_value":
         if env is None or policy is None or scheme is None:
             raise ValueError("oracle_value advantage needs env, policy and scheme")
-        return oracle_value_advantage(group, env, policy, scheme, transitions)
+        return oracle_value_advantage(group, env, policy, scheme)
     raise ValueError(f"unknown estimator {estimator!r}; choose from {ESTIMATORS}")

@@ -211,7 +211,7 @@ def cmd_probe_transition(args: argparse.Namespace) -> int:
     modulated = load_metrics(os.path.join(args.modulated, "metrics.jsonl"))
     summary = probes.transition_tracker(baseline, modulated)
     rows = [["step", "baseline_entropy", "modulated_entropy", "baseline_success", "modulated_success"]]
-    rows += [[step, b["policy_entropy_estimate"], m["policy_entropy_estimate"], b["success_rate"], m["success_rate"]]
+    rows += [[step, b.policy_entropy_estimate, m.policy_entropy_estimate, b.success_rate, m.success_rate]
              for step, (b, m) in enumerate(zip(baseline, modulated))]
     _write_outputs(args.out, "probe-transition",
                    {"transition.json": dataclasses.asdict(summary), "transition.csv": rows}, None, 0, {})
@@ -225,6 +225,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     variants = args.variants.split(",")
     seeds = [int(s) for s in args.seeds.split(",")]
+    if len(set(variants)) < len(variants) or len(set(seeds)) < len(seeds):
+        raise CliError(f"--variants and --seeds must each name every entry once, got {variants} and {seeds}")
     runs = [[config_from_doc({**config_to_doc(config), "aem_mode": variant, "seed": seed}) for seed in seeds]
             for variant in variants]
     os.makedirs(args.out, exist_ok=True)
@@ -264,13 +266,13 @@ def cmd_report(args: argparse.Namespace) -> int:
         metrics = load_metrics(os.path.join(run_dir, "metrics.jsonl"))
         files[f"{name}_series.csv"] = [
             ["step", "entropy", "success_rate", "mean_reward", "mean_alpha", "frac_positive_advantage"],
-            *([m["step"], m["policy_entropy_estimate"], m["success_rate"], m["mean_reward"], m["mean_alpha"],
-               m["frac_positive_advantage"]] for m in metrics),
+            *([m.step, m.policy_entropy_estimate, m.success_rate, m.mean_reward, m.mean_alpha,
+               m.frac_positive_advantage] for m in metrics),
         ]
         files[f"{name}_alpha_scatter.csv"] = [
             ["step", "group", "rollout", "turn", "h_bar", "h_tilde", "alpha", "advantage"],
-            *([m["step"], g, i, t, h_bar, "" if h_tilde is None else h_tilde, alpha, adv]
-              for m in metrics for g, i, t, h_bar, h_tilde, alpha, adv in m["spans"]),
+            *([m.step, g, i, t, h_bar, "" if h_tilde is None else h_tilde, alpha, adv]
+              for m in metrics for g, i, t, h_bar, h_tilde, alpha, adv in m.spans),
         ]
         verify_path = os.path.join(run_dir, "summary.json")
         if os.path.exists(verify_path):

@@ -19,6 +19,7 @@ reproduces its states exactly.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from typing import Protocol
 
@@ -304,28 +305,38 @@ _ENV_CLASSES = {
 }
 
 
+def successors(env: Env, state: EnvState) -> tuple[tuple[EnvState, bool], ...]:
+    """env.step(state, list(r)) for every response r of response_space, in that order, kept on the env.
+
+    Dynamics are a pure function of (state, response), so a row is computed once
+    per env, whatever the policy.  The table also maps each distinct (next state,
+    valid) pair to itself, so equal pairs in all rows share one object.
+    """
+    table = vars(env).setdefault("_successors", {})
+    row = table.get(state)
+    if row is None:
+        row = table[state] = tuple(table.setdefault(pair, pair) for pair in (
+            env.step(state, list(tokens)) for tokens in response_space(env.vocab, env.max_len)))
+    return row
+
+
+def reachable(env: Env, starts: Iterable[EnvState]) -> Iterator[EnvState]:
+    """Breadth-first and lazily: each distinct start (non-terminal, as a reset is), then every
+    non-terminal state reachable from them, once each in first-seen order."""
+    queue = list(dict.fromkeys(starts))
+    seen = set(queue)
+    for state in queue:  # the queue grows while it is walked
+        yield state
+        for nxt, _ in successors(env, state):
+            if not nxt.done and nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+
+
 def verify_success_reachable(env: Env) -> None:
     """Exhaustive check that every task has at least one success trajectory within the horizon."""
-    responses = response_space(env.vocab, env.max_len)
     for task_id in range(env.task_count):
-        frontier = [env.reset(task_id)]
-        seen = {frontier[0]}
-        found = False
-        while frontier and not found:
-            nxt: list[EnvState] = []
-            for state in frontier:
-                for resp in responses:
-                    new_state, _ = env.step(state, resp)
-                    if new_state.success:
-                        found = True
-                        break
-                    if not new_state.done and new_state not in seen:
-                        seen.add(new_state)
-                        nxt.append(new_state)
-                if found:
-                    break
-            frontier = nxt
-        if not found:
+        if not any(nxt.success for state in reachable(env, [env.reset(task_id)]) for nxt, _ in successors(env, state)):
             raise ValueError(f"{env.kind} task {task_id} has no success trajectory within the horizon")
 
 

@@ -17,6 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .geometry import entropy
+
 # Hard ceiling on the number of complete responses an exact enumeration is
 # allowed to touch.  More than this means the caller asked for an exact
 # quantity on a policy that is not desk-scale any more.
@@ -130,10 +132,6 @@ def token_distribution(policy: TablePolicy, state: str, prefix: tuple[int, ...])
     return p / p.sum()
 
 
-def _entropy(p: np.ndarray) -> float:
-    return float(-(p * np.log(p)).sum())
-
-
 #: Generator.choice's tolerance on |sum(p) - 1|, which a snapshot checks once per entry.
 _SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
@@ -144,7 +142,7 @@ class PolicySnapshot:
     entry(state, prefix) is the sampler's (p, cdf, logp, H), built on first read from
     token_distribution and checked once as Generator.choice checks p (non-negative, finite,
     summing to 1 within its tolerance): cdf is cumsum(p) / cumsum(p)[-1] as a list, the array
-    choice searches, logp is np.log(p) as a list and H is _entropy(p).  tree(state) is
+    choice searches, logp is np.log(p) as a list and H is entropy(p).  tree(state) is
     (dists, leaves), walked once in _tree_shape order, taking an entry's p where there is
     one: each internal prefix's softmax, and the sorted complete responses with probabilities
     multiplied root to leaf.  Every exact route reads it.  Reading after a write raises.
@@ -171,7 +169,7 @@ class PolicySnapshot:
                 raise ValueError(f"next-token probabilities at {(state, prefix)!r} are not a distribution: {p}")
             cdf = p.cumsum()
             cdf /= cdf[-1]
-            found = self._entries[(state, prefix)] = (p, cdf.tolist(), np.log(p).tolist(), _entropy(p))
+            found = self._entries[(state, prefix)] = (p, cdf.tolist(), np.log(p).tolist(), entropy(p))
         return found
 
     def tree(self, state: str) -> tuple[dict[tuple[int, ...], np.ndarray], list[tuple[tuple[int, ...], float]]]:
@@ -303,16 +301,23 @@ def pathwise_entropy(policy: TablePolicy | PolicySnapshot, state: str) -> float:
     roundoff; the two routes share only the tree enumeration, not the formula.
     """
     dists, paths = PolicySnapshot.of(policy).tree(state)
-    entropies = {u: _entropy(p) for u, p in dists.items()}
     total = 0.0
-    for tokens, prob in paths:
-        if prob == 0.0:
-            continue
+    for (_, prob), path_sum in zip(paths, path_entropy_sums(dists, paths)):
+        if prob != 0.0:
+            total += prob * path_sum
+    return total
+
+
+def path_entropy_sums(dists: dict, paths: list) -> list[float]:
+    """sum_k H(tokens[:k]) for each path of a response tree (dists, paths), added left to right, in path order."""
+    entropies = {u: entropy(p) for u, p in dists.items()}
+    sums = []
+    for tokens, _ in paths:
         path_sum = 0.0
         for k in range(len(tokens)):
             path_sum += entropies[tokens[:k]]
-        total += prob * path_sum
-    return total
+        sums.append(path_sum)
+    return sums
 
 
 def mc_response_entropy(policy: TablePolicy, state: str, n_samples: int, rng: np.random.Generator) -> float:

@@ -10,9 +10,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envs import Env
+from .envs import Env, reachable
 from .modulation import group_minmax_normalize, modulation_coeffs, response_entropy_proxy
-from .policy import PolicySnapshot, TablePolicy, _entropy, response_space, sample_response
+from .geometry import entropy
+from .policy import PolicySnapshot, TablePolicy, path_entropy_sums, sample_response
 from .trainer import StepMetrics
 
 #: A doob_probe residual mean this small is float roundoff and passes, whatever its stderr.
@@ -129,17 +130,10 @@ def doob_probe(policy: TablePolicy | PolicySnapshot, state: str, n_samples: int,
     |mean| <= max(4 * stderr, DOOB_ROUNDOFF).
     """
     dists, paths = PolicySnapshot.of(policy).tree(state)
-    entropies = {u: _entropy(p) for u, p in dists.items()}
     probs = np.array([p for _, p in paths])
-    residuals = np.empty(len(paths))
-    lengths = np.empty(len(paths), dtype=int)
-    for j, (tokens, prob) in enumerate(paths):
-        entropy_sum = 0.0
-        for k in range(len(tokens)):
-            entropy_sum += entropies[tokens[:k]]
-        surprisal = -math.log(prob) if prob > 0.0 else math.inf
-        residuals[j] = surprisal - entropy_sum
-        lengths[j] = len(tokens)
+    residuals = np.array([(-math.log(prob) if prob > 0.0 else math.inf) - entropy_sum
+                          for (_, prob), entropy_sum in zip(paths, path_entropy_sums(dists, paths))])
+    lengths = np.array([len(tokens) for tokens, _ in paths], dtype=int)
 
     idx = rng.choice(len(paths), size=n_samples, p=probs / probs.sum())
     sample = residuals[idx]
@@ -163,7 +157,7 @@ def doob_exact_residuals(policy: TablePolicy | PolicySnapshot, state: str) -> di
     identically zero; the numbers returned measure only float roundoff.
     """
     dists = PolicySnapshot.of(policy).tree(state)[0]
-    return {u: float((p * (-np.log(p) - _entropy(p))).sum()) for u, p in dists.items()}
+    return {u: float((p * (-np.log(p) - entropy(p))).sum()) for u, p in dists.items()}
 
 
 @dataclass
@@ -182,17 +176,11 @@ class TransitionSummary:
     modulated_early_frac_positive: float
 
 
-def _series(metrics: list, name: str) -> list[float]:
-    out = []
-    for m in metrics:
-        if isinstance(m, StepMetrics):
-            out.append(getattr(m, name))
-        else:
-            out.append(m[name])
-    return out
+def _series(metrics: list[StepMetrics], name: str) -> list[float]:
+    return [getattr(m, name) for m in metrics]
 
 
-def transition_tracker(baseline: list, modulated: list) -> TransitionSummary:
+def transition_tracker(baseline: list[StepMetrics], modulated: list[StepMetrics]) -> TransitionSummary:
     """Align a baseline run with a modulated run and summarize the entropy transition.
 
     Early/late values are means over the first/last quartile of steps; final
@@ -231,28 +219,12 @@ def transition_tracker(baseline: list, modulated: list) -> TransitionSummary:
 
 
 def reachable_states(env: Env, limit: int = 10000) -> list[str]:
-    """Policy keys of all non-terminal states reachable within the horizon, BFS order."""
-    responses = response_space(env.vocab, env.max_len)
+    """Policy keys of all non-terminal states reachable within the horizon, BFS order;
+    more than ``limit`` reachable states raise."""
     keys: list[str] = []
-    seen = set()
-    frontier = []
-    for task_id in range(env.task_count):
-        state = env.reset(task_id)
-        if state not in seen:
-            seen.add(state)
-            frontier.append(state)
-            keys.append(state.policy_key)
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for resp in responses:
-                new_state, _ = env.step(state, resp)
-                if not new_state.done and new_state not in seen:
-                    seen.add(new_state)
-                    nxt.append(new_state)
-                    keys.append(new_state.policy_key)
-                    if len(keys) >= limit:
-                        raise ValueError(f"more than {limit} reachable states")
-        frontier = nxt
+    for count, state in enumerate(reachable(env, [env.reset(task_id) for task_id in range(env.task_count)]), 1):
+        if count > limit:
+            raise ValueError(f"more than {limit} reachable states")
+        keys.append(state.policy_key)
     # Distinct policy keys in first-seen order (different raw states can share a key).
     return list(dict.fromkeys(keys))

@@ -327,7 +327,6 @@ def train(
     policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
     ref_policy = policy.copy()
     ref = PolicySnapshot(ref_policy)  # never written, so one snapshot serves the whole run
-    transitions: dict = {}
 
     timings = {"rollout": 0.0, "advantage": 0.0, "aem": 0.0, "update": 0.0, "total": 0.0}
     metrics: list[StepMetrics] = []
@@ -350,8 +349,7 @@ def train(
 
             t0 = time.perf_counter()
             trained = filter_degenerate_groups(groups, config.filter_mode)
-            tables = [compute_advantages(g, config.estimator, env=env, policy=snapshot, scheme=scheme,
-                                         transitions=transitions) for g in trained]
+            tables = [compute_advantages(g, config.estimator, env=env, policy=snapshot, scheme=scheme) for g in trained]
             timings["advantage"] += time.perf_counter() - t0
 
             t0 = time.perf_counter()
@@ -407,10 +405,27 @@ def train(
     return TrainResult(policy=policy, ref_policy=ref_policy, metrics=metrics, timings=timings)
 
 
-def load_metrics(path: str) -> list[dict]:
-    """Read a metrics JSONL file back into per-step dicts."""
+def load_metrics(path: str) -> list[StepMetrics]:
+    """Read a metrics JSONL file back into StepMetrics records, refusing the first line that is not one:
+    exactly the StepMetrics fields, an int step, six finite numbers and spans rows of 7 values."""
+    names = [f.name for f in fields(StepMetrics)]
+    records = []
     with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+            except ValueError:
+                doc = None
+            if not (isinstance(doc, dict) and doc.keys() == set(names) and type(doc["step"]) is int
+                    and all(type(doc[n]) in (int, float) and math.isfinite(doc[n]) for n in names[1:-1])
+                    and isinstance(doc["spans"], list)
+                    and all(isinstance(row, list) and len(row) == 7 for row in doc["spans"])):
+                raise ValueError(f"metrics file {path} line {number} is not a step record: exactly the fields "
+                                 f"{', '.join(names)}, an int step, finite numbers and spans rows of 7 values")
+            records.append(StepMetrics(**doc))
+    return records
 
 
 def _step_metrics(step: int, collected: list[Group], trained: list[Group],

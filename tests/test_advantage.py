@@ -12,8 +12,9 @@ from entlab.advantage import (
     rloo_advantage,
     state_value,
 )
-from entlab.envs import REWARD_SCHEMES, make_env
+from entlab.envs import REWARD_SCHEMES, make_env, reachable
 from entlab.policy import Response, TablePolicy, _tree_shape, enumerate_responses, response_space
+from entlab.probes import reachable_states
 from entlab.rollout import Group, Trajectory, Turn, collect_group
 from seeding import child_rngs
 
@@ -205,22 +206,41 @@ def _random_logits(env, states, seed):
     ("bandit-chain", {}),
 ])
 def test_state_value_is_bit_identical_to_recursive_walk(kind, overrides):
-    """The transition table and the per-key enumeration change no float bit, whatever the policy."""
+    """The env's successors table and the per-key enumeration change no float bit, whatever the policy."""
     env = make_env(kind, seed=0, **overrides)
     scheme = REWARD_SCHEMES["sparse"]
     states = _reachable(env)
-    shared: dict = {}
     for seed in (0, 1):
         policy = _random_logits(env, states, seed)
         logits = {key: vec.copy() for key, vec in policy.logits.items()}
         want_memo: dict = {}
         want = [_state_value_recursive(policy, env, s, scheme, want_memo) for s in states]
         memo: dict = {}
-        # One table across both policies (the second reads what the first filled) ...
-        assert [state_value(policy, env, s, scheme, memo, shared) for s in states] == want
+        # One env table across both policies (the second reads what the first filled) ...
+        assert [state_value(policy, env, s, scheme, memo) for s in states] == want
         # ... against fresh caches at each task's initial state, which walk every state below it.
         roots = states[:env.task_count]
         assert [state_value(policy, env, s, scheme) for s in roots] == want[:env.task_count]
         assert policy.logits.keys() == logits.keys()
         assert all(np.array_equal(policy.logits[key], vec) for key, vec in logits.items())
-    assert all(shared[s] for s in states)
+    assert all(env._successors[s] for s in states)
+
+
+@pytest.mark.parametrize("kind", ["key-chain", "grid-fetch", "bandit-chain"])
+def test_state_value_after_reachable_states_makes_no_env_step(kind, monkeypatch):
+    """reachable_states fills the env's successors table, so exact values read it and never step."""
+    env = make_env(kind, seed=0)
+    reachable_states(env)
+    calls = []
+    original = type(env).step
+
+    def counted(self, state, tokens):
+        calls.append(state)
+        return original(self, state, tokens)
+
+    monkeypatch.setattr(type(env), "step", counted)
+    states = list(reachable(env, [env.reset(task) for task in range(env.task_count)]))
+    policy = _random_logits(env, states, seed=0)
+    for state in states:
+        state_value(policy, env, state, REWARD_SCHEMES["sparse"], {})
+    assert calls == []

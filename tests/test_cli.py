@@ -19,7 +19,7 @@ from entlab.config import apply_overrides, config_from_doc, config_to_doc, load_
 from entlab.envs import make_env
 from entlab.policy import TablePolicy, save_checkpoint
 from entlab.probes import reachable_states
-from entlab.trainer import TrainConfig
+from entlab.trainer import StepMetrics, TrainConfig
 
 FAST_SET = [
     "--set", "steps=3",
@@ -294,6 +294,11 @@ COMMAND_ERRORS = [
     ["probe-doob", "--checkpoint", "{no_max_len}"], ["probe-doob", "--checkpoint", "{string_max_len}"],
     ["probe-doob", "--checkpoint", "{bool_vocab_size}"], ["probe-doob", "--checkpoint", "{float_terminator_id}"],
     ["probe-doob", "--checkpoint", "{entries_object}"], ["probe-consistency", "--checkpoint", "{string_max_len}"],
+    ["ablate", "--variants", "aem,aem", "--seeds", "0,0"], ["ablate", "--variants", "aem,aem", "--seeds", "0"],
+    ["ablate", "--variants", "aem", "--seeds", "0,0"],
+    ["report", "--run", "{no_entropy_run}"], ["report", "--run", "{nan_entropy_run}"],
+    ["report", "--run", "{short_span_run}"],
+    ["probe-transition", "--baseline", "{no_entropy_run}", "--modulated", "{no_entropy_run}"],
 ]
 #: Copies of "{ckpt}" whose first entry is broken one way each (vocab 3, max_len 2).
 BROKEN_ENTRIES = {
@@ -315,6 +320,23 @@ BROKEN_DOCUMENTS = {
 }
 
 
+#: Run directories whose one metrics line is broken one way each.
+BROKEN_RUNS = {
+    "{no_entropy_run}": lambda doc: {k: v for k, v in doc.items() if k != "policy_entropy_estimate"},
+    "{nan_entropy_run}": lambda doc: dict(doc, policy_entropy_estimate=float("nan")),
+    "{short_span_run}": lambda doc: dict(doc, spans=[[0, 0, 0, 1.0, None, 1.0]]),
+}
+
+
+def _broken_run(tmp_path, name: str):
+    record = StepMetrics(step=0, mean_reward=1.0, success_rate=1.0, policy_entropy_estimate=0.5, mean_alpha=1.0,
+                         frac_positive_advantage=0.5, loss_value=0.0, spans=[[0, 0, 0, 0.5, None, 1.0, 0.5]])
+    run = tmp_path / name.strip("{}")
+    run.mkdir()
+    (run / "metrics.jsonl").write_text(json.dumps(BROKEN_RUNS[name](record.to_doc())) + "\n")
+    return run
+
+
 def _broken_checkpoint(ckpt, name: str):
     doc = json.loads(ckpt.read_text())
     if name in BROKEN_DOCUMENTS:
@@ -329,7 +351,8 @@ def _broken_checkpoint(ckpt, name: str):
 @pytest.mark.parametrize("argv", COMMAND_ERRORS, ids=" ".join)
 def test_command_errors_exit_1_before_any_file(argv, tmp_path):
     ckpt = _structured_checkpoint(tmp_path)
-    paths = {"{ckpt}": ckpt, **{name: _broken_checkpoint(ckpt, name) for name in [*BROKEN_ENTRIES, *BROKEN_DOCUMENTS]}}
+    paths = {"{ckpt}": ckpt, **{name: _broken_checkpoint(ckpt, name) for name in [*BROKEN_ENTRIES, *BROKEN_DOCUMENTS]},
+             **{name: _broken_run(tmp_path, name) for name in BROKEN_RUNS}}
     _assert_refused_before_out([str(paths.get(a, a)) for a in argv], tmp_path, timeout=60)
 
 

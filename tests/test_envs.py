@@ -178,6 +178,14 @@ def test_make_env_verifies_and_rejects_unknown_kind():
         env.reset(env.task_count)
 
 
+def test_verify_success_reachable_refuses_an_unsolvable_task():
+    """A key holding the terminator cannot be emitted: content stops at the terminator."""
+    env = KeyChainEnv(seed=0, task_count=3)
+    env.keys[2][1] = (0, env.vocab.terminator_id)
+    with pytest.raises(ValueError, match="key-chain task 2 has no success trajectory"):
+        verify_success_reachable(env)
+
+
 def test_env_seeds_change_tasks():
     a = KeyChainEnv(seed=0)
     b = KeyChainEnv(seed=1)

@@ -10,6 +10,7 @@ import pytest
 
 from entlab.advantage import state_value
 from entlab.envs import REWARD_SCHEMES, make_env
+from entlab.geometry import entropy
 from entlab.policy import (
     EnumerationBudgetError,
     PolicySnapshot,
@@ -27,7 +28,6 @@ from entlab.policy import (
     save_checkpoint,
     token_distribution,
     _check_budget,
-    _entropy,
     _tree_shape,
 )
 import entlab.policy as policy_module
@@ -128,7 +128,7 @@ def _sample_with_choice(policy, state, rng):
         tok = int(rng.choice(policy.vocab.size, p=p))
         tokens.append(tok)
         logprobs.append(float(np.log(p[tok])))
-        entropies.append(_entropy(p))
+        entropies.append(entropy(p))
         if tok == policy.vocab.terminator_id:
             break
     return Response(tokens=tokens, logprobs=logprobs, entropies=entropies)
@@ -203,7 +203,7 @@ def test_snapshot_entries_are_the_token_distribution_bit_for_bit():
             csum = want.cumsum()
             assert cdf == (csum / csum[-1]).tolist()
             assert logp == np.log(want).tolist()
-            assert h == _entropy(want)
+            assert h == entropy(want)
             assert snapshot.entry(state, prefix)[1] is cdf
         assert list(policy.logits) == list(before)
         assert all(np.array_equal(policy.logits[k], v) for k, v in before.items())
@@ -288,7 +288,7 @@ def test_response_tree_is_bit_identical_to_per_call_walk(size, max_len):
             assert list(dists) == list(want_dists)
             assert all(np.array_equal(dists[u], p) for u, p in want_dists.items())
             assert paths == want_paths
-            assert {u: _entropy(p) for u, p in dists.items()} == want_entropies
+            assert {u: entropy(p) for u, p in dists.items()} == want_entropies
             assert [tokens for tokens, _ in paths] == list(response_space(policy.vocab, max_len))
             assert snapshot.tree("s") is snapshot.tree("s")
 

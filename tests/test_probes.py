@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from entlab.envs import make_env
+from entlab.envs import make_env, reachable
 from entlab.policy import TablePolicy, Vocabulary, random_policy
 from entlab.probes import (
     DOOB_ROUNDOFF,
@@ -121,12 +121,7 @@ def _metrics(step, entropy, success, pos):
 def test_transition_tracker_quartile_means():
     n = 8
     baseline = [_metrics(i, 2.0 - 0.2 * i, 0.1 * i, 0.5) for i in range(n)]
-    # Dict records must be accepted alongside dataclass records.
-    modulated = [
-        {"step": i, "policy_entropy_estimate": 1.5 - 0.1 * i,
-         "success_rate": 0.05 * i, "frac_positive_advantage": 0.25}
-        for i in range(n)
-    ]
+    modulated = [_metrics(i, 1.5 - 0.1 * i, 0.05 * i, 0.25) for i in range(n)]
     summary = transition_tracker(baseline, modulated)
     assert summary.n_steps == n
     assert summary.quartile == 2
@@ -156,6 +151,14 @@ def test_reachable_state_counts_match_env_structure():
 def test_reachable_states_enforces_limit():
     with pytest.raises(ValueError):
         reachable_states(make_env("grid-fetch", seed=0), limit=10)
+    # The limit counts raw states (several can share a policy key) and refuses only more than it.
+    for kind in ("key-chain", "grid-fetch", "bandit-chain"):
+        env = make_env(kind, seed=0)
+        count = sum(1 for _ in reachable(env, [env.reset(task) for task in range(env.task_count)]))
+        assert reachable_states(env, limit=count) == reachable_states(env)
+        with pytest.raises(ValueError, match=f"more than {count - 1} reachable states"):
+            reachable_states(env, limit=count - 1)
+    assert len(reachable_states(make_env("key-chain", seed=0), limit=16)) == 16
 
 
 def test_reachable_states_start_with_task_resets():

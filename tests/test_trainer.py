@@ -410,8 +410,9 @@ def test_metrics_log_round_trip(tmp_path):
     config = TrainConfig(**FAST)
     path = tmp_path / "metrics.jsonl"
     result = train(config, metrics_path=str(path))
-    docs = load_metrics(str(path))
-    assert docs == [m.to_doc() for m in result.metrics]
+    records = load_metrics(str(path))
+    assert records == result.metrics
+    docs = [m.to_doc() for m in records]
     keys = {
         "step", "mean_reward", "success_rate", "policy_entropy_estimate",
         "mean_alpha", "frac_positive_advantage", "loss_value", "spans",
