@@ -21,7 +21,6 @@ from __future__ import annotations
 import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
-from typing import Protocol
 
 import numpy as np
 
@@ -88,28 +87,47 @@ def _require_positive(env, *names: str) -> None:
 
 def _content(tokens: list[int], terminator_id: int) -> list[int]:
     """Tokens before the first terminator (all tokens when truncation ended the response)."""
-    out: list[int] = []
-    for tok in tokens:
-        if tok == terminator_id:
-            break
-        out.append(tok)
-    return out
+    return tokens[:tokens.index(terminator_id)] if terminator_id in tokens else tokens
 
 
-class Env(Protocol):
+class Env:
+    """The episode contract every environment shares; each kind writes only _start and _move.
+
+    reset checks the task id and starts at step 0.  step refuses a terminated
+    state and moves on the response's content, so dynamics are a pure function
+    of (state, content) and the reward is left to terminal_reward.  A kind sets
+    kind, vocab, max_len, horizon and task_count, and keeps its task table as
+    tuples, because successors keeps rows computed from it.
+    """
+
     kind: str
     vocab: Vocabulary
     max_len: int
     horizon: int
     task_count: int
 
-    def reset(self, task_id: int) -> EnvState: ...
+    def reset(self, task_id: int) -> EnvState:
+        if not 0 <= task_id < self.task_count:
+            raise ValueError(f"task_id {task_id} outside [0, {self.task_count})")
+        return EnvState(self.kind, task_id, 0, self._start(task_id))
 
-    def step(self, state: EnvState, tokens: list[int]) -> tuple[EnvState, bool]: ...
+    def step(self, state: EnvState, tokens: list[int]) -> tuple[EnvState, bool]:
+        if state.done:
+            raise ValueError("step called on a terminated state")
+        features, valid, success, done = self._move(state, _content(tokens, self.vocab.terminator_id))
+        return EnvState(self.kind, state.task_id, state.step_index + 1, features, done, success), valid
+
+    def _start(self, task_id: int) -> tuple[int, ...]:
+        """Features of task ``task_id``'s first state."""
+        raise NotImplementedError
+
+    def _move(self, state: EnvState, content: list[int]) -> tuple[tuple[int, ...], bool, bool, bool]:
+        """(features, valid, success, done) of the turn after ``state`` whose response has ``content``."""
+        raise NotImplementedError
 
 
 @dataclass
-class KeyChainEnv:
+class KeyChainEnv(Env):
     """Emit the turn's secret key exactly, or the episode ends in failure.
 
     A response is invalid when its content length differs from the key
@@ -134,42 +152,21 @@ class KeyChainEnv:
         # window, and the terminator only appears in (invalid) short responses.
         self.max_len = self.key_len
         rng = np.random.default_rng(np.random.SeedSequence([7, self.seed]))
-        self.keys = [
-            [tuple(int(t) for t in rng.integers(0, self.n_content, self.key_len)) for _ in range(self.chain_len)]
+        self.keys = tuple(
+            tuple(tuple(int(t) for t in rng.integers(0, self.n_content, self.key_len)) for _ in range(self.chain_len))
             for _ in range(self.task_count)
-        ]
-
-    def reset(self, task_id: int) -> EnvState:
-        if not 0 <= task_id < self.task_count:
-            raise ValueError(f"task_id {task_id} outside [0, {self.task_count})")
-        return EnvState(env_kind=self.kind, task_id=task_id, step_index=0, features=(0,))
-
-    def step(self, state: EnvState, tokens: list[int]) -> tuple[EnvState, bool]:
-        if state.done:
-            raise ValueError("step called on a terminated state")
-        progress = state.features[0]
-        content = _content(tokens, self.vocab.terminator_id)
-        valid = len(content) == self.key_len
-        correct = valid and tuple(content) == self.keys[state.task_id][progress]
-        nxt_step = state.step_index + 1
-        if correct:
-            progress += 1
-            success = progress == self.chain_len
-            done = success or nxt_step >= self.horizon
-        else:
-            success = False
-            done = True
-        return (
-            EnvState(
-                env_kind=self.kind,
-                task_id=state.task_id,
-                step_index=nxt_step,
-                features=(progress,),
-                done=done,
-                success=success,
-            ),
-            valid,
         )
+
+    def _start(self, task_id: int) -> tuple[int, ...]:
+        return (0,)
+
+    def _move(self, state: EnvState, content: list[int]) -> tuple[tuple[int, ...], bool, bool, bool]:
+        progress = state.features[0]
+        valid = len(content) == self.key_len
+        if not (valid and tuple(content) == self.keys[state.task_id][progress]):
+            return (progress,), valid, False, True
+        success = progress + 1 == self.chain_len
+        return (progress + 1,), valid, success, success or state.step_index + 1 >= self.horizon
 
 
 # Movement tokens for grid-fetch: index into (dx, dy).
@@ -177,7 +174,7 @@ _MOVES = [(0, -1), (0, 1), (-1, 0), (1, 0)]
 
 
 @dataclass
-class GridFetchEnv:
+class GridFetchEnv(Env):
     """Navigate a small grid to a goal cell; each turn executes up to a few moves.
 
     Off-grid moves clip at the walls.  A response with no movement tokens is
@@ -200,49 +197,31 @@ class GridFetchEnv:
         self.vocab = Vocabulary(size=5, terminator_id=4)
         self.max_len = self.moves_per_turn + 1
         rng = np.random.default_rng(np.random.SeedSequence([11, self.seed]))
-        self.tasks = []
+        tasks = []
         cells = [(x, y) for x in range(self.width) for y in range(self.height)]
-        while len(self.tasks) < self.task_count:
+        while len(tasks) < self.task_count:
             start = cells[int(rng.integers(len(cells)))]
             goal = cells[int(rng.integers(len(cells)))]
             dist = abs(start[0] - goal[0]) + abs(start[1] - goal[1])
             if 2 <= dist <= self.moves_per_turn * self.horizon:
-                self.tasks.append((start, goal))
+                tasks.append((start, goal))
+        self.tasks = tuple(tasks)
 
-    def reset(self, task_id: int) -> EnvState:
-        if not 0 <= task_id < self.task_count:
-            raise ValueError(f"task_id {task_id} outside [0, {self.task_count})")
-        start, _ = self.tasks[task_id]
-        return EnvState(env_kind=self.kind, task_id=task_id, step_index=0, features=start)
+    def _start(self, task_id: int) -> tuple[int, ...]:
+        return self.tasks[task_id][0]
 
-    def step(self, state: EnvState, tokens: list[int]) -> tuple[EnvState, bool]:
-        if state.done:
-            raise ValueError("step called on a terminated state")
+    def _move(self, state: EnvState, content: list[int]) -> tuple[tuple[int, ...], bool, bool, bool]:
         x, y = state.features
-        content = _content(tokens, self.vocab.terminator_id)
-        valid = len(content) > 0
         for tok in content:
             dx, dy = _MOVES[tok]
             x = min(max(x + dx, 0), self.width - 1)
             y = min(max(y + dy, 0), self.height - 1)
-        nxt_step = state.step_index + 1
         success = (x, y) == self.tasks[state.task_id][1]
-        done = success or nxt_step >= self.horizon
-        return (
-            EnvState(
-                env_kind=self.kind,
-                task_id=state.task_id,
-                step_index=nxt_step,
-                features=(x, y),
-                done=done,
-                success=success,
-            ),
-            valid,
-        )
+        return (x, y), len(content) > 0, success, success or state.step_index + 1 >= self.horizon
 
 
 @dataclass
-class BanditChainEnv:
+class BanditChainEnv(Env):
     """One arm choice per turn, judged only at the end of the chain.
 
     The first content token names the arm; trailing tokens are free text the
@@ -265,37 +244,20 @@ class BanditChainEnv:
         self.vocab = Vocabulary(size=self.n_arms + 1, terminator_id=self.n_arms)
         self.max_len = 2
         rng = np.random.default_rng(np.random.SeedSequence([13, self.seed]))
-        self.arms = [
-            [int(a) for a in rng.integers(0, self.n_arms, self.chain_len)] for _ in range(self.task_count)
-        ]
+        self.arms = tuple(
+            tuple(int(a) for a in rng.integers(0, self.n_arms, self.chain_len)) for _ in range(self.task_count)
+        )
 
-    def reset(self, task_id: int) -> EnvState:
-        if not 0 <= task_id < self.task_count:
-            raise ValueError(f"task_id {task_id} outside [0, {self.task_count})")
-        return EnvState(env_kind=self.kind, task_id=task_id, step_index=0, features=(0, 0))
+    def _start(self, task_id: int) -> tuple[int, ...]:
+        return (0, 0)
 
-    def step(self, state: EnvState, tokens: list[int]) -> tuple[EnvState, bool]:
-        if state.done:
-            raise ValueError("step called on a terminated state")
+    def _move(self, state: EnvState, content: list[int]) -> tuple[tuple[int, ...], bool, bool, bool]:
         turn, n_correct = state.features
-        content = _content(tokens, self.vocab.terminator_id)
         valid = len(content) > 0
         if valid and content[0] == self.arms[state.task_id][turn]:
             n_correct += 1
-        nxt_step = state.step_index + 1
-        done = nxt_step >= self.chain_len
-        success = done and n_correct == self.chain_len
-        return (
-            EnvState(
-                env_kind=self.kind,
-                task_id=state.task_id,
-                step_index=nxt_step,
-                features=(nxt_step, n_correct),
-                done=done,
-                success=success,
-            ),
-            valid,
-        )
+        done = state.step_index + 1 >= self.chain_len
+        return (state.step_index + 1, n_correct), valid, done and n_correct == self.chain_len, done
 
 
 _ENV_CLASSES = {

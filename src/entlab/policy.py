@@ -42,10 +42,6 @@ class Vocabulary:
         if not 0 <= self.terminator_id < self.size:
             raise ValueError(f"terminator_id {self.terminator_id} outside vocabulary of size {self.size}")
 
-    @property
-    def content_ids(self) -> list[int]:
-        return [t for t in range(self.size) if t != self.terminator_id]
-
 
 @dataclass
 class Response:
@@ -65,10 +61,6 @@ class Response:
             raise ValueError("tokens, logprobs and entropies must have equal length")
         if not self.tokens:
             raise ValueError("a response has at least one token (the terminator)")
-
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
 
     @property
     def surprisal(self) -> float:
@@ -178,7 +170,6 @@ class PolicySnapshot:
             raise RuntimeError("policy snapshot read after a logit_vector write to its policy")
         found = self._trees.get(state)
         if found is None:
-            _check_budget(self.policy.vocab, self.policy.max_len)
             internal, leaves = _tree_shape(self.policy.vocab, self.policy.max_len)
             dists: dict[tuple[int, ...], np.ndarray] = {}
             probs: dict[tuple[int, ...], float] = {(): 1.0}
@@ -236,9 +227,11 @@ def _check_budget(vocab: Vocabulary, max_len: int) -> None:
 @lru_cache(maxsize=16)
 def _tree_shape(vocab: Vocabulary, max_len: int) -> tuple:
     """The one definition of when a response ends: each internal (prefix, children) in
-    depth-first walk order, and the sorted complete responses (terminator or max_len)."""
+    depth-first walk order, and the sorted complete responses (terminator or max_len).
+    Every enumeration starts here, so an over-budget shape is refused before it is built."""
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
+    _check_budget(vocab, max_len)
     internal: list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = []
     leaves: list[tuple[int, ...]] = []
     stack: list[tuple[int, ...]] = [()]

@@ -91,11 +91,10 @@ class TrainConfig:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         if self.filter_mode not in FILTER_MODES:
             raise ValueError(f"filter_mode must be one of {FILTER_MODES}, got {self.filter_mode!r}")
-        # Build the env so that bad sizes fail before any file is written.
+        # Build the env so that bad sizes fail before any file is written.  Every run enumerates
+        # response_space (make_env's solvability check), so an over-budget one is refused up front too.
         env = env_class(self.env_kind, self.env_overrides)(seed=self.env_seed, **self.env_overrides)
-        if self.kl_coef != 0.0 or self.entropy_coef != 0.0 or self.estimator == "oracle_value":
-            # The run will enumerate response trees: refuse an over-budget one up front too.
-            _check_budget(env.vocab, env.max_len)
+        _check_budget(env.vocab, env.max_len)
 
 
 @dataclass

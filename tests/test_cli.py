@@ -268,7 +268,8 @@ def test_range_errors_exit_1_before_any_file(sets, tmp_path):
     _assert_refused_before_out(["train", *(a for item in sets for a in ("--set", item))], tmp_path, timeout=30)
 
 
-#: Bad inputs of every command other than train, one per row; "{ckpt}" is a key-chain checkpoint.
+#: Bad inputs of every command, one per row, besides train's range rules above; "{ckpt}" is a key-chain
+#: checkpoint.  The train row is over the enumeration budget with no regularizer: every run's make_env enumerates.
 #: Each must be refused before --out exists, so a run that starts work anyway is caught by the timeout.
 COMMAND_ERRORS = [
     ["verify", "--trials", "0"], ["verify", "--trials", "x"], ["verify", "--kind", "resp", "--trials", "3", "--fd-step", "0"],
@@ -299,6 +300,7 @@ COMMAND_ERRORS = [
     ["report", "--run", "{no_entropy_run}"], ["report", "--run", "{nan_entropy_run}"],
     ["report", "--run", "{short_span_run}"],
     ["probe-transition", "--baseline", "{no_entropy_run}", "--modulated", "{no_entropy_run}"],
+    ["train", "--set", "kl_coef=0", "--set", "env_overrides.key_len=20"],
 ]
 #: Copies of "{ckpt}" whose first entry is broken one way each (vocab 3, max_len 2).
 BROKEN_ENTRIES = {

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from entlab.envs import (
@@ -12,10 +14,35 @@ from entlab.envs import (
     KeyChainEnv,
     RewardScheme,
     make_env,
+    reachable,
+    successors,
     terminal_reward,
     verify_success_reachable,
 )
 from entlab.rollout import Trajectory
+
+#: sha256 of repr([(state, successors(env, state)) for every reachable state]) at env seed 0: the dynamics
+#: of every kind, defaults and one other size, pinned row by row, so a change to reset, step or a task table shows.
+SUCCESSOR_DIGESTS = [
+    ("key-chain", {}, 16, "9946a2f0c8b0d2af3895d652c41bdedbf7e605f26861f4461200e2150f91c806"),
+    ("key-chain", {"n_content": 3, "key_len": 3, "chain_len": 3}, 24,
+     "4cddc4feda99648a2c7a0377c94663e9a09df3a03be61cde00e4868fdfa67ae9"),
+    ("grid-fetch", {}, 411, "2fe4983d27371db422158343899f640629fc48d57c0b777ad887a6e34ed72273"),
+    ("grid-fetch", {"width": 5, "height": 3, "moves_per_turn": 3}, 395,
+     "e381cb159c98d739d5753f9e4fefe44af9d1648bdf3821d8dfce4c137c8dbbff"),
+    ("bandit-chain", {}, 80, "dca4c80c72094520bc17f5060f7b246922ac7786f398b02b89d66636e22e0ac9"),
+    ("bandit-chain", {"n_arms": 3, "chain_len": 3}, 48,
+     "46ddeec948879a5758b7ffa786822bab86189f9321f16254e0212f34c95bb81a"),
+]
+
+
+@pytest.mark.parametrize("kind,overrides,n_states,digest", SUCCESSOR_DIGESTS,
+                         ids=[f"{kind}{overrides or ''}" for kind, overrides, _, _ in SUCCESSOR_DIGESTS])
+def test_successor_tables_are_pinned(kind, overrides, n_states, digest):
+    env = make_env(kind, seed=0, **overrides)
+    table = [(s, successors(env, s)) for s in reachable(env, [env.reset(t) for t in range(env.task_count)])]
+    assert len(table) == n_states
+    assert hashlib.sha256(repr(table).encode()).hexdigest() == digest
 
 
 def test_reward_scheme_validation():
@@ -150,12 +177,20 @@ def test_bandit_chain_single_miss_fails_at_the_end():
     assert state.features[1] == len(arms) - 1
 
 
-def test_stepping_a_terminated_state_raises():
-    env = KeyChainEnv(seed=0)
-    state, _ = env.step(env.reset(0), [env.vocab.terminator_id])
-    assert state.done
-    with pytest.raises(ValueError):
-        env.step(state, [0, 0])
+@pytest.mark.parametrize("kind", ["key-chain", "grid-fetch", "bandit-chain"])
+def test_stepping_a_terminated_state_raises(kind):
+    env = make_env(kind, seed=0)
+    state = next(nxt for s in reachable(env, [env.reset(0)]) for nxt, _ in successors(env, s) if nxt.done)
+    with pytest.raises(ValueError, match="terminated"):
+        env.step(state, [0, env.vocab.terminator_id])
+
+
+@pytest.mark.parametrize("kind", ["key-chain", "grid-fetch", "bandit-chain"])
+def test_reset_refuses_a_task_id_out_of_range(kind):
+    env = make_env(kind, seed=0)
+    for task_id in (-1, env.task_count):
+        with pytest.raises(ValueError, match="outside"):
+            env.reset(task_id)
 
 
 def test_response_space_is_complete_and_sorted():
@@ -174,14 +209,14 @@ def test_make_env_verifies_and_rejects_unknown_kind():
     verify_success_reachable(env)
     with pytest.raises(ValueError):
         make_env("maze")
-    with pytest.raises(ValueError):
-        env.reset(env.task_count)
 
 
 def test_verify_success_reachable_refuses_an_unsolvable_task():
     """A key holding the terminator cannot be emitted: content stops at the terminator."""
     env = KeyChainEnv(seed=0, task_count=3)
-    env.keys[2][1] = (0, env.vocab.terminator_id)
+    with pytest.raises(TypeError):  # the table is frozen: an in-place edit would leave successor rows stale
+        env.keys[2][1] = (0, env.vocab.terminator_id)
+    env.keys = (*env.keys[:2], (env.keys[2][0], (0, env.vocab.terminator_id)))
     with pytest.raises(ValueError, match="key-chain task 2 has no success trajectory"):
         verify_success_reachable(env)
 

@@ -40,7 +40,7 @@ def test_vocabulary_validation():
     with pytest.raises(ValueError):
         Vocabulary(size=3, terminator_id=3)
     v = Vocabulary(size=4, terminator_id=1)
-    assert v.content_ids == [0, 2, 3]
+    assert [t for t in range(v.size) if t != v.terminator_id] == [0, 2, 3]
 
 
 def test_response_validation():
@@ -49,7 +49,7 @@ def test_response_validation():
     with pytest.raises(ValueError):
         Response(tokens=[], logprobs=[], entropies=[])
     r = Response(tokens=[0, 2], logprobs=[-0.25, -1.5], entropies=[0.4, 0.9])
-    assert r.length == 2
+    assert len(r.tokens) == 2
     assert r.surprisal == pytest.approx(1.75)
 
 
@@ -94,8 +94,8 @@ def test_sample_response_stops_at_terminator_or_max_len():
     policy = TablePolicy(vocab=Vocabulary(size=3, terminator_id=2), max_len=4)
     for _ in range(200):
         r = sample_response(policy, "s", rng)
-        assert 1 <= r.length <= 4
-        if r.length < 4:
+        assert 1 <= len(r.tokens) <= 4
+        if len(r.tokens) < 4:
             assert r.tokens[-1] == 2
         assert all(t != 2 for t in r.tokens[:-1])
 

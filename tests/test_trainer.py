@@ -104,12 +104,13 @@ def test_config_rejects_bad_fields():
     assert TrainConfig(lr=1, kl_coef=0, seed=np.int64(3), env_overrides={"task_count": np.int64(2)}).lr == 1
 
 
-def test_config_checks_enumeration_budget_only_when_the_run_enumerates():
+def test_config_checks_enumeration_budget_on_every_run():
+    """make_env's solvability check enumerates response_space, so every run enumerates, regularized or not."""
     big = {"key_len": 20}  # 2,097,151 complete responses, over the budget
-    for fields in ({}, {"kl_coef": 0.0, "entropy_coef": 0.1}, {"kl_coef": 0.0, "estimator": "oracle_value"}):
+    for fields in ({}, {"kl_coef": 0.0, "entropy_coef": 0.1}, {"kl_coef": 0.0, "estimator": "oracle_value"},
+                   {"kl_coef": 0.0}):
         with pytest.raises(EnumerationBudgetError):
             TrainConfig(env_overrides=big, **fields)
-    assert TrainConfig(env_overrides=big, kl_coef=0.0).env_overrides == big
     # 3^13 = 1.59M is |V|^max_len, but key_len=13 has only 16,383 complete responses.
     assert TrainConfig(env_overrides={"key_len": 13}).kl_coef == 0.01
 
