@@ -19,8 +19,9 @@ reproduces its states exactly.
 from __future__ import annotations
 
 import numbers
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,8 +38,15 @@ class EnvState:
     features: tuple[int, ...]
     done: bool = False
     success: bool = False
-    # policy_key, set on first read: a field keeps one attribute layout, where cached_property slowed hashing.
+    # policy_key and the hash, set on first read: a field keeps one attribute layout, where cached_property was slower.
     _key: str | None = field(default=None, init=False, repr=False, compare=False)
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:  # the generated hash of the compared fields, computed once per state
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(
+                (self.env_kind, self.task_id, self.step_index, self.features, self.done, self.success)))
+        return self._hash
 
     @property
     def policy_key(self) -> str:
@@ -90,6 +98,12 @@ def _content(tokens: list[int], terminator_id: int) -> list[int]:
     return tokens[:tokens.index(terminator_id)] if terminator_id in tokens else tokens
 
 
+@lru_cache(maxsize=16)
+def _contents(vocab: Vocabulary, max_len: int) -> tuple[tuple[int, ...], ...]:
+    """The content of each response of response_space, in order; a truncated response is its own tuple."""
+    return tuple(r[:-1] if r[-1] == vocab.terminator_id else r for r in response_space(vocab, max_len))
+
+
 class Env:
     """The episode contract every environment shares; each kind writes only _start and _move.
 
@@ -97,7 +111,7 @@ class Env:
     state and moves on the response's content, so dynamics are a pure function
     of (state, content) and the reward is left to terminal_reward.  A kind sets
     kind, vocab, max_len, horizon and task_count, and keeps its task table as
-    tuples, because successors keeps rows computed from it.
+    tuples, because successors keeps rows computed from it (rebinding drops them).
     """
 
     kind: str
@@ -111,17 +125,25 @@ class Env:
             raise ValueError(f"task_id {task_id} outside [0, {self.task_count})")
         return EnvState(self.kind, task_id, 0, self._start(task_id))
 
+    def __setattr__(self, name: str, value) -> None:
+        vars(self).pop("_successors", None)
+        super().__setattr__(name, value)
+
     def step(self, state: EnvState, tokens: list[int]) -> tuple[EnvState, bool]:
         if state.done:
             raise ValueError("step called on a terminated state")
-        features, valid, success, done = self._move(state, _content(tokens, self.vocab.terminator_id))
+        return self._next(state, self._move(state, _content(tokens, self.vocab.terminator_id)))
+
+    def _next(self, state: EnvState, outcome: tuple[tuple[int, ...], bool, bool, bool]) -> tuple[EnvState, bool]:
+        """The (next state, valid) pair of the turn after ``state`` whose _move gave ``outcome``."""
+        features, valid, success, done = outcome
         return EnvState(self.kind, state.task_id, state.step_index + 1, features, done, success), valid
 
     def _start(self, task_id: int) -> tuple[int, ...]:
         """Features of task ``task_id``'s first state."""
         raise NotImplementedError
 
-    def _move(self, state: EnvState, content: list[int]) -> tuple[tuple[int, ...], bool, bool, bool]:
+    def _move(self, state: EnvState, content: Sequence[int]) -> tuple[tuple[int, ...], bool, bool, bool]:
         """(features, valid, success, done) of the turn after ``state`` whose response has ``content``."""
         raise NotImplementedError
 
@@ -160,7 +182,7 @@ class KeyChainEnv(Env):
     def _start(self, task_id: int) -> tuple[int, ...]:
         return (0,)
 
-    def _move(self, state: EnvState, content: list[int]) -> tuple[tuple[int, ...], bool, bool, bool]:
+    def _move(self, state: EnvState, content: Sequence[int]) -> tuple[tuple[int, ...], bool, bool, bool]:
         progress = state.features[0]
         valid = len(content) == self.key_len
         if not (valid and tuple(content) == self.keys[state.task_id][progress]):
@@ -210,7 +232,7 @@ class GridFetchEnv(Env):
     def _start(self, task_id: int) -> tuple[int, ...]:
         return self.tasks[task_id][0]
 
-    def _move(self, state: EnvState, content: list[int]) -> tuple[tuple[int, ...], bool, bool, bool]:
+    def _move(self, state: EnvState, content: Sequence[int]) -> tuple[tuple[int, ...], bool, bool, bool]:
         x, y = state.features
         for tok in content:
             dx, dy = _MOVES[tok]
@@ -251,7 +273,7 @@ class BanditChainEnv(Env):
     def _start(self, task_id: int) -> tuple[int, ...]:
         return (0, 0)
 
-    def _move(self, state: EnvState, content: list[int]) -> tuple[tuple[int, ...], bool, bool, bool]:
+    def _move(self, state: EnvState, content: Sequence[int]) -> tuple[tuple[int, ...], bool, bool, bool]:
         turn, n_correct = state.features
         valid = len(content) > 0
         if valid and content[0] == self.arms[state.task_id][turn]:
@@ -271,14 +293,23 @@ def successors(env: Env, state: EnvState) -> tuple[tuple[EnvState, bool], ...]:
     """env.step(state, list(r)) for every response r of response_space, in that order, kept on the env.
 
     Dynamics are a pure function of (state, response), so a row is computed once
-    per env, whatever the policy.  The table also maps each distinct (next state,
-    valid) pair to itself, so equal pairs in all rows share one object.
+    per env, whatever the policy, from the _move outcome of each response's content
+    with one (next state, valid) pair per distinct outcome.  The table maps each
+    distinct pair to itself, so equal pairs in all rows share one object.
     """
     table = vars(env).setdefault("_successors", {})
     row = table.get(state)
     if row is None:
-        row = table[state] = tuple(table.setdefault(pair, pair) for pair in (
-            env.step(state, list(tokens)) for tokens in response_space(env.vocab, env.max_len)))
+        if state.done:
+            raise ValueError("step called on a terminated state")
+        pairs, row = {}, []  # one pair per distinct outcome, streamed: no list of 10^5 outcomes on a large space
+        for content in _contents(env.vocab, env.max_len):
+            outcome = env._move(state, content)
+            if outcome not in pairs:
+                pair = env._next(state, outcome)
+                pairs[outcome] = table.setdefault(pair, pair)
+            row.append(pairs[outcome])
+        row = table[state] = tuple(row)
     return row
 
 

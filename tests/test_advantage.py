@@ -228,17 +228,18 @@ def test_state_value_is_bit_identical_to_recursive_walk(kind, overrides):
 
 @pytest.mark.parametrize("kind", ["key-chain", "grid-fetch", "bandit-chain"])
 def test_state_value_after_reachable_states_makes_no_env_step(kind, monkeypatch):
-    """reachable_states fills the env's successors table, so exact values read it and never step."""
+    """reachable_states fills the env's successors table, so exact values read it and never move the env
+    (successors builds rows from _move, not step, so _move is what is counted)."""
     env = make_env(kind, seed=0)
     reachable_states(env)
     calls = []
-    original = type(env).step
+    original = type(env)._move
 
-    def counted(self, state, tokens):
+    def counted(self, state, content):
         calls.append(state)
-        return original(self, state, tokens)
+        return original(self, state, content)
 
-    monkeypatch.setattr(type(env), "step", counted)
+    monkeypatch.setattr(type(env), "_move", counted)
     states = list(reachable(env, [env.reset(task) for task in range(env.task_count)]))
     policy = _random_logits(env, states, seed=0)
     for state in states:

@@ -45,6 +45,45 @@ def test_successor_tables_are_pinned(kind, overrides, n_states, digest):
     assert hashlib.sha256(repr(table).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("kind,overrides", [(kind, overrides) for kind, overrides, _, _ in SUCCESSOR_DIGESTS],
+                         ids=[f"{kind}{overrides or ''}" for kind, overrides, _, _ in SUCCESSOR_DIGESTS])
+def test_successor_rows_equal_env_step(kind, overrides):
+    """Rows built from _move outcomes are env.step's row element by element, equal pairs are one object,
+    and a terminated state is refused with step's error."""
+    from entlab.policy import response_space
+
+    env = make_env(kind, seed=0, **overrides)
+    space = response_space(env.vocab, env.max_len)
+    states = list(reachable(env, [env.reset(t) for t in range(env.task_count)]))
+    shared: dict = {}
+    for state in states:
+        row = successors(env, state)
+        want = tuple(env.step(state, list(r)) for r in space)
+        assert len(row) == len(want)
+        for (nxt, valid), (want_nxt, want_valid) in zip(row, want):
+            assert nxt == want_nxt and repr(nxt) == repr(want_nxt) and hash(nxt) == hash(want_nxt)
+            assert type(valid) is type(want_valid) and valid == want_valid
+        for pair in row:
+            assert shared.setdefault(pair, pair) is pair
+    done = next(nxt for s in states for nxt, _ in successors(env, s) if nxt.done)
+    with pytest.raises(ValueError) as stepped:
+        env.step(done, list(space[0]))
+    with pytest.raises(ValueError) as listed:
+        successors(env, done)
+    assert str(listed.value) == str(stepped.value) == "step called on a terminated state"
+    assert done not in env._successors
+
+
+def test_rebinding_an_env_attribute_drops_its_successor_rows():
+    """make_env keeps rows from its solvability check; a rebound task table must not be checked against them."""
+    env = make_env("key-chain", seed=0, task_count=3)
+    assert env._successors
+    env.keys = (*env.keys[:2], (env.keys[2][0], (0, env.vocab.terminator_id)))
+    assert "_successors" not in vars(env)
+    with pytest.raises(ValueError, match="key-chain task 2 has no success trajectory"):
+        verify_success_reachable(env)
+
+
 def test_reward_scheme_validation():
     with pytest.raises(ValueError):
         RewardScheme(success=0.0, failure=0.0)
@@ -60,6 +99,26 @@ def test_policy_key_format():
     fresh = EnvState(env_kind="key-chain", task_id=3, step_index=1, features=(2, 5))
     assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
     assert s != EnvState(env_kind="key-chain", task_id=3, step_index=2, features=(2, 5))
+
+
+@pytest.mark.parametrize("first", ["policy_key", "hash", "neither"])
+def test_env_state_hash_is_cached_and_consistent_with_eq(first):
+    """Equal states hash equal whichever cache was filled first, and neither cache shows in repr or ==."""
+    fields = dict(env_kind="grid-fetch", task_id=1, step_index=2, features=(3, 0), done=True, success=True)
+    a, b = EnvState(**fields), EnvState(**fields)
+    before = repr(a)
+    if first == "policy_key":
+        a.policy_key
+    elif first == "hash":
+        hash(a)
+    assert hash(a) == hash(b) == hash(tuple(fields.values()))
+    assert hash(a) == hash(a) and a == b and {a: 1}[b] == 1
+    assert repr(a) == repr(b) == before and "_hash" not in before and "_key" not in before
+    b.policy_key
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    for name, other in [("task_id", 2), ("features", (3, 1)), ("done", False), ("success", False)]:
+        changed = EnvState(**{**fields, name: other})
+        assert changed != a and hash(changed) == hash(tuple({**fields, name: other}.values()))
 
 
 def _run_to_reward(env, task_id, responses, scheme):
