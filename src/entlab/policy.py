@@ -124,27 +124,27 @@ def token_distribution(policy: TablePolicy, state: str, prefix: tuple[int, ...])
     return p / p.sum()
 
 
-#: Generator.choice's tolerance on |sum(p) - 1|, which a snapshot checks once per entry.
-_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
-
-
 class PolicySnapshot:
     """Read-only view of one policy version, the one reader of its softmaxes; valid until its next write.
 
-    entry(state, prefix) is the sampler's (p, cdf, logp, H), built on first read from
-    token_distribution and checked once as Generator.choice checks p (non-negative, finite,
-    summing to 1 within its tolerance): cdf is cumsum(p) / cumsum(p)[-1] as a list, the array
-    choice searches, logp is np.log(p) as a list and H is entropy(p).  tree(state) is
-    (dists, leaves), walked once in _tree_shape order, taking an entry's p where there is
-    one: each internal prefix's softmax, and the sorted complete responses with probabilities
-    multiplied root to leaf.  Every exact route reads it.  Reading after a write raises.
+    table(state) is one softmax per internal prefix of _tree_shape, rows in walk order, taken on the
+    state's first read in one pass (stacked logits, zeros where there are none, less each row's max,
+    exponentiated, over each row's sum: token_distribution bit for bit) and refused unless every row is a
+    distribution, as Generator.choice refuses p.  entry(state, prefix) is the sampler's (p, cdf, logp, H),
+    derived for every prefix of a state from its table on its first miss: cdf is cumsum(p) / cumsum(p)[-1]
+    as a list (what choice searches), logp is np.log(p) as a list and H is entropy(p).  tree(state) is
+    (dists, leaves): the table's rows, and the sorted complete responses with probabilities multiplied
+    root to leaf.  Every exact route reads it.  Reading after a write raises.
     """
 
     def __init__(self, policy: TablePolicy) -> None:
         self.policy = policy
         self._writes = policy.writes
+        self._shape = _tree_shape(policy.vocab, policy.max_len)
+        self._tables: dict[str, np.ndarray] = {}
         self._entries: dict[tuple[str, tuple[int, ...]], tuple[np.ndarray, list[float], list[float], float]] = {}
         self._trees: dict[str, tuple[dict[tuple[int, ...], np.ndarray], list[tuple[tuple[int, ...], float]]]] = {}
+        self._leaf_logs: dict[str, tuple[list[float], float]] = {}
 
     @classmethod
     def of(cls, policy: TablePolicy | PolicySnapshot) -> PolicySnapshot:
@@ -152,34 +152,54 @@ class PolicySnapshot:
         return policy if isinstance(policy, PolicySnapshot) else cls(policy)
 
     def entry(self, state: str, prefix: tuple[int, ...]) -> tuple[np.ndarray, list[float], list[float], float]:
+        found = self._entries.get((state, prefix)) if self.policy.writes == self._writes else None  # table() raises
+        if found is None:
+            table = self.table(state)
+            cdf = table.cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+            logp = np.log(table)
+            rows = zip(table, cdf.tolist(), logp.tolist(), (-(table * logp).sum(axis=1)).tolist())
+            self._entries.update(zip([(state, u) for u in self._shape[2]], rows))
+            found = self._entries[(state, prefix)]
+        return found
+
+    def table(self, state: str) -> np.ndarray:
+        """The softmaxes at ``state`` as one array, memoized; callers must not mutate it."""
         if self.policy.writes != self._writes:
             raise RuntimeError("policy snapshot read after a logit_vector write to its policy")
-        found = self._entries.get((state, prefix))
+        found = self._tables.get(state)
         if found is None:
-            p = token_distribution(self.policy, state, prefix)
-            if not ((p >= 0.0).all() and abs(math.fsum(p) - 1.0) <= _SUM_ATOL):
-                raise ValueError(f"next-token probabilities at {(state, prefix)!r} are not a distribution: {p}")
-            cdf = p.cumsum()
-            cdf /= cdf[-1]
-            found = self._entries[(state, prefix)] = (p, cdf.tolist(), np.log(p).tolist(), entropy(p))
+            prefixes, zero = self._shape[2], np.zeros(self.policy.vocab.size)
+            z = np.array([self.policy.logits.get((state, u), zero) for u in prefixes], dtype=float)
+            z -= z.max(axis=1, keepdims=True)
+            np.exp(z, out=z)
+            sums = z.sum(axis=1)
+            z /= sums[:, None]
+            if not np.isfinite(sums).all():  # an exp row lies in [0, 1] and holds a 1, so only NaN fails
+                i = int(np.argmin(np.isfinite(sums)))
+                raise ValueError(f"next-token probabilities at {(state, prefixes[i])!r} are not a distribution: {z[i]}")
+            found = self._tables[state] = z
         return found
 
     def tree(self, state: str) -> tuple[dict[tuple[int, ...], np.ndarray], list[tuple[tuple[int, ...], float]]]:
-        """(dists, leaves) at ``state``, memoized; callers must not mutate them."""
-        if self.policy.writes != self._writes:
-            raise RuntimeError("policy snapshot read after a logit_vector write to its policy")
-        found = self._trees.get(state)
+        """(dists, leaves) at ``state`` from table(state), memoized; callers must not mutate them."""
+        found = self._trees.get(state) if self.policy.writes == self._writes else None  # table() raises
         if found is None:
-            internal, leaves = _tree_shape(self.policy.vocab, self.policy.max_len)
-            dists: dict[tuple[int, ...], np.ndarray] = {}
-            probs: dict[tuple[int, ...], float] = {(): 1.0}
-            for prefix, children in internal:
-                sampled = self._entries.get((state, prefix))
-                p = dists[prefix] = sampled[0] if sampled else token_distribution(self.policy, state, prefix)
-                prob = probs[prefix]
-                for path, p_tok in zip(children, p.tolist()):
-                    probs[path] = prob * p_tok
-            found = self._trees[state] = (dists, [(path, probs[path]) for path in leaves])
+            table, (_, leaves, prefixes, *_, edges, starts) = self.table(state), self._shape
+            probs = np.multiply.reduceat(table.ravel()[edges], starts)  # multiplied root to leaf
+            found = self._trees[state] = (dict(zip(prefixes, table)), list(zip(leaves, probs.tolist())))
+        return found
+
+    def leaf_logs(self, state: str) -> tuple[list[float], float]:
+        """(logs, H) at ``state``, memoized: math.log of each leaf probability of tree(state), -inf where it
+        is 0.0, and the response entropy H, -prob * log added left to right over the leaves with prob > 0."""
+        found = self._leaf_logs.get(state) if self.policy.writes == self._writes else None  # tree() raises
+        if found is None:
+            logs, h = [], 0.0
+            for _, prob in self.tree(state)[1]:
+                logs.append(math.log(prob) if prob > 0.0 else -math.inf)
+                h -= prob * logs[-1] if prob > 0.0 else 0.0  # h - 0.0 is h
+            found = self._leaf_logs[state] = (logs, h)
         return found
 
 
@@ -226,9 +246,12 @@ def _check_budget(vocab: Vocabulary, max_len: int) -> None:
 
 @lru_cache(maxsize=16)
 def _tree_shape(vocab: Vocabulary, max_len: int) -> tuple:
-    """The one definition of when a response ends: each internal (prefix, children) in
-    depth-first walk order, and the sorted complete responses (terminator or max_len).
-    Every enumeration starts here, so an over-budget shape is refused before it is built."""
+    """The one definition of when a response ends, indexed for a snapshot's table: (internal, leaves,
+    prefixes, ranked, row_path, row_rank, row_row, row_tok, edges, starts).  internal is each internal
+    (prefix, children) in depth-first walk order, prefixes lists them (the table's rows), leaves the sorted
+    complete responses (terminator or max_len).  Then one row per (leaf, position), leaves in order: ranked
+    lists the prefixes in order of first appearance, edges = row_row * |V| + row_tok indexes the flat table,
+    starts each leaf's first row.  Every enumeration starts here, so an over-budget shape is refused first."""
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
     _check_budget(vocab, max_len)
@@ -244,22 +267,17 @@ def _tree_shape(vocab: Vocabulary, max_len: int) -> tuple:
                 leaves.append(path)
             else:
                 stack.append(path)
-    return tuple(internal), tuple(sorted(leaves))
+    leaves.sort()
+    row, ranks = {u: i for i, (u, _) in enumerate(internal)}, {}
+    cols = [np.array(col) for col in zip(*[(j, ranks.setdefault(path[:k], len(ranks)), row[path[:k]], tok)
+                                           for j, path in enumerate(leaves) for k, tok in enumerate(path)])]
+    return (tuple(internal), tuple(leaves), list(row), list(ranks), *cols, cols[2] * vocab.size + cols[3],
+            np.flatnonzero(np.diff(cols[0], prepend=-1)))
 
 
 def response_space(vocab: Vocabulary, max_len: int) -> tuple[tuple[int, ...], ...]:
     """Every complete response (terminator-ended or max_len-truncated) over a vocabulary, sorted."""
     return _tree_shape(vocab, max_len)[1]
-
-
-@lru_cache(maxsize=16)
-def _tree_rows(vocab: Vocabulary, max_len: int) -> tuple:
-    """(prefixes, row_path, row_prefix, row_tok) of a tree shape: one row per (path, position),
-    paths sorted; row_prefix indexes the internal prefixes, listed in order of first appearance."""
-    prefixes: dict[tuple[int, ...], int] = {}
-    rows = [(j, prefixes.setdefault(path[:k], len(prefixes)), tok)
-            for j, path in enumerate(response_space(vocab, max_len)) for k, tok in enumerate(path)]
-    return (list(prefixes), *(np.array(col) for col in zip(*rows)))
 
 
 def enumerate_responses(policy: TablePolicy | PolicySnapshot, state: str) -> list[tuple[tuple[int, ...], float]]:
@@ -276,14 +294,10 @@ def enumerate_responses(policy: TablePolicy | PolicySnapshot, state: str) -> lis
 def exact_response_entropy(policy: TablePolicy | PolicySnapshot, state: str) -> float:
     """Exact Shannon entropy of the full response distribution at ``state``.
 
-    Computed as sum_a pi(a) * (-log pi(a)) over the enumerated response space.
+    Computed as sum_a pi(a) * (-log pi(a)) over the enumerated response space (PolicySnapshot.leaf_logs).
     Raises EnumerationBudgetError when the response count exceeds the path budget.
     """
-    total = 0.0
-    for _, prob in enumerate_responses(policy, state):
-        if prob > 0.0:
-            total -= prob * math.log(prob)
-    return total
+    return PolicySnapshot.of(policy).leaf_logs(state)[1]
 
 
 def pathwise_entropy(policy: TablePolicy | PolicySnapshot, state: str) -> float:

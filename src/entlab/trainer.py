@@ -22,7 +22,7 @@ import numpy as np
 from . import modulation as mod
 from .advantage import ESTIMATORS, AdvantageTable, compute_advantages
 from .envs import REWARD_SCHEMES, env_class, make_env
-from .policy import PolicySnapshot, TablePolicy, _check_budget, _tree_rows, exact_response_entropy, save_checkpoint
+from .policy import PolicySnapshot, TablePolicy, _check_budget, save_checkpoint
 from .rollout import FILTER_MODES, Group, collect_group, filter_degenerate_groups, generator_from, seed_states
 
 LOSSES = ("grpo_clip", "dapo_token", "gspo_seq")
@@ -241,34 +241,32 @@ def _regularizer_state(
 ) -> float:
     """Exact entropy bonus and KL penalty at one state, accumulating dJ/dz in place.
 
-    Reads the response tree of ``snapshot`` (and of ref_policy when kl_coef != 0): the
-    entropy gradient weights each path's score by (surprisal - H), the KL gradient by
+    Reads the leaves, leaf logs and table of ``snapshot`` (and the leaf logs of ref_policy when
+    kl_coef != 0): the entropy gradient weights each path's score by (surprisal - H), the KL gradient by
     (ref surprisal - surprisal); both use sum-over-positions score decompositions.  The
     value and every gradient entry are bit-identical to calling _grad_add with
     (weight * coeff) * (onehot - p) at each position of each path in order.
     """
-    dists, paths = snapshot.tree(state)
-    h = exact_response_entropy(snapshot, state)
-    ref_paths = PolicySnapshot.of(ref_policy).tree(state)[1] if config.kl_coef != 0.0 else paths
+    leaves, (logs, h) = snapshot.tree(state)[1], snapshot.leaf_logs(state)
+    ref_logs = PolicySnapshot.of(ref_policy).leaf_logs(state)[0] if config.kl_coef != 0.0 else logs
     kl = 0.0
     coeffs = []
-    for (_, prob), (_, ref_prob) in zip(paths, ref_paths, strict=True):
+    for (_, prob), logprob, ref_logprob in zip(leaves, logs, ref_logs, strict=True):
         coeff = 0.0
         if prob > 0.0:
-            logprob = math.log(prob)
             coeff = config.entropy_coef * prob * (-logprob - h)
             if config.kl_coef != 0.0:
-                log_ratio = logprob - (math.log(ref_prob) if ref_prob > 0.0 else -math.inf)
+                log_ratio = logprob - ref_logprob
                 kl += prob * log_ratio
                 coeff -= config.kl_coef * prob * log_ratio
         coeffs.append(coeff)
     value = config.entropy_coef * h - config.kl_coef * kl
 
     coeffs = np.array(coeffs)
-    prefixes, row_path, row_prefix, row_tok = _tree_rows(snapshot.policy.vocab, snapshot.policy.max_len)
+    prefixes, row_path, row_prefix, row_row, row_tok = snapshot._shape[3:8]
     rows = coeffs[row_path] != 0.0
     pre = row_prefix[rows]
-    vecs = -np.stack([dists[u] for u in prefixes])[pre]
+    vecs = -snapshot.table(state)[row_row[rows]]
     vecs[np.arange(len(pre)), row_tok[rows]] += 1.0
     vecs *= (weight * coeffs[row_path[rows]])[:, None]
     # An absent key takes its first row, the rest add in path order; prefix order is insertion order.
@@ -279,7 +277,8 @@ def _regularizer_state(
         acc = grad.get((state, prefixes[i]))
         rest[r] = acc is not None
         block[i] = vecs[r] if acc is None else acc
-    np.add.at(block, pre[rest], vecs[rest])
+    cells = pre[rest][:, None] * block.shape[1] + np.arange(block.shape[1])  # flat, for ufunc.at's fast path
+    np.add.at(block.ravel(), cells.ravel(), vecs[rest].ravel())
     grad.update(((state, prefixes[i]), block[i]) for i in used.tolist())
     return value
 

@@ -359,19 +359,23 @@ def test_command_errors_exit_1_before_any_file(argv, tmp_path):
 
 
 def test_probe_doob_reads_one_snapshot(tmp_path, monkeypatch):
-    """doob_probe and doob_exact_residuals share the command's snapshot: one softmax per (state, prefix)."""
+    """doob_probe and doob_exact_residuals share the command's snapshot: one batched softmax for the state,
+    none through token_distribution."""
     ckpt = _structured_checkpoint(tmp_path)
-    keys = []
-    original = entlab.policy.token_distribution
+    keys, singles = [], []
+    table = entlab.policy.PolicySnapshot.table
 
-    def counted(policy, state, prefix):
-        keys.append((state, prefix))
-        return original(policy, state, prefix)
+    def counted(self, state):
+        if state not in self._tables:
+            keys.append((id(self.policy), self.policy.writes, state))
+        return table(self, state)
 
-    monkeypatch.setattr(entlab.policy, "token_distribution", counted)
+    monkeypatch.setattr(entlab.policy.PolicySnapshot, "table", counted)
+    monkeypatch.setattr(entlab.policy, "token_distribution", lambda *args: singles.append(args))
     argv = ["probe-doob", "--checkpoint", str(ckpt), "--samples", "500", "--state", "key-chain#1#0"]
     assert main([*argv, "--out", str(tmp_path / "doob")]) == 0
-    assert sorted(keys) == [("key-chain#1#0", ()), ("key-chain#1#0", (0,)), ("key-chain#1#0", (1,))]
+    assert [state for _, _, state in keys] == ["key-chain#1#0"]
+    assert singles == []
 
 
 def test_probes_accept_an_empty_checkpoint(tmp_path):

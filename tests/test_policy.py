@@ -32,6 +32,7 @@ from entlab.policy import (
 )
 import entlab.policy as policy_module
 from entlab.probes import consistency_probe, doob_exact_residuals, doob_probe
+from entlab.trainer import TrainConfig, _regularizer_state
 
 
 def test_vocabulary_validation():
@@ -196,6 +197,9 @@ def test_snapshot_entries_are_the_token_distribution_bit_for_bit():
         snapshot = PolicySnapshot(policy)
         # Every reachable prefix, plus a state with no stored logits (uniform).
         keys = [("s", u) for u, _ in _tree_shape(policy.vocab, max_len)[0]] + [("other", ())]
+        # The first miss at a state derives the entries of all its prefixes: the rest are never sampled first.
+        snapshot.entry(*keys[-2])
+        assert set(snapshot._entries) == set(keys[:-1])
         for state, prefix in keys:
             p, cdf, logp, h = snapshot.entry(state, prefix)
             want = token_distribution(policy, state, prefix)
@@ -208,6 +212,66 @@ def test_snapshot_entries_are_the_token_distribution_bit_for_bit():
         assert list(policy.logits) == list(before)
         assert all(np.array_equal(policy.logits[k], v) for k, v in before.items())
         assert PolicySnapshot.of(snapshot) is snapshot
+
+
+#: (|V|, max_len) of the golden training configs' envs, then more widths of the batched rows.
+TABLE_SHAPES = {
+    **{kind: (lambda env: (env.vocab.size, env.max_len))(make_env(kind, seed=0, **overrides))
+       for kind, overrides in (("key-chain", dict(task_count=2, chain_len=1, n_content=2, key_len=2)),
+                               ("grid-fetch", {}), ("bandit-chain", dict(task_count=2, chain_len=2)))},
+    **{f"V{size}": (size, max_len) for size, max_len in ((2, 5), (3, 4), (5, 3), (6, 3), (11, 3))},
+}
+
+
+def _edge_rows(policy, rng):
+    """Fill one state per kind of logit row at every internal prefix, and a mixed state with every
+    kind and absent rows; returns the states, "absent" (no rows at all) last."""
+    size = policy.vocab.size
+    kinds = {
+        "normal": lambda: 1.5 * rng.normal(size=size),
+        "repeated": lambda: np.full(size, 2.5),
+        "700": lambda: rng.choice([-700.0, 700.0], size=size),
+        "1e300": lambda: rng.choice([-1e300, 1e300], size=size),
+    }
+    draws = list(kinds.values())
+    for i, (u, _) in enumerate(_tree_shape(policy.vocab, policy.max_len)[0]):
+        for state, draw in kinds.items():
+            policy.logits[(state, u)] = draw()
+        if i % 5:
+            policy.logits[("mixed", u)] = draws[i % 4]()
+    return [*kinds, "mixed", "absent"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("shape", TABLE_SHAPES)
+def test_batched_rows_are_the_token_distribution_bit_for_bit(shape):
+    """Each row of a state's one softmax equals token_distribution's row, and the tree and entries built
+    from it equal the per-call walk and per-prefix entries, on absent, repeated, +-700 and +-1e300 rows."""
+    size, max_len = TABLE_SHAPES[shape]
+    policy = TablePolicy(vocab=Vocabulary(size=size, terminator_id=size - 1), max_len=max_len)
+    prefixes = [u for u, _ in _tree_shape(policy.vocab, max_len)[0]]
+    for state in _edge_rows(policy, np.random.default_rng(size * 10 + max_len)):
+        snapshot = PolicySnapshot(policy)
+        table = snapshot.table(state)
+        assert table.shape == (len(prefixes), size)
+        for row, u in zip(table, prefixes):
+            assert row.tobytes() == token_distribution(policy, state, u).tobytes(), (state, u)
+        want_dists, want_paths, _ = _response_tree_dfs(policy, state)
+        dists, paths = snapshot.tree(state)
+        assert list(dists) == list(want_dists)
+        assert all(dists[u].tobytes() == p.tobytes() for u, p in want_dists.items())
+        assert paths == want_paths
+
+        sampled = PolicySnapshot(policy)
+        sampled.entry(state, prefixes[-1])
+        for u in prefixes:
+            p, cdf, logp, h = sampled.entry(state, u)
+            want = token_distribution(policy, state, u)
+            csum = want.cumsum()
+            assert p.tobytes() == want.tobytes()
+            assert cdf == (csum / csum[-1]).tolist()
+            assert logp == np.log(want).tolist()
+            assert h == entropy(want) or (math.isnan(h) and math.isnan(entropy(want)))
 
 
 def test_snapshot_ends_at_the_first_write():
@@ -230,6 +294,33 @@ def test_sampling_refuses_logits_that_give_no_distribution(logits):
     policy.logit_vector("s", ())[:] = logits
     with pytest.raises(ValueError, match="not a distribution"):
         sample_response(policy, "s", np.random.default_rng(0))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_tree_reads_refuse_a_row_that_is_not_a_distribution():
+    """One check per state's softmax covers every exact route, not only the sampled prefixes: a NaN row
+    at an unsampled prefix used to give a wrong finite exact entropy and a NaN pathwise one."""
+    policy = random_policy(5, 3, np.random.default_rng(0))
+    policy.logits[("s", (1,))] = np.array([np.inf, 0.0, 0.0, 0.0, 0.0])
+    config = TrainConfig(env_kind="grid-fetch", kl_coef=0.01)
+    reads = {
+        "exact_response_entropy": exact_response_entropy,
+        "pathwise_entropy": pathwise_entropy,
+        "enumerate_responses": enumerate_responses,
+        "sample_response": lambda p, s: sample_response(p, s, np.random.default_rng(0)),
+        "_regularizer_state": lambda p, s: _regularizer_state(PolicySnapshot(p), p.copy(), s, config, {}, 1.0),
+    }
+    for name, read in reads.items():
+        with pytest.raises(ValueError, match=r"at \('s', \(1,\)\) are not a distribution"):
+            read(policy, "s")
+            pytest.fail(name)
+
+    env = make_env("grid-fetch", seed=0)
+    state = env.reset(0)
+    policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
+    policy.logit_vector(state.policy_key, (1,))[0] = np.inf
+    with pytest.raises(ValueError, match="not a distribution"):
+        state_value(policy, env, state, REWARD_SCHEMES["binary"])
 
 
 def test_enumeration_partitions_probability():

@@ -265,12 +265,28 @@ def _seeded_accum(vocab_size, state, rng):
     return grad
 
 
-@pytest.mark.parametrize("shape", ["grid-fetch", "key-chain"])
+@pytest.mark.parametrize("shape", ["grid-fetch", "key-chain", "grid-fetch-underflow", "step-0", "policy-is-ref"])
 def test_regularizer_state_is_bit_identical_to_per_path_walk(shape):
-    if shape == "grid-fetch":
+    """Also when some leaf probabilities underflow to 0.0, and when policy and ref are equal and
+    entropy_coef is 0 (step 0 of a run), so that every coefficient is 0 and no gradient row is added."""
+    config = TrainConfig(entropy_coef=0.02, kl_coef=0.05, **FAST)
+    if shape in ("grid-fetch", "grid-fetch-underflow"):
         policy = random_policy(5, 3, np.random.default_rng(11))
         ref_policy = random_policy(5, 3, np.random.default_rng(12), scale=0.5)
         state = "s"
+        if shape == "grid-fetch-underflow":
+            policy.logits[(state, ())][1] = -800.0
+            policy.logits[(state, (0,))][2] = 750.0
+            leaves = enumerate_responses(policy, state)
+            assert 0.0 < sum(prob == 0.0 for _, prob in leaves) < len(leaves)
+    elif shape in ("step-0", "policy-is-ref"):
+        env = make_env("grid-fetch", seed=0)
+        state = env.reset(0).policy_key
+        policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
+        if shape == "policy-is-ref":
+            policy = random_policy(5, 3, np.random.default_rng(11), state=state)
+        ref_policy = policy.copy()
+        config = TrainConfig(entropy_coef=0.0, kl_coef=0.05, **FAST)
     else:
         env = make_env("key-chain", seed=0, chain_len=1)
         state = "key-chain#0#0"
@@ -281,7 +297,6 @@ def test_regularizer_state_is_bit_identical_to_per_path_walk(shape):
             for k in range(len(prefix)):
                 policy.logit_vector(state, prefix[:k])[:] = rng.normal(scale=1.5, size=env.vocab.size)
         assert len(enumerate_responses(policy, state)) == 7
-    config = TrainConfig(entropy_coef=0.02, kl_coef=0.05, **FAST)
     snapshot, ref = PolicySnapshot(policy), PolicySnapshot(ref_policy)
     for weight in (0.375, 1.0):
         expect = _seeded_accum(policy.vocab.size, state, np.random.default_rng(7))
@@ -291,7 +306,11 @@ def test_regularizer_state_is_bit_identical_to_per_path_walk(shape):
         assert _regularizer_state(snapshot, ref, state, config, got, weight) == want
         assert list(got) == list(expect)
         for key, vec in expect.items():
-            assert np.array_equal(got[key], vec), key
+            assert got[key].tobytes() == vec.tobytes(), key
+        if shape in ("step-0", "policy-is-ref"):
+            assert want == 0.0
+            untouched = _seeded_accum(5, state, np.random.default_rng(7))
+            assert all(got[key].tobytes() == vec.tobytes() for key, vec in untouched.items())
     assert list(ref._trees) == list(snapshot._trees) == [state]
 
 
@@ -473,17 +492,20 @@ def test_masked_runs_diverge_by_sign():
                          ids=["key-chain-kl", "grid-fetch-oracle", "key-chain-entropy-epochs2"])
 def test_one_softmax_per_policy_version(fields, monkeypatch):
     """Rollout, the value oracle and the regularizers of a step share one snapshot, so every
-    (policy, version, state, prefix) softmax is computed once."""
-    keys = []
-    original = entlab.policy.token_distribution
+    (policy, version, state) batched softmax is computed once, and none goes through token_distribution."""
+    keys, singles = [], []
+    table = PolicySnapshot.table
 
-    def counted(policy, state, prefix):
-        keys.append((id(policy), policy.writes, state, prefix))
-        return original(policy, state, prefix)
+    def counted(self, state):
+        if state not in self._tables:
+            keys.append((id(self.policy), self.policy.writes, state))
+        return table(self, state)
 
-    monkeypatch.setattr(entlab.policy, "token_distribution", counted)
+    monkeypatch.setattr(PolicySnapshot, "table", counted)
+    monkeypatch.setattr(entlab.policy, "token_distribution", lambda *args: singles.append(args))
     train(TrainConfig(**fields))
     assert keys and len(keys) == len(set(keys))
+    assert singles == []
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**40 + 3, 2**64 + 1])
