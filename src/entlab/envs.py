@@ -111,7 +111,7 @@ class Env:
     state and moves on the response's content, so dynamics are a pure function
     of (state, content) and the reward is left to terminal_reward.  A kind sets
     kind, vocab, max_len, horizon and task_count, and keeps its task table as
-    tuples, because successors keeps rows computed from it (rebinding drops them).
+    tuples, because reset and successors keep states computed from it (rebinding drops them).
     """
 
     kind: str
@@ -121,12 +121,18 @@ class Env:
     task_count: int
 
     def reset(self, task_id: int) -> EnvState:
-        if not 0 <= task_id < self.task_count:
-            raise ValueError(f"task_id {task_id} outside [0, {self.task_count})")
-        return EnvState(self.kind, task_id, 0, self._start(task_id))
+        """Task ``task_id``'s start state, one kept object per task, so its key and hash are computed once."""
+        starts = vars(self).setdefault("_starts", {})
+        found = starts.get(task_id)
+        if found is None:
+            if not 0 <= task_id < self.task_count:
+                raise ValueError(f"task_id {task_id} outside [0, {self.task_count})")
+            found = starts[task_id] = EnvState(self.kind, task_id, 0, self._start(task_id))
+        return found
 
     def __setattr__(self, name: str, value) -> None:
         vars(self).pop("_successors", None)
+        vars(self).pop("_starts", None)
         super().__setattr__(name, value)
 
     def step(self, state: EnvState, tokens: list[int]) -> tuple[EnvState, bool]:

@@ -17,7 +17,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import entropy
 
 # Hard ceiling on the number of complete responses an exact enumeration is
 # allowed to touch.  More than this means the caller asked for an exact
@@ -132,9 +131,9 @@ class PolicySnapshot:
     exponentiated, over each row's sum: token_distribution bit for bit) and refused unless every row is a
     distribution, as Generator.choice refuses p.  entry(state, prefix) is the sampler's (p, cdf, logp, H),
     derived for every prefix of a state from its table on its first miss: cdf is cumsum(p) / cumsum(p)[-1]
-    as a list (what choice searches), logp is np.log(p) as a list and H is entropy(p).  tree(state) is
-    (dists, leaves): the table's rows, and the sorted complete responses with probabilities multiplied
-    root to leaf.  Every exact route reads it.  Reading after a write raises.
+    as a list (what choice searches), logp is np.log(p) as a list and H is p's row of _row_entropies.
+    tree(state) is (dists, leaves): the table's rows, and the sorted complete responses with probabilities
+    multiplied root to leaf.  Every exact route reads it.  Reading after a write raises.
     """
 
     def __init__(self, policy: TablePolicy) -> None:
@@ -158,7 +157,7 @@ class PolicySnapshot:
             cdf = table.cumsum(axis=1)
             cdf /= cdf[:, -1:]
             logp = np.log(table)
-            rows = zip(table, cdf.tolist(), logp.tolist(), (-(table * logp).sum(axis=1)).tolist())
+            rows = zip(table, cdf.tolist(), logp.tolist(), _row_entropies(table, logp).tolist())
             self._entries.update(zip([(state, u) for u in self._shape[2]], rows))
             found = self._entries[(state, prefix)]
         return found
@@ -307,22 +306,29 @@ def pathwise_entropy(policy: TablePolicy | PolicySnapshot, state: str) -> float:
     Agrees with exact_response_entropy (the -sum p log p route) up to float
     roundoff; the two routes share only the tree enumeration, not the formula.
     """
-    dists, paths = PolicySnapshot.of(policy).tree(state)
+    snapshot = PolicySnapshot.of(policy)
     total = 0.0
-    for (_, prob), path_sum in zip(paths, path_entropy_sums(dists, paths)):
+    for (_, prob), path_sum in zip(snapshot.tree(state)[1], path_entropy_sums(snapshot, state)):
         if prob != 0.0:
             total += prob * path_sum
     return total
 
 
-def path_entropy_sums(dists: dict, paths: list) -> list[float]:
-    """sum_k H(tokens[:k]) for each path of a response tree (dists, paths), added left to right, in path order."""
-    entropies = {u: entropy(p) for u, p in dists.items()}
+def _row_entropies(table: np.ndarray, logp: np.ndarray) -> np.ndarray:
+    """The Shannon entropy H of each row of a softmax table, given its log: -(p * log p) summed along the row."""
+    return -(table * logp).sum(axis=1)
+
+
+def path_entropy_sums(snapshot: PolicySnapshot, state: str) -> list[float]:
+    """sum_k H(tokens[:k]) for each path of tree(state), added left to right, in path order: each prefix's H
+    is one row of _row_entropies(table(state)), read through the (leaf, position) rows of _tree_shape."""
+    table, (_, leaves, *_, row_row) = snapshot.table(state), snapshot._shape[:7]
+    h = iter(_row_entropies(table, np.log(table))[row_row].tolist())
     sums = []
-    for tokens, _ in paths:
+    for tokens in leaves:
         path_sum = 0.0
-        for k in range(len(tokens)):
-            path_sum += entropies[tokens[:k]]
+        for _ in tokens:
+            path_sum += next(h)
         sums.append(path_sum)
     return sums
 

@@ -129,10 +129,11 @@ def doob_probe(policy: TablePolicy | PolicySnapshot, state: str, n_samples: int,
     this keeps large n_samples cheap without changing the estimand.  ok means
     |mean| <= max(4 * stderr, DOOB_ROUNDOFF).
     """
-    dists, paths = PolicySnapshot.of(policy).tree(state)
+    snapshot = PolicySnapshot.of(policy)
+    paths = snapshot.tree(state)[1]
     probs = np.array([p for _, p in paths])
     residuals = np.array([(-math.log(prob) if prob > 0.0 else math.inf) - entropy_sum
-                          for (_, prob), entropy_sum in zip(paths, path_entropy_sums(dists, paths))])
+                          for (_, prob), entropy_sum in zip(paths, path_entropy_sums(snapshot, state))])
     lengths = np.array([len(tokens) for tokens, _ in paths], dtype=int)
 
     idx = rng.choice(len(paths), size=n_samples, p=probs / probs.sum())

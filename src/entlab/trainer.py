@@ -15,7 +15,7 @@ import math
 import numbers
 import time
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -111,7 +111,8 @@ class StepMetrics:
     spans: list = field(default_factory=list)
 
     def to_doc(self) -> dict:
-        return asdict(self)
+        """The fields as a plain dict; spans is the record's own list, not a copy, so readers must not mutate it."""
+        return dict(vars(self))
 
 
 @dataclass
@@ -326,7 +327,7 @@ def train(
     ref_policy = policy.copy()
     ref = PolicySnapshot(ref_policy)  # never written, so one snapshot serves the whole run
 
-    timings = {"rollout": 0.0, "advantage": 0.0, "aem": 0.0, "update": 0.0, "total": 0.0}
+    timings = {"rollout": 0.0, "advantage": 0.0, "aem": 0.0, "update": 0.0, "record": 0.0, "total": 0.0}
     metrics: list[StepMetrics] = []
     metrics_fh = open(metrics_path, "w") if metrics_path else None
     if checkpoint_dir:
@@ -386,6 +387,7 @@ def train(
                         vec -= config.lr * gvec
             timings["update"] += time.perf_counter() - t0
 
+            t0 = time.perf_counter()
             record = _step_metrics(step, groups, trained, applied, sets, loss_value)
             metrics.append(record)
             if metrics_fh:
@@ -393,6 +395,7 @@ def train(
                 metrics_fh.write("\n")
             if checkpoint_dir and config.ckpt_every and (step + 1) % config.ckpt_every == 0:
                 save_checkpoint(policy, f"{checkpoint_dir}/policy_step_{step + 1:04d}.json")
+            timings["record"] += time.perf_counter() - t0
     finally:
         if metrics_fh:
             metrics_fh.close()
@@ -432,7 +435,9 @@ def _step_metrics(step: int, collected: list[Group], trained: list[Group],
     """Step summaries; with no modulation sets (aem off, no mask) every alpha is 1 and h_tilde None."""
     rewards = [traj.reward for g in collected for traj in g.trajectories]
     successes = [traj.success for g in collected for traj in g.trajectories]
-    h_bars = [mod.response_entropy_proxy(span.response) for g in collected for span in g.spans]
+    # Trained groups are collected groups, so each span's proxy is computed once, here.
+    h_bar = {id(span): mod.response_entropy_proxy(span.response) for g in collected for span in g.spans}
+    h_bars = list(h_bar.values())
 
     span_docs = []
     alphas: list[float] = []
@@ -448,7 +453,7 @@ def _step_metrics(step: int, collected: list[Group], trained: list[Group],
             n_pos += 1 if adv > 0.0 else 0
             span_docs.append([
                 g_idx, key[0], key[1],
-                mod.response_entropy_proxy(span.response),
+                h_bar[id(span)],
                 sets[g_idx].h_tilde[key] if sets else None,
                 alpha,
                 adv,

@@ -78,7 +78,7 @@ def test_train_writes_run_artifacts(tmp_path, capsys):
     assert manifest["config"]["steps"] == 3
     assert manifest["outputs"] == ["config.json", "metrics.jsonl",
                                    "policy_final.json", "policy_init.json"]
-    assert set(manifest["timings"]) == {"rollout", "advantage", "aem", "update", "total"}
+    assert set(manifest["timings"]) == {"rollout", "advantage", "aem", "update", "record", "total"}
     lines = (out / "metrics.jsonl").read_text().splitlines()
     assert len(lines) == 3
 

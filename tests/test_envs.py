@@ -75,13 +75,23 @@ def test_successor_rows_equal_env_step(kind, overrides):
 
 
 def test_rebinding_an_env_attribute_drops_its_successor_rows():
-    """make_env keeps rows from its solvability check; a rebound task table must not be checked against them."""
+    """make_env keeps rows from its solvability check; a rebound task table must not be checked against them.
+    reset keeps one start state per task the same way, and a rebound grid-fetch task table drops them."""
     env = make_env("key-chain", seed=0, task_count=3)
     assert env._successors
+    assert env.reset(1) is env.reset(1)
     env.keys = (*env.keys[:2], (env.keys[2][0], (0, env.vocab.terminator_id)))
-    assert "_successors" not in vars(env)
+    assert "_successors" not in vars(env) and "_starts" not in vars(env)
     with pytest.raises(ValueError, match="key-chain task 2 has no success trajectory"):
         verify_success_reachable(env)
+
+    grid = make_env("grid-fetch", seed=0)
+    start = grid.reset(0)
+    assert grid.reset(0) is start and start.features == grid.tasks[0][0]
+    cell = next((x, y) for x in range(grid.width) for y in range(grid.height) if (x, y) != start.features)
+    grid.tasks = ((cell, grid.tasks[0][1]), *grid.tasks[1:])
+    assert "_starts" not in vars(grid)
+    assert grid.reset(0).features == cell
 
 
 def test_reward_scheme_validation():

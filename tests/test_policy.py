@@ -21,6 +21,7 @@ from entlab.policy import (
     exact_response_entropy,
     load_checkpoint,
     mc_response_entropy,
+    path_entropy_sums,
     pathwise_entropy,
     random_policy,
     response_space,
@@ -245,8 +246,9 @@ def _edge_rows(policy, rng):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("shape", TABLE_SHAPES)
 def test_batched_rows_are_the_token_distribution_bit_for_bit(shape):
-    """Each row of a state's one softmax equals token_distribution's row, and the tree and entries built
-    from it equal the per-call walk and per-prefix entries, on absent, repeated, +-700 and +-1e300 rows."""
+    """Each row of a state's one softmax equals token_distribution's row, and the tree, path entropy sums and
+    entries built from it equal the per-call walk and per-prefix entries, on absent, repeated, +-700 and +-1e300
+    rows."""
     size, max_len = TABLE_SHAPES[shape]
     policy = TablePolicy(vocab=Vocabulary(size=size, terminator_id=size - 1), max_len=max_len)
     prefixes = [u for u, _ in _tree_shape(policy.vocab, max_len)[0]]
@@ -261,6 +263,13 @@ def test_batched_rows_are_the_token_distribution_bit_for_bit(shape):
         assert list(dists) == list(want_dists)
         assert all(dists[u].tobytes() == p.tobytes() for u, p in want_dists.items())
         assert paths == want_paths
+        want_sums = []  # the per-prefix route: entropy() of each prefix's row, added along each path
+        for tokens, _ in want_paths:
+            path_sum = 0.0
+            for k in range(len(tokens)):
+                path_sum += entropy(want_dists[tokens[:k]])
+            want_sums.append(path_sum)
+        assert list(map(repr, path_entropy_sums(snapshot, state))) == list(map(repr, want_sums))
 
         sampled = PolicySnapshot(policy)
         sampled.entry(state, prefixes[-1])

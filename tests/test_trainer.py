@@ -12,6 +12,7 @@ import pytest
 
 from entlab.advantage import compute_advantages
 from entlab.envs import REWARD_SCHEMES, make_env
+import entlab.modulation
 import entlab.policy
 from entlab.policy import (
     EnumerationBudgetError,
@@ -506,6 +507,18 @@ def test_one_softmax_per_policy_version(fields, monkeypatch):
     train(TrainConfig(**fields))
     assert keys and len(keys) == len(set(keys))
     assert singles == []
+
+
+def test_one_entropy_proxy_per_collected_span(monkeypatch):
+    """The step record computes each collected span's entropy proxy once, trained spans included;
+    with aem off, modulation computes none."""
+    proxied, groups = [], []
+    proxy, collect = entlab.modulation.response_entropy_proxy, entlab.trainer.collect_group
+    monkeypatch.setattr(entlab.modulation, "response_entropy_proxy", lambda r: proxied.append(id(r)) or proxy(r))
+    monkeypatch.setattr(entlab.trainer, "collect_group", lambda *a: groups.append(collect(*a)) or groups[-1])
+    train(TrainConfig(**dict(FAST, steps=1, aem_mode="off")))
+    spans = [id(span.response) for group in groups for span in group.spans]
+    assert spans and sorted(proxied) == sorted(spans)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**40 + 3, 2**64 + 1])
