@@ -92,13 +92,15 @@ def modulate_batch(
     lam: float = DEFAULT_LAMBDA,
     eps: float = DEFAULT_EPS,
     rng: np.random.Generator | None = None,
+    proxies: dict[int, float] | None = None,
 ) -> list[ModulationSet]:
     """Modulation for a whole training batch, one ModulationSet per group.
 
     Splits the batch's spans into the populations of ``mode`` (see _POPULATION)
     and normalizes and calibrates each population once, in order of first span.
     "reverse" negates lambda; "shuffle" permutes each non-degenerate
-    population's coefficients with ``rng``.
+    population's coefficients with ``rng``.  ``proxies`` holds each span's
+    response_entropy_proxy by id(span) when the caller has computed them.
     """
     if mode not in _POPULATION:
         raise ValueError(f"unknown modulation mode {mode!r}; choose from {tuple(_POPULATION)}")
@@ -110,7 +112,8 @@ def modulate_batch(
     for g_idx, (group, out) in enumerate(zip(groups, sets)):
         for span in group.spans:
             populations.setdefault(population_of(g_idx, span), []).append(
-                (out, (span.rollout_index, span.turn_index), response_entropy_proxy(span.response)))
+                (out, (span.rollout_index, span.turn_index),
+                 proxies[id(span)] if proxies is not None else response_entropy_proxy(span.response)))
     for members in populations.values():
         h_tilde, degenerate = group_minmax_normalize([h for _, _, h in members], eps)
         if degenerate:

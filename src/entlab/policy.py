@@ -1,6 +1,6 @@
 """Tabular autoregressive token policy over small vocabularies.
 
-A policy owns one logit vector per (state, prefix) pair and emits
+A policy owns one block of logit rows per state, a row per prefix, and emits
 variable-length token responses that end with a terminator token or get
 truncated at ``max_len``.  Everything is small enough to enumerate, which is
 what makes exact response-level entropies and exact gradient checks possible
@@ -12,8 +12,10 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -67,46 +69,63 @@ class Response:
         return -sum(self.logprobs)
 
 
-@dataclass
+@dataclass(eq=False)
 class TablePolicy:
     """Logit table keyed by (state, prefix).
 
-    States are opaque hashable keys (strings in practice); prefixes are the
-    exact token tuples emitted so far within the current response.  Missing
-    entries read as zero logits, i.e. a uniform conditional distribution;
-    reads never store them, only the write path logit_vector does.  ``writes``
-    counts logit_vector calls, so that a PolicySnapshot can tell it is stale.
+    States are opaque hashable keys (strings in practice); prefixes are the token tuples emitted so far
+    within the current response.  A written state holds one (internal prefixes x |V|) block, rows in
+    _tree_shape's walk order, and a mask of its written rows; other rows read as zero logits (uniform).
+    Only logit_vector and _block write, and ``writes`` counts them, so a PolicySnapshot can tell it is stale.
     """
 
     vocab: Vocabulary
     max_len: int
-    logits: dict[tuple[str, tuple[int, ...]], np.ndarray] = field(default_factory=dict)
-    writes: int = field(default=0, repr=False, compare=False)
+    writes: int = field(default=0, repr=False)
+    _blocks: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.max_len < 1:
             raise ValueError("max_len must be at least 1")
 
-    def _key(self, state: str, prefix: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
-        """Table key of (state, prefix); a prefix of max_len tokens has no successor to score."""
+    def _row(self, prefix: tuple[int, ...]) -> int | None:
+        """Block row of prefix, None if it has none; a prefix of max_len tokens has no successor to score."""
         if len(prefix) >= self.max_len:
             raise ValueError(f"prefix of length {len(prefix)} has no successor under max_len={self.max_len}")
-        return state, tuple(prefix)
+        return _tree_shape(self.vocab, self.max_len)[3].get(tuple(prefix))
+
+    @property
+    def logits(self) -> Mapping[tuple[str, tuple[int, ...]], np.ndarray]:
+        """The written rows, read-only, as a mapping (state, prefix) -> row in state order, then row order."""
+        prefixes, rows = _tree_shape(self.vocab, self.max_len)[2] if self._blocks else [], {}
+        for state, (block, written) in self._blocks.items():
+            view = block.view()
+            view.flags.writeable = False
+            rows.update(((state, prefixes[i]), view[i]) for i in np.flatnonzero(written).tolist())
+        return MappingProxyType(rows)
+
+    def _block(self, state: str) -> tuple[np.ndarray, np.ndarray]:
+        """The live (block, written mask) of ``state``, zeros and no rows on first touch; counts a write."""
+        self.writes += 1
+        if state not in self._blocks:
+            rows = len(_tree_shape(self.vocab, self.max_len)[2])
+            self._blocks[state] = (np.zeros((rows, self.vocab.size)), np.zeros(rows, dtype=bool))
+        return self._blocks[state]
 
     def logit_vector(self, state: str, prefix: tuple[int, ...]) -> np.ndarray:
-        """Return the live logit array for (state, prefix), storing zeros on first touch (the write path)."""
-        key = self._key(state, prefix)
-        self.writes += 1
-        if key not in self.logits:
-            self.logits[key] = np.zeros(self.vocab.size)
-        return self.logits[key]
+        """Return the live logit row of (state, prefix), marked written (the write path)."""
+        row = self._row(prefix)
+        if row is None:
+            raise ValueError(f"{(state, tuple(prefix))!r} has no logit row: a prefix holds tokens in "
+                             f"range({self.vocab.size}) but {self.vocab.terminator_id}, the terminator")
+        block, written = self._block(state)
+        written[row] = True
+        return block[row]
 
     def copy(self) -> TablePolicy:
-        return TablePolicy(
-            vocab=self.vocab,
-            max_len=self.max_len,
-            logits={k: v.copy() for k, v in self.logits.items()},
-        )
+        new = TablePolicy(vocab=self.vocab, max_len=self.max_len)
+        new._blocks = {state: (block.copy(), written.copy()) for state, (block, written) in self._blocks.items()}
+        return new
 
 
 def token_distribution(policy: TablePolicy, state: str, prefix: tuple[int, ...]) -> np.ndarray:
@@ -115,11 +134,10 @@ def token_distribution(policy: TablePolicy, state: str, prefix: tuple[int, ...])
     Returns a probability vector of length |V| with all entries positive and
     summing to 1 up to float roundoff.  Reading leaves the policy unchanged.
     """
-    z = policy.logits.get(policy._key(state, prefix))
-    if z is None:  # zero logits: their softmax is exactly 1/|V| per token
+    row, found = policy._row(prefix), policy._blocks.get(state)
+    if row is None or found is None:  # zero logits, as in an unwritten row: their softmax is exactly 1/|V|
         return np.full(policy.vocab.size, 1.0 / policy.vocab.size)
-    z = z - z.max()
-    p = np.exp(z)
+    p = np.exp(found[0][row] - found[0][row].max())
     return p / p.sum()
 
 
@@ -127,8 +145,8 @@ class PolicySnapshot:
     """Read-only view of one policy version, the one reader of its softmaxes; valid until its next write.
 
     table(state) is one softmax per internal prefix of _tree_shape, rows in walk order, taken on the
-    state's first read in one pass (stacked logits, zeros where there are none, less each row's max,
-    exponentiated, over each row's sum: token_distribution bit for bit) and refused unless every row is a
+    state's first read in one pass (a copy of the state's block, zeros where there is none, less each row's
+    max, exponentiated, over each row's sum: token_distribution bit for bit) and refused unless every row is a
     distribution, as Generator.choice refuses p.  entry(state, prefix) is the sampler's (p, cdf, logp, H),
     derived for every prefix of a state from its table on its first miss: cdf is cumsum(p) / cumsum(p)[-1]
     as a list (what choice searches), logp is np.log(p) as a list and H is p's row of _row_entropies.
@@ -168,8 +186,8 @@ class PolicySnapshot:
             raise RuntimeError("policy snapshot read after a logit_vector write to its policy")
         found = self._tables.get(state)
         if found is None:
-            prefixes, zero = self._shape[2], np.zeros(self.policy.vocab.size)
-            z = np.array([self.policy.logits.get((state, u), zero) for u in prefixes], dtype=float)
+            prefixes, block = self._shape[2], self.policy._blocks.get(state)
+            z = np.zeros((len(prefixes), self.policy.vocab.size)) if block is None else block[0].copy()
             z -= z.max(axis=1, keepdims=True)
             np.exp(z, out=z)
             sums = z.sum(axis=1)
@@ -245,12 +263,12 @@ def _check_budget(vocab: Vocabulary, max_len: int) -> None:
 
 @lru_cache(maxsize=16)
 def _tree_shape(vocab: Vocabulary, max_len: int) -> tuple:
-    """The one definition of when a response ends, indexed for a snapshot's table: (internal, leaves,
-    prefixes, ranked, row_path, row_rank, row_row, row_tok, edges, starts).  internal is each internal
-    (prefix, children) in depth-first walk order, prefixes lists them (the table's rows), leaves the sorted
-    complete responses (terminator or max_len).  Then one row per (leaf, position), leaves in order: ranked
-    lists the prefixes in order of first appearance, edges = row_row * |V| + row_tok indexes the flat table,
-    starts each leaf's first row.  Every enumeration starts here, so an over-budget shape is refused first."""
+    """The one definition of when a response ends, indexed for a snapshot's table and a policy's blocks:
+    (internal, leaves, prefixes, rows, row_path, row_row, row_tok, edges, starts).  internal is each internal
+    (prefix, children) in depth-first walk order, prefixes lists them (the table's and the block's rows),
+    rows maps each to its row, leaves the sorted complete responses (terminator or max_len).  Then one row
+    per (leaf, position), leaves in order: edges = row_row * |V| + row_tok indexes the flat table, starts
+    each leaf's first row.  Every enumeration starts here, so an over-budget shape is refused first."""
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
     _check_budget(vocab, max_len)
@@ -267,10 +285,10 @@ def _tree_shape(vocab: Vocabulary, max_len: int) -> tuple:
             else:
                 stack.append(path)
     leaves.sort()
-    row, ranks = {u: i for i, (u, _) in enumerate(internal)}, {}
-    cols = [np.array(col) for col in zip(*[(j, ranks.setdefault(path[:k], len(ranks)), row[path[:k]], tok)
+    rows = {u: i for i, (u, _) in enumerate(internal)}
+    cols = [np.array(col) for col in zip(*[(j, rows[path[:k]], tok)
                                            for j, path in enumerate(leaves) for k, tok in enumerate(path)])]
-    return (tuple(internal), tuple(leaves), list(row), list(ranks), *cols, cols[2] * vocab.size + cols[3],
+    return (tuple(internal), tuple(leaves), list(rows), rows, *cols, cols[1] * vocab.size + cols[2],
             np.flatnonzero(np.diff(cols[0], prepend=-1)))
 
 
@@ -322,7 +340,7 @@ def _row_entropies(table: np.ndarray, logp: np.ndarray) -> np.ndarray:
 def path_entropy_sums(snapshot: PolicySnapshot, state: str) -> list[float]:
     """sum_k H(tokens[:k]) for each path of tree(state), added left to right, in path order: each prefix's H
     is one row of _row_entropies(table(state)), read through the (leaf, position) rows of _tree_shape."""
-    table, (_, leaves, *_, row_row) = snapshot.table(state), snapshot._shape[:7]
+    table, (_, leaves, *_, row_row) = snapshot.table(state), snapshot._shape[:6]
     h = iter(_row_entropies(table, np.log(table))[row_row].tolist())
     sums = []
     for tokens in leaves:
@@ -348,9 +366,9 @@ def random_policy(vocab_size: int, max_len: int, rng: np.random.Generator,
                   scale: float = 1.5, state: str = "s") -> TablePolicy:
     """Policy with normal(0, scale) logits on every reachable prefix of one state."""
     policy = TablePolicy(vocab=Vocabulary(size=vocab_size, terminator_id=vocab_size - 1), max_len=max_len)
-    # Draws follow the walk's fixed prefix order, so a seed always gives the same policy.
-    for prefix, _ in _tree_shape(policy.vocab, max_len)[0]:
-        policy.logits[(state, prefix)] = scale * rng.normal(size=vocab_size)
+    # One row of draws per prefix in the block's walk order, so a seed always gives the same policy.
+    block, written = policy._block(state)
+    block[:], written[:] = scale * rng.normal(size=block.shape), True
     return policy
 
 
@@ -393,13 +411,13 @@ def load_checkpoint(path: str) -> TablePolicy:
         vocab=Vocabulary(size=doc["vocab_size"], terminator_id=doc["terminator_id"]),
         max_len=doc["max_len"],
     )
-    size = policy.vocab.size
+    size, term = policy.vocab.size, policy.vocab.terminator_id
     for i, entry in enumerate(doc["entries"]):
         state, prefix, vec = entry if isinstance(entry, list) and len(entry) == 3 else (None, None, None)
         if not (isinstance(state, str) and isinstance(prefix, list) and len(prefix) < policy.max_len
-                and all(type(t) is int and 0 <= t < size for t in prefix) and isinstance(vec, list)
+                and all(type(t) is int and 0 <= t < size and t != term for t in prefix) and isinstance(vec, list)
                 and len(vec) == size and all(type(x) in (int, float) and math.isfinite(x) for x in vec)):
             raise ValueError(f"checkpoint {path} entry {i} {entry!r} is not [state, prefix of fewer than "
-                             f"{policy.max_len} tokens in range({size}), {size} finite logits]")
-        policy.logits[(state, tuple(prefix))] = np.asarray(vec, dtype=float)
+                             f"{policy.max_len} tokens in range({size}) but {term}, {size} finite logits]")
+        policy.logit_vector(state, tuple(prefix))[:] = vec
     return policy

@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 import time
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 
@@ -137,13 +138,14 @@ def _clipped_term(ratio: float, advantage: float, clip_low: float, clip_high: fl
     return min(ratio * advantage, clipped * advantage)
 
 
-def _grad_add(grad: dict, key: tuple[str, tuple[int, ...]], vec: np.ndarray) -> None:
-    """Add vec into the logit-table gradient at key, copying it on first touch."""
-    acc = grad.get(key)
-    if acc is None:
-        grad[key] = vec.copy()
-    else:
-        acc += vec
+def _grad_block(grad: dict, snapshot: PolicySnapshot, state: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (accumulator, row mask) of ``state`` in grad, on first touch a block of -0.0 and no rows:
+    -0.0 + x is x for every x, so a row's first add is a copy bit for bit."""
+    found = grad.get(state)
+    if found is None:
+        rows = len(snapshot._shape[2])
+        found = grad[state] = (np.full((rows, snapshot.policy.vocab.size), -0.0), np.zeros(rows, dtype=bool))
+    return found
 
 
 def _one_hot_minus_p(p: np.ndarray, tok: int) -> np.ndarray:
@@ -160,8 +162,9 @@ def surrogate_loss(
     config: TrainConfig,
     ref_policy: TablePolicy | PolicySnapshot | None = None,
     masked_keys: set[tuple[int, int, int]] | None = None,
-) -> tuple[float, dict[tuple[str, tuple[int, ...]], np.ndarray]]:
-    """Negated clipped objective plus regularizers, with its analytic logit gradient.
+) -> tuple[float, dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """Negated clipped objective plus regularizers, with its analytic logit gradient as one
+    (G, mask) per state: G is the gradient over the state's logit block, +0.0 outside the rows of mask.
 
     tables[g] carries the (possibly modulated) advantage of each span of
     groups[g]; each span's recorded logprobs are the behavior policy's, so the
@@ -175,61 +178,52 @@ def surrogate_loss(
     snapshot = PolicySnapshot.of(policy)
 
     # (advantage, state_key, tokens, behavior logprobs) per surviving span.
-    span_rows = []
-    for g_idx, (group, table) in enumerate(zip(groups, tables)):
-        for span in group.spans:
-            key = (span.rollout_index, span.turn_index)
-            if (g_idx, *key) in masked_keys:
-                continue
-            span_rows.append((table.values[key], span.state_key, span.response.tokens, span.response.logprobs))
+    span_rows = [(table.values[(s.rollout_index, s.turn_index)], s.state_key, s.response.tokens, s.response.logprobs)
+                 for g_idx, (group, table) in enumerate(zip(groups, tables)) for s in group.spans
+                 if (g_idx, s.rollout_index, s.turn_index) not in masked_keys]
 
-    grad: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
+    grad: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    rows = snapshot._shape[3]
     j_clip = 0.0
     n_spans = len(span_rows)
     total_tokens = sum(len(row[2]) for row in span_rows)
 
     for adv, state, tokens, behavior_lp in span_rows:
         length = len(tokens)
-        if config.loss == "gspo_seq":
-            # Sequence-level ratio: geometric mean of the per-token ratios.
-            log_ratios = []
-            for k, tok in enumerate(tokens):
-                logp = snapshot.entry(state, tuple(tokens[:k]))[2]
-                log_ratios.append(logp[tok] - behavior_lp[k])
-            seq_ratio = math.exp(sum(log_ratios) / length)
-            j_clip += _clipped_term(seq_ratio, adv, config.clip_low, config.clip_high) / n_spans
-            if adv != 0.0 and _clip_active(seq_ratio, adv, config.clip_low, config.clip_high):
-                coeff = adv * seq_ratio / (n_spans * length)
-                for k, tok in enumerate(tokens):
-                    p = snapshot.entry(state, tuple(tokens[:k]))[0]
-                    _grad_add(grad, (state, tuple(tokens[:k])), coeff * _one_hot_minus_p(p, tok))
-            continue
-
-        if config.loss == "grpo_clip":
-            token_weight = 1.0 / (n_spans * length)
-        else:  # dapo_token
-            token_weight = 1.0 / total_tokens
-        for k, tok in enumerate(tokens):
-            p, _, logp, _ = snapshot.entry(state, tuple(tokens[:k]))
-            ratio = math.exp(logp[tok] - behavior_lp[k])
-            j_clip += token_weight * _clipped_term(ratio, adv, config.clip_low, config.clip_high)
-            if adv != 0.0 and _clip_active(ratio, adv, config.clip_low, config.clip_high):
-                _grad_add(grad, (state, tuple(tokens[:k])), (token_weight * adv * ratio) * _one_hot_minus_p(p, tok))
+        prefixes = [tuple(tokens[:k]) for k in range(length)]
+        entries = [snapshot.entry(state, u) for u in prefixes]
+        log_ratios = [entry[2][tok] - lp for entry, tok, lp in zip(entries, tokens, behavior_lp)]
+        # Each token's gradient coefficient, None where it adds nothing (A is 0 or the clipped branch is selected).
+        if config.loss == "gspo_seq":  # one sequence-level ratio: geometric mean of the per-token ratios
+            ratio = math.exp(sum(log_ratios) / length)
+            j_clip += _clipped_term(ratio, adv, config.clip_low, config.clip_high) / n_spans
+            active = adv != 0.0 and _clip_active(ratio, adv, config.clip_low, config.clip_high)
+            coeffs = [adv * ratio / (n_spans * length) if active else None] * length
+        else:
+            token_weight = 1.0 / (n_spans * length) if config.loss == "grpo_clip" else 1.0 / total_tokens
+            coeffs = []
+            for log_ratio in log_ratios:
+                ratio = math.exp(log_ratio)
+                j_clip += token_weight * _clipped_term(ratio, adv, config.clip_low, config.clip_high)
+                active = adv != 0.0 and _clip_active(ratio, adv, config.clip_low, config.clip_high)
+                coeffs.append(token_weight * adv * ratio if active else None)
+        for u, entry, tok, coeff in zip(prefixes, entries, tokens, coeffs):
+            if coeff is not None:
+                acc, mask = _grad_block(grad, snapshot, state)
+                acc[rows[u]] += coeff * _one_hot_minus_p(entry[0], tok)
+                mask[rows[u]] = True
 
     j_reg = 0.0
     if (config.entropy_coef != 0.0 or config.kl_coef != 0.0) and n_spans > 0:
         if config.kl_coef != 0.0 and ref_policy is None:
             raise ValueError("kl_coef > 0 needs a reference policy")
-        state_counts: dict[str, int] = {}
-        for _, state, _, _ in span_rows:
-            state_counts[state] = state_counts.get(state, 0) + 1
-        for state, count in state_counts.items():
-            weight = count / n_spans
-            j_reg += weight * _regularizer_state(snapshot, ref_policy, state, config, grad, weight)
+        for state, count in Counter(row[1] for row in span_rows).items():  # states in order of first span
+            j_reg += count / n_spans * _regularizer_state(snapshot, ref_policy, state, config, grad, count / n_spans)
 
-    # Loss is the negated objective; the accumulator holds dJ/dz, so flip it.
-    loss = -(j_clip + j_reg)
-    return loss, {key: -vec for key, vec in grad.items()}
+    # Loss is the negated objective; the accumulator holds dJ/dz, so flip it (-(-0.0) is +0.0).
+    for acc, _ in grad.values():
+        np.negative(acc, out=acc)
+    return -(j_clip + j_reg), grad
 
 
 def _regularizer_state(
@@ -237,15 +231,15 @@ def _regularizer_state(
     ref_policy: TablePolicy | PolicySnapshot | None,
     state: str,
     config: TrainConfig,
-    grad: dict[tuple[str, tuple[int, ...]], np.ndarray],
+    grad: dict[str, tuple[np.ndarray, np.ndarray]],
     weight: float,
 ) -> float:
-    """Exact entropy bonus and KL penalty at one state, accumulating dJ/dz in place.
+    """Exact entropy bonus and KL penalty at one state, accumulating dJ/dz into its block of grad in place.
 
     Reads the leaves, leaf logs and table of ``snapshot`` (and the leaf logs of ref_policy when
     kl_coef != 0): the entropy gradient weights each path's score by (surprisal - H), the KL gradient by
     (ref surprisal - surprisal); both use sum-over-positions score decompositions.  The
-    value and every gradient entry are bit-identical to calling _grad_add with
+    value and every gradient entry are bit-identical to adding
     (weight * coeff) * (onehot - p) at each position of each path in order.
     """
     leaves, (logs, h) = snapshot.tree(state)[1], snapshot.leaf_logs(state)
@@ -264,23 +258,17 @@ def _regularizer_state(
     value = config.entropy_coef * h - config.kl_coef * kl
 
     coeffs = np.array(coeffs)
-    prefixes, row_path, row_prefix, row_row, row_tok = snapshot._shape[3:8]
-    rows = coeffs[row_path] != 0.0
-    pre = row_prefix[rows]
-    vecs = -snapshot.table(state)[row_row[rows]]
-    vecs[np.arange(len(pre)), row_tok[rows]] += 1.0
-    vecs *= (weight * coeffs[row_path[rows]])[:, None]
-    # An absent key takes its first row, the rest add in path order; prefix order is insertion order.
-    used, first = np.unique(pre, return_index=True)
-    block = np.empty((len(prefixes), snapshot.policy.vocab.size))
-    rest = np.ones(len(pre), dtype=bool)
-    for i, r in zip(used.tolist(), first.tolist()):
-        acc = grad.get((state, prefixes[i]))
-        rest[r] = acc is not None
-        block[i] = vecs[r] if acc is None else acc
-    cells = pre[rest][:, None] * block.shape[1] + np.arange(block.shape[1])  # flat, for ufunc.at's fast path
-    np.add.at(block.ravel(), cells.ravel(), vecs[rest].ravel())
-    grad.update(((state, prefixes[i]), block[i]) for i in used.tolist())
+    row_path, row_row, row_tok = snapshot._shape[4:7]
+    used = coeffs[row_path] != 0.0
+    if used.any():
+        at = row_row[used]
+        vecs = -snapshot.table(state)[at]
+        vecs[np.arange(len(at)), row_tok[used]] += 1.0
+        vecs *= (weight * coeffs[row_path[used]])[:, None]
+        acc, mask = _grad_block(grad, snapshot, state)
+        cells = at[:, None] * acc.shape[1] + np.arange(acc.shape[1])  # flat, for ufunc.at's fast path
+        np.add.at(acc.ravel(), cells.ravel(), vecs.ravel())  # in path order
+        mask[at] = True
     return value
 
 
@@ -352,15 +340,13 @@ def train(
             timings["advantage"] += time.perf_counter() - t0
 
             t0 = time.perf_counter()
+            # Trained groups are collected groups, so each span's proxy is computed once, here.
+            h_bar = {id(span): mod.response_entropy_proxy(span.response) for g in groups for span in g.spans}
             sets = None
             if config.aem_mode != "off" or mask_sign is not None:
-                sets = mod.modulate_batch(
-                    trained,
-                    mode=config.aem_mode if config.aem_mode != "off" else "aem",
-                    lam=config.aem_lambda,
-                    eps=config.aem_eps,
-                    rng=_rng_for(config.seed, 2, step) if config.aem_mode == "shuffle" else None,
-                )
+                sets = mod.modulate_batch(trained, mode=config.aem_mode if config.aem_mode != "off" else "aem",
+                                          lam=config.aem_lambda, eps=config.aem_eps, proxies=h_bar,
+                                          rng=_rng_for(config.seed, 2, step) if config.aem_mode == "shuffle" else None)
             applied = tables
             if config.aem_mode != "off":
                 applied = [mod.apply_modulation(t, s) for t, s in zip(tables, sets)]
@@ -382,13 +368,14 @@ def train(
                                                 ref, masked)
                     if epoch == 0:
                         loss_value = loss
-                    for key, gvec in grad.items():
-                        vec = policy.logit_vector(key[0], key[1])
-                        vec -= config.lr * gvec
+                    for state, (gvec, rows) in grad.items():
+                        block, written = policy._block(state)
+                        block -= config.lr * gvec
+                        written |= rows
             timings["update"] += time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            record = _step_metrics(step, groups, trained, applied, sets, loss_value)
+            record = _step_metrics(step, groups, trained, applied, sets, loss_value, h_bar)
             metrics.append(record)
             if metrics_fh:
                 metrics_fh.write(json.dumps(record.to_doc(), sort_keys=True))
@@ -431,41 +418,31 @@ def load_metrics(path: str) -> list[StepMetrics]:
 
 def _step_metrics(step: int, collected: list[Group], trained: list[Group],
                   applied: list[AdvantageTable], sets: list[mod.ModulationSet] | None,
-                  loss_value: float) -> StepMetrics:
-    """Step summaries; with no modulation sets (aem off, no mask) every alpha is 1 and h_tilde None."""
+                  loss_value: float, h_bar: dict[int, float]) -> StepMetrics:
+    """Step summaries, h_bar each collected span's proxy; with no modulation sets every alpha is 1, h_tilde None."""
     rewards = [traj.reward for g in collected for traj in g.trajectories]
     successes = [traj.success for g in collected for traj in g.trajectories]
-    # Trained groups are collected groups, so each span's proxy is computed once, here.
-    h_bar = {id(span): mod.response_entropy_proxy(span.response) for g in collected for span in g.spans}
-    h_bars = list(h_bar.values())
 
     span_docs = []
     alphas: list[float] = []
     n_pos = 0
-    n_spans = 0
     for g_idx, (group, table) in enumerate(zip(trained, applied)):
         for span in group.spans:
             key = (span.rollout_index, span.turn_index)
             adv = table.values[key]
             alpha = sets[g_idx].alpha[key] if sets else 1.0
             alphas.append(alpha)
-            n_spans += 1
             n_pos += 1 if adv > 0.0 else 0
-            span_docs.append([
-                g_idx, key[0], key[1],
-                h_bar[id(span)],
-                sets[g_idx].h_tilde[key] if sets else None,
-                alpha,
-                adv,
-            ])
+            span_docs.append([g_idx, key[0], key[1], h_bar[id(span)], sets[g_idx].h_tilde[key] if sets else None,
+                              alpha, adv])
 
     return StepMetrics(
         step=step,
         mean_reward=sum(rewards) / len(rewards) if rewards else 0.0,
         success_rate=sum(successes) / len(successes) if successes else 0.0,
-        policy_entropy_estimate=sum(h_bars) / len(h_bars) if h_bars else 0.0,
+        policy_entropy_estimate=sum(h_bar.values()) / len(h_bar) if h_bar else 0.0,
         mean_alpha=sum(alphas) / len(alphas) if alphas else 1.0,
-        frac_positive_advantage=n_pos / n_spans if n_spans else 0.0,
+        frac_positive_advantage=n_pos / len(alphas) if alphas else 0.0,
         loss_value=loss_value,
         spans=span_docs,
     )

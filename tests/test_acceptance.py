@@ -34,6 +34,7 @@ from entlab.policy import Response, TablePolicy, exact_response_entropy, pathwis
 from entlab.probes import consistency_probe, doob_exact_residuals, doob_probe, reachable_states
 from entlab.rollout import Group, ResponseSpan, collect_group
 from entlab.trainer import LOSSES, TrainConfig, surrogate_loss, train
+from grad_rows import grad_rows
 from seeding import child_rngs
 
 
@@ -331,7 +332,7 @@ def test_loss_gradients_match_finite_differences():
         _, grad = surrogate_loss(policy, [group], [table], config, ref_policy)
         assert grad
         analytic, fd = [], []
-        for (state, prefix), gvec in grad.items():
+        for (state, prefix), gvec in grad_rows(policy, grad).items():
             vec = policy.logit_vector(state, prefix)
             for tok in range(len(gvec)):
                 vec[tok] += h

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,9 +69,9 @@ def test_uniform_distribution_from_zero_logits():
 
 def test_softmax_shift_invariance_and_stability():
     policy = TablePolicy(vocab=Vocabulary(size=4, terminator_id=3), max_len=1)
-    policy.logits[("s", ())] = np.array([1000.0, 1001.0, 999.0, 1000.5])
+    policy.logit_vector("s", ())[:] = np.array([1000.0, 1001.0, 999.0, 1000.5])
     p = token_distribution(policy, "s", ())
-    policy.logits[("s", ())] = np.array([0.0, 1.0, -1.0, 0.5])
+    policy.logit_vector("s", ())[:] = np.array([0.0, 1.0, -1.0, 0.5])
     q = token_distribution(policy, "s", ())
     np.testing.assert_allclose(p, q, rtol=1e-12)
     assert np.isfinite(p).all()
@@ -83,6 +84,49 @@ def test_prefix_past_max_len_rejected():
         policy.logit_vector("s", (0, 1))
     with pytest.raises(ValueError):
         token_distribution(policy, "s", (0, 1))
+
+
+@pytest.mark.parametrize("prefix", [(2,), (3,), (-1,)])
+def test_prefix_without_a_block_row_is_refused(prefix):
+    """A prefix holding the terminator (or a token outside the vocabulary) has no row to write."""
+    policy = TablePolicy(vocab=Vocabulary(size=3, terminator_id=2), max_len=3)
+    with pytest.raises(ValueError, match=re.escape(f"{('s', prefix)!r} has no logit row")):
+        policy.logit_vector("s", prefix)
+    assert policy.logits == {} and policy.writes == 0
+
+
+def test_logits_view_is_the_written_rows():
+    """policy.logits maps exactly the rows written through logit_vector, state by state in row order,
+    and refuses item assignment and writes through its rows."""
+    policy = TablePolicy(vocab=Vocabulary(size=3, terminator_id=2), max_len=3)
+    assert policy.logits == {} and len(policy.logits) == 0 and list(policy.logits) == []
+    rows = [u for u, _ in _tree_shape(policy.vocab, policy.max_len)[0]]
+    written = [("t", rows[3]), ("s", rows[2]), ("s", rows[0]), ("t", rows[1])]
+    for i, (state, prefix) in enumerate(written):
+        policy.logit_vector(state, prefix)[:] = (i, -i, 0.5)
+    want = [("t", rows[1]), ("t", rows[3]), ("s", rows[0]), ("s", rows[2])]
+    assert list(policy.logits) == want and len(policy.logits) == 4
+    assert policy.logits.get(("s", rows[1])) is None and ("s", rows[1]) not in policy.logits
+    assert policy.logits.get(("u", ())) is None and policy.logits.get(("s", (2,))) is None
+    assert policy.logits[("s", rows[0])].tolist() == [2.0, -2.0, 0.5]
+    with pytest.raises(TypeError):
+        policy.logits[("s", ())] = np.zeros(3)
+    with pytest.raises(ValueError, match="read-only"):
+        policy.logits[("s", rows[0])][0] = 1.0
+    assert policy.logit_vector("s", rows[0]).tolist() == [2.0, -2.0, 0.5]
+
+
+def test_copy_is_independent_of_the_original():
+    policy = random_policy(3, 3, np.random.default_rng(3))
+    copy = policy.copy()
+    before = {k: v.copy() for k, v in policy.logits.items()}
+    copy.logit_vector("s", ())[0] += 1.0
+    copy.logit_vector("t", ())
+    policy.logit_vector("s", (0,))[1] -= 1.0
+    assert copy.logits[("s", ())][0] == before[("s", ())][0] + 1.0
+    assert policy.logits[("s", ())].tobytes() == before[("s", ())].tobytes()
+    assert copy.logits[("s", (0,))].tobytes() == before[("s", (0,))].tobytes()
+    assert ("t", ()) not in policy.logits and len(copy.logits) == len(policy.logits) + 1
 
 
 def test_tree_shape_refuses_empty_responses():
@@ -237,9 +281,9 @@ def _edge_rows(policy, rng):
     draws = list(kinds.values())
     for i, (u, _) in enumerate(_tree_shape(policy.vocab, policy.max_len)[0]):
         for state, draw in kinds.items():
-            policy.logits[(state, u)] = draw()
+            policy.logit_vector(state, u)[:] = draw()
         if i % 5:
-            policy.logits[("mixed", u)] = draws[i % 4]()
+            policy.logit_vector("mixed", u)[:] = draws[i % 4]()
     return [*kinds, "mixed", "absent"]
 
 
@@ -310,7 +354,7 @@ def test_tree_reads_refuse_a_row_that_is_not_a_distribution():
     """One check per state's softmax covers every exact route, not only the sampled prefixes: a NaN row
     at an unsampled prefix used to give a wrong finite exact entropy and a NaN pathwise one."""
     policy = random_policy(5, 3, np.random.default_rng(0))
-    policy.logits[("s", (1,))] = np.array([np.inf, 0.0, 0.0, 0.0, 0.0])
+    policy.logit_vector("s", (1,))[:] = np.array([np.inf, 0.0, 0.0, 0.0, 0.0])
     config = TrainConfig(env_kind="grid-fetch", kl_coef=0.01)
     reads = {
         "exact_response_entropy": exact_response_entropy,
@@ -523,11 +567,15 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
 
 def test_checkpoint_bytes_are_stable(tmp_path):
     policy = random_policy(3, 3, np.random.default_rng(17))
+    policy.logit_vector("a", (1,))[:] = (0.25, -1.0, 3.0)
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
+    p3 = tmp_path / "c.json"
     save_checkpoint(policy, str(p1))
     save_checkpoint(policy.copy(), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+    save_checkpoint(load_checkpoint(str(p1)), str(p3))
+    assert p3.read_bytes() == p1.read_bytes()
 
 
 def _write_entries(path, entries):
@@ -572,6 +620,7 @@ def test_checkpoint_refuses_a_malformed_document(tmp_path, doc, field):
     ["s", [], [0.0, float("nan"), 0.0]],
     ["s", [], [0.0, "1.0", 0.0]],
     ["s", [], [0.0, 0.0, 0.0], "extra"],
+    ["s", [2], [0.0, 0.0, 0.0]],  # a prefix holding the terminator has no row
     "s",
 ])
 def test_checkpoint_refuses_a_malformed_entry(tmp_path, entry):

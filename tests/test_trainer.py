@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from entlab.advantage import compute_advantages
+from entlab.advantage import AdvantageTable, compute_advantages
 from entlab.envs import REWARD_SCHEMES, make_env
 import entlab.modulation
 import entlab.policy
@@ -32,12 +32,14 @@ from entlab.trainer import (
     _group_rngs,
     _rng_for,
     load_metrics,
-    _grad_add,
+    _clip_active,
+    _grad_block,
     _one_hot_minus_p,
     _regularizer_state,
     surrogate_loss,
     train,
 )
+from grad_rows import grad_rows
 from seeding import child_rngs
 
 FAST = dict(
@@ -154,7 +156,7 @@ def _fd_check(policy, ref_policy, groups, tables, config, h=1e-6, tol=2e-6):
     assert math.isfinite(loss0)
     assert grad, "expected a nonempty gradient table"
     checked = 0
-    for (state, prefix), gvec in grad.items():
+    for (state, prefix), gvec in grad_rows(policy, grad).items():
         vec = policy.logit_vector(state, prefix)
         for tok in range(len(gvec)):
             vec[tok] += h
@@ -223,6 +225,15 @@ def test_regularizer_terms_match_exact_enumeration():
                                             abs=1e-12)
 
 
+def _grad_add(grad, key, vec):
+    """Add vec into a per-key gradient dict at key, copying it on first touch: the reference accumulator."""
+    acc = grad.get(key)
+    if acc is None:
+        grad[key] = vec.copy()
+    else:
+        acc += vec
+
+
 def _regularizer_state_per_path(policy, ref_policy, state, config, grad, weight):
     """The per-path regularizer walk the trainer's vectorized one must match bit for bit."""
     paths = enumerate_responses(policy, state)
@@ -258,11 +269,18 @@ def _regularizer_state_per_path(policy, ref_policy, state, config, grad, weight)
     return value
 
 
-def _seeded_accum(vocab_size, state, rng):
-    """An accumulator already holding clip-term entries, two of them at regularizer keys."""
+def _seeded_accum(snapshot, state, rng, blocks=True):
+    """An accumulator already holding clip-term entries, two of them at regularizer keys: surrogate_loss's
+    per-state blocks, or with blocks=False the reference's per-key dict of the same draws."""
     grad = {}
-    for key in [(state, (0,)), ("other", ()), (state, ())]:
-        _grad_add(grad, key, rng.normal(scale=0.1, size=vocab_size))
+    for s, prefix in [(state, (0,)), ("other", ()), (state, ())]:
+        vec = rng.normal(scale=0.1, size=snapshot.policy.vocab.size)
+        if blocks:
+            acc, mask = _grad_block(grad, snapshot, s)
+            acc[snapshot._shape[3][prefix]] += vec
+            mask[snapshot._shape[3][prefix]] = True
+        else:
+            _grad_add(grad, (s, prefix), vec)
     return grad
 
 
@@ -276,8 +294,8 @@ def test_regularizer_state_is_bit_identical_to_per_path_walk(shape):
         ref_policy = random_policy(5, 3, np.random.default_rng(12), scale=0.5)
         state = "s"
         if shape == "grid-fetch-underflow":
-            policy.logits[(state, ())][1] = -800.0
-            policy.logits[(state, (0,))][2] = 750.0
+            policy.logit_vector(state, ())[1] = -800.0
+            policy.logit_vector(state, (0,))[2] = 750.0
             leaves = enumerate_responses(policy, state)
             assert 0.0 < sum(prob == 0.0 for _, prob in leaves) < len(leaves)
     elif shape in ("step-0", "policy-is-ref"):
@@ -300,19 +318,101 @@ def test_regularizer_state_is_bit_identical_to_per_path_walk(shape):
         assert len(enumerate_responses(policy, state)) == 7
     snapshot, ref = PolicySnapshot(policy), PolicySnapshot(ref_policy)
     for weight in (0.375, 1.0):
-        expect = _seeded_accum(policy.vocab.size, state, np.random.default_rng(7))
-        got = _seeded_accum(policy.vocab.size, state, np.random.default_rng(7))
+        expect = _seeded_accum(snapshot, state, np.random.default_rng(7), blocks=False)
+        blocks = _seeded_accum(snapshot, state, np.random.default_rng(7))
         want = _regularizer_state_per_path(policy, ref_policy, state, config, expect, weight)
         # The second pass reads both trees from the snapshots the first one filled.
-        assert _regularizer_state(snapshot, ref, state, config, got, weight) == want
-        assert list(got) == list(expect)
+        assert _regularizer_state(snapshot, ref, state, config, blocks, weight) == want
+        got = grad_rows(policy, blocks)
+        assert sorted(got) == sorted(expect)
         for key, vec in expect.items():
             assert got[key].tobytes() == vec.tobytes(), key
+        # Rows no path reached still hold the accumulator's -0.0.
+        assert all(np.signbit(acc[~mask]).all() and not acc[~mask].any() for acc, mask in blocks.values())
         if shape in ("step-0", "policy-is-ref"):
             assert want == 0.0
-            untouched = _seeded_accum(5, state, np.random.default_rng(7))
+            untouched = grad_rows(policy, _seeded_accum(snapshot, state, np.random.default_rng(7)))
             assert all(got[key].tobytes() == vec.tobytes() for key, vec in untouched.items())
     assert list(ref._trees) == list(snapshot._trees) == [state]
+
+
+def _surrogate_grad_per_key(policy, ref_policy, groups, tables, config):
+    """surrogate_loss's gradient accumulated key by key with _grad_add and negated key by key, the per-path
+    regularizer walk included: the reference for its blocks.  Also returns how many clip terms were clipped."""
+    snapshot = PolicySnapshot(policy)
+    span_rows = [(table.values[(span.rollout_index, span.turn_index)], span.state_key, span.response.tokens,
+                  span.response.logprobs) for group, table in zip(groups, tables) for span in group.spans]
+    n_spans, total_tokens = len(span_rows), sum(len(row[2]) for row in span_rows)
+    grad, clipped = {}, 0
+    for adv, state, tokens, behavior_lp in span_rows:
+        entries = [snapshot.entry(state, tuple(tokens[:k])) for k in range(len(tokens))]
+        log_ratios = [entry[2][tok] - lp for entry, tok, lp in zip(entries, tokens, behavior_lp)]
+        if config.loss == "gspo_seq":
+            ratios = [math.exp(sum(log_ratios) / len(tokens))]
+            weights = [adv * ratios[0] / (n_spans * len(tokens))] * len(tokens)
+        else:
+            ratios = [math.exp(x) for x in log_ratios]
+            token_weight = 1.0 / (n_spans * len(tokens)) if config.loss == "grpo_clip" else 1.0 / total_tokens
+            weights = [token_weight * adv * ratio for ratio in ratios]
+        active = [adv != 0.0 and _clip_active(ratio, adv, config.clip_low, config.clip_high) for ratio in ratios]
+        clipped += sum(adv != 0.0 and not a for a in active)
+        for k, tok in enumerate(tokens):
+            if active[0 if config.loss == "gspo_seq" else k]:
+                _grad_add(grad, (state, tuple(tokens[:k])), weights[k] * _one_hot_minus_p(entries[k][0], tok))
+    if config.entropy_coef != 0.0 or config.kl_coef != 0.0:
+        counts = {}
+        for _, state, _, _ in span_rows:
+            counts[state] = counts.get(state, 0) + 1
+        for state, count in counts.items():
+            _regularizer_state_per_path(policy, ref_policy, state, config, grad, count / n_spans)
+    return {key: -vec for key, vec in grad.items()}, clipped
+
+
+def _block_inputs(shape):
+    """Policy, ref policy, groups and tables of random advantages whose ratios are moved off 1 by jitter."""
+    env = make_env("grid-fetch", seed=0) if shape != "key-chain" else make_env("key-chain", seed=0,
+                                                                             **FAST["env_overrides"])
+    scheme = REWARD_SCHEMES["binary"]
+    policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
+    if shape == "grid-fetch-underflow":
+        # Tokens with probability exactly 0.0 make -0.0 entries in onehot - p.
+        for task in range(2):
+            policy.logit_vector(env.reset(task).policy_key, ())[1] = -800.0
+            policy.logit_vector(env.reset(task).policy_key, (0,))[2] = 750.0
+    ref_policy = policy.copy()
+    rng = np.random.default_rng(19)
+    groups = [collect_group(policy, env, task, scheme, child_rngs(rng, 6)) for task in range(2)]
+    tables = [AdvantageTable(values={(s.rollout_index, s.turn_index): float(rng.normal()) for s in g.spans})
+              for g in groups]
+    for group in groups:
+        for span in group.spans:
+            for k in range(len(span.response.tokens)):
+                vec = policy.logit_vector(span.state_key, tuple(span.response.tokens[:k]))
+                vec += rng.normal(scale=0.5, size=vec.shape)
+    return policy, ref_policy, groups, tables
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the sampler's log of a probability of 0.0
+@pytest.mark.parametrize("regularized", [False, True], ids=["clip-only", "regularized"])
+@pytest.mark.parametrize("shape", ["key-chain", "grid-fetch", "grid-fetch-underflow"])
+@pytest.mark.parametrize("loss", LOSSES)
+def test_gradient_blocks_are_the_per_key_accumulation(loss, shape, regularized):
+    """Each state's (G, mask) holds, byte for byte, the per-key gradient of _grad_add in its masked rows,
+    and exactly +0.0 in the rest."""
+    config = TrainConfig(loss=loss, kl_coef=0.05 if regularized else 0.0, entropy_coef=0.02 if regularized else 0.0)
+    policy, ref_policy, groups, tables = _block_inputs(shape)
+    want, clipped = _surrogate_grad_per_key(policy, ref_policy, groups, tables, config)
+    assert clipped > 0
+    if shape == "grid-fetch-underflow":
+        assert any((np.signbit(vec) & (vec == 0.0)).any() for vec in want.values())
+    _, blocks = surrogate_loss(policy, groups, tables, config, ref_policy)
+    got = grad_rows(policy, blocks)
+    assert sorted(got) == sorted(want)
+    for key, vec in want.items():
+        assert got[key].tobytes() == vec.tobytes(), key
+    for block, mask in blocks.values():
+        assert block.shape == (len(mask), policy.vocab.size)
+        assert block[~mask].tobytes() == np.zeros_like(block[~mask]).tobytes()
 
 
 GRID_KL = dict(env_kind="grid-fetch", kl_coef=0.01, steps=3)
@@ -510,15 +610,27 @@ def test_one_softmax_per_policy_version(fields, monkeypatch):
 
 
 def test_one_entropy_proxy_per_collected_span(monkeypatch):
-    """The step record computes each collected span's entropy proxy once, trained spans included;
-    with aem off, modulation computes none."""
+    """train() computes each collected span's entropy proxy once and hands it to both modulation and
+    the step record, trained spans included, whether modulation runs or not."""
     proxied, groups = [], []
     proxy, collect = entlab.modulation.response_entropy_proxy, entlab.trainer.collect_group
     monkeypatch.setattr(entlab.modulation, "response_entropy_proxy", lambda r: proxied.append(id(r)) or proxy(r))
     monkeypatch.setattr(entlab.trainer, "collect_group", lambda *a: groups.append(collect(*a)) or groups[-1])
-    train(TrainConfig(**dict(FAST, steps=1, aem_mode="off")))
-    spans = [id(span.response) for group in groups for span in group.spans]
-    assert spans and sorted(proxied) == sorted(spans)
+    for aem_mode in ("off", "aem", "batch_norm"):
+        proxied.clear()
+        groups.clear()
+        train(TrainConfig(**dict(MODULATING, steps=2, aem_mode=aem_mode)))
+        spans = [id(span.response) for group in groups for span in group.spans]
+        assert spans and sorted(proxied) == sorted(spans), aem_mode
+
+
+def test_aem_key_chain_run_computes_one_proxy_per_span(monkeypatch):
+    """The 400-step aem run of the transition config trains 400 x 4 x 8 = 12,800 one-turn spans."""
+    calls = []
+    proxy = entlab.modulation.response_entropy_proxy
+    monkeypatch.setattr(entlab.modulation, "response_entropy_proxy", lambda r: calls.append(1) or proxy(r))
+    train(TrainConfig(env_overrides={"chain_len": 1}, reward_scheme="binary", lr=2.0, steps=400, aem_mode="aem"))
+    assert len(calls) == 12_800
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**40 + 3, 2**64 + 1])
