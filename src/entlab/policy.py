@@ -149,9 +149,9 @@ class PolicySnapshot:
     max, exponentiated, over each row's sum: token_distribution bit for bit) and refused unless every row is a
     distribution, as Generator.choice refuses p.  entry(state, prefix) is the sampler's (p, cdf, logp, H),
     derived for every prefix of a state from its table on its first miss: cdf is cumsum(p) / cumsum(p)[-1]
-    as a list (what choice searches), logp is np.log(p) as a list and H is p's row of _row_entropies.
-    tree(state) is (dists, leaves): the table's rows, and the sorted complete responses with probabilities
-    multiplied root to leaf.  Every exact route reads it.  Reading after a write raises.
+    as a list (what choice searches), and logp and H are p's rows of _log_and_entropy, logp as a list.
+    tree(state) is (dists, leaves): the table's rows, and the sorted complete responses with their
+    probabilities by _leaf_probs.  Every exact route reads one of the two.  Reading after a write raises.
     """
 
     def __init__(self, policy: TablePolicy) -> None:
@@ -174,8 +174,8 @@ class PolicySnapshot:
             table = self.table(state)
             cdf = table.cumsum(axis=1)
             cdf /= cdf[:, -1:]
-            logp = np.log(table)
-            rows = zip(table, cdf.tolist(), logp.tolist(), _row_entropies(table, logp).tolist())
+            logp, h = _log_and_entropy(table)
+            rows = zip(table, cdf.tolist(), logp.tolist(), h.tolist())
             self._entries.update(zip([(state, u) for u in self._shape[2]], rows))
             found = self._entries[(state, prefix)]
         return found
@@ -202,22 +202,32 @@ class PolicySnapshot:
         """(dists, leaves) at ``state`` from table(state), memoized; callers must not mutate them."""
         found = self._trees.get(state) if self.policy.writes == self._writes else None  # table() raises
         if found is None:
-            table, (_, leaves, prefixes, *_, edges, starts) = self.table(state), self._shape
-            probs = np.multiply.reduceat(table.ravel()[edges], starts)  # multiplied root to leaf
+            table, (_, leaves, prefixes) = self.table(state), self._shape[:3]
+            probs = _leaf_probs(table.ravel(), self._shape)
             found = self._trees[state] = (dict(zip(prefixes, table)), list(zip(leaves, probs.tolist())))
         return found
 
     def leaf_logs(self, state: str) -> tuple[list[float], float]:
-        """(logs, H) at ``state``, memoized: math.log of each leaf probability of tree(state), -inf where it
-        is 0.0, and the response entropy H, -prob * log added left to right over the leaves with prob > 0."""
-        found = self._leaf_logs.get(state) if self.policy.writes == self._writes else None  # tree() raises
+        """(logs, H) at ``state``, memoized: _leaf_logs of its leaf probabilities (tree(state)'s), and the response
+        entropy H, -prob * log subtracted left to right from 0.0 over the leaves with prob > 0."""
+        found = self._leaf_logs.get(state) if self.policy.writes == self._writes else None  # table() raises
         if found is None:
-            logs, h = [], 0.0
-            for _, prob in self.tree(state)[1]:
-                logs.append(math.log(prob) if prob > 0.0 else -math.inf)
-                h -= prob * logs[-1] if prob > 0.0 else 0.0  # h - 0.0 is h
+            probs = _leaf_probs(self.table(state).ravel(), self._shape).tolist()
+            logs, h = _leaf_logs(probs), 0.0
+            for prob, log in zip(probs, logs):
+                h -= prob * log if prob > 0.0 else 0.0  # h - 0.0 is h
             found = self._leaf_logs[state] = (logs, h)
         return found
+
+
+def _leaf_probs(tables: np.ndarray, shape: tuple) -> np.ndarray:
+    """Each leaf's probability under a flat table (or each of a stack): its path's entries multiplied root to leaf."""
+    return np.multiply.reduceat(tables.take(shape[7], axis=-1), shape[8], axis=-1)
+
+
+def _leaf_logs(probs: list[float]) -> list[float]:
+    """math.log of each leaf probability, -inf at 0.0; np.log's vector path can differ from it in the last bit."""
+    return [math.log(prob) if prob > 0.0 else -math.inf for prob in probs]
 
 
 def sample_response(policy: TablePolicy | PolicySnapshot, state: str, rng: np.random.Generator) -> Response:
@@ -322,26 +332,32 @@ def pathwise_entropy(policy: TablePolicy | PolicySnapshot, state: str) -> float:
     per-position conditional entropies along the sampled path.
 
     Agrees with exact_response_entropy (the -sum p log p route) up to float
-    roundoff; the two routes share only the tree enumeration, not the formula.
+    roundoff; the two routes share only the leaf probabilities (_leaf_probs), not the formula.
     """
     snapshot = PolicySnapshot.of(policy)
-    total = 0.0
-    for (_, prob), path_sum in zip(snapshot.tree(state)[1], path_entropy_sums(snapshot, state)):
+    probs, total = _leaf_probs(snapshot.table(state).ravel(), snapshot._shape).tolist(), 0.0
+    for prob, path_sum in zip(probs, path_entropy_sums(snapshot, state)):
         if prob != 0.0:
             total += prob * path_sum
     return total
 
 
-def _row_entropies(table: np.ndarray, logp: np.ndarray) -> np.ndarray:
-    """The Shannon entropy H of each row of a softmax table, given its log: -(p * log p) summed along the row."""
-    return -(table * logp).sum(axis=1)
+def _log_and_entropy(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log p, H) of each row of a softmax table: np.log, -inf where p is 0.0, and the Shannon entropy,
+    -(p * log p) summed along the row, where a p of 0.0 adds 0 (not 0 * -inf, which is NaN)."""
+    if table.all():  # no p of 0.0, the common case: no log of 0 to silence and no term to mask
+        logp = np.log(table)
+        return logp, -(table * logp).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        logp = np.log(table)
+    return logp, -(table * np.where(table > 0.0, logp, 0.0)).sum(axis=1)
 
 
 def path_entropy_sums(snapshot: PolicySnapshot, state: str) -> list[float]:
     """sum_k H(tokens[:k]) for each path of tree(state), added left to right, in path order: each prefix's H
-    is one row of _row_entropies(table(state)), read through the (leaf, position) rows of _tree_shape."""
+    is one row of _log_and_entropy(table(state)), read through the (leaf, position) rows of _tree_shape."""
     table, (_, leaves, *_, row_row) = snapshot.table(state), snapshot._shape[:6]
-    h = iter(_row_entropies(table, np.log(table))[row_row].tolist())
+    h = iter(_log_and_entropy(table)[1][row_row].tolist())
     sums = []
     for tokens in leaves:
         path_sum = 0.0

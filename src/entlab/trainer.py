@@ -23,7 +23,7 @@ import numpy as np
 from . import modulation as mod
 from .advantage import ESTIMATORS, AdvantageTable, compute_advantages
 from .envs import REWARD_SCHEMES, env_class, make_env
-from .policy import PolicySnapshot, TablePolicy, _check_budget, save_checkpoint
+from .policy import PolicySnapshot, TablePolicy, _check_budget, _leaf_logs, _leaf_probs, save_checkpoint
 from .rollout import FILTER_MODES, Group, collect_group, filter_degenerate_groups, generator_from, seed_states
 
 LOSSES = ("grpo_clip", "dapo_token", "gspo_seq")
@@ -138,21 +138,8 @@ def _clipped_term(ratio: float, advantage: float, clip_low: float, clip_high: fl
     return min(ratio * advantage, clipped * advantage)
 
 
-def _grad_block(grad: dict, snapshot: PolicySnapshot, state: str) -> tuple[np.ndarray, np.ndarray]:
-    """The (accumulator, row mask) of ``state`` in grad, on first touch a block of -0.0 and no rows:
-    -0.0 + x is x for every x, so a row's first add is a copy bit for bit."""
-    found = grad.get(state)
-    if found is None:
-        rows = len(snapshot._shape[2])
-        found = grad[state] = (np.full((rows, snapshot.policy.vocab.size), -0.0), np.zeros(rows, dtype=bool))
-    return found
-
-
-def _one_hot_minus_p(p: np.ndarray, tok: int) -> np.ndarray:
-    """d log softmax(z)[tok] / d z."""
-    g = -p.copy()
-    g[tok] += 1.0
-    return g
+#: One gradient term: coeff * (onehot(tok) - p) at one row of the table of the step's state at index ``state``.
+_TERM = np.dtype([("state", np.intp), ("row", np.intp), ("tok", np.intp), ("coeff", float)])
 
 
 def surrogate_loss(
@@ -182,8 +169,10 @@ def surrogate_loss(
                  for g_idx, (group, table) in enumerate(zip(groups, tables)) for s in group.spans
                  if (g_idx, s.rollout_index, s.turn_index) not in masked_keys]
 
-    grad: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    rows = snapshot._shape[3]
+    counts = Counter(row[1] for row in span_rows)
+    states, rows = list(counts), snapshot._shape[3]  # states in order of first span
+    index = {state: i for i, state in enumerate(states)}
+    clip = []  # a _TERM per clip term that adds to the gradient, in span order, then token order
     j_clip = 0.0
     n_spans = len(span_rows)
     total_tokens = sum(len(row[2]) for row in span_rows)
@@ -207,69 +196,64 @@ def surrogate_loss(
                 j_clip += token_weight * _clipped_term(ratio, adv, config.clip_low, config.clip_high)
                 active = adv != 0.0 and _clip_active(ratio, adv, config.clip_low, config.clip_high)
                 coeffs.append(token_weight * adv * ratio if active else None)
-        for u, entry, tok, coeff in zip(prefixes, entries, tokens, coeffs):
-            if coeff is not None:
-                acc, mask = _grad_block(grad, snapshot, state)
-                acc[rows[u]] += coeff * _one_hot_minus_p(entry[0], tok)
-                mask[rows[u]] = True
+        clip.extend((index[state], rows[u], tok, coeff)
+                    for u, tok, coeff in zip(prefixes, tokens, coeffs) if coeff is not None)
+    terms = np.array(clip, dtype=_TERM)
 
     j_reg = 0.0
     if (config.entropy_coef != 0.0 or config.kl_coef != 0.0) and n_spans > 0:
         if config.kl_coef != 0.0 and ref_policy is None:
             raise ValueError("kl_coef > 0 needs a reference policy")
-        for state, count in Counter(row[1] for row in span_rows).items():  # states in order of first span
-            j_reg += count / n_spans * _regularizer_state(snapshot, ref_policy, state, config, grad, count / n_spans)
+        weights = [count / n_spans for count in counts.values()]
+        values, reg = _regularizer(snapshot, ref_policy, states, weights, config)
+        for weight, value in zip(weights, values.tolist()):
+            j_reg += weight * value
+        terms = np.concatenate((terms, reg))
+    return -(j_clip + j_reg), _gradient_blocks(snapshot, states, terms)
 
-    # Loss is the negated objective; the accumulator holds dJ/dz, so flip it (-(-0.0) is +0.0).
-    for acc, _ in grad.values():
-        np.negative(acc, out=acc)
-    return -(j_clip + j_reg), grad
 
+def _regularizer(snapshot: PolicySnapshot, ref_policy: TablePolicy | PolicySnapshot | None, states: list[str],
+                 weights: list[float], config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Exact entropy bonus and KL penalty at each of ``states``, and the _TERMs of their dJ/dz times its weight.
 
-def _regularizer_state(
-    snapshot: PolicySnapshot,
-    ref_policy: TablePolicy | PolicySnapshot | None,
-    state: str,
-    config: TrainConfig,
-    grad: dict[str, tuple[np.ndarray, np.ndarray]],
-    weight: float,
-) -> float:
-    """Exact entropy bonus and KL penalty at one state, accumulating dJ/dz into its block of grad in place.
-
-    Reads the leaves, leaf logs and table of ``snapshot`` (and the leaf logs of ref_policy when
-    kl_coef != 0): the entropy gradient weights each path's score by (surprisal - H), the KL gradient by
-    (ref surprisal - surprisal); both use sum-over-positions score decompositions.  The
-    value and every gradient entry are bit-identical to adding
-    (weight * coeff) * (onehot - p) at each position of each path in order.
-    """
-    leaves, (logs, h) = snapshot.tree(state)[1], snapshot.leaf_logs(state)
-    ref_logs = PolicySnapshot.of(ref_policy).leaf_logs(state)[0] if config.kl_coef != 0.0 else logs
-    kl = 0.0
-    coeffs = []
-    for (_, prob), logprob, ref_logprob in zip(leaves, logs, ref_logs, strict=True):
-        coeff = 0.0
-        if prob > 0.0:
-            coeff = config.entropy_coef * prob * (-logprob - h)
-            if config.kl_coef != 0.0:
-                log_ratio = logprob - ref_logprob
-                kl += prob * log_ratio
-                coeff -= config.kl_coef * prob * log_ratio
-        coeffs.append(coeff)
-    value = config.entropy_coef * h - config.kl_coef * kl
-
-    coeffs = np.array(coeffs)
+    Leaf probabilities, logs and H are _leaf_probs and _leaf_logs of each state's table in ``snapshot``, and
+    ref_policy's leaf logs are read when kl_coef != 0.  The entropy gradient weights each path's score, a sum over
+    positions of (onehot - p), by (surprisal - H), the KL gradient by (ref surprisal - surprisal): one term per
+    position of each path with a nonzero coefficient, states in order, then paths.  H and KL are added from 0.0
+    left to right, and each number takes a per-leaf walk's operations in order, so it is the walk's bit for bit."""
     row_path, row_row, row_tok = snapshot._shape[4:7]
-    used = coeffs[row_path] != 0.0
-    if used.any():
-        at = row_row[used]
-        vecs = -snapshot.table(state)[at]
-        vecs[np.arange(len(at)), row_tok[used]] += 1.0
-        vecs *= (weight * coeffs[row_path[used]])[:, None]
-        acc, mask = _grad_block(grad, snapshot, state)
-        cells = at[:, None] * acc.shape[1] + np.arange(acc.shape[1])  # flat, for ufunc.at's fast path
-        np.add.at(acc.ravel(), cells.ravel(), vecs.ravel())  # in path order
-        mask[at] = True
-    return value
+    probs = _leaf_probs(np.stack([snapshot.table(state).ravel() for state in states]), snapshot._shape)
+    live, zero = probs > 0.0, np.zeros((len(states), 1))
+    logs = np.where(live, np.reshape(_leaf_logs(probs.ravel().tolist()), probs.shape), 0.0)  # no 0 * -inf
+    ref = PolicySnapshot.of(ref_policy) if config.kl_coef != 0.0 else None  # log ratios are 0 without one
+    log_ratios = logs - (np.where(live, [ref.leaf_logs(state)[0] for state in states], 0.0) if ref else logs)
+    # A leaf of prob 0.0 adds a 0.0 term, and a sum from 0.0 is never -0.0, so h - 0.0 is h and kl + 0.0 is kl.
+    h = np.subtract.accumulate(np.hstack((zero, probs * logs)), axis=1)[:, -1]
+    kl = np.add.accumulate(np.hstack((zero, probs * log_ratios)), axis=1)[:, -1]
+    coeffs = config.entropy_coef * probs * (-logs - h[:, None]) - config.kl_coef * probs * log_ratios
+    at_state, at_row = np.nonzero(coeffs[:, row_path] != 0.0)
+    coeff = np.array(weights)[at_state] * coeffs[at_state, row_path[at_row]]
+    return config.entropy_coef * h - config.kl_coef * kl, np.rec.fromarrays(
+        (at_state, row_row[at_row], row_tok[at_row], coeff), dtype=_TERM)
+
+
+def _gradient_blocks(snapshot: PolicySnapshot, states: list[str],
+                     terms: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """-dJ/dz from its _TERMs as one (G, mask) per state that a term reaches, in order of its first term; G is
+    +0.0 outside the rows of mask.  One scatter adds each term's coeff * (onehot(tok) - p) in term order into
+    one (states x rows x |V|) accumulator of -0.0 (-0.0 + x is x, so a row's first add is a copy bit for bit)."""
+    n_rows, size = len(snapshot._shape[2]), snapshot.policy.vocab.size
+    tables = np.array([snapshot.table(state) for state in states]).reshape(-1, size)
+    at = terms["state"] * n_rows + terms["row"]
+    vecs = np.negative(tables.take(at, axis=0))
+    vecs.reshape(-1)[np.arange(0, vecs.size, size) + terms["tok"]] += 1.0
+    vecs *= terms["coeff"][:, None]
+    acc = np.full(len(states) * n_rows * size, -0.0)  # flat, for ufunc.at's fast path
+    np.add.at(acc, (at[:, None] * size + np.arange(size)).ravel(), vecs.ravel())
+    acc = np.negative(acc, out=acc).reshape(len(states), n_rows, size)  # the loss is -J; -(-0.0) is +0.0
+    mask = np.bincount(at, minlength=n_rows * len(states)).reshape(len(states), n_rows) > 0
+    _, first = np.unique(terms["state"], return_index=True)
+    return {states[i]: (acc[i], mask[i]) for i in terms["state"][np.sort(first)].tolist()}
 
 
 def _rng_for(seed: int, *path: int) -> np.random.Generator:

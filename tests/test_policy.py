@@ -34,7 +34,7 @@ from entlab.policy import (
 )
 import entlab.policy as policy_module
 from entlab.probes import consistency_probe, doob_exact_residuals, doob_probe
-from entlab.trainer import TrainConfig, _regularizer_state
+from entlab.trainer import TrainConfig, _regularizer
 
 
 def test_vocabulary_validation():
@@ -174,19 +174,24 @@ def _sample_with_choice(policy, state, rng):
         tok = int(rng.choice(policy.vocab.size, p=p))
         tokens.append(tok)
         logprobs.append(float(np.log(p[tok])))
-        entropies.append(entropy(p))
+        entropies.append(_entropy(p))
         if tok == policy.vocab.terminator_id:
             break
     return Response(tokens=tokens, logprobs=logprobs, entropies=entropies)
 
 
+def _entropy(p) -> float:
+    """geometry.entropy of p, bit for bit where p has no exact zero, with 0 * log 0 adding 0 where it has."""
+    return float(-(p * np.log(np.where(p > 0.0, p, 1.0))).sum())
+
+
 def _same_response(a, b) -> bool:
-    """Equal tokens and bit-equal stats; an entropy over a p with exact zeros is NaN on both sides."""
-    return a.tokens == b.tokens and all(np.array_equal(x, y, equal_nan=True) for x, y in
+    """Equal tokens and bit-equal stats, finite also over a p with exact zeros."""
+    return a.tokens == b.tokens and all(np.array_equal(x, y) and np.isfinite(x).all() for x, y in
                                         ((a.logprobs, b.logprobs), (a.entropies, b.entropies)))
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_inverse_cdf_sampler_matches_generator_choice():
     """Same tokens, logprobs, entropies and generator state as rng.choice, over |V| 2-6.
 
@@ -307,11 +312,11 @@ def test_batched_rows_are_the_token_distribution_bit_for_bit(shape):
         assert list(dists) == list(want_dists)
         assert all(dists[u].tobytes() == p.tobytes() for u, p in want_dists.items())
         assert paths == want_paths
-        want_sums = []  # the per-prefix route: entropy() of each prefix's row, added along each path
+        want_sums = []  # the per-prefix route: _entropy() of each prefix's row, added along each path
         for tokens, _ in want_paths:
             path_sum = 0.0
             for k in range(len(tokens)):
-                path_sum += entropy(want_dists[tokens[:k]])
+                path_sum += _entropy(want_dists[tokens[:k]])
             want_sums.append(path_sum)
         assert list(map(repr, path_entropy_sums(snapshot, state))) == list(map(repr, want_sums))
 
@@ -324,7 +329,7 @@ def test_batched_rows_are_the_token_distribution_bit_for_bit(shape):
             assert p.tobytes() == want.tobytes()
             assert cdf == (csum / csum[-1]).tolist()
             assert logp == np.log(want).tolist()
-            assert h == entropy(want) or (math.isnan(h) and math.isnan(entropy(want)))
+            assert h == _entropy(want)
 
 
 def test_snapshot_ends_at_the_first_write():
@@ -361,7 +366,7 @@ def test_tree_reads_refuse_a_row_that_is_not_a_distribution():
         "pathwise_entropy": pathwise_entropy,
         "enumerate_responses": enumerate_responses,
         "sample_response": lambda p, s: sample_response(p, s, np.random.default_rng(0)),
-        "_regularizer_state": lambda p, s: _regularizer_state(PolicySnapshot(p), p.copy(), s, config, {}, 1.0),
+        "_regularizer": lambda p, s: _regularizer(PolicySnapshot(p), p.copy(), [s], [1.0], config),
     }
     for name, read in reads.items():
         with pytest.raises(ValueError, match=r"at \('s', \(1,\)\) are not a distribution"):
@@ -514,6 +519,21 @@ def test_pathwise_entropy_matches_per_position_formula_bit_for_bit():
                 path_sum += float(-(p * np.log(p)).sum())
             want += prob * path_sum
         assert pathwise_entropy(policy, "s") == want
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_token_of_probability_zero_adds_no_entropy():
+    """0 * log 0 is 0 in every per-token entropy, not NaN, and the two exact routes agree."""
+    policy = TablePolicy(vocab=Vocabulary(size=3, terminator_id=2), max_len=2)
+    policy.logit_vector("s", ())[:] = (0.0, -800.0, 0.0)
+    snapshot = PolicySnapshot(policy)
+    p, _, logp, h = snapshot.entry("s", ())
+    assert p[1] == 0.0 and logp[1] == -math.inf and h == -(p[0] * logp[0] + p[2] * logp[2])
+    for seed in range(8):
+        response = sample_response(snapshot, "s", np.random.default_rng(seed))
+        assert response.entropies[0] == h and all(map(math.isfinite, response.entropies))
+    assert exact_response_entropy(policy, "s") == 1.2424533248940002
+    assert pathwise_entropy(policy, "s") == pytest.approx(exact_response_entropy(policy, "s"), abs=1e-12)
 
 
 def test_uniform_single_token_entropy_value():

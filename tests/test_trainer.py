@@ -18,6 +18,7 @@ from entlab.policy import (
     EnumerationBudgetError,
     PolicySnapshot,
     TablePolicy,
+    Vocabulary,
     enumerate_responses,
     exact_response_entropy,
     load_checkpoint,
@@ -33,9 +34,9 @@ from entlab.trainer import (
     _rng_for,
     load_metrics,
     _clip_active,
-    _grad_block,
-    _one_hot_minus_p,
-    _regularizer_state,
+    _gradient_blocks,
+    _regularizer,
+    _TERM,
     surrogate_loss,
     train,
 )
@@ -200,8 +201,9 @@ def test_kl_coef_without_reference_raises():
         surrogate_loss(policy, groups, tables, config, ref_policy=None)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_regularizer_terms_match_exact_enumeration():
-    """_regularizer_state's value is the entropy bonus minus the KL penalty, by exact enumeration."""
+    """_regularizer's value is the entropy bonus minus the KL penalty, by exact enumeration."""
     env = make_env("key-chain", seed=0, task_count=2, chain_len=1)
     policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
     rng = np.random.default_rng(5)
@@ -212,7 +214,7 @@ def test_regularizer_terms_match_exact_enumeration():
 
     def value(entropy_coef, kl_coef):
         config = TrainConfig(entropy_coef=entropy_coef, kl_coef=kl_coef, **FAST)
-        return _regularizer_state(PolicySnapshot(policy), PolicySnapshot(ref_policy), state, config, {}, 1.0)
+        return _regularizer(PolicySnapshot(policy), PolicySnapshot(ref_policy), [state], [1.0], config)[0][0]
 
     assert value(0.3, 0.0) == pytest.approx(0.3 * exact_response_entropy(policy, state), abs=1e-12)
 
@@ -223,6 +225,13 @@ def test_regularizer_terms_match_exact_enumeration():
     assert value(0.0, 0.7) == pytest.approx(-0.7 * kl, abs=1e-12)
     assert value(0.3, 0.7) == pytest.approx(0.3 * exact_response_entropy(policy, state) - 0.7 * kl,
                                             abs=1e-12)
+
+
+def _one_hot_minus_p(p, tok):
+    """d log softmax(z)[tok] / d z, the reference's gradient row."""
+    g = -p.copy()
+    g[tok] += 1.0
+    return g
 
 
 def _grad_add(grad, key, vec):
@@ -269,71 +278,90 @@ def _regularizer_state_per_path(policy, ref_policy, state, config, grad, weight)
     return value
 
 
-def _seeded_accum(snapshot, state, rng, blocks=True):
-    """An accumulator already holding clip-term entries, two of them at regularizer keys: surrogate_loss's
-    per-state blocks, or with blocks=False the reference's per-key dict of the same draws."""
-    grad = {}
-    for s, prefix in [(state, (0,)), ("other", ()), (state, ())]:
-        vec = rng.normal(scale=0.1, size=snapshot.policy.vocab.size)
-        if blocks:
-            acc, mask = _grad_block(grad, snapshot, s)
-            acc[snapshot._shape[3][prefix]] += vec
-            mask[snapshot._shape[3][prefix]] = True
-        else:
-            _grad_add(grad, (s, prefix), vec)
-    return grad
+def _random_blocks(policy, states, rng, scale=1.5):
+    """Write normal(0, scale) logits on every row of each state, a row of draws per prefix in walk order."""
+    for state in states:
+        block, written = policy._block(state)
+        block[:], written[:] = scale * rng.normal(size=block.shape), True
+    return policy
 
 
-@pytest.mark.parametrize("shape", ["grid-fetch", "key-chain", "grid-fetch-underflow", "step-0", "policy-is-ref"])
-def test_regularizer_state_is_bit_identical_to_per_path_walk(shape):
-    """Also when some leaf probabilities underflow to 0.0, and when policy and ref are equal and
-    entropy_coef is 0 (step 0 of a run), so that every coefficient is 0 and no gradient row is added."""
+def _regularizer_case(shape):
+    """(policy, ref policy, states, config) of one case: several states of one tree shape.  Underflow makes
+    some leaf probabilities 0.0; step-0 (no logits anywhere) and policy-is-ref, both with entropy_coef 0,
+    make every coefficient 0, so that the regularizer adds no term."""
     config = TrainConfig(entropy_coef=0.02, kl_coef=0.05, **FAST)
     if shape in ("grid-fetch", "grid-fetch-underflow"):
-        policy = random_policy(5, 3, np.random.default_rng(11))
-        ref_policy = random_policy(5, 3, np.random.default_rng(12), scale=0.5)
-        state = "s"
+        vocab, states = Vocabulary(size=5, terminator_id=4), ["s", "t", "u"]
+        policy = _random_blocks(TablePolicy(vocab=vocab, max_len=3), states, np.random.default_rng(11))
+        ref_policy = _random_blocks(TablePolicy(vocab=vocab, max_len=3), states, np.random.default_rng(12), 0.5)
         if shape == "grid-fetch-underflow":
-            policy.logit_vector(state, ())[1] = -800.0
-            policy.logit_vector(state, (0,))[2] = 750.0
-            leaves = enumerate_responses(policy, state)
-            assert 0.0 < sum(prob == 0.0 for _, prob in leaves) < len(leaves)
+            policy.logit_vector("s", ())[1] = -800.0
+            policy.logit_vector("s", (0,))[2] = 750.0
+            policy.logit_vector("t", (1,))[0] = 760.0
+            for state in ("s", "t"):
+                leaves = enumerate_responses(policy, state)
+                assert 0.0 < sum(prob == 0.0 for _, prob in leaves) < len(leaves)
     elif shape in ("step-0", "policy-is-ref"):
         env = make_env("grid-fetch", seed=0)
-        state = env.reset(0).policy_key
+        states = list(dict.fromkeys(env.reset(task).policy_key for task in range(env.task_count)))[:3]
         policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
         if shape == "policy-is-ref":
-            policy = random_policy(5, 3, np.random.default_rng(11), state=state)
+            _random_blocks(policy, states, np.random.default_rng(11))
         ref_policy = policy.copy()
         config = TrainConfig(entropy_coef=0.0, kl_coef=0.05, **FAST)
     else:
-        env = make_env("key-chain", seed=0, chain_len=1)
-        state = "key-chain#0#0"
-        policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
+        env = make_env("key-chain", seed=0, chain_len=1, task_count=3)
+        states = [env.reset(task).policy_key for task in range(3)]
+        policy = _random_blocks(TablePolicy(vocab=env.vocab, max_len=env.max_len), states, np.random.default_rng(13))
         ref_policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
-        rng = np.random.default_rng(13)
-        for prefix, _ in enumerate_responses(policy, state):
-            for k in range(len(prefix)):
-                policy.logit_vector(state, prefix[:k])[:] = rng.normal(scale=1.5, size=env.vocab.size)
-        assert len(enumerate_responses(policy, state)) == 7
+        assert len(enumerate_responses(policy, states[0])) == 7
+    assert len(set(states)) == 3
+    return policy, ref_policy, states, config
+
+
+def _seeded_terms(snapshot, rng):
+    """Clip-like _TERMs at states 2 and 0 of three, two of them at rows the regularizer also adds to, and
+    their per-key reference accumulation."""
+    rows, size = snapshot._shape[3], snapshot.policy.vocab.size
+    picks = [(2, (0,)), (0, ()), (2, ()), (0, (0,)), (2, (0,))]
+    terms = np.array([(i, rows[u], rng.integers(size), rng.normal(scale=0.1)) for i, u in picks], dtype=_TERM)
+    return terms, [(i, u, int(tok), float(coeff)) for (i, u), (_, _, tok, coeff) in zip(picks, terms)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("shape", ["grid-fetch", "key-chain", "grid-fetch-underflow", "step-0", "policy-is-ref"])
+def test_regularizer_is_bit_identical_to_per_path_walk(shape):
+    """Three states in one call, after seeded clip terms: each value is the per-path walk's, and the one
+    scatter's blocks hold the per-key accumulation of the clip terms and then the walk, byte for byte."""
+    policy, ref_policy, states, config = _regularizer_case(shape)
     snapshot, ref = PolicySnapshot(policy), PolicySnapshot(ref_policy)
-    for weight in (0.375, 1.0):
-        expect = _seeded_accum(snapshot, state, np.random.default_rng(7), blocks=False)
-        blocks = _seeded_accum(snapshot, state, np.random.default_rng(7))
-        want = _regularizer_state_per_path(policy, ref_policy, state, config, expect, weight)
-        # The second pass reads both trees from the snapshots the first one filled.
-        assert _regularizer_state(snapshot, ref, state, config, blocks, weight) == want
+    rng = np.random.default_rng(7)
+    for weights in ([0.375, 1.0, 0.25], [1.0, 1.0, 1.0]):
+        seeded, seeded_keys = _seeded_terms(snapshot, rng)
+        expect = {}
+        for i, prefix, tok, coeff in seeded_keys:
+            p = token_distribution(policy, states[i], prefix)
+            _grad_add(expect, (states[i], prefix), coeff * _one_hot_minus_p(p, tok))
+        want = [_regularizer_state_per_path(policy, ref_policy, state, config, expect, weight)
+                for state, weight in zip(states, weights)]
+        values, terms = _regularizer(snapshot, ref, states, weights, config)
+        assert values.tolist() == want
+        blocks = _gradient_blocks(snapshot, states, np.concatenate((seeded, terms)))
         got = grad_rows(policy, blocks)
+        assert list(blocks) == list(dict.fromkeys(state for state, _ in expect))
         assert sorted(got) == sorted(expect)
         for key, vec in expect.items():
-            assert got[key].tobytes() == vec.tobytes(), key
-        # Rows no path reached still hold the accumulator's -0.0.
-        assert all(np.signbit(acc[~mask]).all() and not acc[~mask].any() for acc, mask in blocks.values())
+            assert got[key].tobytes() == (-vec).tobytes(), key
+        # Rows no term reached hold +0.0, the negated -0.0 of the accumulator.
+        assert all(block[~mask].tobytes() == np.zeros_like(block[~mask]).tobytes() for block, mask in blocks.values())
         if shape in ("step-0", "policy-is-ref"):
-            assert want == 0.0
-            untouched = grad_rows(policy, _seeded_accum(snapshot, state, np.random.default_rng(7)))
-            assert all(got[key].tobytes() == vec.tobytes() for key, vec in untouched.items())
-    assert list(ref._trees) == list(snapshot._trees) == [state]
+            assert want == [0.0] * 3 and not len(terms)
+            assert list(blocks) == [states[2], states[0]]
+        # The ref snapshot takes each state's logs once; the second pass reads them again.
+        logs = {state: ref._leaf_logs[state] for state in states}
+        assert list(ref._leaf_logs) == states
+    assert all(ref._leaf_logs[state] is logs[state] for state in states)
 
 
 def _surrogate_grad_per_key(policy, ref_policy, groups, tables, config):
@@ -392,13 +420,13 @@ def _block_inputs(shape):
     return policy, ref_policy, groups, tables
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the sampler's log of a probability of 0.0
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("regularized", [False, True], ids=["clip-only", "regularized"])
 @pytest.mark.parametrize("shape", ["key-chain", "grid-fetch", "grid-fetch-underflow"])
 @pytest.mark.parametrize("loss", LOSSES)
 def test_gradient_blocks_are_the_per_key_accumulation(loss, shape, regularized):
     """Each state's (G, mask) holds, byte for byte, the per-key gradient of _grad_add in its masked rows,
-    and exactly +0.0 in the rest."""
+    and exactly +0.0 in the rest; the states come in the reference's order of first key."""
     config = TrainConfig(loss=loss, kl_coef=0.05 if regularized else 0.0, entropy_coef=0.02 if regularized else 0.0)
     policy, ref_policy, groups, tables = _block_inputs(shape)
     want, clipped = _surrogate_grad_per_key(policy, ref_policy, groups, tables, config)
@@ -413,6 +441,24 @@ def test_gradient_blocks_are_the_per_key_accumulation(loss, shape, regularized):
     for block, mask in blocks.values():
         assert block.shape == (len(mask), policy.vocab.size)
         assert block[~mask].tobytes() == np.zeros_like(block[~mask]).tobytes()
+    assert list(blocks) == list(dict.fromkeys(state for state, _ in want))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_no_gradient_term_gives_no_block_and_no_write():
+    """With every advantage 0 and both coefficients 0, the gradient is {} and a train() step writes nothing."""
+    config = TrainConfig(loss="grpo_clip", kl_coef=0.0, entropy_coef=0.0)
+    policy, ref_policy, groups, tables = _block_inputs("grid-fetch")
+    zeros = [AdvantageTable(values=dict.fromkeys(table.values, 0.0)) for table in tables]
+    writes = policy.writes
+    assert surrogate_loss(policy, groups, zeros, config, ref_policy)[1] == {}
+    assert policy.writes == writes
+    # key_len=6 makes every reward of step 0 equal, so every GRPO advantage is 0.
+    config = TrainConfig(**dict(FAST, env_overrides=dict(FAST["env_overrides"], key_len=6), steps=1,
+                                kl_coef=0.0, entropy_coef=0.0))
+    result = train(config)
+    assert all(adv == 0.0 for *_, adv in result.metrics[0].spans) and result.metrics[0].spans
+    assert result.policy.writes == 0
 
 
 GRID_KL = dict(env_kind="grid-fetch", kl_coef=0.01, steps=3)
