@@ -198,31 +198,32 @@ def surrogate_loss(
                 coeffs.append(token_weight * adv * ratio if active else None)
         clip.extend((index[state], rows[u], tok, coeff)
                     for u, tok, coeff in zip(prefixes, tokens, coeffs) if coeff is not None)
-    terms = np.array(clip, dtype=_TERM)
+    terms, size = np.array(clip, dtype=_TERM), snapshot.policy.vocab.size
+    step_tables = np.array([snapshot.table(state) for state in states]).reshape(len(states), len(rows), size)
 
     j_reg = 0.0
     if (config.entropy_coef != 0.0 or config.kl_coef != 0.0) and n_spans > 0:
         if config.kl_coef != 0.0 and ref_policy is None:
             raise ValueError("kl_coef > 0 needs a reference policy")
         weights = [count / n_spans for count in counts.values()]
-        values, reg = _regularizer(snapshot, ref_policy, states, weights, config)
+        values, reg = _regularizer(snapshot, ref_policy, states, step_tables, weights, config)
         for weight, value in zip(weights, values.tolist()):
             j_reg += weight * value
         terms = np.concatenate((terms, reg))
-    return -(j_clip + j_reg), _gradient_blocks(snapshot, states, terms)
+    return -(j_clip + j_reg), _gradient_blocks(states, step_tables, terms)
 
 
 def _regularizer(snapshot: PolicySnapshot, ref_policy: TablePolicy | PolicySnapshot | None, states: list[str],
-                 weights: list[float], config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+                 tables: np.ndarray, weights: list[float], config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     """Exact entropy bonus and KL penalty at each of ``states``, and the _TERMs of their dJ/dz times its weight.
 
-    Leaf probabilities, logs and H are _leaf_probs and _leaf_logs of each state's table in ``snapshot``, and
-    ref_policy's leaf logs are read when kl_coef != 0.  The entropy gradient weights each path's score, a sum over
-    positions of (onehot - p), by (surprisal - H), the KL gradient by (ref surprisal - surprisal): one term per
+    Leaf probabilities, logs and H are _leaf_probs and _leaf_logs of each state's table, the rows of tables,
+    and ref_policy's leaf logs are read when kl_coef != 0.  The entropy gradient weights each path's score, a sum
+    over positions of (onehot - p), by (surprisal - H), the KL gradient by (ref surprisal - surprisal): one term per
     position of each path with a nonzero coefficient, states in order, then paths.  H and KL are added from 0.0
     left to right, and each number takes a per-leaf walk's operations in order, so it is the walk's bit for bit."""
     row_path, row_row, row_tok = snapshot._shape[4:7]
-    probs = _leaf_probs(np.stack([snapshot.table(state).ravel() for state in states]), snapshot._shape)
+    probs = _leaf_probs(tables.reshape(len(states), -1), snapshot._shape)
     live, zero = probs > 0.0, np.zeros((len(states), 1))
     logs = np.where(live, np.reshape(_leaf_logs(probs.ravel().tolist()), probs.shape), 0.0)  # no 0 * -inf
     ref = PolicySnapshot.of(ref_policy) if config.kl_coef != 0.0 else None  # log ratios are 0 without one
@@ -237,15 +238,15 @@ def _regularizer(snapshot: PolicySnapshot, ref_policy: TablePolicy | PolicySnaps
         (at_state, row_row[at_row], row_tok[at_row], coeff), dtype=_TERM)
 
 
-def _gradient_blocks(snapshot: PolicySnapshot, states: list[str],
+def _gradient_blocks(states: list[str], tables: np.ndarray,
                      terms: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """-dJ/dz from its _TERMs as one (G, mask) per state that a term reaches, in order of its first term; G is
-    +0.0 outside the rows of mask.  One scatter adds each term's coeff * (onehot(tok) - p) in term order into
-    one (states x rows x |V|) accumulator of -0.0 (-0.0 + x is x, so a row's first add is a copy bit for bit)."""
-    n_rows, size = len(snapshot._shape[2]), snapshot.policy.vocab.size
-    tables = np.array([snapshot.table(state) for state in states]).reshape(-1, size)
+    +0.0 outside the rows of mask.  One scatter adds each term's coeff * (onehot(tok) - p), p a row of tables
+    (of ``states``, stacked), in term order into one (states x rows x |V|) accumulator of -0.0 (-0.0 + x is x,
+    so a row's first add is a copy bit for bit)."""
+    _, n_rows, size = tables.shape
     at = terms["state"] * n_rows + terms["row"]
-    vecs = np.negative(tables.take(at, axis=0))
+    vecs = np.negative(tables.reshape(-1, size).take(at, axis=0))
     vecs.reshape(-1)[np.arange(0, vecs.size, size) + terms["tok"]] += 1.0
     vecs *= terms["coeff"][:, None]
     acc = np.full(len(states) * n_rows * size, -0.0)  # flat, for ufunc.at's fast path

@@ -1,4 +1,5 @@
-"""The rows of surrogate_loss's per-state gradient blocks, for tests that check a gradient row by row."""
+"""The rows of surrogate_loss's per-state gradient blocks, for tests that check a gradient row by row, and the
+stacked step tables that its regularizer and gradient scatter read."""
 
 from __future__ import annotations
 
@@ -13,3 +14,8 @@ def grad_rows(policy, grad) -> dict:
     prefixes = _tree_shape(policy.vocab, policy.max_len)[2]
     return {(state, prefixes[row]): block[row]
             for state, (block, mask) in grad.items() for row in np.flatnonzero(mask).tolist()}
+
+
+def step_tables(snapshot, states) -> np.ndarray:
+    """The table of each of ``states`` in ``snapshot``, stacked (states x rows x |V|) as surrogate_loss does."""
+    return np.array([snapshot.table(state) for state in states])

@@ -35,6 +35,7 @@ from entlab.policy import (
 import entlab.policy as policy_module
 from entlab.probes import consistency_probe, doob_exact_residuals, doob_probe
 from entlab.trainer import TrainConfig, _regularizer
+from grad_rows import step_tables
 
 
 def test_vocabulary_validation():
@@ -361,12 +362,17 @@ def test_tree_reads_refuse_a_row_that_is_not_a_distribution():
     policy = random_policy(5, 3, np.random.default_rng(0))
     policy.logit_vector("s", (1,))[:] = np.array([np.inf, 0.0, 0.0, 0.0, 0.0])
     config = TrainConfig(env_kind="grid-fetch", kl_coef=0.01)
+
+    def regularizer(policy, state):
+        snapshot = PolicySnapshot(policy)
+        return _regularizer(snapshot, policy.copy(), [state], step_tables(snapshot, [state]), [1.0], config)
+
     reads = {
         "exact_response_entropy": exact_response_entropy,
         "pathwise_entropy": pathwise_entropy,
         "enumerate_responses": enumerate_responses,
         "sample_response": lambda p, s: sample_response(p, s, np.random.default_rng(0)),
-        "_regularizer": lambda p, s: _regularizer(PolicySnapshot(p), p.copy(), [s], [1.0], config),
+        "_regularizer": regularizer,
     }
     for name, read in reads.items():
         with pytest.raises(ValueError, match=r"at \('s', \(1,\)\) are not a distribution"):

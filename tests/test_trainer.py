@@ -40,7 +40,7 @@ from entlab.trainer import (
     surrogate_loss,
     train,
 )
-from grad_rows import grad_rows
+from grad_rows import grad_rows, step_tables
 from seeding import child_rngs
 
 FAST = dict(
@@ -214,7 +214,9 @@ def test_regularizer_terms_match_exact_enumeration():
 
     def value(entropy_coef, kl_coef):
         config = TrainConfig(entropy_coef=entropy_coef, kl_coef=kl_coef, **FAST)
-        return _regularizer(PolicySnapshot(policy), PolicySnapshot(ref_policy), [state], [1.0], config)[0][0]
+        snapshot = PolicySnapshot(policy)
+        return _regularizer(snapshot, PolicySnapshot(ref_policy), [state], step_tables(snapshot, [state]), [1.0],
+                            config)[0][0]
 
     assert value(0.3, 0.0) == pytest.approx(0.3 * exact_response_entropy(policy, state), abs=1e-12)
 
@@ -345,9 +347,10 @@ def test_regularizer_is_bit_identical_to_per_path_walk(shape):
             _grad_add(expect, (states[i], prefix), coeff * _one_hot_minus_p(p, tok))
         want = [_regularizer_state_per_path(policy, ref_policy, state, config, expect, weight)
                 for state, weight in zip(states, weights)]
-        values, terms = _regularizer(snapshot, ref, states, weights, config)
+        tables = step_tables(snapshot, states)
+        values, terms = _regularizer(snapshot, ref, states, tables, weights, config)
         assert values.tolist() == want
-        blocks = _gradient_blocks(snapshot, states, np.concatenate((seeded, terms)))
+        blocks = _gradient_blocks(states, tables, np.concatenate((seeded, terms)))
         got = grad_rows(policy, blocks)
         assert list(blocks) == list(dict.fromkeys(state for state, _ in expect))
         assert sorted(got) == sorted(expect)
