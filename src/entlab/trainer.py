@@ -241,9 +241,8 @@ def _regularizer(snapshot: PolicySnapshot, ref_policy: TablePolicy | PolicySnaps
 def _gradient_blocks(states: list[str], tables: np.ndarray,
                      terms: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """-dJ/dz from its _TERMs as one (G, mask) per state that a term reaches, in order of its first term; G is
-    +0.0 outside the rows of mask.  One scatter adds each term's coeff * (onehot(tok) - p), p a row of tables
-    (of ``states``, stacked), in term order into one (states x rows x |V|) accumulator of -0.0 (-0.0 + x is x,
-    so a row's first add is a copy bit for bit)."""
+    +0.0 outside the rows of mask.  One scatter adds each term's coeff * (onehot(tok) - p), p a row of tables, in
+    term order into one (states x rows x |V|) accumulator of -0.0 (-0.0 + x is x: a first add copies bit for bit)."""
     _, n_rows, size = tables.shape
     at = terms["state"] * n_rows + terms["row"]
     vecs = np.negative(tables.reshape(-1, size).take(at, axis=0))
