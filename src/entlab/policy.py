@@ -345,7 +345,7 @@ def pathwise_entropy(policy: TablePolicy | PolicySnapshot, state: str) -> float:
 def _log_and_entropy(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(log p, H) of each row of a softmax table: np.log, -inf where p is 0.0, and the Shannon entropy,
     -(p * log p) summed along the row, where a p of 0.0 adds 0 (not 0 * -inf, which is NaN)."""
-    if table.all():  # no p of 0.0: skipping errstate and the mask is 8% of keychain-paired checks_per_s
+    if table.all():  # no p of 0.0: skip errstate and the mask (measured: BENCH_step_scatter.json fast_path_pairs)
         logp = np.log(table)
         return logp, -(table * logp).sum(axis=1)
     with np.errstate(divide="ignore"):
