@@ -13,7 +13,6 @@ from .geometry import (
     DriftConfig,
     DriftReport,
     ParamPolicy,
-    fisher_rao_inner,
     natural_gradient,
     parametrized_drift,
     regularized_drift,
@@ -54,7 +53,6 @@ __all__ = [
     "consistency_probe",
     "doob_probe",
     "exact_response_entropy",
-    "fisher_rao_inner",
     "grpo_advantage",
     "make_env",
     "mc_response_entropy",

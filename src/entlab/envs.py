@@ -99,6 +99,12 @@ def _content(tokens: list[int], terminator_id: int) -> list[int]:
 
 
 @lru_cache(maxsize=16)
+def _successor_table(cls: type, attributes: tuple) -> dict:
+    """The one successor table of the env definition (class, public attribute items), kept for the process."""
+    return {}
+
+
+@lru_cache(maxsize=16)
 def _contents(vocab: Vocabulary, max_len: int) -> tuple[tuple[int, ...], ...]:
     """The content of each response of response_space, in order; a truncated response is its own tuple."""
     return tuple(r[:-1] if r[-1] == vocab.terminator_id else r for r in response_space(vocab, max_len))
@@ -112,6 +118,8 @@ class Env:
     of (state, content) and the reward is left to terminal_reward.  A kind sets
     kind, vocab, max_len, horizon and task_count, and keeps its task table as
     tuples, because reset and successors keep states computed from it (rebinding drops them).
+    Every public attribute must be hashable (tuples of tuples are): its class and their values are
+    the env's definition, the key of the successor rows that every env of one definition shares.
     """
 
     kind: str
@@ -296,14 +304,20 @@ _ENV_CLASSES = {
 
 
 def successors(env: Env, state: EnvState) -> tuple[tuple[EnvState, bool], ...]:
-    """env.step(state, list(r)) for every response r of response_space, in that order, kept on the env.
+    """env.step(state, list(r)) for every response r of response_space, in that order, kept per env definition.
 
-    Dynamics are a pure function of (state, response), so a row is computed once
-    per env, whatever the policy, from the _move outcome of each response's content
-    with one (next state, valid) pair per distinct outcome.  The table maps each
-    distinct pair to itself, so equal pairs in all rows share one object.
+    Dynamics are a pure function of (definition, state, response), so a row is computed
+    once per env definition per process, whatever the policy: every env of one class and
+    equal public attribute values (init fields, kind, vocab, max_len and the task table,
+    all hashable) reads one shared table, bound to env._successors on first use.  A row
+    is built from the _move outcome of each response's content with one (next state,
+    valid) pair per distinct outcome.  The table maps each distinct pair to itself, so
+    equal pairs in all rows share one object.
     """
-    table = vars(env).setdefault("_successors", {})
+    table = vars(env).get("_successors")
+    if table is None:
+        definition = tuple(item for item in vars(env).items() if not item[0].startswith("_"))
+        table = vars(env)["_successors"] = _successor_table(type(env), definition)
     row = table.get(state)
     if row is None:
         if state.done:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TANGENT_TOL = 1e-9
 SIMPLEX_TOL = 1e-9
 #: Points with a component below this are flagged as near-vertex: the Fisher
 #: metric degenerates there and finite differences lose accuracy.
@@ -57,15 +56,6 @@ def entropy(pi: np.ndarray) -> float:
 
 def kl_divergence(pi: np.ndarray, ref: np.ndarray) -> float:
     return float((pi * (np.log(pi) - np.log(ref))).sum())
-
-
-def fisher_rao_inner(pi: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-    """Fisher metric <u, v>_pi = sum_a u_a v_a / pi_a on tangent vectors (components sum to 0)."""
-    pi = check_simplex(pi)
-    for vec in (u, v):
-        if abs(float(np.sum(vec))) > TANGENT_TOL:
-            raise ValueError("tangent vectors must have components summing to 0")
-    return float(np.sum(u * v / pi))
 
 
 def natural_gradient(pi: np.ndarray, euclidean_grad: np.ndarray) -> np.ndarray:

@@ -12,8 +12,7 @@ import numpy as np
 
 from .envs import Env, reachable
 from .modulation import group_minmax_normalize, modulation_coeffs, response_entropy_proxy
-from .geometry import entropy
-from .policy import PolicySnapshot, TablePolicy, path_entropy_sums, sample_response
+from .policy import PolicySnapshot, TablePolicy, _log_and_entropy, path_entropy_sums, sample_response
 from .trainer import StepMetrics
 
 #: A doob_probe residual mean this small is float roundoff and passes, whatever its stderr.
@@ -155,10 +154,14 @@ def doob_exact_residuals(policy: TablePolicy | PolicySnapshot, state: str) -> di
     """Conditional residual mean at every reachable prefix, by exact enumeration.
 
     Each value is sum_y p(y|prefix) * (-log p(y|prefix) - H(prefix)), which is
-    identically zero; the numbers returned measure only float roundoff.
+    identically zero; the numbers returned measure only float roundoff.  One pass
+    over the state's table, from _log_and_entropy's rows; a p of 0.0 adds 0.
     """
-    dists = PolicySnapshot.of(policy).tree(state)[0]
-    return {u: float((p * (-np.log(p) - entropy(p))).sum()) for u, p in dists.items()}
+    snapshot = PolicySnapshot.of(policy)
+    table = snapshot.table(state)
+    logp, h = _log_and_entropy(table)
+    residuals = (table * (np.where(table > 0.0, -logp, 0.0) - h[:, None])).sum(axis=1)
+    return dict(zip(snapshot._shape[2], residuals.tolist()))
 
 
 @dataclass

@@ -12,6 +12,7 @@ from entlab.advantage import (
     rloo_advantage,
     state_value,
 )
+import entlab.envs
 from entlab.envs import REWARD_SCHEMES, make_env, reachable
 from entlab.policy import Response, TablePolicy, _tree_shape, enumerate_responses, response_space
 from entlab.probes import reachable_states
@@ -228,8 +229,10 @@ def test_state_value_is_bit_identical_to_recursive_walk(kind, overrides):
 
 @pytest.mark.parametrize("kind", ["key-chain", "grid-fetch", "bandit-chain"])
 def test_state_value_after_reachable_states_makes_no_env_step(kind, monkeypatch):
-    """reachable_states fills the env's successors table, so exact values read it and never move the env
-    (successors builds rows from _move, not step, so _move is what is counted)."""
+    """reachable_states fills the successors table of the env's definition, so a second make_env with the same
+    arguments runs its solvability check and every exact value without moving the env (successors builds rows
+    from _move, not step, so _move is what is counted); another definition builds its own rows."""
+    entlab.envs._successor_table.cache_clear()  # seed 1 below is built fresh
     env = make_env(kind, seed=0)
     reachable_states(env)
     calls = []
@@ -240,8 +243,12 @@ def test_state_value_after_reachable_states_makes_no_env_step(kind, monkeypatch)
         return original(self, state, content)
 
     monkeypatch.setattr(type(env), "_move", counted)
+    env = make_env(kind, seed=0)
     states = list(reachable(env, [env.reset(task) for task in range(env.task_count)]))
     policy = _random_logits(env, states, seed=0)
     for state in states:
         state_value(policy, env, state, REWARD_SCHEMES["sparse"], {})
     assert calls == []
+    make_env(kind, seed=1)
+    assert calls
+

@@ -6,12 +6,15 @@ import csv
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import tempfile
+import time
+import traceback
 
 import pytest
 
-import entlab
 import entlab.policy
 
 from entlab.cli import main
@@ -237,7 +240,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
 
 
 #: Values out of range, one per row: each must be refused before the run directory exists.
-#: key_len=0 used to hang with growing memory, so every row runs in a subprocess with a timeout.
+#: key_len=0 used to hang with growing memory, so every row runs in a process of its own with a timeout.
 RANGE_ERRORS = [
     ["lr=NaN"], ["aem_lambda=Infinity"], ["aem_eps=-1"], ["prompts_per_step=0"], ["ckpt_every=-1"], ["seed=-1"],
     ["env_overrides.key_len=0"], ["env_overrides.key_len=0", "kl_coef=0"], ["env_overrides.chain_len=0"],
@@ -250,15 +253,44 @@ RANGE_ERRORS = [
 ]
 
 
+def _forked_main(argv: list[str], cwd, timeout: float) -> tuple[int, str]:
+    """(exit code, stderr) of ``main(argv)`` run in a child forked from this process, which has entlab imported
+    already, with its cwd, stdout and stderr its own; the child is killed if it runs past ``timeout`` seconds."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        pid = os.fork()
+        if pid == 0:  # the child never returns into pytest
+            code = 70
+            try:
+                os.chdir(cwd)
+                os.dup2(out.fileno(), 1)
+                os.dup2(err.fileno(), 2)
+                sys.stdout, sys.stderr = (open(fd, "w", closefd=False) for fd in (1, 2))
+                code = main(argv)
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code if isinstance(exc.code, int) else 1
+            except BaseException:
+                traceback.print_exc()
+            finally:
+                sys.stdout.flush()
+                sys.stderr.flush()
+                os._exit(code)
+        deadline = time.monotonic() + timeout
+        while not (done := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+            time.sleep(0.001)
+        if not done[0]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise subprocess.TimeoutExpired(["entlab", *argv], timeout)
+        err.seek(0)
+        return os.waitstatus_to_exitcode(done[1]), err.read().decode()
+
+
 def _assert_refused_before_out(argv: list[str], cwd, timeout: float) -> None:
-    """Run ``entlab <argv> --out <cwd>/out`` in a subprocess: exit 1, one error line, no --out."""
+    """Run ``entlab <argv> --out <cwd>/out`` in a process of its own: exit 1, one error line, no --out."""
     out = cwd / "out"
-    src = os.path.dirname(os.path.dirname(entlab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "entlab.cli", *argv, "--out", str(out)],
-                          capture_output=True, text=True, timeout=timeout, env=env, cwd=cwd)
-    lines = proc.stderr.splitlines()
-    assert proc.returncode == 1, (proc.returncode, proc.stderr)
+    code, stderr = _forked_main([*argv, "--out", str(out)], cwd, timeout)
+    lines = stderr.splitlines()
+    assert code == 1, (code, stderr)
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert not out.exists()
 

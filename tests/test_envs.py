@@ -94,6 +94,58 @@ def test_rebinding_an_env_attribute_drops_its_successor_rows():
     assert grid.reset(0).features == cell
 
 
+class _TorusGridEnv(GridFetchEnv):
+    """grid-fetch whose moves wrap around the walls: the attributes of GridFetchEnv, other dynamics."""
+
+    def _move(self, state, content):
+        x, y = state.features
+        for tok in content:
+            dx, dy = ((0, -1), (0, 1), (-1, 0), (1, 0))[tok]
+            x, y = (x + dx) % self.width, (y + dy) % self.height
+        success = (x, y) == self.tasks[state.task_id][1]
+        return (x, y), len(content) > 0, success, success or state.step_index + 1 >= self.horizon
+
+
+def _rows_are_env_step(env) -> bool:
+    """Every reachable row of env's successors equals env.step over the response space."""
+    from entlab.policy import response_space
+
+    space = response_space(env.vocab, env.max_len)
+    return all(successors(env, s) == tuple(env.step(s, list(r)) for r in space)
+               for s in reachable(env, [env.reset(t) for t in range(env.task_count)]))
+
+
+def test_envs_of_one_definition_share_one_successor_table():
+    """make_env with equal arguments reads the rows another env built; a different seed, override, kind or
+    class (equal attributes, other dynamics) is another definition, with its own table and its own rows."""
+    a, b = make_env("grid-fetch", seed=0), make_env("grid-fetch", seed=0)
+    assert a is not b and a._successors is b._successors
+    assert successors(a, a.reset(0)) is successors(b, b.reset(0))
+    others = [make_env("grid-fetch", seed=1), make_env("grid-fetch", seed=0, width=5),
+              make_env("key-chain", seed=0), _TorusGridEnv(seed=0)]
+    for other in others:
+        successors(other, other.reset(0))
+        assert other._successors is not a._successors
+        assert _rows_are_env_step(other)
+    assert len({id(other._successors) for other in others}) == len(others)
+    assert _rows_are_env_step(a)
+
+
+def test_rebinding_one_env_leaves_the_rows_of_another_intact():
+    """A rebound task table is another definition: the rebound env gets rows of its new dynamics, and an env
+    of the old definition keeps its table object and its rows."""
+    a, b = make_env("key-chain", seed=0, task_count=3), make_env("key-chain", seed=0, task_count=3)
+    table, row = a._successors, successors(a, a.reset(2))
+    b.keys = (*b.keys[:2], (b.keys[2][0], (0, b.vocab.terminator_id)))
+    assert _rows_are_env_step(b)
+    assert b._successors is not table
+    assert a._successors is table and successors(a, a.reset(2)) is row
+    assert _rows_are_env_step(a)
+    verify_success_reachable(a)
+    with pytest.raises(ValueError, match="key-chain task 2 has no success trajectory"):
+        verify_success_reachable(b)
+
+
 def test_reward_scheme_validation():
     with pytest.raises(ValueError):
         RewardScheme(success=0.0, failure=0.0)

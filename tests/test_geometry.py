@@ -13,7 +13,6 @@ from entlab.geometry import (
     check_simplex,
     entropy,
     entropy_natural_gradient,
-    fisher_rao_inner,
     kl_divergence,
     natural_gradient,
     objective_direction,
@@ -53,6 +52,20 @@ def test_entropy_surprisal_kl_basics():
     assert kl_divergence(pi, pi) == pytest.approx(0.0, abs=1e-12)
     ref = np.array([1 / 3, 1 / 3, 1 / 3])
     assert kl_divergence(pi, ref) > 0.0
+
+
+#: Components of a tangent vector must sum to 0 within this.
+TANGENT_TOL = 1e-9
+
+
+def fisher_rao_inner(pi: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+    """Fisher metric <u, v>_pi = sum_a u_a v_a / pi_a on tangent vectors (components sum to 0): the reference
+    for natural_gradient's defining identity, <natural_gradient(pi, g), u>_pi = g . u for every tangent u."""
+    pi = check_simplex(pi)
+    for vec in (u, v):
+        if abs(float(np.sum(vec))) > TANGENT_TOL:
+            raise ValueError("tangent vectors must have components summing to 0")
+    return float(np.sum(u * v / pi))
 
 
 def test_fisher_inner_two_point_example():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from entlab.envs import make_env, reachable
-from entlab.policy import TablePolicy, Vocabulary, random_policy
+from entlab.geometry import entropy
+from entlab.policy import PolicySnapshot, TablePolicy, Vocabulary, random_policy
 from entlab.probes import (
     DOOB_ROUNDOFF,
     consistency_probe,
@@ -79,6 +80,27 @@ def test_doob_exact_residuals_vanish():
         assert residuals
         for value in residuals.values():
             assert abs(value) < 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_doob_exact_residuals_are_finite_at_a_token_of_probability_zero():
+    """exp(-800) underflows to a p of exactly 0.0, which adds 0 to the residual (not 0 * inf, which is NaN)."""
+    policy = TablePolicy(Vocabulary(3, 2), 2)
+    policy.logit_vector("s", ())[:] = (0.0, -800.0, 0.0)
+    residuals = doob_exact_residuals(policy, "s")
+    assert list(residuals) == list(PolicySnapshot(policy).tree("s")[0])
+    assert all(abs(value) < 1e-12 for value in residuals.values())
+
+
+def test_doob_exact_residuals_are_the_per_prefix_formula_bit_for_bit():
+    """Where no p is 0.0, one pass over the state's table gives the bits of the per-prefix sum
+    sum_y p(y) * (-log p(y) - H(p)) over tree(state)'s distributions."""
+    for vocab_size, max_len in ((5, 3), (4, 3), (3, 2)):  # grid-fetch's, key-chain's and the referee's trees
+        for seed in range(5):
+            policy = random_policy(vocab_size, max_len, np.random.default_rng(seed))
+            dists = PolicySnapshot(policy).tree("s")[0]
+            want = {u: float((p * (-np.log(p) - entropy(p))).sum()) for u, p in dists.items()}
+            assert doob_exact_residuals(policy, "s") == want
 
 
 def test_doob_probe_empirical_mean_is_small():

@@ -12,6 +12,7 @@ import pytest
 
 from entlab.advantage import AdvantageTable, compute_advantages
 from entlab.envs import REWARD_SCHEMES, make_env
+import entlab.envs
 import entlab.modulation
 import entlab.policy
 from entlab.policy import (
@@ -512,6 +513,21 @@ def test_metrics_log_matches_golden_digest(name, tmp_path):
     path = tmp_path / "metrics.jsonl"
     train(TrainConfig(**fields), metrics_path=str(path), mask_sign=mask_sign)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_oracle_metrics_do_not_depend_on_kept_successor_rows(tmp_path):
+    """The exact-value run logs the same bytes with successor rows built cold, read warm from the run before,
+    and read after runs of other env definitions filled their own tables in the same process."""
+    fields, digest = GOLDEN_METRICS["grid-fetch-oracle"]
+    entlab.envs._successor_table.cache_clear()
+    digests = []
+    for other in (None, None, dict(fields, env_seed=1, steps=1), dict(FAST, steps=1)):
+        if other is not None:
+            train(TrainConfig(**other))
+        path = tmp_path / f"metrics_{len(digests)}.jsonl"
+        train(TrainConfig(**fields), metrics_path=str(path))
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert digests == [digest] * 4
 
 
 def test_train_is_deterministic():
