@@ -64,7 +64,7 @@ def state_value(policy: TablePolicy | PolicySnapshot, env: Env, state: EnvState,
     Counts the terminal outcome payoff plus invalid penalties incurred from
     this state onward (penalties already paid earlier in the episode are sunk).
     ``_memo`` holds each state's value under one policy version, read through
-    PolicySnapshot.tree; next states are read from envs.successors.
+    PolicySnapshot.leaf_probs; next states are read from envs.successors.
     """
     _memo = {} if _memo is None else _memo
     value = _memo.get(state)
@@ -74,16 +74,14 @@ def state_value(policy: TablePolicy | PolicySnapshot, env: Env, state: EnvState,
         value = scheme.success if state.success else scheme.failure
     else:
         snapshot = PolicySnapshot.of(policy)
-        leaves = snapshot.tree(state.policy_key)[1]
-        penalty = scheme.invalid_penalty
         value = 0.0
-        for (_, prob), (nxt, valid) in zip(leaves, successors(env, state), strict=True):
+        for prob, (nxt, valid) in zip(snapshot.leaf_probs(state.policy_key), successors(env, state), strict=True):
             if prob == 0.0:
                 continue
             v = _memo.get(nxt)
             if v is None:
                 v = state_value(snapshot, env, nxt, scheme, _memo)
-            value += prob * ((0.0 if valid else penalty) + v)
+            value += prob * ((0.0 if valid else scheme.invalid_penalty) + v)
     _memo[state] = value
     return value
 

@@ -92,39 +92,42 @@ def modulate_batch(
     lam: float = DEFAULT_LAMBDA,
     eps: float = DEFAULT_EPS,
     rng: np.random.Generator | None = None,
-    proxies: dict[int, float] | None = None,
+    proxies: list[list[float]] | None = None,
 ) -> list[ModulationSet]:
     """Modulation for a whole training batch, one ModulationSet per group.
 
     Splits the batch's spans into the populations of ``mode`` (see _POPULATION)
     and normalizes and calibrates each population once, in order of first span.
     "reverse" negates lambda; "shuffle" permutes each non-degenerate
-    population's coefficients with ``rng``.  ``proxies`` holds each span's
-    response_entropy_proxy by id(span) when the caller has computed them.
+    population's coefficients with ``rng``.  ``proxies[g]``, when the caller
+    has computed them, lists the response_entropy_proxy of each span of groups[g].
     """
     if mode not in _POPULATION:
         raise ValueError(f"unknown modulation mode {mode!r}; choose from {tuple(_POPULATION)}")
     if mode == "shuffle" and rng is None:
         raise ValueError("shuffle mode needs an rng for the permutation")
     population_of = _POPULATION[mode]
-    sets = [ModulationSet(degenerate=True) for _ in groups]
-    populations: dict = {}
+    sets = [ModulationSet({}, {}, True) for _ in groups]
+    populations: dict = {}  # population -> ((set, span key) per member, proxy per member)
     for g_idx, (group, out) in enumerate(zip(groups, sets)):
-        for span in group.spans:
-            populations.setdefault(population_of(g_idx, span), []).append(
-                (out, (span.rollout_index, span.turn_index),
-                 proxies[id(span)] if proxies is not None else response_entropy_proxy(span.response)))
-    for members in populations.values():
-        h_tilde, degenerate = group_minmax_normalize([h for _, _, h in members], eps)
+        h_bars = proxies[g_idx] if proxies is not None else [response_entropy_proxy(s.response) for s in group.spans]
+        for span, h in zip(group.spans, h_bars):
+            members = populations.get(population := population_of(g_idx, span))
+            if members is None:
+                members = populations[population] = ([], [])
+            members[0].append((out, (span.rollout_index, span.turn_index)))
+            members[1].append(h)
+    for members, h_bars in populations.values():
+        h_tilde, degenerate = group_minmax_normalize(h_bars, eps)
         if degenerate:
-            for out, key, _ in members:
+            for out, key in members:
                 out.h_tilde[key] = None
                 out.alpha[key] = 1.0
             continue
         alphas = modulation_coeffs(h_tilde, -lam if mode == "reverse" else lam, eps)
         if mode == "shuffle":
             alphas = [alphas[int(j)] for j in rng.permutation(len(alphas))]
-        for (out, key, _), ht, a in zip(members, h_tilde, alphas):
+        for (out, key), ht, a in zip(members, h_tilde, alphas):
             out.h_tilde[key] = ht
             out.alpha[key] = a
             out.degenerate = False
@@ -133,5 +136,5 @@ def modulate_batch(
 
 def apply_modulation(table: AdvantageTable, mod: ModulationSet) -> AdvantageTable:
     """Multiply every span advantage by its coefficient, span-uniformly."""
-    values = {key: mod.alpha[key] * val for key, val in table.values.items()}
-    return AdvantageTable(values=values)
+    alpha = mod.alpha
+    return AdvantageTable({key: alpha[key] * val for key, val in table.values.items()})

@@ -14,8 +14,9 @@ import math
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,12 +93,12 @@ class TablePolicy:
         """Block row of prefix, None if it has none; a prefix of max_len tokens has no successor to score."""
         if len(prefix) >= self.max_len:
             raise ValueError(f"prefix of length {len(prefix)} has no successor under max_len={self.max_len}")
-        return _tree_shape(self.vocab, self.max_len)[3].get(tuple(prefix))
+        return _tree_shape(self.vocab, self.max_len).rows.get(tuple(prefix))
 
     @property
     def logits(self) -> Mapping[tuple[str, tuple[int, ...]], np.ndarray]:
         """The written rows, read-only, as a mapping (state, prefix) -> row in state order, then row order."""
-        prefixes, rows = _tree_shape(self.vocab, self.max_len)[2] if self._blocks else [], {}
+        prefixes, rows = _tree_shape(self.vocab, self.max_len).prefixes if self._blocks else [], {}
         for state, (block, written) in self._blocks.items():
             view = block.view()
             view.flags.writeable = False
@@ -108,7 +109,7 @@ class TablePolicy:
         """The live (block, written mask) of ``state``, zeros and no rows on first touch; counts a write."""
         self.writes += 1
         if state not in self._blocks:
-            rows = len(_tree_shape(self.vocab, self.max_len)[2])
+            rows = len(_tree_shape(self.vocab, self.max_len).prefixes)
             self._blocks[state] = (np.zeros((rows, self.vocab.size)), np.zeros(rows, dtype=bool))
         return self._blocks[state]
 
@@ -141,88 +142,83 @@ def token_distribution(policy: TablePolicy, state: str, prefix: tuple[int, ...])
     return p / p.sum()
 
 
-class PolicySnapshot:
-    """Read-only view of one policy version, the one reader of its softmaxes; valid until its next write.
+def _per_state(derive):
+    """A PolicySnapshot read of one state: derive(snapshot, state), memoized per snapshot by its name.
+    The one staleness check: every read after a write to the snapshot's policy raises."""
+    @wraps(derive)
+    def read(self: PolicySnapshot, state: str):
+        if self.policy.writes != self._writes:
+            raise RuntimeError("policy snapshot read after a logit_vector write to its policy")
+        memo = self._memos[derive.__name__]
+        found = memo.get(state)
+        if found is None:
+            found = memo[state] = derive(self, state)
+        return found
+    return read
 
-    table(state) is one softmax per internal prefix of _tree_shape, rows in walk order, taken on the
-    state's first read in one pass (a copy of the state's block, zeros where there is none, less each row's
-    max, exponentiated, over each row's sum: token_distribution bit for bit) and refused unless every row is a
-    distribution, as Generator.choice refuses p.  entry(state, prefix) is the sampler's (p, cdf, logp, H),
-    derived for every prefix of a state from its table on its first miss: cdf is cumsum(p) / cumsum(p)[-1]
-    as a list (what choice searches), and logp and H are p's rows of _log_and_entropy, logp as a list.
-    tree(state) is (dists, leaves): the table's rows, and the sorted complete responses with their
-    probabilities by _leaf_probs.  Every exact route reads one of the two.  Reading after a write raises.
-    """
+
+class PolicySnapshot:
+    """Read-only view of one policy version, the one reader of its softmaxes; every read is per state, memoized,
+    and raises once the policy has been written since.  table(state) holds one softmax per row of _tree_shape,
+    refused unless each is a distribution, as Generator.choice refuses p; sampler(state) derives the sampler's
+    rows from it, leaf_probs(state) each complete response's probability and leaf_logs(state) their logs.  Every
+    exact route reads the table or the leaf probabilities."""
 
     def __init__(self, policy: TablePolicy) -> None:
         self.policy = policy
         self._writes = policy.writes
         self._shape = _tree_shape(policy.vocab, policy.max_len)
-        self._tables: dict[str, np.ndarray] = {}
-        self._entries: dict[tuple[str, tuple[int, ...]], tuple[np.ndarray, list[float], list[float], float]] = {}
-        self._trees: dict[str, tuple[dict[tuple[int, ...], np.ndarray], list[tuple[tuple[int, ...], float]]]] = {}
-        self._leaf_logs: dict[str, tuple[list[float], float]] = {}
+        self._memos: dict[str, dict] = {"table": {}, "sampler": {}, "leaf_probs": {}, "leaf_logs": {}}
 
     @classmethod
     def of(cls, policy: TablePolicy | PolicySnapshot) -> PolicySnapshot:
         """The snapshot itself, or a new snapshot of a TablePolicy."""
         return policy if isinstance(policy, PolicySnapshot) else cls(policy)
 
-    def entry(self, state: str, prefix: tuple[int, ...]) -> tuple[np.ndarray, list[float], list[float], float]:
-        found = self._entries.get((state, prefix)) if self.policy.writes == self._writes else None  # table() raises
-        if found is None:
-            table = self.table(state)
-            cdf = table.cumsum(axis=1)
-            cdf /= cdf[:, -1:]
-            logp, h = _log_and_entropy(table)
-            rows = zip(table, cdf.tolist(), logp.tolist(), h.tolist())
-            self._entries.update(zip([(state, u) for u in self._shape[2]], rows))
-            found = self._entries[(state, prefix)]
-        return found
-
+    @_per_state
     def table(self, state: str) -> np.ndarray:
-        """The softmaxes at ``state`` as one array, memoized; callers must not mutate it."""
-        if self.policy.writes != self._writes:
-            raise RuntimeError("policy snapshot read after a logit_vector write to its policy")
-        found = self._tables.get(state)
-        if found is None:
-            prefixes, block = self._shape[2], self.policy._blocks.get(state)
-            z = np.zeros((len(prefixes), self.policy.vocab.size)) if block is None else block[0].copy()
-            z -= z.max(axis=1, keepdims=True)
-            np.exp(z, out=z)
-            sums = z.sum(axis=1)
-            z /= sums[:, None]
-            if not np.isfinite(sums).all():  # an exp row lies in [0, 1] and holds a 1, so only NaN fails
-                i = int(np.argmin(np.isfinite(sums)))
-                raise ValueError(f"next-token probabilities at {(state, prefixes[i])!r} are not a distribution: {z[i]}")
-            found = self._tables[state] = z
-        return found
+        """The softmaxes at ``state``, one pass over a copy of its block (zeros where there is none): less each row's
+        max, exponentiated, over each row's sum, token_distribution bit for bit.  Callers must not mutate it."""
+        prefixes, block = self._shape.prefixes, self.policy._blocks.get(state)
+        z = np.zeros((len(prefixes), self.policy.vocab.size)) if block is None else block[0].copy()
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        sums = z.sum(axis=1)
+        z /= sums[:, None]
+        if not np.isfinite(sums).all():  # an exp row lies in [0, 1] and holds a 1, so only NaN fails
+            i = int(np.argmin(np.isfinite(sums)))
+            raise ValueError(f"next-token probabilities at {(state, prefixes[i])!r} are not a distribution: {z[i]}")
+        return z
 
-    def tree(self, state: str) -> tuple[dict[tuple[int, ...], np.ndarray], list[tuple[tuple[int, ...], float]]]:
-        """(dists, leaves) at ``state`` from table(state), memoized; callers must not mutate them."""
-        found = self._trees.get(state) if self.policy.writes == self._writes else None  # table() raises
-        if found is None:
-            table, (_, leaves, prefixes) = self.table(state), self._shape[:3]
-            probs = _leaf_probs(table.ravel(), self._shape)
-            found = self._trees[state] = (dict(zip(prefixes, table)), list(zip(leaves, probs.tolist())))
-        return found
+    @_per_state
+    def sampler(self, state: str) -> tuple[list[list[float]], list[list[float]], list[float]]:
+        """(cdf, logp, H) at ``state`` as lists, a row per row of table(state): cdf is cumsum(p) / cumsum(p)[-1]
+        (what choice searches), logp and H the rows of _log_and_entropy."""
+        table = self.table(state)
+        cdf = table.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        logp, h = _log_and_entropy(table)
+        return cdf.tolist(), logp.tolist(), h.tolist()
 
+    @_per_state
+    def leaf_probs(self, state: str) -> list[float]:
+        """Each complete response's probability at ``state``, leaves in order: _leaf_probs of table(state)."""
+        return _leaf_probs(self.table(state).ravel(), self._shape).tolist()
+
+    @_per_state
     def leaf_logs(self, state: str) -> tuple[list[float], float]:
-        """(logs, H) at ``state``, memoized: _leaf_logs of its leaf probabilities (tree(state)'s), and the response
-        entropy H, -prob * log subtracted left to right from 0.0 over the leaves with prob > 0."""
-        found = self._leaf_logs.get(state) if self.policy.writes == self._writes else None  # table() raises
-        if found is None:
-            probs = _leaf_probs(self.table(state).ravel(), self._shape).tolist()
-            logs, h = _leaf_logs(probs), 0.0
-            for prob, log in zip(probs, logs):
-                h -= prob * log if prob > 0.0 else 0.0  # h - 0.0 is h
-            found = self._leaf_logs[state] = (logs, h)
-        return found
+        """(logs, H) at ``state``: _leaf_logs of leaf_probs(state), and the response entropy H,
+        -prob * log subtracted left to right from 0.0 over the leaves with prob > 0."""
+        probs = self.leaf_probs(state)
+        logs, h = _leaf_logs(probs), 0.0
+        for prob, log in zip(probs, logs):
+            h -= prob * log if prob > 0.0 else 0.0  # h - 0.0 is h
+        return logs, h
 
 
-def _leaf_probs(tables: np.ndarray, shape: tuple) -> np.ndarray:
+def _leaf_probs(tables: np.ndarray, shape: _Shape) -> np.ndarray:
     """Each leaf's probability under a flat table (or each of a stack): its path's entries multiplied root to leaf."""
-    return np.multiply.reduceat(tables.take(shape[7], axis=-1), shape[8], axis=-1)
+    return np.multiply.reduceat(tables.take(shape.edges, axis=-1), shape.starts, axis=-1)
 
 
 def _leaf_logs(probs: list[float]) -> list[float]:
@@ -233,28 +229,21 @@ def _leaf_logs(probs: list[float]) -> list[float]:
 def sample_response(policy: TablePolicy | PolicySnapshot, state: str, rng: np.random.Generator) -> Response:
     """Sample one response token by token, recording logprob and conditional entropy per token.
 
-    Sampling stops after the terminator token or once the response reaches
-    max_len tokens, whichever comes first.  Each token is one rng.random()
-    draw searched right-sided in the snapshot's cdf: the draw and the search of
-    rng.choice(|V|, p=p), so a seed gives the same tokens and generator state.
-    A TablePolicy is read through a new snapshot.
+    The walk follows _tree_shape's child rows from row 0 to a leaf, so only the tree says where a response ends.
+    Each token is one rng.random() draw searched right-sided in its row's cdf of snapshot.sampler: the draw and
+    the search of rng.choice(|V|, p=p), so a seed gives the same tokens and generator state.  A TablePolicy is
+    read through a new snapshot.
     """
     snapshot = PolicySnapshot.of(policy)
-    max_len = snapshot.policy.max_len
-    terminator = snapshot.policy.vocab.terminator_id
-    tokens: list[int] = []
-    logprobs: list[float] = []
-    entropies: list[float] = []
-    prefix: tuple[int, ...] = ()
-    while len(tokens) < max_len:
-        _, cdf, logp, h = snapshot.entry(state, prefix)
-        tok = bisect_right(cdf, rng.random())
+    cdf, logp, h = snapshot.sampler(state)
+    child, leaf = snapshot._shape.child, len(snapshot._shape.prefixes)
+    tokens, logprobs, entropies, row = [], [], [], 0
+    while row != leaf:
+        tok = bisect_right(cdf[row], rng.random())
         tokens.append(tok)
-        logprobs.append(logp[tok])
-        entropies.append(h)
-        if tok == terminator:
-            break
-        prefix += (tok,)
+        logprobs.append(logp[row][tok])
+        entropies.append(h[row])
+        row = child[row][tok]
     return Response(tokens=tokens, logprobs=logprobs, entropies=entropies)
 
 
@@ -271,40 +260,45 @@ def _check_budget(vocab: Vocabulary, max_len: int) -> None:
                                      f"enumeration budget of {ENUMERATION_BUDGET} complete responses")
 
 
+class _Shape(NamedTuple):
+    """The response tree of a (vocabulary, max_len), indexed for a snapshot's table and a policy's blocks."""
+    leaves: tuple[tuple[int, ...], ...]  # the complete responses, sorted
+    prefixes: list[tuple[int, ...]]  # the internal prefixes in depth-first walk order: the table's and block's rows
+    rows: dict[tuple[int, ...], int]  # each internal prefix's row
+    child: tuple[tuple[int, ...], ...]  # child[row][tok]: the row of prefix + (tok,), len(prefixes) at a leaf
+    row_path: np.ndarray  # then one entry per (leaf, position), leaves in order: the leaf's index,
+    row_row: np.ndarray  # the row of the position's prefix,
+    row_tok: np.ndarray  # the token there,
+    edges: np.ndarray  # row_row * |V| + row_tok, an index of the flat table,
+    starts: np.ndarray  # and the first entry of each leaf
+
+
 @lru_cache(maxsize=16)
-def _tree_shape(vocab: Vocabulary, max_len: int) -> tuple:
-    """The one definition of when a response ends, indexed for a snapshot's table and a policy's blocks:
-    (internal, leaves, prefixes, rows, row_path, row_row, row_tok, edges, starts).  internal is each internal
-    (prefix, children) in depth-first walk order, prefixes lists them (the table's and the block's rows),
-    rows maps each to its row, leaves the sorted complete responses (terminator or max_len).  Then one row
-    per (leaf, position), leaves in order: edges = row_row * |V| + row_tok indexes the flat table, starts
-    each leaf's first row.  Every enumeration starts here, so an over-budget shape is refused first."""
+def _tree_shape(vocab: Vocabulary, max_len: int) -> _Shape:
+    """The one definition of when a response ends: at the terminator or at max_len tokens.  A walk from row 0
+    along child rows reaches len(prefixes), the zero row a table may be padded with (never -1, which wraps round),
+    exactly at a complete response's last token.  An over-budget shape is refused before anything is built."""
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
     _check_budget(vocab, max_len)
-    internal: list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = []
-    leaves: list[tuple[int, ...]] = []
-    stack: list[tuple[int, ...]] = [()]
+    prefixes, leaves, stack = [], [], [()]
     while stack:
-        prefix = stack.pop()
-        children = tuple(prefix + (tok,) for tok in range(vocab.size))
-        internal.append((prefix, children))
-        for path in children:
-            if path[-1] == vocab.terminator_id or len(path) == max_len:
-                leaves.append(path)
-            else:
-                stack.append(path)
+        prefixes.append(stack.pop())
+        for tok in range(vocab.size):
+            path = prefixes[-1] + (tok,)
+            (leaves if tok == vocab.terminator_id or len(path) == max_len else stack).append(path)
     leaves.sort()
-    rows = {u: i for i, (u, _) in enumerate(internal)}
+    rows = {u: i for i, u in enumerate(prefixes)}
+    child = tuple(tuple(rows.get(u + (tok,), len(prefixes)) for tok in range(vocab.size)) for u in prefixes)
     cols = [np.array(col) for col in zip(*[(j, rows[path[:k]], tok)
                                            for j, path in enumerate(leaves) for k, tok in enumerate(path)])]
-    return (tuple(internal), tuple(leaves), list(rows), rows, *cols, cols[1] * vocab.size + cols[2],
-            np.flatnonzero(np.diff(cols[0], prepend=-1)))
+    return _Shape(tuple(leaves), prefixes, rows, child, *cols, cols[1] * vocab.size + cols[2],
+                  np.flatnonzero(np.diff(cols[0], prepend=-1)))
 
 
 def response_space(vocab: Vocabulary, max_len: int) -> tuple[tuple[int, ...], ...]:
     """Every complete response (terminator-ended or max_len-truncated) over a vocabulary, sorted."""
-    return _tree_shape(vocab, max_len)[1]
+    return _tree_shape(vocab, max_len).leaves
 
 
 def enumerate_responses(policy: TablePolicy | PolicySnapshot, state: str) -> list[tuple[tuple[int, ...], float]]:
@@ -312,10 +306,11 @@ def enumerate_responses(policy: TablePolicy | PolicySnapshot, state: str) -> lis
 
     A path is complete when it ends with the terminator or reaches max_len.
     The returned probabilities sum to 1 exactly up to roundoff because the
-    two stopping rules partition the outcome space.  They are the leaves of
-    PolicySnapshot.tree, bit for bit the same as every other exact route sees.
+    two stopping rules partition the outcome space.  They are PolicySnapshot.leaf_probs,
+    bit for bit the same as every other exact route sees, paired with response_space.
     """
-    return PolicySnapshot.of(policy).tree(state)[1]
+    snapshot = PolicySnapshot.of(policy)
+    return list(zip(snapshot._shape.leaves, snapshot.leaf_probs(state)))
 
 
 def exact_response_entropy(policy: TablePolicy | PolicySnapshot, state: str) -> float:
@@ -335,8 +330,8 @@ def pathwise_entropy(policy: TablePolicy | PolicySnapshot, state: str) -> float:
     roundoff; the two routes share only the leaf probabilities (_leaf_probs), not the formula.
     """
     snapshot = PolicySnapshot.of(policy)
-    probs, total = _leaf_probs(snapshot.table(state).ravel(), snapshot._shape).tolist(), 0.0
-    for prob, path_sum in zip(probs, path_entropy_sums(snapshot, state)):
+    total = 0.0
+    for prob, path_sum in zip(snapshot.leaf_probs(state), path_entropy_sums(snapshot, state)):
         if prob != 0.0:
             total += prob * path_sum
     return total
@@ -354,12 +349,11 @@ def _log_and_entropy(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def path_entropy_sums(snapshot: PolicySnapshot, state: str) -> list[float]:
-    """sum_k H(tokens[:k]) for each path of tree(state), added left to right, in path order: each prefix's H
+    """sum_k H(tokens[:k]) for each complete response, added left to right, leaves in order: each prefix's H
     is one row of _log_and_entropy(table(state)), read through the (leaf, position) rows of _tree_shape."""
-    table, (_, leaves, *_, row_row) = snapshot.table(state), snapshot._shape[:6]
-    h = iter(_log_and_entropy(table)[1][row_row].tolist())
+    h = iter(_log_and_entropy(snapshot.table(state))[1][snapshot._shape.row_row].tolist())
     sums = []
-    for tokens in leaves:
+    for tokens in snapshot._shape.leaves:
         path_sum = 0.0
         for _ in tokens:
             path_sum += next(h)

@@ -129,13 +129,12 @@ def doob_probe(policy: TablePolicy | PolicySnapshot, state: str, n_samples: int,
     |mean| <= max(4 * stderr, DOOB_ROUNDOFF).
     """
     snapshot = PolicySnapshot.of(policy)
-    paths = snapshot.tree(state)[1]
-    probs = np.array([p for _, p in paths])
+    paths, probs = snapshot._shape.leaves, snapshot.leaf_probs(state)
     residuals = np.array([(-math.log(prob) if prob > 0.0 else math.inf) - entropy_sum
-                          for (_, prob), entropy_sum in zip(paths, path_entropy_sums(snapshot, state))])
-    lengths = np.array([len(tokens) for tokens, _ in paths], dtype=int)
+                          for prob, entropy_sum in zip(probs, path_entropy_sums(snapshot, state))])
+    lengths = np.array([len(tokens) for tokens in paths], dtype=int)
 
-    idx = rng.choice(len(paths), size=n_samples, p=probs / probs.sum())
+    idx = rng.choice(len(paths), size=n_samples, p=np.divide(probs, np.sum(probs)))
     sample = residuals[idx]
     mean = float(sample.mean())
     stderr = float(sample.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
@@ -161,7 +160,7 @@ def doob_exact_residuals(policy: TablePolicy | PolicySnapshot, state: str) -> di
     table = snapshot.table(state)
     logp, h = _log_and_entropy(table)
     residuals = (table * (np.where(table > 0.0, -logp, 0.0) - h[:, None])).sum(axis=1)
-    return dict(zip(snapshot._shape[2], residuals.tolist()))
+    return dict(zip(snapshot._shape.prefixes, residuals.tolist()))
 
 
 @dataclass

@@ -170,18 +170,21 @@ def surrogate_loss(
                  if (g_idx, s.rollout_index, s.turn_index) not in masked_keys]
 
     counts = Counter(row[1] for row in span_rows)
-    states, rows = list(counts), snapshot._shape[3]  # states in order of first span
-    index = {state: i for i, state in enumerate(states)}
+    states, shape, size = list(counts), snapshot._shape, snapshot.policy.vocab.size  # states in order of first span
+    index, child, leaf = {state: i for i, state in enumerate(states)}, shape.child, len(shape.prefixes)
     clip = []  # a _TERM per clip term that adds to the gradient, in span order, then token order
-    j_clip = 0.0
-    n_spans = len(span_rows)
-    total_tokens = sum(len(row[2]) for row in span_rows)
+    j_clip, n_spans, total_tokens = 0.0, len(span_rows), sum(len(row[2]) for row in span_rows)
 
     for adv, state, tokens, behavior_lp in span_rows:
-        length = len(tokens)
-        prefixes = [tuple(tokens[:k]) for k in range(length)]
-        entries = [snapshot.entry(state, u) for u in prefixes]
-        log_ratios = [entry[2][tok] - lp for entry, tok, lp in zip(entries, tokens, behavior_lp)]
+        length, logp, path, row = len(tokens), snapshot.sampler(state)[1], [], 0
+        for tok in tokens:  # the row of each token's prefix, from the root along the tree's child rows
+            if row == leaf or not 0 <= tok < size:
+                break
+            path.append(row)
+            row = child[row][tok]
+        if row != leaf or len(path) != length:
+            raise ValueError(f"span tokens {list(tokens)} at {state!r} are not one complete response")
+        log_ratios = [logp[row][tok] - lp for row, tok, lp in zip(path, tokens, behavior_lp)]
         # Each token's gradient coefficient, None where it adds nothing (A is 0 or the clipped branch is selected).
         if config.loss == "gspo_seq":  # one sequence-level ratio: geometric mean of the per-token ratios
             ratio = math.exp(sum(log_ratios) / length)
@@ -196,10 +199,10 @@ def surrogate_loss(
                 j_clip += token_weight * _clipped_term(ratio, adv, config.clip_low, config.clip_high)
                 active = adv != 0.0 and _clip_active(ratio, adv, config.clip_low, config.clip_high)
                 coeffs.append(token_weight * adv * ratio if active else None)
-        clip.extend((index[state], rows[u], tok, coeff)
-                    for u, tok, coeff in zip(prefixes, tokens, coeffs) if coeff is not None)
-    terms, size = np.array(clip, dtype=_TERM), snapshot.policy.vocab.size
-    step_tables = np.array([snapshot.table(state) for state in states]).reshape(len(states), len(rows), size)
+        clip.extend((index[state], row, tok, coeff)
+                    for row, tok, coeff in zip(path, tokens, coeffs) if coeff is not None)
+    terms = np.array(clip, dtype=_TERM)
+    step_tables = np.array([snapshot.table(state) for state in states]).reshape(len(states), leaf, size)
 
     j_reg = 0.0
     if (config.entropy_coef != 0.0 or config.kl_coef != 0.0) and n_spans > 0:
@@ -222,8 +225,8 @@ def _regularizer(snapshot: PolicySnapshot, ref_policy: TablePolicy | PolicySnaps
     over positions of (onehot - p), by (surprisal - H), the KL gradient by (ref surprisal - surprisal): one term per
     position of each path with a nonzero coefficient, states in order, then paths.  H and KL are added from 0.0
     left to right, and each number takes a per-leaf walk's operations in order, so it is the walk's bit for bit."""
-    row_path, row_row, row_tok = snapshot._shape[4:7]
-    probs = _leaf_probs(tables.reshape(len(states), -1), snapshot._shape)
+    shape = snapshot._shape
+    probs = _leaf_probs(tables.reshape(len(states), -1), shape)
     live, zero = probs > 0.0, np.zeros((len(states), 1))
     logs = np.where(live, np.reshape(_leaf_logs(probs.ravel().tolist()), probs.shape), 0.0)  # no 0 * -inf
     ref = PolicySnapshot.of(ref_policy) if config.kl_coef != 0.0 else None  # log ratios are 0 without one
@@ -232,10 +235,10 @@ def _regularizer(snapshot: PolicySnapshot, ref_policy: TablePolicy | PolicySnaps
     h = np.subtract.accumulate(np.hstack((zero, probs * logs)), axis=1)[:, -1]
     kl = np.add.accumulate(np.hstack((zero, probs * log_ratios)), axis=1)[:, -1]
     coeffs = config.entropy_coef * probs * (-logs - h[:, None]) - config.kl_coef * probs * log_ratios
-    at_state, at_row = np.nonzero(coeffs[:, row_path] != 0.0)
-    coeff = np.array(weights)[at_state] * coeffs[at_state, row_path[at_row]]
+    at_state, at_row = np.nonzero(coeffs[:, shape.row_path] != 0.0)
+    coeff = np.array(weights)[at_state] * coeffs[at_state, shape.row_path[at_row]]
     return config.entropy_coef * h - config.kl_coef * kl, np.rec.fromarrays(
-        (at_state, row_row[at_row], row_tok[at_row], coeff), dtype=_TERM)
+        (at_state, shape.row_row[at_row], shape.row_tok[at_row], coeff), dtype=_TERM)
 
 
 def _gradient_blocks(states: list[str], tables: np.ndarray,
@@ -324,12 +327,14 @@ def train(
             timings["advantage"] += time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            # Trained groups are collected groups, so each span's proxy is computed once, here.
-            h_bar = {id(span): mod.response_entropy_proxy(span.response) for g in groups for span in g.spans}
+            # Trained groups are collected groups, so each span's proxy is computed once, here, in span order by group.
+            proxy = mod.response_entropy_proxy
+            h_bar = {id(g): [proxy(span.response) for span in g.spans] for g in groups}
             sets = None
             if config.aem_mode != "off" or mask_sign is not None:
                 sets = mod.modulate_batch(trained, mode=config.aem_mode if config.aem_mode != "off" else "aem",
-                                          lam=config.aem_lambda, eps=config.aem_eps, proxies=h_bar,
+                                          lam=config.aem_lambda, eps=config.aem_eps,
+                                          proxies=[h_bar[id(g)] for g in trained],
                                           rng=_rng_for(config.seed, 2, step) if config.aem_mode == "shuffle" else None)
             applied = tables
             if config.aem_mode != "off":
@@ -338,9 +343,8 @@ def train(
             if mask_sign is not None:
                 # A span is masked when sgn(A * (alpha - 1)) == mask_sign; a table holds one value per span.
                 for g_idx, (table, mset) in enumerate(zip(tables, sets)):
-                    alpha = mset.alpha
                     masked.update((g_idx, *key) for key, adv in table.values.items()
-                                  if mask_sign * (adv * (alpha[key] - 1.0)) > 0.0)
+                                  if mask_sign * (adv * (mset.alpha[key] - 1.0)) > 0.0)
             timings["aem"] += time.perf_counter() - t0
 
             t0 = time.perf_counter()
@@ -402,29 +406,30 @@ def load_metrics(path: str) -> list[StepMetrics]:
 
 def _step_metrics(step: int, collected: list[Group], trained: list[Group],
                   applied: list[AdvantageTable], sets: list[mod.ModulationSet] | None,
-                  loss_value: float, h_bar: dict[int, float]) -> StepMetrics:
-    """Step summaries, h_bar each collected span's proxy; with no modulation sets every alpha is 1, h_tilde None."""
+                  loss_value: float, h_bar: dict[int, list[float]]) -> StepMetrics:
+    """Step summaries, h_bar each collected group's span proxies by id(group); with no sets alpha is 1, h_tilde None."""
     rewards = [traj.reward for g in collected for traj in g.trajectories]
     successes = [traj.success for g in collected for traj in g.trajectories]
+    proxies = [h for hs in h_bar.values() for h in hs]
 
     span_docs = []
     alphas: list[float] = []
     n_pos = 0
     for g_idx, (group, table) in enumerate(zip(trained, applied)):
-        for span in group.spans:
+        for span, proxy in zip(group.spans, h_bar[id(group)]):
             key = (span.rollout_index, span.turn_index)
             adv = table.values[key]
             alpha = sets[g_idx].alpha[key] if sets else 1.0
             alphas.append(alpha)
             n_pos += 1 if adv > 0.0 else 0
-            span_docs.append([g_idx, key[0], key[1], h_bar[id(span)], sets[g_idx].h_tilde[key] if sets else None,
+            span_docs.append([g_idx, key[0], key[1], proxy, sets[g_idx].h_tilde[key] if sets else None,
                               alpha, adv])
 
     return StepMetrics(
         step=step,
         mean_reward=sum(rewards) / len(rewards) if rewards else 0.0,
         success_rate=sum(successes) / len(successes) if successes else 0.0,
-        policy_entropy_estimate=sum(h_bar.values()) / len(h_bar) if h_bar else 0.0,
+        policy_entropy_estimate=sum(proxies) / len(proxies) if proxies else 0.0,
         mean_alpha=sum(alphas) / len(alphas) if alphas else 1.0,
         frac_positive_advantage=n_pos / len(alphas) if alphas else 0.0,
         loss_value=loss_value,

@@ -11,7 +11,7 @@ from entlab.policy import _tree_shape
 def grad_rows(policy, grad) -> dict:
     """{(state, prefix): row} over each state's (block, mask) of grad: the rows in its mask only,
     state by state in row order."""
-    prefixes = _tree_shape(policy.vocab, policy.max_len)[2]
+    prefixes = _tree_shape(policy.vocab, policy.max_len).prefixes
     return {(state, prefixes[row]): block[row]
             for state, (block, mask) in grad.items() for row in np.flatnonzero(mask).tolist()}
 

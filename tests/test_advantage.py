@@ -196,7 +196,7 @@ def _random_logits(env, states, seed):
     rng = np.random.default_rng(seed)
     policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
     for key in dict.fromkeys(s.policy_key for s in states):
-        for prefix, _ in _tree_shape(env.vocab, env.max_len)[0]:
+        for prefix in _tree_shape(env.vocab, env.max_len).prefixes:
             policy.logit_vector(key, prefix)[:] = 1.5 * rng.normal(size=env.vocab.size)
     return policy
 

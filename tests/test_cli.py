@@ -398,7 +398,7 @@ def test_probe_doob_reads_one_snapshot(tmp_path, monkeypatch):
     table = entlab.policy.PolicySnapshot.table
 
     def counted(self, state):
-        if state not in self._tables:
+        if state not in self._memos["table"]:
             keys.append((id(self.policy), self.policy.writes, state))
         return table(self, state)
 

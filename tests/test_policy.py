@@ -101,7 +101,7 @@ def test_logits_view_is_the_written_rows():
     and refuses item assignment and writes through its rows."""
     policy = TablePolicy(vocab=Vocabulary(size=3, terminator_id=2), max_len=3)
     assert policy.logits == {} and len(policy.logits) == 0 and list(policy.logits) == []
-    rows = [u for u, _ in _tree_shape(policy.vocab, policy.max_len)[0]]
+    rows = _tree_shape(policy.vocab, policy.max_len).prefixes
     written = [("t", rows[3]), ("s", rows[2]), ("s", rows[0]), ("t", rows[1])]
     for i, (state, prefix) in enumerate(written):
         policy.logit_vector(state, prefix)[:] = (i, -i, 0.5)
@@ -134,6 +134,40 @@ def test_tree_shape_refuses_empty_responses():
     """With max_len 0 no content path would ever end, so the walk would not stop."""
     with pytest.raises(ValueError, match="max_len"):
         _tree_shape(Vocabulary(size=3, terminator_id=2), 0)
+
+
+#: (|V|, max_len) of the default key-chain, grid-fetch and referee envs, and a tree of one token.
+CHILD_SHAPES = {
+    **{name: (lambda env: (env.vocab.size, env.max_len))(make_env(kind, seed=0, **overrides))
+       for name, kind, overrides in (("key-chain", "key-chain", {}), ("grid-fetch", "grid-fetch", {}),
+                                     ("referee", "key-chain", dict(chain_len=1, task_count=64, n_content=3)))},
+    "max_len-1": (4, 1),
+}
+
+
+@pytest.mark.parametrize("name", CHILD_SHAPES)
+def test_child_rows_index_the_response_tree(name):
+    """child[rows[u]][t] is rows[u + (t,)] for an internal extension and len(prefixes), the zero row, for a
+    leaf (never a negative index); a walk from row 0 along each leaf's tokens reaches it at the last token."""
+    size, max_len = CHILD_SHAPES[name]
+    shape = _tree_shape(Vocabulary(size=size, terminator_id=size - 1), max_len)
+    leaf, leaves = len(shape.prefixes), set(shape.leaves)
+    assert list(shape.rows) == shape.prefixes and len(shape.child) == leaf
+    for u in shape.prefixes:
+        assert len(shape.child[shape.rows[u]]) == size
+        for t in range(size):
+            extension = u + (t,)
+            assert (extension in leaves) != (extension in shape.rows)
+            assert shape.child[shape.rows[u]][t] == (leaf if extension in leaves else shape.rows[extension])
+    assert all(0 < row <= leaf for rows in shape.child for row in rows)  # no child is the root, none negative
+    for tokens in shape.leaves:
+        row, rows = 0, []
+        for tok in tokens:
+            assert row != leaf, tokens
+            rows.append(row)
+            row = shape.child[row][tok]
+        assert row == leaf and rows == [shape.rows[tokens[:k]] for k in range(len(tokens))]
+    assert len(shape.leaves) == len(leaves) and sorted(leaves) == list(shape.leaves)
 
 
 def test_sample_response_stops_at_terminator_or_max_len():
@@ -232,7 +266,7 @@ def test_inverse_cdf_sampler_searches_right_sided():
     so a zero-probability token is never drawn; random draws almost never hit a cdf value exactly."""
     policy = TablePolicy(vocab=Vocabulary(size=4, terminator_id=3), max_len=1)
     policy.logit_vector("s", ())[:] = (0.0, -1000.0, 1.0, 0.5)
-    cdf = PolicySnapshot(policy).entry("s", ())[1]
+    cdf = PolicySnapshot(policy).sampler("s")[0][0]
     assert cdf[0] == cdf[1]
     draws = [0.0, *cdf[:-1], 0.5]
     got = [sample_response(policy, "s", _Draws([u])).tokens[0] for u in draws]
@@ -246,20 +280,20 @@ def test_snapshot_entries_are_the_token_distribution_bit_for_bit():
         policy = random_policy(size, max_len, rng)
         before = {k: v.copy() for k, v in policy.logits.items()}
         snapshot = PolicySnapshot(policy)
-        # Every reachable prefix, plus a state with no stored logits (uniform).
-        keys = [("s", u) for u, _ in _tree_shape(policy.vocab, max_len)[0]] + [("other", ())]
-        # The first miss at a state derives the entries of all its prefixes: the rest are never sampled first.
-        snapshot.entry(*keys[-2])
-        assert set(snapshot._entries) == set(keys[:-1])
-        for state, prefix in keys:
-            p, cdf, logp, h = snapshot.entry(state, prefix)
+        # Every reachable prefix by its table row, plus a state with no stored logits (uniform).
+        keys = [("s", row, u) for row, u in enumerate(_tree_shape(policy.vocab, max_len).prefixes)] + [("other", 0, ())]
+        # One read at a state derives the sampler rows of all its prefixes: the rest are never sampled first.
+        assert [len(column) for column in snapshot.sampler("s")] == [len(keys) - 1] * 3
+        assert list(snapshot._memos["sampler"]) == ["s"]
+        for state, row, prefix in keys:
+            cdf, logp, h = (column[row] for column in snapshot.sampler(state))
             want = token_distribution(policy, state, prefix)
-            assert p.tobytes() == want.tobytes()
+            assert snapshot.table(state)[row].tobytes() == want.tobytes()
             csum = want.cumsum()
             assert cdf == (csum / csum[-1]).tolist()
             assert logp == np.log(want).tolist()
             assert h == entropy(want)
-            assert snapshot.entry(state, prefix)[1] is cdf
+            assert snapshot.sampler(state)[0][row] is cdf
         assert list(policy.logits) == list(before)
         assert all(np.array_equal(policy.logits[k], v) for k, v in before.items())
         assert PolicySnapshot.of(snapshot) is snapshot
@@ -285,7 +319,7 @@ def _edge_rows(policy, rng):
         "1e300": lambda: rng.choice([-1e300, 1e300], size=size),
     }
     draws = list(kinds.values())
-    for i, (u, _) in enumerate(_tree_shape(policy.vocab, policy.max_len)[0]):
+    for i, u in enumerate(_tree_shape(policy.vocab, policy.max_len).prefixes):
         for state, draw in kinds.items():
             policy.logit_vector(state, u)[:] = draw()
         if i % 5:
@@ -296,12 +330,12 @@ def _edge_rows(policy, rng):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("shape", TABLE_SHAPES)
 def test_batched_rows_are_the_token_distribution_bit_for_bit(shape):
-    """Each row of a state's one softmax equals token_distribution's row, and the tree, path entropy sums and
-    entries built from it equal the per-call walk and per-prefix entries, on absent, repeated, +-700 and +-1e300
-    rows."""
+    """Each row of a state's one softmax equals token_distribution's row, and the leaf probabilities, path entropy
+    sums and sampler rows built from it equal the per-call walk and per-prefix entries, on absent, repeated, +-700
+    and +-1e300 rows."""
     size, max_len = TABLE_SHAPES[shape]
     policy = TablePolicy(vocab=Vocabulary(size=size, terminator_id=size - 1), max_len=max_len)
-    prefixes = [u for u, _ in _tree_shape(policy.vocab, max_len)[0]]
+    prefixes = _tree_shape(policy.vocab, max_len).prefixes
     for state in _edge_rows(policy, np.random.default_rng(size * 10 + max_len)):
         snapshot = PolicySnapshot(policy)
         table = snapshot.table(state)
@@ -309,7 +343,7 @@ def test_batched_rows_are_the_token_distribution_bit_for_bit(shape):
         for row, u in zip(table, prefixes):
             assert row.tobytes() == token_distribution(policy, state, u).tobytes(), (state, u)
         want_dists, want_paths, _ = _response_tree_dfs(policy, state)
-        dists, paths = snapshot.tree(state)
+        dists, paths = dict(zip(prefixes, table)), enumerate_responses(snapshot, state)
         assert list(dists) == list(want_dists)
         assert all(dists[u].tobytes() == p.tobytes() for u, p in want_dists.items())
         assert paths == want_paths
@@ -322,12 +356,11 @@ def test_batched_rows_are_the_token_distribution_bit_for_bit(shape):
         assert list(map(repr, path_entropy_sums(snapshot, state))) == list(map(repr, want_sums))
 
         sampled = PolicySnapshot(policy)
-        sampled.entry(state, prefixes[-1])
-        for u in prefixes:
-            p, cdf, logp, h = sampled.entry(state, u)
+        for row, u in enumerate(prefixes):
+            cdf, logp, h = (column[row] for column in sampled.sampler(state))
             want = token_distribution(policy, state, u)
             csum = want.cumsum()
-            assert p.tobytes() == want.tobytes()
+            assert sampled.table(state)[row].tobytes() == want.tobytes()
             assert cdf == (csum / csum[-1]).tolist()
             assert logp == np.log(want).tolist()
             assert h == _entropy(want)
@@ -336,13 +369,14 @@ def test_batched_rows_are_the_token_distribution_bit_for_bit(shape):
 def test_snapshot_ends_at_the_first_write():
     policy = random_policy(3, 2, np.random.default_rng(2))
     snapshot = PolicySnapshot(policy)
-    snapshot.entry("s", ())
+    snapshot.sampler("s")
     policy.logit_vector("s", ())[0] += 1.0
-    with pytest.raises(RuntimeError, match="after a logit_vector write"):
-        snapshot.entry("s", ())
+    for read in (snapshot.table, snapshot.sampler, snapshot.leaf_probs, snapshot.leaf_logs):
+        with pytest.raises(RuntimeError, match="after a logit_vector write"):
+            read("s")
     with pytest.raises(RuntimeError):
         sample_response(snapshot, "s", np.random.default_rng(0))
-    assert PolicySnapshot(policy).entry("s", ())[0].tobytes() == token_distribution(policy, "s", ()).tobytes()
+    assert PolicySnapshot(policy).table("s")[0].tobytes() == token_distribution(policy, "s", ()).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -434,18 +468,19 @@ def test_response_tree_is_bit_identical_to_per_call_walk(size, max_len):
         assert all(np.array_equal(policy.logits[k], v) for k, v in want_logits.items())
 
         want_dists, want_paths, want_entropies = _response_tree_dfs(policy, "s", with_entropy=True)
-        # A fresh snapshot walks from token_distribution; a sampled one takes its entries' p where it has them.
+        # A fresh snapshot and one that has sampled read the same table and leaf probabilities.
         sampled = PolicySnapshot(policy)
         for _ in range(8):
             sample_response(sampled, "s", rng)
         for snapshot in (PolicySnapshot(policy), sampled):
-            dists, paths = snapshot.tree("s")
+            dists = dict(zip(snapshot._shape.prefixes, snapshot.table("s")))
+            paths = enumerate_responses(snapshot, "s")
             assert list(dists) == list(want_dists)
             assert all(np.array_equal(dists[u], p) for u, p in want_dists.items())
             assert paths == want_paths
             assert {u: entropy(p) for u, p in dists.items()} == want_entropies
             assert [tokens for tokens, _ in paths] == list(response_space(policy.vocab, max_len))
-            assert snapshot.tree("s") is snapshot.tree("s")
+            assert snapshot.leaf_probs("s") is snapshot.leaf_probs("s")
 
 
 def test_reads_leave_the_policy_unchanged():
@@ -474,10 +509,10 @@ def test_reads_leave_the_policy_unchanged():
 def test_tree_ends_at_the_first_write():
     policy = random_policy(3, 2, np.random.default_rng(2))
     snapshot = PolicySnapshot(policy)
-    snapshot.tree("s")
+    snapshot.leaf_probs("s")
     policy.logit_vector("other", ())
     with pytest.raises(RuntimeError, match="after a logit_vector write"):
-        snapshot.tree("s")
+        snapshot.leaf_probs("s")
     with pytest.raises(RuntimeError):
         enumerate_responses(snapshot, "s")
 
@@ -533,7 +568,7 @@ def test_a_token_of_probability_zero_adds_no_entropy():
     policy = TablePolicy(vocab=Vocabulary(size=3, terminator_id=2), max_len=2)
     policy.logit_vector("s", ())[:] = (0.0, -800.0, 0.0)
     snapshot = PolicySnapshot(policy)
-    p, _, logp, h = snapshot.entry("s", ())
+    p, (_, logp, h) = snapshot.table("s")[0], (column[0] for column in snapshot.sampler("s"))
     assert p[1] == 0.0 and logp[1] == -math.inf and h == -(p[0] * logp[0] + p[2] * logp[2])
     for seed in range(8):
         response = sample_response(snapshot, "s", np.random.default_rng(seed))

@@ -88,17 +88,18 @@ def test_doob_exact_residuals_are_finite_at_a_token_of_probability_zero():
     policy = TablePolicy(Vocabulary(3, 2), 2)
     policy.logit_vector("s", ())[:] = (0.0, -800.0, 0.0)
     residuals = doob_exact_residuals(policy, "s")
-    assert list(residuals) == list(PolicySnapshot(policy).tree("s")[0])
+    assert list(residuals) == PolicySnapshot(policy)._shape.prefixes
     assert all(abs(value) < 1e-12 for value in residuals.values())
 
 
 def test_doob_exact_residuals_are_the_per_prefix_formula_bit_for_bit():
     """Where no p is 0.0, one pass over the state's table gives the bits of the per-prefix sum
-    sum_y p(y) * (-log p(y) - H(p)) over tree(state)'s distributions."""
+    sum_y p(y) * (-log p(y) - H(p)) over the distributions of the state's table, prefixes in row order."""
     for vocab_size, max_len in ((5, 3), (4, 3), (3, 2)):  # grid-fetch's, key-chain's and the referee's trees
         for seed in range(5):
             policy = random_policy(vocab_size, max_len, np.random.default_rng(seed))
-            dists = PolicySnapshot(policy).tree("s")[0]
+            snapshot = PolicySnapshot(policy)
+            dists = dict(zip(snapshot._shape.prefixes, snapshot.table("s")))
             want = {u: float((p * (-np.log(p) - entropy(p))).sum()) for u, p in dists.items()}
             assert doob_exact_residuals(policy, "s") == want
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -18,6 +19,7 @@ import entlab.policy
 from entlab.policy import (
     EnumerationBudgetError,
     PolicySnapshot,
+    Response,
     TablePolicy,
     Vocabulary,
     enumerate_responses,
@@ -326,7 +328,7 @@ def _regularizer_case(shape):
 def _seeded_terms(snapshot, rng):
     """Clip-like _TERMs at states 2 and 0 of three, two of them at rows the regularizer also adds to, and
     their per-key reference accumulation."""
-    rows, size = snapshot._shape[3], snapshot.policy.vocab.size
+    rows, size = snapshot._shape.rows, snapshot.policy.vocab.size
     picks = [(2, (0,)), (0, ()), (2, ()), (0, (0,)), (2, (0,))]
     terms = np.array([(i, rows[u], rng.integers(size), rng.normal(scale=0.1)) for i, u in picks], dtype=_TERM)
     return terms, [(i, u, int(tok), float(coeff)) for (i, u), (_, _, tok, coeff) in zip(picks, terms)]
@@ -363,9 +365,9 @@ def test_regularizer_is_bit_identical_to_per_path_walk(shape):
             assert want == [0.0] * 3 and not len(terms)
             assert list(blocks) == [states[2], states[0]]
         # The ref snapshot takes each state's logs once; the second pass reads them again.
-        logs = {state: ref._leaf_logs[state] for state in states}
-        assert list(ref._leaf_logs) == states
-    assert all(ref._leaf_logs[state] is logs[state] for state in states)
+        logs = {state: ref._memos["leaf_logs"][state] for state in states}
+        assert list(ref._memos["leaf_logs"]) == states
+    assert all(ref._memos["leaf_logs"][state] is logs[state] for state in states)
 
 
 def _surrogate_grad_per_key(policy, ref_policy, groups, tables, config):
@@ -377,8 +379,9 @@ def _surrogate_grad_per_key(policy, ref_policy, groups, tables, config):
     n_spans, total_tokens = len(span_rows), sum(len(row[2]) for row in span_rows)
     grad, clipped = {}, 0
     for adv, state, tokens, behavior_lp in span_rows:
-        entries = [snapshot.entry(state, tuple(tokens[:k])) for k in range(len(tokens))]
-        log_ratios = [entry[2][tok] - lp for entry, tok, lp in zip(entries, tokens, behavior_lp)]
+        rows = [snapshot._shape.rows[tuple(tokens[:k])] for k in range(len(tokens))]
+        dists, logp = snapshot.table(state)[rows], snapshot.sampler(state)[1]
+        log_ratios = [logp[row][tok] - lp for row, tok, lp in zip(rows, tokens, behavior_lp)]
         if config.loss == "gspo_seq":
             ratios = [math.exp(sum(log_ratios) / len(tokens))]
             weights = [adv * ratios[0] / (n_spans * len(tokens))] * len(tokens)
@@ -390,7 +393,7 @@ def _surrogate_grad_per_key(policy, ref_policy, groups, tables, config):
         clipped += sum(adv != 0.0 and not a for a in active)
         for k, tok in enumerate(tokens):
             if active[0 if config.loss == "gspo_seq" else k]:
-                _grad_add(grad, (state, tuple(tokens[:k])), weights[k] * _one_hot_minus_p(entries[k][0], tok))
+                _grad_add(grad, (state, tuple(tokens[:k])), weights[k] * _one_hot_minus_p(dists[k], tok))
     if config.entropy_coef != 0.0 or config.kl_coef != 0.0:
         counts = {}
         for _, state, _, _ in span_rows:
@@ -463,6 +466,24 @@ def test_no_gradient_term_gives_no_block_and_no_write():
     result = train(config)
     assert all(adv == 0.0 for *_, adv in result.metrics[0].spans) and result.metrics[0].spans
     assert result.policy.writes == 0
+
+
+@pytest.mark.parametrize("shape", ["key-chain", "grid-fetch"])
+def test_surrogate_loss_refuses_a_span_that_is_not_a_complete_response(shape):
+    """Span tokens that run past a leaf (after the terminator or past max_len), stop short of one or leave the
+    vocabulary are refused with the state and the tokens named, not read at a wrong row or wrapped round."""
+    policy, ref_policy, groups, tables = _block_inputs(shape)
+    config = TrainConfig(kl_coef=0.05)
+    surrogate_loss(policy, groups, tables, config, ref_policy)
+    span, size, max_len = groups[1].spans[-1], policy.vocab.size, policy.max_len
+    term = policy.vocab.terminator_id
+    past = [[*span.response.tokens, 0], [term, term], [0] * max_len + [term]]
+    short = [[0] * k for k in range(1, max_len)] + [[1] * k for k in range(1, max_len)]
+    for tokens in [*past, *short, [-1], [size], [0] * (max_len - 1) + [-1]]:
+        span.response = Response(tokens=tokens, logprobs=[-1.0] * len(tokens), entropies=[0.5] * len(tokens))
+        message = f"span tokens {tokens} at {span.state_key!r} are not one complete response"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            surrogate_loss(policy, groups, tables, config, ref_policy)
 
 
 GRID_KL = dict(env_kind="grid-fetch", kl_coef=0.01, steps=3)
@@ -663,7 +684,7 @@ def test_one_softmax_per_policy_version(fields, monkeypatch):
     table = PolicySnapshot.table
 
     def counted(self, state):
-        if state not in self._tables:
+        if state not in self._memos["table"]:
             keys.append((id(self.policy), self.policy.writes, state))
         return table(self, state)
 
