@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import pairwise
 
-from .envs import Env, EnvState, RewardScheme, successors
-from .policy import PolicySnapshot, TablePolicy
+import numpy as np
+
+from .envs import Env, EnvState, RewardScheme, value_plan
+from .policy import PolicySnapshot, TablePolicy, _leaf_probs
 from .rollout import Group
 
 GRPO_EPS = 1e-8
@@ -59,43 +62,47 @@ def rloo_advantage(group: Group) -> AdvantageTable:
 
 def state_value(policy: TablePolicy | PolicySnapshot, env: Env, state: EnvState, scheme: RewardScheme,
                 _memo: dict | None = None) -> float:
-    """Exact on-policy value of a state by enumerating all continuations.
-
-    Counts the terminal outcome payoff plus invalid penalties incurred from
+    """Exact on-policy value of a state: the terminal outcome payoff plus the invalid penalties incurred from
     this state onward (penalties already paid earlier in the episode are sunk).
-    ``_memo`` holds each state's value under one policy version, read through
-    PolicySnapshot.leaf_probs; next states are read from envs.successors.
+
+    Backward induction over envs.value_plan(env, state), with the leaf probabilities of its keys' stacked tables:
+    each layer, last first, adds prob * (penalty + next value) over the responses left to right from 0.0, the
+    enumeration's value += ... bit for bit (a probability-0.0 leaf adds ±0.0, which changes no sum from +0.0).
+    ``_memo`` holds values under one policy version; a miss stores every plan state's.  A policy of another
+    vocabulary or max_len than the env's is refused.
     """
     _memo = {} if _memo is None else _memo
     value = _memo.get(state)
     if value is not None:
         return value
     if state.done:
-        value = scheme.success if state.success else scheme.failure
-    else:
-        snapshot = PolicySnapshot.of(policy)
-        value = 0.0
-        for prob, (nxt, valid) in zip(snapshot.leaf_probs(state.policy_key), successors(env, state), strict=True):
-            if prob == 0.0:
-                continue
-            v = _memo.get(nxt)
-            if v is None:
-                v = state_value(snapshot, env, nxt, scheme, _memo)
-            value += prob * ((0.0 if valid else scheme.invalid_penalty) + v)
-    _memo[state] = value
-    return value
+        return scheme.success if state.success else scheme.failure
+    snapshot = PolicySnapshot.of(policy)
+    if (snapshot.policy.vocab, snapshot.policy.max_len) != (env.vocab, env.max_len):
+        raise ValueError(f"policy vocab {snapshot.policy.vocab} and max_len {snapshot.policy.max_len} differ from "
+                         f"{env.kind} vocab {env.vocab} and max_len {env.max_len}")
+    plan = value_plan(env, state)
+    tables = np.array([snapshot.table(key) for key in plan.keys]).reshape(len(plan.keys), -1)
+    probs = _leaf_probs(tables, snapshot._shape)[plan.key_row]
+    penalties = np.where(plan.valid, 0.0, scheme.invalid_penalty)
+    values = np.concatenate(([scheme.failure, scheme.success], np.empty(len(plan.states))))
+    for lo, hi in reversed(list(pairwise(plan.bounds))):
+        terms = probs[lo:hi] * (penalties[lo:hi] + values[plan.slot[lo:hi]])
+        values[2 + lo:2 + hi] = np.add.accumulate(np.hstack((np.zeros((hi - lo, 1)), terms)), axis=1)[:, -1]
+    _memo.update(zip(plan.states, values[2:].tolist()))
+    return _memo[state]
 
 
 def oracle_value_advantage(group: Group, env: Env, policy: TablePolicy | PolicySnapshot,
                            scheme: RewardScheme) -> AdvantageTable:
-    """Exact-baseline advantage: R(trajectory) minus the enumerated value of each turn's state."""
+    """Exact-baseline advantage: R(trajectory) minus state_value of each turn's state, under one snapshot and
+    one memo, so each group's first turn (its task's start) evaluates one plan that holds every later turn."""
     snapshot = PolicySnapshot.of(policy)
     memo: dict = {}
     table = AdvantageTable()
     for i, traj in enumerate(group.trajectories):
         for t, turn in enumerate(traj.turns):
-            v = state_value(snapshot, env, turn.state, scheme, memo)
-            table.values[(i, t)] = traj.reward - v
+            table.values[(i, t)] = traj.reward - state_value(snapshot, env, turn.state, scheme, memo)
     return table
 
 

@@ -22,6 +22,7 @@ import numbers
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,10 +99,19 @@ def _content(tokens: list[int], terminator_id: int) -> list[int]:
     return tokens[:tokens.index(terminator_id)] if terminator_id in tokens else tokens
 
 
+class _Table(dict):
+    """One env definition's successors: state -> row and pair -> its one object, plus distinct[state] (the row's
+    distinct pairs in first-seen order and each response's pair index) and plans[start] (value_plan)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.distinct, self.plans = {}, {}
+
+
 @lru_cache(maxsize=16)
-def _successor_table(cls: type, attributes: tuple) -> dict:
+def _successor_table(cls: type, attributes: tuple) -> _Table:
     """The one successor table of the env definition (class, public attribute items), kept for the process."""
-    return {}
+    return _Table()
 
 
 @lru_cache(maxsize=16)
@@ -311,8 +321,9 @@ def successors(env: Env, state: EnvState) -> tuple[tuple[EnvState, bool], ...]:
     equal public attribute values (init fields, kind, vocab, max_len and the task table,
     all hashable) reads one shared table, bound to env._successors on first use.  A row
     is built from the _move outcome of each response's content with one (next state,
-    valid) pair per distinct outcome.  The table maps each distinct pair to itself, so
-    equal pairs in all rows share one object.
+    valid) pair per distinct outcome, recorded in table.distinct with each response's
+    pair index.  The table maps each distinct pair to itself, so equal pairs in all rows
+    share one object.
     """
     table = vars(env).get("_successors")
     if table is None:
@@ -322,14 +333,11 @@ def successors(env: Env, state: EnvState) -> tuple[tuple[EnvState, bool], ...]:
     if row is None:
         if state.done:
             raise ValueError("step called on a terminated state")
-        pairs, row = {}, []  # one pair per distinct outcome, streamed: no list of 10^5 outcomes on a large space
-        for content in _contents(env.vocab, env.max_len):
-            outcome = env._move(state, content)
-            if outcome not in pairs:
-                pair = env._next(state, outcome)
-                pairs[outcome] = table.setdefault(pair, pair)
-            row.append(pairs[outcome])
-        row = table[state] = tuple(row)
+        pairs: dict = {}  # outcome -> pair index, streamed: no list of 10^5 outcomes on a large space
+        index = [pairs.setdefault(env._move(state, c), len(pairs)) for c in _contents(env.vocab, env.max_len)]
+        distinct = tuple(table.setdefault(pair, pair) for pair in (env._next(state, outcome) for outcome in pairs))
+        table.distinct[state] = (distinct, np.array(index, dtype=np.int32))
+        row = table[state] = tuple(map(distinct.__getitem__, index))
     return row
 
 
@@ -339,8 +347,9 @@ def reachable(env: Env, starts: Iterable[EnvState]) -> Iterator[EnvState]:
     queue = list(dict.fromkeys(starts))
     seen = set(queue)
     for state in queue:  # the queue grows while it is walked
+        successors(env, state)  # the row and its distinct pairs, before the caller reads them
         yield state
-        for nxt, _ in successors(env, state):
+        for nxt, _ in env._successors.distinct[state][0]:  # about 13 distinct pairs of grid-fetch's 85
             if not nxt.done and nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -349,8 +358,39 @@ def reachable(env: Env, starts: Iterable[EnvState]) -> Iterator[EnvState]:
 def verify_success_reachable(env: Env) -> None:
     """Exhaustive check that every task has at least one success trajectory within the horizon."""
     for task_id in range(env.task_count):
-        if not any(nxt.success for state in reachable(env, [env.reset(task_id)]) for nxt, _ in successors(env, state)):
+        states = reachable(env, [env.reset(task_id)])
+        if not any(nxt.success for state in states for nxt, _ in env._successors.distinct[state][0]):
             raise ValueError(f"{env.kind} task {task_id} has no success trajectory within the horizon")
+
+
+class ValuePlan(NamedTuple):
+    """The non-terminal states reachable from one start, breadth first, so layer by layer (_next always sets
+    step_index + 1), and what backward induction over them reads.  Policy-free, so kept per env definition."""
+    states: tuple[EnvState, ...]  # states[0] is the start
+    bounds: tuple[int, ...]  # layer k is states[bounds[k]:bounds[k + 1]]
+    keys: tuple[str, ...]  # the distinct policy keys of states, first seen first
+    key_row: np.ndarray  # each state's index into keys
+    slot: np.ndarray  # (states, responses): each response's next state, 0 a failure, 1 a success, 2 + i states[i]
+    valid: np.ndarray  # (states, responses): whether each response is valid
+
+
+def value_plan(env: Env, start: EnvState) -> ValuePlan:
+    """The ValuePlan of a non-terminal start, built from the successor rows once per env definition."""
+    successors(env, start)
+    table = env._successors
+    plan = table.plans.get(start)
+    if plan is None:
+        states = tuple(reachable(env, [start]))
+        at, slot, valid, keys = {state: 2 + i for i, state in enumerate(states)}, [], [], {}
+        for pairs, index in map(table.distinct.get, states):
+            slot.append(np.array([at.get(nxt, int(nxt.success)) for nxt, _ in pairs], dtype=np.int32)[index])
+            valid.append(np.array([ok for _, ok in pairs])[index])
+        key_row = [keys.setdefault(state.policy_key, len(keys)) for state in states]
+        steps = [state.step_index for state in states]
+        bounds = tuple(np.searchsorted(steps, range(steps[0], steps[-1] + 2)).tolist())
+        plan = table.plans[start] = ValuePlan(states, bounds, tuple(keys), np.array(key_row), np.array(slot),
+                                              np.array(valid))
+    return plan
 
 
 def env_class(kind: str, overrides: dict) -> type:

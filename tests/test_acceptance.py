@@ -10,6 +10,7 @@ single PASS/FAIL line with the measured numbers.
 from __future__ import annotations
 
 import math
+import statistics
 import time
 
 import numpy as np
@@ -373,9 +374,13 @@ def test_reruns_log_byte_identical_metrics(tmp_path):
 
 
 def test_modulation_wall_time_fraction():
-    """The coefficient phase stays a small slice of the default training step."""
-    result = train(TrainConfig())
-    frac = result.timings["aem"] / result.timings["total"]
+    """The coefficient phase stays a small slice of the default training step: the median aem/total fraction of
+    5 default runs in one process, so that one slow phase in one run does not decide it."""
+    fracs = []
+    for _ in range(5):
+        result = train(TrainConfig())
+        fracs.append(result.timings["aem"] / result.timings["total"])
+    frac = statistics.median(fracs)
     _report("overhead", frac < 0.05,
-            f"modulation phase {100 * frac:.2f}% of wall time over "
-            f"{TrainConfig().steps} default-config steps (bound 5%)")
+            f"modulation phase median {100 * frac:.2f}% of wall time over 5 runs of "
+            f"{TrainConfig().steps} default-config steps (bound 5%; runs {', '.join(f'{100 * f:.2f}%' for f in fracs)})")

@@ -14,7 +14,7 @@ from entlab.advantage import (
 )
 import entlab.envs
 from entlab.envs import REWARD_SCHEMES, make_env, reachable
-from entlab.policy import Response, TablePolicy, _tree_shape, enumerate_responses, response_space
+from entlab.policy import Response, TablePolicy, Vocabulary, _tree_shape, enumerate_responses, response_space
 from entlab.probes import reachable_states
 from entlab.rollout import Group, Trajectory, Turn, collect_group
 from seeding import child_rngs
@@ -252,3 +252,74 @@ def test_state_value_after_reachable_states_makes_no_env_step(kind, monkeypatch)
     make_env(kind, seed=1)
     assert calls
 
+
+
+def test_state_value_is_bit_identical_to_recursive_walk_with_zero_probability_leaves():
+    """Underflowing logits (those of the regularizer's grid-fetch-underflow case) give leaves of probability 0.0,
+    which the recursion skips and the plan adds as ±0.0 terms; from the roots, the plan also evaluates states
+    that no leaf of positive probability reaches, and every value keeps its bits."""
+    env = make_env("grid-fetch", seed=0)
+    scheme = REWARD_SCHEMES["sparse"]
+    states = _reachable(env)
+    policy = _random_logits(env, states, seed=0)
+    for key in dict.fromkeys(s.policy_key for s in states):
+        policy.logit_vector(key, ())[1] = -800.0
+        policy.logit_vector(key, (0,))[2] = 750.0
+    assert 0 < sum(prob == 0.0 for _, prob in enumerate_responses(policy, states[0].policy_key)) < 85
+    roots, want_memo = states[:env.task_count], {}
+    want = [_state_value_recursive(policy, env, s, scheme, want_memo) for s in roots]
+    memo: dict = {}
+    assert [state_value(policy, env, s, scheme, memo) for s in roots] == want
+    assert set(want_memo) < set(memo) == set(states)
+    assert [memo[s] for s in want_memo] == list(want_memo.values())
+    want_memo = {}
+    assert [state_value(policy, env, s, scheme, {}) for s in states] == [
+        _state_value_recursive(policy, env, s, scheme, want_memo) for s in states]
+
+
+def test_a_second_env_of_one_definition_builds_no_new_plan(monkeypatch):
+    """The plan is kept in the successor table of the env's definition, so another make_env with the same
+    arguments reads it: no reachable walk, no new plan, the same values."""
+    env = make_env("grid-fetch", seed=0)
+    policy = _random_logits(env, _reachable(env), seed=2)
+    scheme = REWARD_SCHEMES["sparse"]
+    want = [state_value(policy, env, env.reset(task), scheme) for task in range(env.task_count)]
+    plans, other = dict(env._successors.plans), make_env("grid-fetch", seed=0)
+    monkeypatch.setattr(entlab.envs, "reachable", lambda *_: pytest.fail("walked the env graph again"))
+    assert [state_value(policy, other, other.reset(task), scheme) for task in range(env.task_count)] == want
+    assert other._successors is env._successors
+    assert other._successors.plans.keys() == plans.keys()
+    assert all(other._successors.plans[s] is plan for s, plan in plans.items())
+
+
+def test_rebinding_an_env_attribute_drops_its_value_plans():
+    """A rebound task table is another definition: the env drops its plans with its successor rows, and its
+    values follow the new dynamics, while an env of the old definition keeps its table and plans."""
+    old = make_env("key-chain", seed=0, task_count=3)
+    env = make_env("key-chain", seed=0, task_count=3)
+    policy = _random_logits(env, _reachable(env), seed=3)
+    scheme = REWARD_SCHEMES["sparse"]
+    before = state_value(policy, env, env.reset(0), scheme)
+    table = env._successors
+    plan = table.plans[env.reset(0)]
+    key = env.keys[0][0]
+    env.keys = (((1 - key[0], *key[1:]), *env.keys[0][1:]), *env.keys[1:])
+    assert "_successors" not in vars(env)
+    after = state_value(policy, env, env.reset(0), scheme)
+    assert after == _state_value_recursive(policy, env, env.reset(0), scheme, {}) != before
+    assert env._successors is not table and env._successors.plans[env.reset(0)] is not plan
+    assert old._successors is table and table.plans[old.reset(0)] is plan
+    assert state_value(policy, old, old.reset(0), scheme) == before
+
+
+@pytest.mark.parametrize("change", ["vocab", "max_len"])
+def test_state_value_refuses_a_policy_of_another_response_space(change):
+    """A policy whose vocabulary or max_len differ from the env's is refused with one ValueError naming both."""
+    env = make_env("grid-fetch", seed=0)
+    vocab = Vocabulary(size=6, terminator_id=5) if change == "vocab" else env.vocab
+    policy = TablePolicy(vocab=vocab, max_len=env.max_len + (change == "max_len"))
+    want = (f"policy vocab {policy.vocab} and max_len {policy.max_len} differ from "
+            f"grid-fetch vocab {env.vocab} and max_len {env.max_len}")
+    with pytest.raises(ValueError) as refused:
+        state_value(policy, env, env.reset(0), REWARD_SCHEMES["sparse"])
+    assert str(refused.value) == want
