@@ -65,11 +65,12 @@ def state_value(policy: TablePolicy | PolicySnapshot, env: Env, state: EnvState,
     """Exact on-policy value of a state: the terminal outcome payoff plus the invalid penalties incurred from
     this state onward (penalties already paid earlier in the episode are sunk).
 
-    Backward induction over envs.value_plan(env, state), with the leaf probabilities of its keys' stacked tables:
-    each layer, last first, adds prob * (penalty + next value) over the responses left to right from 0.0, the
-    enumeration's value += ... bit for bit (a probability-0.0 leaf adds ±0.0, which changes no sum from +0.0).
-    ``_memo`` holds values under one policy version; a miss stores every plan state's.  A policy of another
-    vocabulary or max_len than the env's is refused.
+    Backward induction over the value plan of the state's task start, envs.value_plan(env, env.reset(task_id)),
+    with the leaf probabilities of its keys' stacked tables: each layer, last first, adds prob * (penalty + next
+    value) over the responses left to right from 0.0, the enumeration's value += ... bit for bit (a
+    probability-0.0 leaf adds ±0.0, which changes no sum from +0.0).  ``_memo`` holds values under one policy
+    version; a miss stores every plan state's.  A policy of another vocabulary or max_len than the env's, and a
+    state that its task start does not reach, are refused.
     """
     _memo = {} if _memo is None else _memo
     value = _memo.get(state)
@@ -81,7 +82,7 @@ def state_value(policy: TablePolicy | PolicySnapshot, env: Env, state: EnvState,
     if (snapshot.policy.vocab, snapshot.policy.max_len) != (env.vocab, env.max_len):
         raise ValueError(f"policy vocab {snapshot.policy.vocab} and max_len {snapshot.policy.max_len} differ from "
                          f"{env.kind} vocab {env.vocab} and max_len {env.max_len}")
-    plan = value_plan(env, state)
+    plan = value_plan(env, env.reset(state.task_id))
     tables = np.array([snapshot.table(key) for key in plan.keys]).reshape(len(plan.keys), -1)
     probs = _leaf_probs(tables, snapshot._shape)[plan.key_row]
     penalties = np.where(plan.valid, 0.0, scheme.invalid_penalty)
@@ -90,6 +91,8 @@ def state_value(policy: TablePolicy | PolicySnapshot, env: Env, state: EnvState,
         terms = probs[lo:hi] * (penalties[lo:hi] + values[plan.slot[lo:hi]])
         values[2 + lo:2 + hi] = np.add.accumulate(np.hstack((np.zeros((hi - lo, 1)), terms)), axis=1)[:, -1]
     _memo.update(zip(plan.states, values[2:].tolist()))
+    if state not in _memo:
+        raise ValueError(f"{state!r} is not reachable from the start of task {state.task_id}, so it has no value")
     return _memo[state]
 
 

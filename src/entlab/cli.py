@@ -257,6 +257,11 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _live_frac(spans: list) -> float | str:
+    """The share of a step's spans rows whose population passed the range guard (h_tilde set), "" with no spans."""
+    return sum(row[4] is not None for row in spans) / len(spans) if spans else ""
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     names = [os.path.basename(os.path.normpath(run_dir)) for run_dir in args.run]
     if len(set(names)) < len(names):
@@ -265,9 +270,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     for name, run_dir in zip(names, args.run):
         metrics = load_metrics(os.path.join(run_dir, "metrics.jsonl"))
         files[f"{name}_series.csv"] = [
-            ["step", "entropy", "success_rate", "mean_reward", "mean_alpha", "frac_positive_advantage"],
+            ["step", "entropy", "success_rate", "mean_reward", "mean_alpha", "frac_positive_advantage",
+             "live_population_frac"],
             *([m.step, m.policy_entropy_estimate, m.success_rate, m.mean_reward, m.mean_alpha,
-               m.frac_positive_advantage] for m in metrics),
+               m.frac_positive_advantage, _live_frac(m.spans)] for m in metrics),
         ]
         files[f"{name}_alpha_scatter.csv"] = [
             ["step", "group", "rollout", "turn", "h_bar", "h_tilde", "alpha", "advantage"],

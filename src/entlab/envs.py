@@ -19,6 +19,7 @@ reproduces its states exactly.
 from __future__ import annotations
 
 import numbers
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -94,18 +95,12 @@ def _require_positive(env, *names: str) -> None:
             raise ValueError(f"{env.kind} {name} must be >= 1, got {getattr(env, name)}")
 
 
-def _content(tokens: list[int], terminator_id: int) -> list[int]:
-    """Tokens before the first terminator (all tokens when truncation ended the response)."""
-    return tokens[:tokens.index(terminator_id)] if terminator_id in tokens else tokens
-
-
 class _Table(dict):
-    """One env definition's successors: state -> row and pair -> its one object, plus distinct[state] (the row's
-    distinct pairs in first-seen order and each response's pair index) and plans[start] (value_plan)."""
+    """One env definition's successors: state -> row, pair and (state, outcome) -> the pair, plus plans[start]."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.distinct, self.plans = {}, {}
+        self.plans = {}
 
 
 @lru_cache(maxsize=16)
@@ -123,11 +118,11 @@ def _contents(vocab: Vocabulary, max_len: int) -> tuple[tuple[int, ...], ...]:
 class Env:
     """The episode contract every environment shares; each kind writes only _start and _move.
 
-    reset checks the task id and starts at step 0.  step refuses a terminated
-    state and moves on the response's content, so dynamics are a pure function
-    of (state, content) and the reward is left to terminal_reward.  A kind sets
-    kind, vocab, max_len, horizon and task_count, and keeps its task table as
-    tuples, because reset and successors keep states computed from it (rebinding drops them).
+    reset checks the task id and starts at step 0.  step refuses a terminated state and tokens that are not
+    one complete response, and moves on the response's content to the kept next state that successors' rows
+    hold, so dynamics are a pure function of (state, content) and the reward is left to terminal_reward.
+    A kind sets kind, vocab, max_len, horizon and task_count, and keeps its task table as tuples, because
+    reset and successors keep states computed from it (rebinding drops them).
     Every public attribute must be hashable (tuples of tuples are): its class and their values are
     the env's definition, the key of the successor rows that every env of one definition shares.
     """
@@ -154,14 +149,16 @@ class Env:
         super().__setattr__(name, value)
 
     def step(self, state: EnvState, tokens: list[int]) -> tuple[EnvState, bool]:
+        """The kept (next state, valid) pair of the turn after ``state`` on ``tokens``, one complete response:
+        one _move on its content, so a rollout builds no successor row."""
+        leaves, tokens = response_space(self.vocab, self.max_len), tuple(tokens)
+        leaf = bisect_left(leaves, tokens)
+        if leaf == len(leaves) or leaves[leaf] != tokens:
+            raise ValueError(f"tokens {list(tokens)} are not one complete response: tokens in range({self.vocab.size}) "
+                             f"that end at the first {self.vocab.terminator_id} or at max_len {self.max_len}")
         if state.done:
             raise ValueError("step called on a terminated state")
-        return self._next(state, self._move(state, _content(tokens, self.vocab.terminator_id)))
-
-    def _next(self, state: EnvState, outcome: tuple[tuple[int, ...], bool, bool, bool]) -> tuple[EnvState, bool]:
-        """The (next state, valid) pair of the turn after ``state`` whose _move gave ``outcome``."""
-        features, valid, success, done = outcome
-        return EnvState(self.kind, state.task_id, state.step_index + 1, features, done, success), valid
+        return _pair(self, state, self._move(state, _contents(self.vocab, self.max_len)[leaf]))
 
     def _start(self, task_id: int) -> tuple[int, ...]:
         """Features of task ``task_id``'s first state."""
@@ -313,31 +310,46 @@ _ENV_CLASSES = {
 }
 
 
-def successors(env: Env, state: EnvState) -> tuple[tuple[EnvState, bool], ...]:
-    """env.step(state, list(r)) for every response r of response_space, in that order, kept per env definition.
-
-    Dynamics are a pure function of (definition, state, response), so a row is computed
-    once per env definition per process, whatever the policy: every env of one class and
-    equal public attribute values (init fields, kind, vocab, max_len and the task table,
-    all hashable) reads one shared table, bound to env._successors on first use.  A row
-    is built from the _move outcome of each response's content with one (next state,
-    valid) pair per distinct outcome, recorded in table.distinct with each response's
-    pair index.  The table maps each distinct pair to itself, so equal pairs in all rows
-    share one object.
-    """
+def _table(env: Env) -> _Table:
+    """The successor table of env's definition, bound to env._successors on first use."""
     table = vars(env).get("_successors")
     if table is None:
         definition = tuple(item for item in vars(env).items() if not item[0].startswith("_"))
         table = vars(env)["_successors"] = _successor_table(type(env), definition)
+    return table
+
+
+def _pair(env: Env, state: EnvState, outcome: tuple[tuple[int, ...], bool, bool, bool]) -> tuple[EnvState, bool]:
+    """The (next state, valid) pair after ``state`` whose _move gave ``outcome``: the same task at step_index + 1,
+    kept in env's table under (state, outcome) and under itself, so equal pairs of env.step and of every row are
+    one object, and a turn taken before builds nothing."""
+    table = _table(env)
+    pair = table.get((state, outcome))
+    if pair is None:
+        features, valid, success, done = outcome
+        pair = EnvState(env.kind, state.task_id, state.step_index + 1, features, done, success), valid
+        pair = table[state, outcome] = table.setdefault(pair, pair)
+    return pair
+
+
+def successors(env: Env, state: EnvState) -> tuple[tuple[tuple[EnvState, bool], ...], np.ndarray]:
+    """(pairs, index), the row of ``state``: the distinct (next state, valid) pairs of its turn in first-seen
+    order, and as int32 each response's pair index, responses in response_space order.
+
+    One _move per response's content, one _pair per distinct outcome.  Dynamics are a pure function of
+    (definition, state, response), so a row is computed once per env definition per process, whatever the
+    policy: every env of one class and equal public attribute values (init fields, kind, vocab, max_len and
+    the task table, all hashable) reads one shared table.
+    """
+    table = _table(env)
     row = table.get(state)
     if row is None:
         if state.done:
             raise ValueError("step called on a terminated state")
-        pairs: dict = {}  # outcome -> pair index, streamed: no list of 10^5 outcomes on a large space
-        index = [pairs.setdefault(env._move(state, c), len(pairs)) for c in _contents(env.vocab, env.max_len)]
-        distinct = tuple(table.setdefault(pair, pair) for pair in (env._next(state, outcome) for outcome in pairs))
-        table.distinct[state] = (distinct, np.array(index, dtype=np.int32))
-        row = table[state] = tuple(map(distinct.__getitem__, index))
+        outcomes: dict = {}  # outcome -> pair index, streamed: no list of 10^5 outcomes on a large space
+        index = [outcomes.setdefault(env._move(state, c), len(outcomes)) for c in _contents(env.vocab, env.max_len)]
+        row = table[state] = (tuple(_pair(env, state, outcome) for outcome in outcomes),
+                              np.array(index, dtype=np.int32))
     return row
 
 
@@ -347,9 +359,9 @@ def reachable(env: Env, starts: Iterable[EnvState]) -> Iterator[EnvState]:
     queue = list(dict.fromkeys(starts))
     seen = set(queue)
     for state in queue:  # the queue grows while it is walked
-        successors(env, state)  # the row and its distinct pairs, before the caller reads them
+        pairs = successors(env, state)[0]  # the row, before the caller reads it
         yield state
-        for nxt, _ in env._successors.distinct[state][0]:  # about 13 distinct pairs of grid-fetch's 85
+        for nxt, _ in pairs:  # about 13 distinct pairs of grid-fetch's 85
             if not nxt.done and nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -359,12 +371,12 @@ def verify_success_reachable(env: Env) -> None:
     """Exhaustive check that every task has at least one success trajectory within the horizon."""
     for task_id in range(env.task_count):
         states = reachable(env, [env.reset(task_id)])
-        if not any(nxt.success for state in states for nxt, _ in env._successors.distinct[state][0]):
+        if not any(nxt.success for state in states for nxt, _ in successors(env, state)[0]):
             raise ValueError(f"{env.kind} task {task_id} has no success trajectory within the horizon")
 
 
 class ValuePlan(NamedTuple):
-    """The non-terminal states reachable from one start, breadth first, so layer by layer (_next always sets
+    """The non-terminal states reachable from one start, breadth first, so layer by layer (_pair always sets
     step_index + 1), and what backward induction over them reads.  Policy-free, so kept per env definition."""
     states: tuple[EnvState, ...]  # states[0] is the start
     bounds: tuple[int, ...]  # layer k is states[bounds[k]:bounds[k + 1]]
@@ -382,7 +394,7 @@ def value_plan(env: Env, start: EnvState) -> ValuePlan:
     if plan is None:
         states = tuple(reachable(env, [start]))
         at, slot, valid, keys = {state: 2 + i for i, state in enumerate(states)}, [], [], {}
-        for pairs, index in map(table.distinct.get, states):
+        for pairs, index in map(table.get, states):
             slot.append(np.array([at.get(nxt, int(nxt.success)) for nxt, _ in pairs], dtype=np.int32)[index])
             valid.append(np.array([ok for _, ok in pairs])[index])
         key_row = [keys.setdefault(state.policy_key, len(keys)) for state in states]

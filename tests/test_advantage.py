@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,11 @@ from entlab.advantage import (
     state_value,
 )
 import entlab.envs
-from entlab.envs import REWARD_SCHEMES, make_env, reachable
+from entlab.envs import REWARD_SCHEMES, EnvState, make_env, reachable
 from entlab.policy import Response, TablePolicy, Vocabulary, _tree_shape, enumerate_responses, response_space
 from entlab.probes import reachable_states
 from entlab.rollout import Group, Trajectory, Turn, collect_group
+from env_reference import fresh_step
 from seeding import child_rngs
 
 
@@ -162,7 +165,8 @@ def test_compute_advantages_dispatch():
 
 
 def _state_value_recursive(policy, env, state, scheme, memo):
-    """Straight-line copy of the per-call recursive state_value: env.step and enumeration at every state."""
+    """Straight-line copy of the per-call recursive state_value: the fresh-_move reference step and enumeration at
+    every state, so nothing is read from the env's kept rows."""
     if state.done:
         return scheme.success if state.success else scheme.failure
     if state in memo:
@@ -171,7 +175,7 @@ def _state_value_recursive(policy, env, state, scheme, memo):
     for tokens, prob in enumerate_responses(policy, state.policy_key):
         if prob == 0.0:
             continue
-        nxt, valid = env.step(state, list(tokens))
+        nxt, valid = fresh_step(env, state, list(tokens))
         contrib = (0.0 if valid else scheme.invalid_penalty) + _state_value_recursive(policy, env, nxt, scheme, memo)
         total += prob * contrib
     memo[state] = total
@@ -184,7 +188,7 @@ def _reachable(env):
     seen = set(states)
     for state in states:
         for tokens in response_space(env.vocab, env.max_len):
-            nxt, _ = env.step(state, list(tokens))
+            nxt, _ = fresh_step(env, state, list(tokens))
             if not nxt.done and nxt not in seen:
                 seen.add(nxt)
                 states.append(nxt)
@@ -249,6 +253,8 @@ def test_state_value_after_reachable_states_makes_no_env_step(kind, monkeypatch)
     for state in states:
         state_value(policy, env, state, REWARD_SCHEMES["sparse"], {})
     assert calls == []
+    # Each fresh memo evaluates its state's task-start plan: one plan per task, none per later state.
+    assert env._successors.plans.keys() == {env.reset(task) for task in range(env.task_count)}
     make_env(kind, seed=1)
     assert calls
 
@@ -310,6 +316,19 @@ def test_rebinding_an_env_attribute_drops_its_value_plans():
     assert env._successors is not table and env._successors.plans[env.reset(0)] is not plan
     assert old._successors is table and table.plans[old.reset(0)] is plan
     assert state_value(policy, old, old.reset(0), scheme) == before
+
+
+def test_state_value_refuses_a_state_its_task_start_does_not_reach():
+    """Values come from the plan of the state's task start, so a hand-built state that this start does not reach
+    (step 0 at another cell) is refused with one ValueError naming it, and no plan is built for it."""
+    env = make_env("grid-fetch", seed=0)
+    start = env.reset(0)
+    cell = next((x, y) for x in range(env.width) for y in range(env.height) if (x, y) != start.features)
+    state = EnvState(env.kind, 0, 0, cell)
+    policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
+    with pytest.raises(ValueError, match=re.escape(f"{state!r} is not reachable from the start of task 0")):
+        state_value(policy, env, state, REWARD_SCHEMES["sparse"])
+    assert state not in env._successors.plans and start in env._successors.plans
 
 
 @pytest.mark.parametrize("change", ["vocab", "max_len"])

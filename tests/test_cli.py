@@ -198,19 +198,34 @@ def test_ablate_cli(tmp_path):
 
 
 def test_report_cli(tmp_path):
+    """report writes each run's series and alpha scatter; a step's live_population_frac is the share of its
+    scatter rows with an h_tilde (a population that passed the range guard), empty for a step with no spans."""
     run = tmp_path / "run"
-    assert _train(run) == 0
+    assert _train(run, extra=["--set", "group_size=8", "--set", "lr=4.0", "--set", "steps=6"]) == 0  # some live
+    with open(run / "metrics.jsonl") as fh:
+        lines = fh.readlines()
+    doc = json.loads(lines[0])
+    doc["spans"] = []
+    lines[0] = json.dumps(doc) + "\n"
+    with open(run / "metrics.jsonl", "w") as fh:
+        fh.writelines(lines)
     out = tmp_path / "report"
     assert main(["report", "--run", str(run), "--out", str(out)]) == 0
     with open(out / "run_series.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert len(rows) == 1 + 3
-    assert rows[0][:3] == ["step", "entropy", "success_rate"]
+    assert len(rows) == 1 + 6
+    assert rows[0] == ["step", "entropy", "success_rate", "mean_reward", "mean_alpha", "frac_positive_advantage",
+                       "live_population_frac"]
     with open(out / "run_alpha_scatter.csv", newline="") as fh:
         scatter = list(csv.reader(fh))
     assert scatter[0] == ["step", "group", "rollout", "turn", "h_bar",
                           "h_tilde", "alpha", "advantage"]
     assert len(scatter) > 1
+    live = {row[0]: [] for row in rows[1:]}
+    for row in scatter[1:]:
+        live[row[0]].append(row[5] != "")
+    assert [row[-1] for row in rows[1:]] == ["" if not v else str(sum(v) / len(v)) for v in live.values()]
+    assert rows[1][-1] == "" and any(float(row[-1]) > 0.0 for row in rows[2:])
 
 
 def test_enumeration_budget_error_exits_1(tmp_path, capsys):
@@ -482,9 +497,9 @@ PINNED_OUTPUTS = {
     "probe-doob": {"doob.json": "5e27d1c9ce9a5fc6", "manifest.json": "0b8bdeaf67ba4ac1"},
     "probe-transition": {"manifest.json": "ace1b948b01eba8f", "transition.csv": "331c72aab0e2166f",
                          "transition.json": "55b64843b148eb6d"},
-    "report": {"aem_alpha_scatter.csv": "9d444f840683c4e6", "aem_series.csv": "40dc8fbd17338546",
+    "report": {"aem_alpha_scatter.csv": "9d444f840683c4e6", "aem_series.csv": "157e43a24b1af261",
                "aem_verify_summary.json": "2fc0f2aa4f30d15d", "manifest.json": "7777af050f5798e6",
-               "off_alpha_scatter.csv": "09407b21619ee556", "off_series.csv": "2eb8f4b692b0b04f"},
+               "off_alpha_scatter.csv": "09407b21619ee556", "off_series.csv": "302ec7d5304add93"},
 }
 
 

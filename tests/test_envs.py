@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from entlab.envs import (
@@ -19,10 +20,21 @@ from entlab.envs import (
     terminal_reward,
     verify_success_reachable,
 )
-from entlab.rollout import Trajectory
+from entlab.policy import TablePolicy, response_space
+from entlab.rollout import Trajectory, collect_group
+from env_reference import fresh_step
+from seeding import child_rngs
 
-#: sha256 of repr([(state, successors(env, state)) for every reachable state]) at env seed 0: the dynamics
-#: of every kind, defaults and one other size, pinned row by row, so a change to reset, step or a task table shows.
+
+def _expanded(row):
+    """A successors row (pairs, index) as one (next state, valid) pair per response, in response_space order."""
+    pairs, index = row
+    return tuple(pairs[i] for i in index)
+
+
+#: sha256 of repr([(state, successors row expanded in response order) for every reachable state]) at env seed 0:
+#: the dynamics of every kind, defaults and one other size, pinned row by row, so a change to reset, step or a
+#: task table shows.
 SUCCESSOR_DIGESTS = [
     ("key-chain", {}, 16, "9946a2f0c8b0d2af3895d652c41bdedbf7e605f26861f4461200e2150f91c806"),
     ("key-chain", {"n_content": 3, "key_len": 3, "chain_len": 3}, 24,
@@ -40,7 +52,8 @@ SUCCESSOR_DIGESTS = [
                          ids=[f"{kind}{overrides or ''}" for kind, overrides, _, _ in SUCCESSOR_DIGESTS])
 def test_successor_tables_are_pinned(kind, overrides, n_states, digest):
     env = make_env(kind, seed=0, **overrides)
-    table = [(s, successors(env, s)) for s in reachable(env, [env.reset(t) for t in range(env.task_count)])]
+    table = [(s, _expanded(successors(env, s)))
+             for s in reachable(env, [env.reset(t) for t in range(env.task_count)])]
     assert len(table) == n_states
     assert hashlib.sha256(repr(table).encode()).hexdigest() == digest
 
@@ -48,30 +61,84 @@ def test_successor_tables_are_pinned(kind, overrides, n_states, digest):
 @pytest.mark.parametrize("kind,overrides", [(kind, overrides) for kind, overrides, _, _ in SUCCESSOR_DIGESTS],
                          ids=[f"{kind}{overrides or ''}" for kind, overrides, _, _ in SUCCESSOR_DIGESTS])
 def test_successor_rows_equal_env_step(kind, overrides):
-    """Rows built from _move outcomes are env.step's row element by element, equal pairs are one object,
-    and a terminated state is refused with step's error."""
-    from entlab.policy import response_space
-
+    """A row's pairs, expanded in response order, are the fresh-_move reference's element by element, and
+    env.step returns the kept pair itself (is) for every response; each row holds each distinct pair once, in
+    first-seen order, with an int32 index; equal pairs are one object across rows; and a terminated state is
+    refused with step's error."""
     env = make_env(kind, seed=0, **overrides)
     space = response_space(env.vocab, env.max_len)
     states = list(reachable(env, [env.reset(t) for t in range(env.task_count)]))
     shared: dict = {}
     for state in states:
-        row = successors(env, state)
-        want = tuple(env.step(state, list(r)) for r in space)
-        assert len(row) == len(want)
-        for (nxt, valid), (want_nxt, want_valid) in zip(row, want):
+        pairs, index = successors(env, state)
+        assert index.dtype == np.int32 and len(index) == len(space)
+        assert list(dict.fromkeys(index.tolist())) == list(range(len(pairs))) == list(range(len(set(pairs))))
+        for pair, r in zip(_expanded((pairs, index)), space):
+            (nxt, valid), (want_nxt, want_valid) = pair, fresh_step(env, state, list(r))
             assert nxt == want_nxt and repr(nxt) == repr(want_nxt) and hash(nxt) == hash(want_nxt)
             assert type(valid) is type(want_valid) and valid == want_valid
-        for pair in row:
+            assert env.step(state, list(r)) is pair
+        for pair in pairs:
             assert shared.setdefault(pair, pair) is pair
-    done = next(nxt for s in states for nxt, _ in successors(env, s) if nxt.done)
+    done = next(nxt for s in states for nxt, _ in successors(env, s)[0] if nxt.done)
     with pytest.raises(ValueError) as stepped:
         env.step(done, list(space[0]))
     with pytest.raises(ValueError) as listed:
         successors(env, done)
     assert str(listed.value) == str(stepped.value) == "step called on a terminated state"
     assert done not in env._successors
+
+
+@pytest.mark.parametrize("kind", ["key-chain", "grid-fetch"])
+def test_rollout_turns_step_to_the_kept_pairs(kind):
+    """Every turn of collect_group, on every task, moves to the kept row's next state object (is), with its
+    valid flag: a rollout's states are the env graph's own, from the kept start on."""
+    env = make_env(kind, seed=0)
+    leaf = {r: j for j, r in enumerate(response_space(env.vocab, env.max_len))}
+    policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
+    turns = 0
+    for task in range(env.task_count):
+        group = collect_group(policy, env, task, REWARD_SCHEMES["sparse"], child_rngs(np.random.default_rng(task), 8))
+        for traj in group.trajectories:
+            assert traj.turns[0].state is env.reset(task)
+            for turn, nxt in zip(traj.turns, [t.state for t in traj.turns[1:]] + [traj.final_state]):
+                pairs, index = successors(env, turn.state)
+                kept = pairs[index[leaf[tuple(turn.response.tokens)]]]
+                assert kept[0] is nxt and kept[1] is turn.valid
+                turns += 1
+    assert turns > 8 * env.task_count  # some rollouts take more than one turn
+
+
+@pytest.mark.parametrize("kind", ["key-chain", "grid-fetch", "bandit-chain"])
+def test_step_refuses_tokens_that_are_not_one_complete_response(kind):
+    """step reads the row of one complete response, so it refuses tokens past the terminator or past max_len,
+    tokens that stop short without the terminator, and tokens outside the vocabulary; no tokens at all too."""
+    env = make_env(kind, seed=0)
+    state, term, size = env.reset(0), env.vocab.terminator_id, env.vocab.size
+    cases = [[term, 0], [0] * env.max_len + [term], [0] * (env.max_len - 1), [size, term], [-1, term], []]
+    for tokens in cases:
+        with pytest.raises(ValueError, match=r"are not one complete response"):
+            env.step(state, tokens)
+    assert env.step(state, [term]) == fresh_step(env, state, [term])
+
+
+def test_step_runs_one_move_and_builds_no_successor_row(monkeypatch):
+    """A rollout turn costs one _move, whatever the response space: step keeps the one pair it reaches, so a
+    state it leaves has no row, and a second step on the same outcome builds no new pair."""
+    env = make_env("grid-fetch", seed=0)
+    state = EnvState(env.kind, 0, env.horizon + 5, env.reset(0).features)  # unreachable, so no row is kept
+    calls = []
+    original = type(env)._move
+
+    def counted(self, state, content):
+        calls.append(content)
+        return original(self, state, content)
+
+    monkeypatch.setattr(type(env), "_move", counted)
+    first = env.step(state, [0, env.vocab.terminator_id])
+    assert calls == [(0,)] and state not in env._successors
+    assert env.step(state, [0, env.vocab.terminator_id]) is first and len(calls) == 2
+    assert first == fresh_step(env, state, [0, env.vocab.terminator_id])
 
 
 def test_rebinding_an_env_attribute_drops_its_successor_rows():
@@ -107,11 +174,9 @@ class _TorusGridEnv(GridFetchEnv):
 
 
 def _rows_are_env_step(env) -> bool:
-    """Every reachable row of env's successors equals env.step over the response space."""
-    from entlab.policy import response_space
-
+    """Every reachable row of env's successors, expanded, equals the fresh-_move reference over the response space."""
     space = response_space(env.vocab, env.max_len)
-    return all(successors(env, s) == tuple(env.step(s, list(r)) for r in space)
+    return all(_expanded(successors(env, s)) == tuple(fresh_step(env, s, list(r)) for r in space)
                for s in reachable(env, [env.reset(t) for t in range(env.task_count)]))
 
 
@@ -301,7 +366,7 @@ def test_bandit_chain_single_miss_fails_at_the_end():
 @pytest.mark.parametrize("kind", ["key-chain", "grid-fetch", "bandit-chain"])
 def test_stepping_a_terminated_state_raises(kind):
     env = make_env(kind, seed=0)
-    state = next(nxt for s in reachable(env, [env.reset(0)]) for nxt, _ in successors(env, s) if nxt.done)
+    state = next(nxt for s in reachable(env, [env.reset(0)]) for nxt, _ in successors(env, s)[0] if nxt.done)
     with pytest.raises(ValueError, match="terminated"):
         env.step(state, [0, env.vocab.terminator_id])
 
@@ -315,7 +380,7 @@ def test_reset_refuses_a_task_id_out_of_range(kind):
 
 
 def test_response_space_is_complete_and_sorted():
-    from entlab.policy import Vocabulary, response_space
+    from entlab.policy import Vocabulary
 
     space = response_space(Vocabulary(size=3, terminator_id=2), max_len=2)
     assert list(space) == sorted(space)
