@@ -83,7 +83,7 @@ def state_value(policy: TablePolicy | PolicySnapshot, env: Env, state: EnvState,
         raise ValueError(f"policy vocab {snapshot.policy.vocab} and max_len {snapshot.policy.max_len} differ from "
                          f"{env.kind} vocab {env.vocab} and max_len {env.max_len}")
     plan = value_plan(env, env.reset(state.task_id))
-    tables = np.array([snapshot.table(key) for key in plan.keys]).reshape(len(plan.keys), -1)
+    tables = np.array(snapshot.tables(plan.keys)).reshape(len(plan.keys), -1)
     probs = _leaf_probs(tables, snapshot._shape)[plan.key_row]
     penalties = np.where(plan.valid, 0.0, scheme.invalid_penalty)
     values = np.concatenate(([scheme.failure, scheme.success], np.empty(len(plan.states))))

@@ -96,11 +96,11 @@ def _require_positive(env, *names: str) -> None:
 
 
 class _Table(dict):
-    """One env definition's successors: state -> row, pair and (state, outcome) -> the pair, plus plans[start]."""
+    """One env definition's successors: state -> row; pair, (state, outcome), (state, tokens) -> pair; plans, starts."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.plans = {}
+        self.plans, self.starts = {}, {}
 
 
 @lru_cache(maxsize=16)
@@ -134,8 +134,8 @@ class Env:
     task_count: int
 
     def reset(self, task_id: int) -> EnvState:
-        """Task ``task_id``'s start state, one kept object per task, so its key and hash are computed once."""
-        starts = vars(self).setdefault("_starts", {})
+        """Task ``task_id``'s start state: one kept object per task for every env of the definition."""
+        starts = _table(self).starts
         found = starts.get(task_id)
         if found is None:
             if not 0 <= task_id < self.task_count:
@@ -145,20 +145,24 @@ class Env:
 
     def __setattr__(self, name: str, value) -> None:
         vars(self).pop("_successors", None)
-        vars(self).pop("_starts", None)
         super().__setattr__(name, value)
 
     def step(self, state: EnvState, tokens: list[int]) -> tuple[EnvState, bool]:
-        """The kept (next state, valid) pair of the turn after ``state`` on ``tokens``, one complete response:
-        one _move on its content, so a rollout builds no successor row."""
-        leaves, tokens = response_space(self.vocab, self.max_len), tuple(tokens)
+        """The kept (next state, valid) pair of the turn after ``state`` on ``tokens``, one complete response: one _move
+        on its content, no successor row, and kept under (state, tokens) once checked, so a repeat is a lookup."""
+        table, tokens = _table(self), tuple(tokens)
+        pair = table.get((state, tokens))
+        if pair is not None:
+            return pair
+        leaves = response_space(self.vocab, self.max_len)
         leaf = bisect_left(leaves, tokens)
         if leaf == len(leaves) or leaves[leaf] != tokens:
             raise ValueError(f"tokens {list(tokens)} are not one complete response: tokens in range({self.vocab.size}) "
                              f"that end at the first {self.vocab.terminator_id} or at max_len {self.max_len}")
         if state.done:
             raise ValueError("step called on a terminated state")
-        return _pair(self, state, self._move(state, _contents(self.vocab, self.max_len)[leaf]))
+        pair = table[state, tokens] = _pair(self, state, self._move(state, _contents(self.vocab, self.max_len)[leaf]))
+        return pair
 
     def _start(self, task_id: int) -> tuple[int, ...]:
         """Features of task ``task_id``'s first state."""

@@ -135,6 +135,9 @@ def modulate_batch(
 
 
 def apply_modulation(table: AdvantageTable, mod: ModulationSet) -> AdvantageTable:
-    """Multiply every span advantage by its coefficient, span-uniformly."""
+    """Multiply every span advantage by its coefficient, span-uniformly.  Every coefficient of a degenerate set is
+    exactly 1.0, and 1.0 * x is x bit for bit, so such a table is copied as it is."""
+    if mod.degenerate:
+        return AdvantageTable(dict(table.values))
     alpha = mod.alpha
     return AdvantageTable({key: alpha[key] * val for key, val in table.values.items()})

@@ -27,6 +27,10 @@ import numpy as np
 ENUMERATION_BUDGET = 10**6
 
 
+#: A batched snapshot pass derives at most this many table entries (512 KB of float64), so passes stay in cache.
+BATCH_ENTRIES = 2**16
+
+
 class EnumerationBudgetError(RuntimeError):
     """Raised when an exact enumeration would exceed ENUMERATION_BUDGET paths."""
 
@@ -157,48 +161,81 @@ def _per_state(derive):
     return read
 
 
+def _batched(derive):
+    """A read of many states into the memo of derive's name: derive(snapshot, chunk) derives the distinct states its
+    memo misses, one pass per chunk of at most BATCH_ENTRIES table entries; _one(read) reads one state through it."""
+    @wraps(derive)
+    def read(self: PolicySnapshot, states):
+        if self.policy.writes != self._writes:
+            raise RuntimeError("policy snapshot read after a logit_vector write to its policy")
+        memo = self._memos[derive.__name__]
+        missing = [state for state in dict.fromkeys(states) if state not in memo]
+        per = max(1, BATCH_ENTRIES // (len(self._shape.prefixes) * self.policy.vocab.size))
+        for lo in range(0, len(missing), per):
+            memo.update(zip(missing[lo:lo + per], derive(self, missing[lo:lo + per])))
+        return [memo[state] for state in states]
+    return read
+
+
+def _one(batch):
+    """The read of one state through a _batched read's memo: a memo hit is one lookup, a miss a chunk of one."""
+    derive = batch.__wrapped__
+    one = lambda self, state: derive(self, (state,))[0]  # noqa: E731
+    one.__name__ = batch.__name__
+    return _per_state(one)
+
+
 class PolicySnapshot:
-    """Read-only view of one policy version, the one reader of its softmaxes; every read is per state, memoized,
-    and raises once the policy has been written since.  table(state) holds one softmax per row of _tree_shape,
-    refused unless each is a distribution, as Generator.choice refuses p; sampler(state) derives the sampler's
-    rows from it, leaf_probs(state) each complete response's probability and leaf_logs(state) their logs.  Every
-    exact route reads the table or the leaf probabilities."""
+    """Read-only view of one policy version, the one reader of its softmaxes; every read is memoized per state, and
+    raises once the policy has been written since.  tables(states) holds one softmax per row of _tree_shape at each
+    state, refused unless each is a distribution, as Generator.choice refuses p, and samplers(states) the sampler's
+    rows; table(state) and sampler(state) are batches of one.  leaf_probs(state) is each complete response's
+    probability and leaf_logs(state) their logs.  Every exact route reads the tables or the leaf probabilities."""
 
     def __init__(self, policy: TablePolicy) -> None:
         self.policy = policy
         self._writes = policy.writes
         self._shape = _tree_shape(policy.vocab, policy.max_len)
-        self._memos: dict[str, dict] = {"table": {}, "sampler": {}, "leaf_probs": {}, "leaf_logs": {}}
+        self._memos: dict[str, dict] = {"tables": {}, "samplers": {}, "leaf_probs": {}, "leaf_logs": {}}
 
     @classmethod
     def of(cls, policy: TablePolicy | PolicySnapshot) -> PolicySnapshot:
         """The snapshot itself, or a new snapshot of a TablePolicy."""
         return policy if isinstance(policy, PolicySnapshot) else cls(policy)
 
-    @_per_state
-    def table(self, state: str) -> np.ndarray:
-        """The softmaxes at ``state``, one pass over a copy of its block (zeros where there is none): less each row's
-        max, exponentiated, over each row's sum, token_distribution bit for bit.  Callers must not mutate it."""
-        prefixes, block = self._shape.prefixes, self.policy._blocks.get(state)
-        z = np.zeros((len(prefixes), self.policy.vocab.size)) if block is None else block[0].copy()
+    @_batched
+    def tables(self, states: list[str]) -> list[np.ndarray]:
+        """The softmaxes at each state, one pass over a stacked copy of their blocks (zeros where there is none): less
+        each row's max, exponentiated, over each row's sum, token_distribution bit for bit.  Do not mutate them."""
+        prefixes, blocks, size = self._shape.prefixes, self.policy._blocks, self.policy.vocab.size
+        if len(states) == 1:  # one state's table is its block's copy: no concatenate or reshape of a list of one
+            found = blocks.get(states[0])
+            z = np.zeros((len(prefixes), size)) if found is None else found[0].copy()
+        else:
+            z = np.concatenate([blocks[state][0] if state in blocks else np.zeros((len(prefixes), size))
+                                for state in states])
         z -= z.max(axis=1, keepdims=True)
         np.exp(z, out=z)
         sums = z.sum(axis=1)
         z /= sums[:, None]
-        if not np.isfinite(sums).all():  # an exp row lies in [0, 1] and holds a 1, so only NaN fails
+        if not math.isfinite(sums.sum()):  # an exp row lies in [0, 1] and holds a 1: its sum is in [1, |V|] or NaN
             i = int(np.argmin(np.isfinite(sums)))
-            raise ValueError(f"next-token probabilities at {(state, prefixes[i])!r} are not a distribution: {z[i]}")
-        return z
+            at = (states[i // len(prefixes)], prefixes[i % len(prefixes)])
+            raise ValueError(f"next-token probabilities at {at!r} are not a distribution: {z[i]}")
+        return (z,) if len(states) == 1 else z.reshape(len(states), len(prefixes), size)
 
-    @_per_state
-    def sampler(self, state: str) -> tuple[list[list[float]], list[list[float]], list[float]]:
-        """(cdf, logp, H) at ``state`` as lists, a row per row of table(state): cdf is cumsum(p) / cumsum(p)[-1]
-        (what choice searches), logp and H the rows of _log_and_entropy."""
-        table = self.table(state)
+    @_batched
+    def samplers(self, states: list[str]) -> list[tuple[list[list[float]], list[list[float]], list[float]]]:
+        """(cdf, logp, H) at each state as lists, a row per row of its table: cdf is cumsum(p) / cumsum(p)[-1] (what
+        choice searches), logp and H the rows of _log_and_entropy; one pass over the stacked tables."""
+        table = np.concatenate(self.tables(states))
         cdf = table.cumsum(axis=1)
         cdf /= cdf[:, -1:]
         logp, h = _log_and_entropy(table)
-        return cdf.tolist(), logp.tolist(), h.tolist()
+        n, (cdf, logp, h) = len(self._shape.prefixes), (cdf.tolist(), logp.tolist(), h.tolist())
+        return [(cdf[i:i + n], logp[i:i + n], h[i:i + n]) for i in range(0, len(h), n)]
+
+    table, sampler = _one(tables), _one(samplers)
 
     @_per_state
     def leaf_probs(self, state: str) -> list[float]:
@@ -361,11 +398,12 @@ def path_entropy_sums(snapshot: PolicySnapshot, state: str) -> list[float]:
     return sums
 
 
-def mc_response_entropy(policy: TablePolicy, state: str, n_samples: int, rng: np.random.Generator) -> float:
+def mc_response_entropy(policy: TablePolicy | PolicySnapshot, state: str, n_samples: int,
+                        rng: np.random.Generator) -> float:
     """Monte-Carlo estimate of the response entropy: mean surprisal of sampled responses."""
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    snapshot = PolicySnapshot(policy)
+    snapshot = PolicySnapshot.of(policy)
     acc = 0.0
     for _ in range(n_samples):
         acc += sample_response(snapshot, state, rng).surprisal

@@ -40,7 +40,7 @@ class ConsistencyReport:
 
 
 def consistency_probe(
-    policy: TablePolicy,
+    policy: TablePolicy | PolicySnapshot,
     states: list[str],
     k_samples: int,
     rng: np.random.Generator,
@@ -56,7 +56,7 @@ def consistency_probe(
     sampled response; sign agreement counts only pairs where both sides are
     nonzero.
     """
-    snapshot = PolicySnapshot(policy)
+    snapshot = PolicySnapshot.of(policy)
     pairs: list[tuple[float, float]] = []
     for state in states:
         responses = [sample_response(snapshot, state, rng) for _ in range(k_samples)]

@@ -80,42 +80,35 @@ def parse_spans(trajectory: Trajectory, rollout_index: int = 0) -> list[Response
             for t, turn in enumerate(trajectory.turns)]
 
 
-def rollout_trajectory(
-    policy: PolicySnapshot | TablePolicy,
-    env: Env,
-    task_id: int,
-    scheme: RewardScheme,
-    rng: np.random.Generator,
-) -> Trajectory:
-    """Play one episode to termination and attach its terminal reward."""
-    state = env.reset(task_id)
-    turns: list[Turn] = []
-    while not state.done:
-        response = sample_response(policy, state.policy_key, rng)
-        nxt, valid = env.step(state, response.tokens)
-        turns.append(Turn(state=state, response=response, valid=valid))
-        state = nxt
-    traj = Trajectory(prompt_id=task_id, turns=turns, final_state=state)
-    traj.reward = terminal_reward(traj, scheme)
-    return traj
+def collect_groups(policy: PolicySnapshot | TablePolicy, env: Env, prompt_ids: list[int], scheme: RewardScheme,
+                   rngs_per_group: list[list[np.random.Generator]]) -> list[Group]:
+    """One group per prompt, rollout i of group g on its own generator rngs_per_group[g][i], all in lockstep: each turn
+    first asks the snapshot for the samplers at the live rollouts' states in one batched read, then samples and steps
+    each on its own generator, so every draw is the one it makes played alone.  A TablePolicy gets one snapshot."""
+    snapshot = PolicySnapshot.of(policy)
+    starts = [env.reset(prompt_id) for prompt_id in prompt_ids]
+    rollouts = [[(Trajectory(prompt_id, [], start), rng) for rng in rngs]
+                for prompt_id, start, rngs in zip(prompt_ids, starts, rngs_per_group)]
+    live = [rollout for group in rollouts for rollout in group]
+    while live:  # final_state is each trajectory's current state until it is done
+        snapshot.samplers([traj.final_state.policy_key for traj, _ in live])
+        for traj, rng in live:
+            state = traj.final_state
+            response = sample_response(snapshot, state.policy_key, rng)
+            traj.final_state, valid = env.step(state, response.tokens)
+            traj.turns.append(Turn(state=state, response=response, valid=valid))
+        live = [(traj, rng) for traj, rng in live if not traj.final_state.done]
+    groups = [Group(prompt_id, [traj for traj, _ in group]) for prompt_id, group in zip(prompt_ids, rollouts)]
+    for traj in (traj for group in groups for traj in group.trajectories):
+        traj.reward = terminal_reward(traj, scheme)
+    return groups
 
 
-def collect_group(
-    policy: PolicySnapshot | TablePolicy,
-    env: Env,
-    prompt_id: int,
-    scheme: RewardScheme,
-    rngs: list[np.random.Generator],
-) -> Group:
-    """Collect one rollout of a prompt per generator in rngs, in order.
-
-    Each rollout runs on its own generator, so the result is identical
-    whether the rollouts execute sequentially or in parallel.  Pass a
-    PolicySnapshot to share its softmaxes across groups; a TablePolicy is
-    read through a new snapshot per response.
-    """
-    trajectories = [rollout_trajectory(policy, env, prompt_id, scheme, rng) for rng in rngs]
-    return Group(prompt_id=prompt_id, trajectories=trajectories)
+def collect_group(policy: PolicySnapshot | TablePolicy, env: Env, prompt_id: int, scheme: RewardScheme,
+                  rngs: list[np.random.Generator]) -> Group:
+    """One rollout of a prompt per generator in rngs, in order: collect_groups of one prompt, so each rollout runs on
+    its own generator.  Pass a PolicySnapshot to share its softmaxes across groups."""
+    return collect_groups(policy, env, [prompt_id], scheme, [rngs])[0]
 
 
 # numpy's SeedSequence hash (after O'Neill's seed_seq_fe) on a pool of 4 uint32 words.  Its k-th

@@ -24,7 +24,7 @@ from . import modulation as mod
 from .advantage import ESTIMATORS, AdvantageTable, compute_advantages
 from .envs import REWARD_SCHEMES, env_class, make_env
 from .policy import PolicySnapshot, TablePolicy, _check_budget, _leaf_logs, _leaf_probs, save_checkpoint
-from .rollout import FILTER_MODES, Group, collect_group, filter_degenerate_groups, generator_from, seed_states
+from .rollout import FILTER_MODES, Group, collect_groups, filter_degenerate_groups, generator_from, seed_states
 
 LOSSES = ("grpo_clip", "dapo_token", "gspo_seq")
 #: Rollout generators are derived for whole steps at a time, about this many rollouts per block.
@@ -171,12 +171,13 @@ def surrogate_loss(
 
     counts = Counter(row[1] for row in span_rows)
     states, shape, size = list(counts), snapshot._shape, snapshot.policy.vocab.size  # states in order of first span
+    logps = {state: logp for state, (_, logp, _) in zip(states, snapshot.samplers(states))}
     index, child, leaf = {state: i for i, state in enumerate(states)}, shape.child, len(shape.prefixes)
     clip = []  # a _TERM per clip term that adds to the gradient, in span order, then token order
     j_clip, n_spans, total_tokens = 0.0, len(span_rows), sum(len(row[2]) for row in span_rows)
 
     for adv, state, tokens, behavior_lp in span_rows:
-        length, logp, path, row = len(tokens), snapshot.sampler(state)[1], [], 0
+        length, logp, path, row = len(tokens), logps[state], [], 0
         for tok in tokens:  # the row of each token's prefix, from the root along the tree's child rows
             if row == leaf or not 0 <= tok < size:
                 break
@@ -202,7 +203,7 @@ def surrogate_loss(
         clip.extend((index[state], row, tok, coeff)
                     for row, tok, coeff in zip(path, tokens, coeffs) if coeff is not None)
     terms = np.array(clip, dtype=_TERM)
-    step_tables = np.array([snapshot.table(state) for state in states]).reshape(len(states), leaf, size)
+    step_tables = np.array(snapshot.tables(states)).reshape(len(states), leaf, size)
 
     j_reg = 0.0
     if (config.entropy_coef != 0.0 or config.kl_coef != 0.0) and n_spans > 0:
@@ -230,6 +231,8 @@ def _regularizer(snapshot: PolicySnapshot, ref_policy: TablePolicy | PolicySnaps
     live, zero = probs > 0.0, np.zeros((len(states), 1))
     logs = np.where(live, np.reshape(_leaf_logs(probs.ravel().tolist()), probs.shape), 0.0)  # no 0 * -inf
     ref = PolicySnapshot.of(ref_policy) if config.kl_coef != 0.0 else None  # log ratios are 0 without one
+    if ref:
+        ref.tables(states)  # the states the run-long snapshot has not derived yet, in one pass
     log_ratios = logs - (np.where(live, [ref.leaf_logs(state)[0] for state in states], 0.0) if ref else logs)
     # A leaf of prob 0.0 adds a 0.0 term, and a sum from 0.0 is never -0.0, so h - 0.0 is h and kl + 0.0 is kl.
     h = np.subtract.accumulate(np.hstack((zero, probs * logs)), axis=1)[:, -1]
@@ -315,10 +318,8 @@ def train(
             t0 = time.perf_counter()
             # Rollout, advantages and epoch 0 of the update read the policy as it was at the start of the step.
             snapshot = PolicySnapshot(policy)
-            groups: list[Group] = []
-            for p_idx in range(config.prompts_per_step):
-                task = (step * config.prompts_per_step + p_idx) % env.task_count
-                groups.append(collect_group(snapshot, env, task, scheme, next(group_rngs)))
+            tasks = [(step * config.prompts_per_step + p) % env.task_count for p in range(config.prompts_per_step)]
+            groups = collect_groups(snapshot, env, tasks, scheme, [next(group_rngs) for _ in tasks])
             timings["rollout"] += time.perf_counter() - t0
 
             t0 = time.perf_counter()

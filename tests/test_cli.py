@@ -23,6 +23,7 @@ from entlab.envs import make_env
 from entlab.policy import TablePolicy, save_checkpoint
 from entlab.probes import reachable_states
 from entlab.trainer import StepMetrics, TrainConfig
+from derivations import record_softmax_passes
 
 FAST_SET = [
     "--set", "steps=3",
@@ -409,19 +410,11 @@ def test_probe_doob_reads_one_snapshot(tmp_path, monkeypatch):
     """doob_probe and doob_exact_residuals share the command's snapshot: one batched softmax for the state,
     none through token_distribution."""
     ckpt = _structured_checkpoint(tmp_path)
-    keys, singles = [], []
-    table = entlab.policy.PolicySnapshot.table
-
-    def counted(self, state):
-        if state not in self._memos["table"]:
-            keys.append((id(self.policy), self.policy.writes, state))
-        return table(self, state)
-
-    monkeypatch.setattr(entlab.policy.PolicySnapshot, "table", counted)
+    singles, passes = [], record_softmax_passes(monkeypatch)
     monkeypatch.setattr(entlab.policy, "token_distribution", lambda *args: singles.append(args))
     argv = ["probe-doob", "--checkpoint", str(ckpt), "--samples", "500", "--state", "key-chain#1#0"]
     assert main([*argv, "--out", str(tmp_path / "doob")]) == 0
-    assert [state for _, _, state in keys] == ["key-chain#1#0"]
+    assert [state for derived in passes for _, _, state in derived] == ["key-chain#1#0"]
     assert singles == []
 
 

@@ -122,9 +122,32 @@ def test_step_refuses_tokens_that_are_not_one_complete_response(kind):
     assert env.step(state, [term]) == fresh_step(env, state, [term])
 
 
+@pytest.mark.parametrize("kind", ["key-chain", "grid-fetch", "bandit-chain"])
+def test_step_refuses_bad_tokens_and_terminated_states_whatever_it_keeps(kind):
+    """step keeps only checked turns of non-terminal states, so tokens that are not one complete response and a
+    terminated state are refused alike before and after it holds (state, tokens) entries; a refusal keeps none."""
+    env = make_env(kind, seed=3)
+    state, term, size = env.reset(0), env.vocab.terminator_id, env.vocab.size
+    space = response_space(env.vocab, env.max_len)
+    bad = [[term, 0], [0] * env.max_len + [term], [0] * (env.max_len - 1), [size, term], [-1, term], []]
+    done = next(nxt for s in reachable(env, [state]) for nxt, _ in successors(env, s)[0] if nxt.done)
+    for kept in (False, True):
+        assert ((state, space[0]) in env._successors) is kept
+        for tokens in bad:
+            with pytest.raises(ValueError, match=r"are not one complete response"):
+                env.step(state, tokens)
+            assert (state, tuple(tokens)) not in env._successors
+        for tokens in space:
+            with pytest.raises(ValueError, match="step called on a terminated state"):
+                env.step(done, list(tokens))
+            assert (done, tokens) not in env._successors
+        for tokens in space:  # every response's turn, through the memo the second time round
+            assert env.step(state, list(tokens)) == fresh_step(env, state, list(tokens))
+
+
 def test_step_runs_one_move_and_builds_no_successor_row(monkeypatch):
-    """A rollout turn costs one _move, whatever the response space: step keeps the one pair it reaches, so a
-    state it leaves has no row, and a second step on the same outcome builds no new pair."""
+    """A rollout turn costs at most one _move, whatever the response space: step keeps the one pair it reaches,
+    so a state it leaves has no row, and a second step on the same tokens is one lookup, with no _move."""
     env = make_env("grid-fetch", seed=0)
     state = EnvState(env.kind, 0, env.horizon + 5, env.reset(0).features)  # unreachable, so no row is kept
     calls = []
@@ -137,18 +160,20 @@ def test_step_runs_one_move_and_builds_no_successor_row(monkeypatch):
     monkeypatch.setattr(type(env), "_move", counted)
     first = env.step(state, [0, env.vocab.terminator_id])
     assert calls == [(0,)] and state not in env._successors
-    assert env.step(state, [0, env.vocab.terminator_id]) is first and len(calls) == 2
+    assert env.step(state, [0, env.vocab.terminator_id]) is first and calls == [(0,)]
+    assert env.step(state, (0, env.vocab.terminator_id)) is first and calls == [(0,)]
+    assert state not in env._successors
     assert first == fresh_step(env, state, [0, env.vocab.terminator_id])
 
 
 def test_rebinding_an_env_attribute_drops_its_successor_rows():
     """make_env keeps rows from its solvability check; a rebound task table must not be checked against them.
-    reset keeps one start state per task the same way, and a rebound grid-fetch task table drops them."""
+    reset keeps one start state per task in the same table, and a rebound grid-fetch task table drops them."""
     env = make_env("key-chain", seed=0, task_count=3)
     assert env._successors
     assert env.reset(1) is env.reset(1)
     env.keys = (*env.keys[:2], (env.keys[2][0], (0, env.vocab.terminator_id)))
-    assert "_successors" not in vars(env) and "_starts" not in vars(env)
+    assert "_successors" not in vars(env)
     with pytest.raises(ValueError, match="key-chain task 2 has no success trajectory"):
         verify_success_reachable(env)
 
@@ -157,8 +182,8 @@ def test_rebinding_an_env_attribute_drops_its_successor_rows():
     assert grid.reset(0) is start and start.features == grid.tasks[0][0]
     cell = next((x, y) for x in range(grid.width) for y in range(grid.height) if (x, y) != start.features)
     grid.tasks = ((cell, grid.tasks[0][1]), *grid.tasks[1:])
-    assert "_starts" not in vars(grid)
-    assert grid.reset(0).features == cell
+    assert "_successors" not in vars(grid)
+    assert grid.reset(0).features == cell and grid._successors.starts[0] is grid.reset(0)
 
 
 class _TorusGridEnv(GridFetchEnv):
@@ -184,7 +209,7 @@ def test_envs_of_one_definition_share_one_successor_table():
     """make_env with equal arguments reads the rows another env built; a different seed, override, kind or
     class (equal attributes, other dynamics) is another definition, with its own table and its own rows."""
     a, b = make_env("grid-fetch", seed=0), make_env("grid-fetch", seed=0)
-    assert a is not b and a._successors is b._successors
+    assert a is not b and a._successors is b._successors and a.reset(1) is b.reset(1)
     assert successors(a, a.reset(0)) is successors(b, b.reset(0))
     others = [make_env("grid-fetch", seed=1), make_env("grid-fetch", seed=0, width=5),
               make_env("key-chain", seed=0), _TorusGridEnv(seed=0)]

@@ -284,7 +284,7 @@ def test_snapshot_entries_are_the_token_distribution_bit_for_bit():
         keys = [("s", row, u) for row, u in enumerate(_tree_shape(policy.vocab, max_len).prefixes)] + [("other", 0, ())]
         # One read at a state derives the sampler rows of all its prefixes: the rest are never sampled first.
         assert [len(column) for column in snapshot.sampler("s")] == [len(keys) - 1] * 3
-        assert list(snapshot._memos["sampler"]) == ["s"]
+        assert list(snapshot._memos["samplers"]) == ["s"]
         for state, row, prefix in keys:
             cdf, logp, h = (column[row] for column in snapshot.sampler(state))
             want = token_distribution(policy, state, prefix)
@@ -590,6 +590,15 @@ def test_mc_entropy_estimates_exact():
     assert abs(est - exact) < 0.05
     with pytest.raises(ValueError):
         mc_response_entropy(policy, "s", 0, rng)
+
+
+def test_mc_entropy_reads_a_snapshot_as_its_policy():
+    """A PolicySnapshot is read as itself, as every other reader takes one: the same draws give the same estimate."""
+    policy = random_policy(3, 3, np.random.default_rng(13))
+    snapshot = PolicySnapshot(policy)
+    est = mc_response_entropy(snapshot, "s", 500, np.random.default_rng(4))
+    assert est == mc_response_entropy(policy, "s", 500, np.random.default_rng(4))
+    assert list(snapshot._memos["samplers"]) == ["s"]
 
 
 def test_random_policy_covers_every_reachable_prefix():

@@ -56,6 +56,16 @@ def test_consistency_probe_is_seed_deterministic():
     assert (a.ci_low, a.ci_high) == (b.ci_low, b.ci_high)
 
 
+def test_consistency_probe_reads_a_snapshot_as_its_policy():
+    """A PolicySnapshot is read as itself, as every other reader takes one: the same draws give the same report."""
+    policy = _split_entropy_policy()
+    snapshot = PolicySnapshot(policy)
+    a = consistency_probe(snapshot, ["s"], 64, np.random.default_rng(7), n_bootstrap=200)
+    b = consistency_probe(policy, ["s"], 64, np.random.default_rng(7), n_bootstrap=200)
+    assert a == b
+    assert list(snapshot._memos["samplers"]) == ["s"]
+
+
 def test_consistency_probe_needs_two_pairs():
     policy = _split_entropy_policy()
     with pytest.raises(ValueError):

@@ -5,22 +5,38 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from entlab.envs import REWARD_SCHEMES, make_env
+from entlab.envs import REWARD_SCHEMES, make_env, reachable
 from entlab.modulation import response_entropy_proxy
-from entlab.policy import TablePolicy
+from entlab.policy import PolicySnapshot, TablePolicy
 from entlab.rollout import (
     collect_group,
+    collect_groups,
     filter_degenerate_groups,
     generator_from,
     parse_spans,
-    rollout_trajectory,
     seed_states,
 )
+from derivations import record_softmax_passes
+from rollout_reference import sequential_group
 from seeding import child_rngs
 
 
 def _uniform_policy(env) -> TablePolicy:
     return TablePolicy(vocab=env.vocab, max_len=env.max_len)
+
+
+def _random_policy(env, rng) -> TablePolicy:
+    """Normal logits on every row of every reachable state's block, so that rollouts differ in length."""
+    policy = _uniform_policy(env)
+    for state in reachable(env, [env.reset(t) for t in range(env.task_count)]):
+        block, written = policy._block(state.policy_key)
+        block[:], written[:] = 1.5 * rng.normal(size=block.shape), True
+    return policy
+
+
+def _play(policy, env, task_id, scheme, rng):
+    """One episode to termination: collect_group with one generator."""
+    return collect_group(policy, env, task_id, scheme, [rng]).trajectories[0]
 
 
 def _tokens(traj) -> list[int]:
@@ -34,7 +50,7 @@ def test_rollout_terminates_and_scores():
     scheme = REWARD_SCHEMES["sparse"]
     rng = np.random.default_rng(0)
     for _ in range(50):
-        traj = rollout_trajectory(policy, env, 1, scheme, rng)
+        traj = _play(policy, env, 1, scheme, rng)
         assert traj.final_state.done
         assert len(traj.turns) >= 1
         expect = (scheme.success if traj.success else scheme.failure) + scheme.invalid_penalty * traj.invalid_count
@@ -45,7 +61,7 @@ def test_spans_tile_the_token_stream():
     env = make_env("grid-fetch", seed=0)
     policy = _uniform_policy(env)
     rng = np.random.default_rng(1)
-    traj = rollout_trajectory(policy, env, 0, REWARD_SCHEMES["binary"], rng)
+    traj = _play(policy, env, 0, REWARD_SCHEMES["binary"], rng)
     spans = parse_spans(traj, rollout_index=3)
     stream = _tokens(traj)
     assert len(spans) == len(traj.turns)
@@ -59,7 +75,7 @@ def test_spans_tile_the_token_stream():
 def test_span_state_keys_follow_turn_states():
     env = make_env("bandit-chain", seed=0)
     policy = _uniform_policy(env)
-    traj = rollout_trajectory(policy, env, 0, REWARD_SCHEMES["binary"], np.random.default_rng(2))
+    traj = _play(policy, env, 0, REWARD_SCHEMES["binary"], np.random.default_rng(2))
     spans = parse_spans(traj)
     for span, turn in zip(spans, traj.turns):
         assert span.state_key == turn.state.policy_key
@@ -70,7 +86,7 @@ def test_span_state_keys_follow_turn_states():
 def test_span_h_bar_is_mean_entropy():
     env = make_env("key-chain", seed=0)
     policy = _uniform_policy(env)
-    traj = rollout_trajectory(policy, env, 0, REWARD_SCHEMES["binary"], np.random.default_rng(3))
+    traj = _play(policy, env, 0, REWARD_SCHEMES["binary"], np.random.default_rng(3))
     for span in parse_spans(traj):
         entropies = span.response.entropies
         assert response_entropy_proxy(span.response) == pytest.approx(sum(entropies) / len(entropies))
@@ -109,6 +125,54 @@ def test_filter_degenerate_groups():
     with pytest.raises(ValueError):
         filter_degenerate_groups(groups, mode="drop_everything")
 
+
+#: Key-chain and grid-fetch rollouts end on different turns; a bandit-chain rollout always plays the whole chain.
+LOCKSTEP_ENVS = [("key-chain", {"chain_len": 3}), ("grid-fetch", {}), ("bandit-chain", {})]
+
+
+@pytest.mark.parametrize("kind,overrides", LOCKSTEP_ENVS, ids=[kind for kind, _ in LOCKSTEP_ENVS])
+def test_lockstep_collector_equals_sequential_rollouts(kind, overrides):
+    """collect_groups over several prompts at once is each rollout played alone, bit for bit: tokens, logprobs,
+    entropies, states, validity, rewards and spans, and every generator ends in the same state."""
+    env = make_env(kind, seed=0, **overrides)
+    policy, scheme = _random_policy(env, np.random.default_rng(5)), REWARD_SCHEMES["sparse"]
+    prompts = [t % env.task_count for t in range(5)]
+    rngs = [child_rngs(np.random.default_rng(40 + i), 6) for i in range(len(prompts))]
+    twins = [child_rngs(np.random.default_rng(40 + i), 6) for i in range(len(prompts))]
+    groups = collect_groups(PolicySnapshot(policy), env, prompts, scheme, rngs)
+    assert [g.prompt_id for g in groups] == prompts
+    for group, prompt, gens, twin in zip(groups, prompts, rngs, twins):
+        want = sequential_group(policy, env, prompt, scheme, twin)
+        assert len(group.trajectories) == len(want.trajectories) == 6
+        for got, expect in zip(group.trajectories, want.trajectories):
+            assert got.prompt_id == expect.prompt_id and got.reward == expect.reward
+            assert repr(got.final_state) == repr(expect.final_state)
+            assert len(got.turns) == len(expect.turns)
+            for turn, other in zip(got.turns, expect.turns):
+                assert repr(turn.state) == repr(other.state) and turn.valid is other.valid
+                assert repr(turn.response) == repr(other.response)  # tokens, logprobs, entropies: bit for bit
+        assert repr(group.spans) == repr(want.spans)
+        assert [r.bit_generator.state for r in gens] == [r.bit_generator.state for r in twin]
+    lengths = {len(traj.turns) for group in groups for traj in group.trajectories}
+    assert len(lengths) > 1 or kind == "bandit-chain"
+
+
+def test_lockstep_derives_each_state_once_in_one_pass_per_turn(monkeypatch):
+    """Each turn of collect_groups makes at most one batched softmax pass, over the states not derived before;
+    every state is derived once per snapshot, and no state that no rollout visits is derived."""
+    env = make_env("grid-fetch", seed=0)
+    policy, scheme = _random_policy(env, np.random.default_rng(6)), REWARD_SCHEMES["sparse"]
+    passes = record_softmax_passes(monkeypatch)
+    snapshot, prompts = PolicySnapshot(policy), list(range(env.task_count))
+    groups = collect_groups(snapshot, env, prompts, scheme, [child_rngs(np.random.default_rng(p), 8) for p in prompts])
+    turns = max(len(traj.turns) for group in groups for traj in group.trajectories)
+    derived = [state for states in passes for _, _, state in states]
+    visited = {span.state_key for group in groups for span in group.spans}
+    assert 1 < len(passes) <= turns
+    assert len(derived) == len(set(derived)) and set(derived) == visited
+    before = list(passes)
+    collect_groups(snapshot, env, prompts, scheme, [child_rngs(np.random.default_rng(p), 8) for p in prompts])
+    assert passes == before  # the same rollouts again derive nothing
 
 
 def _seed_sequence_states(entropies) -> np.ndarray:

@@ -43,6 +43,7 @@ from entlab.trainer import (
     surrogate_loss,
     train,
 )
+from derivations import record_softmax_passes
 from grad_rows import grad_rows, step_tables
 from seeding import child_rngs
 
@@ -679,18 +680,11 @@ def test_masked_runs_diverge_by_sign():
                          ids=["key-chain-kl", "grid-fetch-oracle", "key-chain-entropy-epochs2"])
 def test_one_softmax_per_policy_version(fields, monkeypatch):
     """Rollout, the value oracle and the regularizers of a step share one snapshot, so every
-    (policy, version, state) batched softmax is computed once, and none goes through token_distribution."""
-    keys, singles = [], []
-    table = PolicySnapshot.table
-
-    def counted(self, state):
-        if state not in self._memos["table"]:
-            keys.append((id(self.policy), self.policy.writes, state))
-        return table(self, state)
-
-    monkeypatch.setattr(PolicySnapshot, "table", counted)
+    (policy, version, state) softmax is derived once, in a batched pass, and none goes through token_distribution."""
+    singles, passes = [], record_softmax_passes(monkeypatch)
     monkeypatch.setattr(entlab.policy, "token_distribution", lambda *args: singles.append(args))
     train(TrainConfig(**fields))
+    keys = [key for derived in passes for key in derived]
     assert keys and len(keys) == len(set(keys))
     assert singles == []
 
@@ -699,9 +693,9 @@ def test_one_entropy_proxy_per_collected_span(monkeypatch):
     """train() computes each collected span's entropy proxy once and hands it to both modulation and
     the step record, trained spans included, whether modulation runs or not."""
     proxied, groups = [], []
-    proxy, collect = entlab.modulation.response_entropy_proxy, entlab.trainer.collect_group
+    proxy, collect = entlab.modulation.response_entropy_proxy, entlab.trainer.collect_groups
     monkeypatch.setattr(entlab.modulation, "response_entropy_proxy", lambda r: proxied.append(id(r)) or proxy(r))
-    monkeypatch.setattr(entlab.trainer, "collect_group", lambda *a: groups.append(collect(*a)) or groups[-1])
+    monkeypatch.setattr(entlab.trainer, "collect_groups", lambda *a: groups.extend(found := collect(*a)) or found)
     for aem_mode in ("off", "aem", "batch_norm"):
         proxied.clear()
         groups.clear()
