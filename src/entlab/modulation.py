@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -34,13 +36,25 @@ DEGENERATE_RANGE = 0.1
 DEFAULT_LAMBDA = 1.0
 DEFAULT_EPS = 1e-8
 
-#: Each mode's normalization population, as a key of (group index, span).
+
+def _rollout_runs(g_idx: int, keys: list, h_bars: list) -> list:
+    """(population, span keys, proxies) of each run of consecutive spans of one rollout of group g_idx."""
+    runs, lo = [], 0
+    for rollout, run in groupby(keys, itemgetter(0)):  # a span key is (rollout_index, turn_index)
+        run_keys = list(run)
+        runs.append(((g_idx, rollout), run_keys, h_bars[lo:lo + len(run_keys)]))
+        lo += len(run_keys)
+    return runs
+
+
+#: Each mode's normalization populations over the spans of group g_idx, as (population key, span keys, proxies)
+#: per run of consecutive spans in one population: the group, the rollout (g_idx, rollout_index) or the batch (None).
 _POPULATION = {
-    "aem": lambda g_idx, span: g_idx,
-    "reverse": lambda g_idx, span: g_idx,
-    "shuffle": lambda g_idx, span: g_idx,
-    "traj_norm": lambda g_idx, span: (g_idx, span.rollout_index),
-    "batch_norm": lambda g_idx, span: None,
+    "aem": lambda g_idx, keys, h_bars: ((g_idx, keys, h_bars),),
+    "reverse": lambda g_idx, keys, h_bars: ((g_idx, keys, h_bars),),
+    "shuffle": lambda g_idx, keys, h_bars: ((g_idx, keys, h_bars),),
+    "traj_norm": _rollout_runs,
+    "batch_norm": lambda g_idx, keys, h_bars: ((None, keys, h_bars),),
 }
 
 #: Modulation modes understood by the trainer: "off" skips modulation.
@@ -106,38 +120,39 @@ def modulate_batch(
         raise ValueError(f"unknown modulation mode {mode!r}; choose from {tuple(_POPULATION)}")
     if mode == "shuffle" and rng is None:
         raise ValueError("shuffle mode needs an rng for the permutation")
-    population_of = _POPULATION[mode]
-    sets = [ModulationSet({}, {}, True) for _ in groups]
-    populations: dict = {}  # population -> ((set, span key) per member, proxy per member)
-    for g_idx, (group, out) in enumerate(zip(groups, sets)):
+    runs_of, sets = _POPULATION[mode], []
+    populations: dict = {}  # population -> its runs: (set, span keys, proxies) per run, in order of first span
+    for g_idx, group in enumerate(groups):
+        sets.append(out := ModulationSet({}, {}, True))
+        if not group.spans:
+            continue
         h_bars = proxies[g_idx] if proxies is not None else [response_entropy_proxy(s.response) for s in group.spans]
-        for span, h in zip(group.spans, h_bars):
-            members = populations.get(population := population_of(g_idx, span))
-            if members is None:
-                members = populations[population] = ([], [])
-            members[0].append((out, (span.rollout_index, span.turn_index)))
-            members[1].append(h)
-    for members, h_bars in populations.values():
+        keys = [(span.rollout_index, span.turn_index) for span in group.spans]
+        for population, run_keys, run_h in runs_of(g_idx, keys, h_bars):
+            populations.setdefault(population, []).append((out, run_keys, run_h))
+    for runs in populations.values():
+        h_bars = runs[0][2] if len(runs) == 1 else [h for _, _, run_h in runs for h in run_h]
         h_tilde, degenerate = group_minmax_normalize(h_bars, eps)
         if degenerate:
-            for out, key in members:
-                out.h_tilde[key] = None
-                out.alpha[key] = 1.0
+            for out, keys, _ in runs:
+                h_tilde_out, alpha_out = out.h_tilde, out.alpha
+                for key in keys:
+                    h_tilde_out[key] = None
+                    alpha_out[key] = 1.0
             continue
         alphas = modulation_coeffs(h_tilde, -lam if mode == "reverse" else lam, eps)
         if mode == "shuffle":
             alphas = [alphas[int(j)] for j in rng.permutation(len(alphas))]
-        for (out, key), ht, a in zip(members, h_tilde, alphas):
-            out.h_tilde[key] = ht
-            out.alpha[key] = a
+        lo = 0
+        for out, keys, _ in runs:
+            out.h_tilde.update(zip(keys, h_tilde[lo:lo + len(keys)]))
+            out.alpha.update(zip(keys, alphas[lo:lo + len(keys)]))
             out.degenerate = False
+            lo += len(keys)
     return sets
 
 
 def apply_modulation(table: AdvantageTable, mod: ModulationSet) -> AdvantageTable:
-    """Multiply every span advantage by its coefficient, span-uniformly.  Every coefficient of a degenerate set is
-    exactly 1.0, and 1.0 * x is x bit for bit, so such a table is copied as it is."""
-    if mod.degenerate:
-        return AdvantageTable(dict(table.values))
+    """Multiply every span advantage by its coefficient, span-uniformly."""
     alpha = mod.alpha
     return AdvantageTable({key: alpha[key] * val for key, val in table.values.items()})

@@ -308,6 +308,7 @@ class _Shape(NamedTuple):
     row_tok: np.ndarray  # the token there,
     edges: np.ndarray  # row_row * |V| + row_tok, an index of the flat table,
     starts: np.ndarray  # and the first entry of each leaf
+    leaf_at: dict[tuple[int, ...], int]  # each complete response's index in leaves
 
 
 @lru_cache(maxsize=16)
@@ -330,7 +331,7 @@ def _tree_shape(vocab: Vocabulary, max_len: int) -> _Shape:
     cols = [np.array(col) for col in zip(*[(j, rows[path[:k]], tok)
                                            for j, path in enumerate(leaves) for k, tok in enumerate(path)])]
     return _Shape(tuple(leaves), prefixes, rows, child, *cols, cols[1] * vocab.size + cols[2],
-                  np.flatnonzero(np.diff(cols[0], prepend=-1)))
+                  np.flatnonzero(np.diff(cols[0], prepend=-1)), {path: j for j, path in enumerate(leaves)})
 
 
 def response_space(vocab: Vocabulary, max_len: int) -> tuple[tuple[int, ...], ...]:

@@ -124,20 +124,6 @@ class TrainResult:
     timings: dict[str, float]
 
 
-def _clip_active(ratio: float, advantage: float, clip_low: float, clip_high: float) -> bool:
-    """True when the unclipped branch of min(ratio*A, clip(ratio)*A) is selected."""
-    if advantage > 0.0:
-        return ratio <= 1.0 + clip_high
-    if advantage < 0.0:
-        return ratio >= 1.0 - clip_low
-    return True
-
-
-def _clipped_term(ratio: float, advantage: float, clip_low: float, clip_high: float) -> float:
-    clipped = min(max(ratio, 1.0 - clip_low), 1.0 + clip_high)
-    return min(ratio * advantage, clipped * advantage)
-
-
 #: One gradient term: coeff * (onehot(tok) - p) at one row of the table of the step's state at index ``state``.
 _TERM = np.dtype([("state", np.intp), ("row", np.intp), ("tok", np.intp), ("coeff", float)])
 
@@ -160,6 +146,11 @@ def surrogate_loss(
     At the behavior policy all ratios are 1 and the per-token gradient of the
     unclipped surrogate reduces to -A * dlogpi.  ``policy`` and ``ref_policy`` are read
     as PolicySnapshots (see PolicySnapshot.of); train() passes one ref snapshot per run.
+
+    The clip terms are one array pass over the step's tokens, spans in order, then tokens, and each number takes
+    the operations of a per-token loop in its order: math.exp of each nonzero log ratio, (tw * A) * ratio per token
+    (A * ratio / (n_spans * len) for gspo_seq) and J added left to right from 0.0 (tests/test_trainer.py holds the
+    loss and the gradient to that loop bit for bit).
     """
     masked_keys = masked_keys or set()
     snapshot = PolicySnapshot.of(policy)
@@ -171,39 +162,40 @@ def surrogate_loss(
 
     counts = Counter(row[1] for row in span_rows)
     states, shape, size = list(counts), snapshot._shape, snapshot.policy.vocab.size  # states in order of first span
-    logps = {state: logp for state, (_, logp, _) in zip(states, snapshot.samplers(states))}
-    index, child, leaf = {state: i for i, state in enumerate(states)}, shape.child, len(shape.prefixes)
-    clip = []  # a _TERM per clip term that adds to the gradient, in span order, then token order
-    j_clip, n_spans, total_tokens = 0.0, len(span_rows), sum(len(row[2]) for row in span_rows)
-
-    for adv, state, tokens, behavior_lp in span_rows:
-        length, logp, path, row = len(tokens), logps[state], [], 0
-        for tok in tokens:  # the row of each token's prefix, from the root along the tree's child rows
-            if row == leaf or not 0 <= tok < size:
-                break
-            path.append(row)
-            row = child[row][tok]
-        if row != leaf or len(path) != length:
-            raise ValueError(f"span tokens {list(tokens)} at {state!r} are not one complete response")
-        log_ratios = [logp[row][tok] - lp for row, tok, lp in zip(path, tokens, behavior_lp)]
-        # Each token's gradient coefficient, None where it adds nothing (A is 0 or the clipped branch is selected).
-        if config.loss == "gspo_seq":  # one sequence-level ratio: geometric mean of the per-token ratios
-            ratio = math.exp(sum(log_ratios) / length)
-            j_clip += _clipped_term(ratio, adv, config.clip_low, config.clip_high) / n_spans
-            active = adv != 0.0 and _clip_active(ratio, adv, config.clip_low, config.clip_high)
-            coeffs = [adv * ratio / (n_spans * length) if active else None] * length
-        else:
-            token_weight = 1.0 / (n_spans * length) if config.loss == "grpo_clip" else 1.0 / total_tokens
-            coeffs = []
-            for log_ratio in log_ratios:
-                ratio = math.exp(log_ratio)
-                j_clip += token_weight * _clipped_term(ratio, adv, config.clip_low, config.clip_high)
-                active = adv != 0.0 and _clip_active(ratio, adv, config.clip_low, config.clip_high)
-                coeffs.append(token_weight * adv * ratio if active else None)
-        clip.extend((index[state], row, tok, coeff)
-                    for row, tok, coeff in zip(path, tokens, coeffs) if coeff is not None)
-    terms = np.array(clip, dtype=_TERM)
+    index, leaf = {state: i for i, state in enumerate(states)}, len(shape.prefixes)
+    # Each span's index among the complete responses, which gives its (row, tok) per position.
+    at_leaf = [shape.leaf_at.get(tuple(row[2])) for row in span_rows]
+    if None in at_leaf:
+        _, state, tokens, _ = span_rows[at_leaf.index(None)]
+        raise ValueError(f"span tokens {list(tokens)} at {state!r} are not one complete response")
+    n_spans, lengths = len(span_rows), np.array([len(row[2]) for row in span_rows], dtype=np.intp)
+    total_tokens = int(lengths.sum())
+    position = np.arange(total_tokens) - np.repeat(np.cumsum(lengths) - lengths, lengths)  # each token's in its span
+    entry = np.repeat(shape.starts[at_leaf], lengths) + position  # and its (leaf, position) entry of the shape
+    at_state = np.repeat(np.array([index[row[1]] for row in span_rows], dtype=np.intp), lengths)
     step_tables = np.array(snapshot.tables(states)).reshape(len(states), leaf, size)
+    with np.errstate(divide="ignore"):  # a token whose probability underflowed to 0.0 has log -inf and ratio 0.0
+        logp = np.log(step_tables.reshape(len(states), leaf * size)[at_state, shape.edges[entry]])
+    log_ratios = logp - np.array([lp for row in span_rows for lp in row[3]], dtype=float)
+    advs = np.array([row[0] for row in span_rows], dtype=float)
+
+    if config.loss == "gspo_seq":  # one sequence-level ratio: geometric mean of the per-token ratios
+        padded = np.zeros((n_spans, snapshot.policy.max_len + 1))  # a leading 0.0, then each span's log ratios
+        padded[np.repeat(np.arange(n_spans), lengths), 1 + position] = log_ratios
+        ratio = _exp(np.add.accumulate(padded, axis=1)[np.arange(n_spans), lengths] / lengths)
+        clipped, active = _clip(ratio, advs, config)
+        j_terms, coeffs = clipped / n_spans, np.repeat(advs * ratio / (n_spans * lengths), lengths)
+        active = np.repeat(active, lengths)
+    else:
+        token_weight = 1.0 / (n_spans * lengths) if config.loss == "grpo_clip" else np.ones(n_spans) / total_tokens
+        token_weight, adv, ratio = np.repeat(token_weight, lengths), np.repeat(advs, lengths), _exp(log_ratios)
+        clipped, active = _clip(ratio, adv, config)
+        j_terms, coeffs = token_weight * clipped, token_weight * adv * ratio
+    j_clip = np.add.accumulate(np.concatenate(((0.0,), j_terms)))[-1].item()
+    # A _TERM per clip term that adds to the gradient (A is nonzero and the unclipped branch is selected).
+    terms = np.empty(int(active.sum()), dtype=_TERM)
+    terms["state"], terms["coeff"] = at_state[active], coeffs[active]
+    terms["row"], terms["tok"] = shape.row_row[entry[active]], shape.row_tok[entry[active]]
 
     j_reg = 0.0
     if (config.entropy_coef != 0.0 or config.kl_coef != 0.0) and n_spans > 0:
@@ -215,6 +207,22 @@ def surrogate_loss(
             j_reg += weight * value
         terms = np.concatenate((terms, reg))
     return -(j_clip + j_reg), _gradient_blocks(states, step_tables, terms)
+
+
+def _exp(log_ratios: np.ndarray) -> np.ndarray:
+    """math.exp of each entry: np.exp can differ from it in the last bit, so it runs only where an entry is nonzero
+    (exp(0.0) is exactly 1.0, and at the behavior policy every log ratio is 0.0)."""
+    ratios, nonzero = np.ones_like(log_ratios), np.flatnonzero(log_ratios)
+    ratios[nonzero] = [math.exp(x) for x in log_ratios[nonzero].tolist()]
+    return ratios
+
+
+def _clip(ratio: np.ndarray, adv: np.ndarray, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """min(ratio * A, clip(ratio) * A), and where its unclipped branch is selected with A nonzero: the only places
+    where the term has a gradient."""
+    low, high = 1.0 - config.clip_low, 1.0 + config.clip_high
+    clipped = np.minimum(ratio * adv, np.minimum(np.maximum(ratio, low), high) * adv)
+    return clipped, np.where(adv > 0.0, ratio <= high, np.where(adv < 0.0, ratio >= low, adv != 0.0))
 
 
 def _regularizer(snapshot: PolicySnapshot, ref_policy: TablePolicy | PolicySnapshot | None, states: list[str],
@@ -339,7 +347,8 @@ def train(
                                           rng=_rng_for(config.seed, 2, step) if config.aem_mode == "shuffle" else None)
             applied = tables
             if config.aem_mode != "off":
-                applied = [mod.apply_modulation(t, s) for t, s in zip(tables, sets)]
+                # Every alpha of a degenerate set is exactly 1.0, and 1.0 * x is x: its group trains on its table.
+                applied = [t if s.degenerate else mod.apply_modulation(t, s) for t, s in zip(tables, sets)]
             masked = set()
             if mask_sign is not None:
                 # A span is masked when sgn(A * (alpha - 1)) == mask_sign; a table holds one value per span.

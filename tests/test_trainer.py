@@ -36,7 +36,6 @@ from entlab.trainer import (
     _group_rngs,
     _rng_for,
     load_metrics,
-    _clip_active,
     _gradient_blocks,
     _regularizer,
     _TERM,
@@ -371,37 +370,65 @@ def test_regularizer_is_bit_identical_to_per_path_walk(shape):
     assert all(ref._memos["leaf_logs"][state] is logs[state] for state in states)
 
 
-def _surrogate_grad_per_key(policy, ref_policy, groups, tables, config):
-    """surrogate_loss's gradient accumulated key by key with _grad_add and negated key by key, the per-path
-    regularizer walk included: the reference for its blocks.  Also returns how many clip terms were clipped."""
+def _clip_active(ratio, advantage, clip_low, clip_high):
+    """True when the unclipped branch of min(ratio*A, clip(ratio)*A) is selected."""
+    if advantage > 0.0:
+        return ratio <= 1.0 + clip_high
+    if advantage < 0.0:
+        return ratio >= 1.0 - clip_low
+    return True
+
+
+def _clipped_term(ratio, advantage, clip_low, clip_high):
+    clipped = min(max(ratio, 1.0 - clip_low), 1.0 + clip_high)
+    return min(ratio * advantage, clipped * advantage)
+
+
+def _surrogate_per_token(policy, ref_policy, groups, tables, config, masked_keys=()):
+    """surrogate_loss's loss and gradient by a per-span, per-token loop: J added token by token (span by span for
+    gspo_seq) from 0.0, the gradient accumulated key by key with _grad_add and negated key by key, the per-path
+    regularizer walk included.  The reference for its loss value and blocks; returns (loss, gradient, how many clip
+    terms were clipped, each token's ratio)."""
     snapshot = PolicySnapshot(policy)
     span_rows = [(table.values[(span.rollout_index, span.turn_index)], span.state_key, span.response.tokens,
-                  span.response.logprobs) for group, table in zip(groups, tables) for span in group.spans]
+                  span.response.logprobs) for g_idx, (group, table) in enumerate(zip(groups, tables))
+                 for span in group.spans if (g_idx, span.rollout_index, span.turn_index) not in masked_keys]
     n_spans, total_tokens = len(span_rows), sum(len(row[2]) for row in span_rows)
-    grad, clipped = {}, 0
+    grad, clipped, seen, j_clip = {}, 0, [], 0.0
     for adv, state, tokens, behavior_lp in span_rows:
         rows = [snapshot._shape.rows[tuple(tokens[:k])] for k in range(len(tokens))]
         dists, logp = snapshot.table(state)[rows], snapshot.sampler(state)[1]
         log_ratios = [logp[row][tok] - lp for row, tok, lp in zip(rows, tokens, behavior_lp)]
+        seen.extend(math.exp(x) for x in log_ratios)
         if config.loss == "gspo_seq":
             ratios = [math.exp(sum(log_ratios) / len(tokens))]
+            j_clip += _clipped_term(ratios[0], adv, config.clip_low, config.clip_high) / n_spans
             weights = [adv * ratios[0] / (n_spans * len(tokens))] * len(tokens)
         else:
             ratios = [math.exp(x) for x in log_ratios]
             token_weight = 1.0 / (n_spans * len(tokens)) if config.loss == "grpo_clip" else 1.0 / total_tokens
+            for ratio in ratios:
+                j_clip += token_weight * _clipped_term(ratio, adv, config.clip_low, config.clip_high)
             weights = [token_weight * adv * ratio for ratio in ratios]
         active = [adv != 0.0 and _clip_active(ratio, adv, config.clip_low, config.clip_high) for ratio in ratios]
         clipped += sum(adv != 0.0 and not a for a in active)
         for k, tok in enumerate(tokens):
             if active[0 if config.loss == "gspo_seq" else k]:
                 _grad_add(grad, (state, tuple(tokens[:k])), weights[k] * _one_hot_minus_p(dists[k], tok))
-    if config.entropy_coef != 0.0 or config.kl_coef != 0.0:
+    j_reg = 0.0
+    if (config.entropy_coef != 0.0 or config.kl_coef != 0.0) and n_spans > 0:
         counts = {}
         for _, state, _, _ in span_rows:
             counts[state] = counts.get(state, 0) + 1
         for state, count in counts.items():
-            _regularizer_state_per_path(policy, ref_policy, state, config, grad, count / n_spans)
-    return {key: -vec for key, vec in grad.items()}, clipped
+            j_reg += count / n_spans * _regularizer_state_per_path(policy, ref_policy, state, config, grad,
+                                                                   count / n_spans)
+    return -(j_clip + j_reg), {key: -vec for key, vec in grad.items()}, clipped, seen
+
+
+def _surrogate_grad_per_key(policy, ref_policy, groups, tables, config):
+    """The per-token reference's (gradient, how many clip terms were clipped): the reference for the blocks."""
+    return _surrogate_per_token(policy, ref_policy, groups, tables, config)[1:3]
 
 
 def _block_inputs(shape):
@@ -450,6 +477,53 @@ def test_gradient_blocks_are_the_per_key_accumulation(loss, shape, regularized):
         assert block.shape == (len(mask), policy.vocab.size)
         assert block[~mask].tobytes() == np.zeros_like(block[~mask]).tobytes()
     assert list(blocks) == list(dict.fromkeys(state for state, _ in want))
+
+
+def _assert_is_the_per_token_loop(policy, ref_policy, groups, tables, config, masked_keys=()):
+    """surrogate_loss's loss is the per-token reference's by repr and its blocks are the reference's byte for byte;
+    returns the reference's token ratios."""
+    want, want_grad, _, ratios = _surrogate_per_token(policy, ref_policy, groups, tables, config, masked_keys)
+    loss, blocks = surrogate_loss(policy, groups, tables, config, ref_policy, set(masked_keys))
+    assert type(loss) is float and repr(loss) == repr(want)
+    got = grad_rows(policy, blocks)
+    assert sorted(got) == sorted(want_grad)
+    for key, vec in want_grad.items():
+        assert got[key].tobytes() == vec.tobytes(), key
+    return ratios
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("regularized", [False, True], ids=["clip-only", "regularized"])
+@pytest.mark.parametrize("shape", ["key-chain", "grid-fetch", "grid-fetch-underflow"])
+@pytest.mark.parametrize("loss", LOSSES)
+def test_loss_value_is_the_per_token_loop(loss, shape, regularized):
+    """The loss value is the per-token loop's, by repr, with ratios moved off 1 by jitter: with every span in,
+    with every other span masked, with every span masked (no span: -0.0) and with every advantage 0."""
+    config = TrainConfig(loss=loss, kl_coef=0.05 if regularized else 0.0, entropy_coef=0.02 if regularized else 0.0)
+    policy, ref_policy, groups, tables = _block_inputs(shape)
+    keys = [(g_idx, span.rollout_index, span.turn_index) for g_idx, group in enumerate(groups) for span in group.spans]
+    ratios = _assert_is_the_per_token_loop(policy, ref_policy, groups, tables, config)
+    assert sum(ratio != 1.0 for ratio in ratios) > len(ratios) // 2
+    _assert_is_the_per_token_loop(policy, ref_policy, groups, tables, config, keys[::2])
+    assert _assert_is_the_per_token_loop(policy, ref_policy, groups, tables, config, keys) == []
+    assert repr(surrogate_loss(policy, groups, tables, config, ref_policy, set(keys))[0]) == "-0.0"
+    zeros = [AdvantageTable(values=dict.fromkeys(table.values, 0.0)) for table in tables]
+    _assert_is_the_per_token_loop(policy, ref_policy, groups, zeros, config)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("regularized", [False, True], ids=["clip-only", "regularized"])
+@pytest.mark.parametrize("loss", LOSSES)
+def test_a_sampled_token_that_underflowed_has_ratio_zero(loss, regularized):
+    """A sampled token whose probability underflowed to 0.0 after sampling (as by a later epoch) has log -inf and
+    ratio 0.0, as in the sampler rows' log, and the update raises no RuntimeWarning."""
+    config = TrainConfig(loss=loss, kl_coef=0.05 if regularized else 0.0, entropy_coef=0.02 if regularized else 0.0)
+    policy, ref_policy, groups, tables = _block_inputs("grid-fetch")
+    for group in groups:
+        span = group.spans[0]
+        policy.logit_vector(span.state_key, ())[span.response.tokens[0]] = -800.0
+        assert token_distribution(policy, span.state_key, ())[span.response.tokens[0]] == 0.0
+    assert 0.0 in _assert_is_the_per_token_loop(policy, ref_policy, groups, tables, config)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
