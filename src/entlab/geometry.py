@@ -7,12 +7,15 @@ regularized decomposition, and the parameter-space analogue for softmax
 policies with shared parameters.  Every analytic quantity here can be checked
 against a central finite difference of the entropy along the corresponding
 update direction; verify_drift_fd does exactly that and returns one report
-per trial.
+per trial.  It evaluates the trials of one size together: each identity is
+written once over a leading trial axis, and the functions of one trial are
+its one-row case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,11 +34,18 @@ def check_simplex(pi: np.ndarray) -> np.ndarray:
     pi = np.asarray(pi, dtype=float)
     if pi.ndim != 1 or pi.size < 2:
         raise ValueError("need a 1-d distribution over at least two responses")
-    if not np.all(pi > 0.0):
+    return _simplex_rows(pi[None])[0]
+
+
+def _simplex_rows(rows: np.ndarray) -> np.ndarray:
+    """check_simplex for each row of an (n, m) stack."""
+    if not np.all(rows > 0.0):
         raise ValueError("distribution must be strictly positive (interior point)")
-    if abs(pi.sum() - 1.0) > SIMPLEX_TOL:
-        raise ValueError(f"distribution sums to {pi.sum()!r}, not 1")
-    return pi
+    sums = rows.sum(axis=1)
+    off = np.abs(sums - 1.0) > SIMPLEX_TOL
+    if off.any():
+        raise ValueError(f"distribution sums to {sums[off][0]!r}, not 1")
+    return rows
 
 
 def random_interior_simplex(m: int, rng: np.random.Generator, min_prob: float = NEAR_VERTEX_PROB) -> np.ndarray:
@@ -50,12 +60,22 @@ def surprisal(pi: np.ndarray) -> np.ndarray:
     return -np.log(pi)
 
 
-def entropy(pi: np.ndarray) -> float:
-    return float(-(pi * np.log(pi)).sum())
+def entropy(pi: np.ndarray) -> float | np.ndarray:
+    """Shannon entropy; of each row, as an array, for an (n, m) stack."""
+    h = -(pi * np.log(pi)).sum(axis=-1)
+    return h if np.ndim(h) else float(h)
 
 
-def kl_divergence(pi: np.ndarray, ref: np.ndarray) -> float:
-    return float((pi * (np.log(pi) - np.log(ref))).sum())
+def kl_divergence(pi: np.ndarray, ref: np.ndarray) -> float | np.ndarray:
+    """KL(pi || ref); of each pair of rows, as an array, for (n, m) stacks."""
+    kl = (pi * (np.log(pi) - np.log(ref))).sum(axis=-1)
+    return kl if np.ndim(kl) else float(kl)
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (n, m) stacks.  numpy runs each row as the
+    1-d np.dot, so every value has np.dot's bits."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
 def natural_gradient(pi: np.ndarray, euclidean_grad: np.ndarray) -> np.ndarray:
@@ -70,17 +90,16 @@ def natural_gradient(pi: np.ndarray, euclidean_grad: np.ndarray) -> np.ndarray:
 
 def entropy_natural_gradient(pi: np.ndarray) -> np.ndarray:
     """Natural gradient of the Shannon entropy: pi * (S - H)."""
-    pi = check_simplex(pi)
-    s = surprisal(pi)
-    return pi * (s - entropy(pi))
+    return _entropy_gradient(check_simplex(pi)[None])[0]
+
+
+def _entropy_gradient(pi: np.ndarray) -> np.ndarray:
+    return pi * (surprisal(pi) - entropy(pi)[:, None])
 
 
 def score_direction(pi: np.ndarray, a: int, advantage: float) -> np.ndarray:
     """Natural gradient of the advantage-weighted log-likelihood: A * (e_a - pi)."""
-    pi = check_simplex(pi)
-    e = np.zeros_like(pi)
-    e[a] = 1.0
-    return advantage * (e - pi)
+    return objective_direction(pi, a, DriftConfig(advantage=advantage))
 
 
 def resp_entropy_drift(pi: np.ndarray, a: int, advantage: float) -> float:
@@ -89,9 +108,7 @@ def resp_entropy_drift(pi: np.ndarray, a: int, advantage: float) -> float:
     Closed form A * (S_a - H): reinforcing a response rarer than average
     (S_a > H) raises entropy, reinforcing a more likely one lowers it.
     """
-    pi = check_simplex(pi)
-    s = surprisal(pi)
-    return advantage * (float(s[a]) - entropy(pi))
+    return regularized_drift(pi, a, DriftConfig(advantage=advantage)).task_term
 
 
 @dataclass
@@ -113,6 +130,24 @@ class DriftConfig:
         return check_simplex(self.pi_ref)
 
 
+class _Trials(NamedTuple):
+    """What a stacked pass takes besides the points: a and the DriftConfig
+    coefficients of n trials as (n,) arrays, and the rows of their pi_ref
+    (None when no trial has a KL term)."""
+
+    a: np.ndarray
+    advantage: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    ref: np.ndarray | None
+
+    @classmethod
+    def one(cls, a: int, cfg: DriftConfig, m: int) -> _Trials:
+        """One trial's; pi_ref is read, and so checked, only when gamma is active."""
+        ref = cfg.reference(m)[None] if cfg.gamma != 0.0 else None
+        return cls(np.array([a]), np.array([cfg.advantage]), np.array([cfg.beta]), np.array([cfg.gamma]), ref)
+
+
 @dataclass
 class RegularizedDrift:
     """Decomposed drift: total = task_term + pressure_term - ref_term."""
@@ -131,19 +166,22 @@ def regularized_drift(pi: np.ndarray, a: int, cfg: DriftConfig) -> RegularizedDr
     ref_term      gamma * Cov(S, S_ref)              (subtracted)
     """
     pi = check_simplex(pi)
+    return RegularizedDrift(*(float(x[0]) for x in _regularized_rows(pi[None], _Trials.one(a, cfg, pi.size))))
+
+
+def _regularized_rows(pi: np.ndarray, t: _Trials) -> tuple[np.ndarray, ...]:
+    """regularized_drift's (total, task, pressure, ref) terms for each row of an (n, m) stack."""
     s = surprisal(pi)
     h = entropy(pi)
-    var_s = float(np.dot(pi, (s - h) ** 2))
-    task = cfg.advantage * (float(s[a]) - h)
-    pressure = (cfg.beta + cfg.gamma) * var_s
-    if cfg.gamma != 0.0:
-        s_ref = surprisal(cfg.reference(pi.size))
-        s_ref_mean = float(np.dot(pi, s_ref))
-        ref = cfg.gamma * float(np.dot(pi, (s - h) * (s_ref - s_ref_mean)))
-    else:
-        ref = 0.0
-    return RegularizedDrift(total=task + pressure - ref, task_term=task,
-                            pressure_term=pressure, ref_term=ref)
+    centered = s - h[:, None]
+    task = t.advantage * (s[np.arange(len(pi)), t.a] - h)
+    pressure = (t.beta + t.gamma) * _dots(pi, centered ** 2)
+    ref_term = np.zeros(len(pi))
+    if t.ref is not None:
+        s_ref = surprisal(t.ref)
+        cov = _dots(pi, centered * (s_ref - _dots(pi, s_ref)[:, None]))
+        ref_term = np.where(t.gamma != 0.0, t.gamma * cov, 0.0)
+    return task + pressure - ref_term, task, pressure, ref_term
 
 
 def objective_direction(pi: np.ndarray, a: int, cfg: DriftConfig) -> np.ndarray:
@@ -153,13 +191,21 @@ def objective_direction(pi: np.ndarray, a: int, cfg: DriftConfig) -> np.ndarray:
     minus gamma times the KL-to-reference gradient.  Tangent by construction.
     """
     pi = check_simplex(pi)
-    direction = score_direction(pi, a, cfg.advantage)
-    if cfg.beta != 0.0:
-        direction = direction + cfg.beta * entropy_natural_gradient(pi)
-    if cfg.gamma != 0.0:
-        ref = cfg.reference(pi.size)
-        log_ratio = np.log(pi) - np.log(ref)
-        direction = direction - cfg.gamma * pi * (log_ratio - kl_divergence(pi, ref))
+    return _direction_rows(pi[None], _Trials.one(a, cfg, pi.size))[0]
+
+
+def _direction_rows(pi: np.ndarray, t: _Trials) -> np.ndarray:
+    """objective_direction for each row of an (n, m) stack.  A term whose
+    coefficient is 0 is left out of that row, not added as 0 * term."""
+    e = np.zeros_like(pi)
+    e[np.arange(len(pi)), t.a] = 1.0
+    direction = t.advantage[:, None] * (e - pi)
+    beta, gamma = t.beta[:, None], t.gamma[:, None]
+    direction = np.where(beta != 0.0, direction + beta * _entropy_gradient(pi), direction)
+    if t.ref is not None:
+        log_ratio = np.log(pi) - np.log(t.ref)
+        toward_ref = gamma * pi * (log_ratio - kl_divergence(pi, t.ref)[:, None])
+        direction = np.where(gamma != 0.0, direction - toward_ref, direction)
     return direction
 
 
@@ -168,7 +214,9 @@ class ParamPolicy:
     """Softmax response policy with shared parameters: logits = features @ theta.
 
     features is an (m, d) matrix with d <= m; the identity matrix recovers
-    the one-parameter-per-response case.
+    the one-parameter-per-response case.  A stack of n policies of one shape
+    has features (n, m, d) and theta (n, d); each method then returns one
+    row per policy.
     """
 
     features: np.ndarray
@@ -177,45 +225,50 @@ class ParamPolicy:
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=float)
         self.theta = np.asarray(self.theta, dtype=float)
-        if self.features.ndim != 2 or self.features.shape[1] != self.theta.size:
+        shape = self.features.shape
+        if len(shape) not in (2, 3) or shape[:-2] + shape[-1:] != self.theta.shape:
             raise ValueError("features must be (m, d) with d matching theta")
 
     def probs(self) -> np.ndarray:
-        z = self.features @ self.theta
-        z = z - z.max()
+        z = np.matmul(self.features, self.theta[..., None])[..., 0]
+        z = z - z.max(axis=-1, keepdims=True)
         p = np.exp(z)
-        return p / p.sum()
+        return p / p.sum(axis=-1, keepdims=True)
 
     def scores(self) -> np.ndarray:
         """Score matrix G with rows G_b = d log pi_b / d theta = M_b - E_pi[M]."""
-        pi = self.probs()
-        return self.features - pi @ self.features
+        return self.features - np.matmul(self.probs()[..., None, :], self.features)
 
     def kernel(self) -> np.ndarray:
         """Score kernel K(b, c) = <G_b, G_c>."""
         g = self.scores()
-        return g @ g.T
+        return np.matmul(g, np.swapaxes(g, -1, -2))
 
 
 def param_entropy_gradient(policy: ParamPolicy) -> np.ndarray:
     """d H / d theta = sum_b pi_b (S_b - H) G_b."""
-    pi = policy.probs()
-    s = surprisal(pi)
-    h = entropy(pi)
-    return (pi * (s - h)) @ policy.scores()
+    return _param_entropy_gradient(policy.probs()[None], policy.scores()[None])[0]
+
+
+def _param_entropy_gradient(pi: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return np.matmul(_entropy_gradient(pi)[:, None, :], g)[:, 0]
 
 
 def param_objective_gradient(policy: ParamPolicy, a: int, cfg: DriftConfig) -> np.ndarray:
     """d / d theta of the regularized objective for response a."""
     pi = policy.probs()
-    g = policy.scores()
-    grad = cfg.advantage * g[a]
-    if cfg.beta != 0.0:
-        grad = grad + cfg.beta * param_entropy_gradient(policy)
-    if cfg.gamma != 0.0:
-        s = surprisal(pi)
-        s_ref = surprisal(cfg.reference(pi.size))
-        grad = grad - cfg.gamma * ((pi * (s_ref - s)) @ g)
+    return _param_gradient_rows(pi[None], policy.scores()[None], _Trials.one(a, cfg, pi.size))[0]
+
+
+def _param_gradient_rows(pi: np.ndarray, g: np.ndarray, t: _Trials) -> np.ndarray:
+    """param_objective_gradient for each policy of a stack, from its
+    probabilities (n, m) and score matrices (n, m, d)."""
+    grad = t.advantage[:, None] * g[np.arange(len(pi)), t.a]
+    beta, gamma = t.beta[:, None], t.gamma[:, None]
+    grad = np.where(beta != 0.0, grad + beta * _param_entropy_gradient(pi, g), grad)
+    if t.ref is not None:
+        away = gamma * np.matmul((pi * (surprisal(t.ref) - surprisal(pi)))[:, None, :], g)[:, 0]
+        grad = np.where(gamma != 0.0, grad - away, grad)
     return grad
 
 
@@ -243,26 +296,31 @@ def parametrized_drift(policy: ParamPolicy, a: int, cfg: DriftConfig) -> ParamDr
     b_ker term collects exactly that coupling.
     """
     pi = policy.probs()
+    terms = _param_drift_rows(pi[None], policy.kernel()[None], _Trials.one(a, cfg, pi.size))
+    return ParamDrift(*(float(x[0]) for x in terms))
+
+
+def _param_drift_rows(pi: np.ndarray, kernel: np.ndarray, t: _Trials) -> tuple[np.ndarray, ...]:
+    """parametrized_drift's (total, task, b_ker, v_theta, c_theta) for each
+    policy of a stack, from its probabilities (n, m) and kernels (n, m, m)."""
+    rows = np.arange(len(pi))
     s = surprisal(pi)
-    h = entropy(pi)
-    kernel = policy.kernel()
+    h = entropy(pi)[:, None]
     weights = pi * (h - s)
-
-    b_ker = float(np.dot(weights, kernel[:, a])) - float(weights[a] * kernel[a, a])
-    task = -cfg.advantage * (float(weights[a] * kernel[a, a]) + b_ker)
-
+    own = weights[rows, t.a] * kernel[rows, t.a, t.a]
+    # One np.dot per row: kernel[:, a] is a strided column, which BLAS sums in
+    # another order than a contiguous row, so a stacked row-dot moves last bits.
+    b_ker = np.array([np.dot(w, k[:, j]) for w, k, j in zip(weights, kernel, t.a)]) - own
+    task = -t.advantage * (own + b_ker)
     centered = pi * (s - h)
-    v_theta = float(centered @ kernel @ centered)
-
-    if cfg.gamma != 0.0:
-        s_ref = surprisal(cfg.reference(pi.size))
-        ref_centered = pi * (s_ref - float(np.dot(pi, s_ref)))
-        c_theta = float(centered @ kernel @ ref_centered)
-    else:
-        c_theta = 0.0
-
-    total = task + (cfg.beta + cfg.gamma) * v_theta - cfg.gamma * c_theta
-    return ParamDrift(total=total, task_term=task, b_ker=b_ker, v_theta=v_theta, c_theta=c_theta)
+    pulled = np.matmul(centered[:, None, :], kernel)[:, 0]
+    v_theta = _dots(pulled, centered)
+    c_theta = np.zeros(len(pi))
+    if t.ref is not None:
+        s_ref = surprisal(t.ref)
+        c_theta = np.where(t.gamma != 0.0, _dots(pulled, pi * (s_ref - _dots(pi, s_ref)[:, None])), 0.0)
+    total = task + (t.beta + t.gamma) * v_theta - t.gamma * c_theta
+    return total, task, b_ker, v_theta, c_theta
 
 
 @dataclass
@@ -281,30 +339,53 @@ class DriftReport:
 
 
 def _retract(pi: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """Move in the simplex plane and renormalize; clips to stay positive."""
+    """Move in the simplex plane and renormalize; clips to stay positive.  Row by row for a stack."""
     q = np.clip(pi + step, 1e-300, None)
-    return q / q.sum()
+    return q / q.sum(axis=-1, keepdims=True)
 
 
-def _fd_entropy_simplex(pi: np.ndarray, direction: np.ndarray, h: float) -> float:
+def _fd_entropy_simplex(pi: np.ndarray, direction: np.ndarray, h: float) -> float | np.ndarray:
     return (entropy(_retract(pi, h * direction)) - entropy(_retract(pi, -h * direction))) / (2.0 * h)
 
 
-def _fd_entropy_param(policy: ParamPolicy, direction: np.ndarray, h: float) -> float:
+def _fd_entropy_param(policy: ParamPolicy, direction: np.ndarray, h: float) -> float | np.ndarray:
     up = ParamPolicy(policy.features, policy.theta + h * direction)
     down = ParamPolicy(policy.features, policy.theta - h * direction)
     return (entropy(up.probs()) - entropy(down.probs())) / (2.0 * h)
 
 
-def _report(kind: str, analytic: float, fd: float, fd_step: float, min_prob: float,
-            tol_rel: float, tol_abs: float) -> DriftReport:
-    abs_err = abs(analytic - fd)
-    rel_err = abs_err / abs(analytic) if analytic != 0.0 else float("inf")
-    near_vertex = min_prob < NEAR_VERTEX_PROB
-    ok = (abs_err <= tol_abs) or (rel_err <= tol_rel)
-    return DriftReport(kind=kind, analytic=analytic, finite_difference=fd,
-                       abs_error=abs_err, rel_error=rel_err, fd_step=fd_step,
-                       min_prob=min_prob, near_vertex=near_vertex, ok=ok)
+def _draw_trial(kind: str, m: int, rng: np.random.Generator) -> tuple:
+    """One trial's inputs, in the generator's order: (point, a, advantage, beta,
+    gamma, pi_ref).  point is (pi,) on the simplex kinds and (features, theta)
+    for parametrized; resp has no regularizer."""
+    advantage = float(rng.uniform(-2.0, 2.0))
+    if kind == "parametrized":
+        d = int(rng.integers(2, m + 1))
+        point = (rng.normal(size=(m, d)), 0.5 * rng.normal(size=d))
+    else:
+        point = (random_interior_simplex(m, rng),)
+    a = int(rng.integers(m))
+    if kind == "resp":
+        return point, a, advantage, 0.0, 0.0, None
+    return (point, a, advantage, float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 0.1)),
+            random_interior_simplex(m, rng))
+
+
+def _evaluate(kind: str, draws: list[tuple], fd_step: float) -> tuple[np.ndarray, ...]:
+    """(analytic, finite difference, min prob) of trials of one size, in one stacked pass."""
+    points, a, advantage, beta, gamma, refs = zip(*draws)
+    t = _Trials(*map(np.array, (a, advantage, beta, gamma)), None if kind == "resp" else _simplex_rows(np.stack(refs)))
+    if kind == "parametrized":
+        policy = ParamPolicy(*(np.stack(x) for x in zip(*points)))
+        pi = policy.probs()
+        analytic = _param_drift_rows(pi, policy.kernel(), t)[0]
+        fd = _fd_entropy_param(policy, _param_gradient_rows(pi, policy.scores(), t), fd_step)
+    else:
+        pi = _simplex_rows(np.stack([p for p, in points]))
+        total, task = _regularized_rows(pi, t)[:2]
+        analytic = task if kind == "resp" else total
+        fd = _fd_entropy_simplex(pi, _direction_rows(pi, t), fd_step)
+    return analytic, fd, pi.min(axis=1)
 
 
 def verify_drift_fd(
@@ -323,45 +404,25 @@ def verify_drift_fd(
     bonus and KL-to-reference active) or "parametrized" (shared-parameter
     softmax in theta space).  Each trial draws a random interior
     configuration; near-vertex points are avoided by construction and would
-    be flagged in the report rather than asserted.
+    be flagged in the report rather than asserted.  The inputs are drawn
+    trial by trial; the trials of one size (m, and d for parametrized) are
+    then evaluated together, and the reports come back in draw order.
     """
     if kind not in ("resp", "regularized", "parametrized"):
         raise ValueError(f"unknown verification kind {kind!r}")
-    reports: list[DriftReport] = []
-    for _ in range(trials):
-        m = int(rng.integers(min_size, max_size + 1))
-        advantage = float(rng.uniform(-2.0, 2.0))
-        if kind == "resp":
-            pi = random_interior_simplex(m, rng)
-            a = int(rng.integers(m))
-            analytic = resp_entropy_drift(pi, a, advantage)
-            fd = _fd_entropy_simplex(pi, score_direction(pi, a, advantage), fd_step)
-            min_prob = float(pi.min())
-        elif kind == "regularized":
-            pi = random_interior_simplex(m, rng)
-            a = int(rng.integers(m))
-            cfg = DriftConfig(
-                advantage=advantage,
-                beta=float(rng.uniform(0.0, 1.0)),
-                gamma=float(rng.uniform(0.0, 0.1)),
-                pi_ref=random_interior_simplex(m, rng),
-            )
-            analytic = regularized_drift(pi, a, cfg).total
-            fd = _fd_entropy_simplex(pi, objective_direction(pi, a, cfg), fd_step)
-            min_prob = float(pi.min())
-        else:
-            d = int(rng.integers(2, m + 1))
-            policy = ParamPolicy(features=rng.normal(size=(m, d)),
-                                 theta=0.5 * rng.normal(size=d))
-            a = int(rng.integers(m))
-            cfg = DriftConfig(
-                advantage=advantage,
-                beta=float(rng.uniform(0.0, 1.0)),
-                gamma=float(rng.uniform(0.0, 0.1)),
-                pi_ref=random_interior_simplex(m, rng),
-            )
-            analytic = parametrized_drift(policy, a, cfg).total
-            fd = _fd_entropy_param(policy, param_objective_gradient(policy, a, cfg), fd_step)
-            min_prob = float(policy.probs().min())
-        reports.append(_report(kind, analytic, fd, fd_step, min_prob, tol_rel, tol_abs))
-    return reports
+    if trials < 0 or not 2 <= min_size <= max_size:
+        raise ValueError(f"need trials >= 0 and 2 <= min_size <= max_size, got trials={trials}, "
+                         f"min_size={min_size}, max_size={max_size}")
+    draws = [_draw_trial(kind, int(rng.integers(min_size, max_size + 1)), rng) for _ in range(trials)]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, (point, *_) in enumerate(draws):
+        groups.setdefault(point[0].shape, []).append(i)
+    analytic, fd, min_prob = np.empty(trials), np.empty(trials), np.empty(trials)
+    for idx in groups.values():
+        analytic[idx], fd[idx], min_prob[idx] = _evaluate(kind, [draws[i] for i in idx], fd_step)
+    abs_err = np.abs(analytic - fd)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel_err = np.where(analytic != 0.0, abs_err / np.abs(analytic), np.inf)
+    ok = (abs_err <= tol_abs) | (rel_err <= tol_rel)
+    columns = (analytic, fd, abs_err, rel_err, min_prob, min_prob < NEAR_VERTEX_PROB, ok)
+    return [DriftReport(kind, *row[:4], fd_step, *row[4:]) for row in zip(*(c.tolist() for c in columns))]

@@ -72,19 +72,16 @@ def consistency_probe(
         raise ValueError("consistency statistics need at least two pairs")
     xs = np.array([p[0] for p in pairs])
     ys = np.array([p[1] for p in pairs])
-    if xs.std() == 0.0 or ys.std() == 0.0:
+    r = _correlation(xs, ys)
+    if r is None:
         raise ValueError("consistency statistics undefined: a pair coordinate is constant")
-    r = float(np.corrcoef(xs, ys)[0, 1])
 
     boot = np.empty(n_bootstrap)
     n = len(pairs)
     for b in range(n_bootstrap):
         idx = rng.integers(0, n, size=n)
-        bx, by = xs[idx], ys[idx]
-        if bx.std() == 0.0 or by.std() == 0.0:
-            boot[b] = 0.0
-        else:
-            boot[b] = np.corrcoef(bx, by)[0, 1]
+        corr = _correlation(xs[idx], ys[idx])
+        boot[b] = 0.0 if corr is None else corr
     ci_low, ci_high = (float(q) for q in np.percentile(boot, [2.5, 97.5]))
 
     nonzero = [(x, y) for x, y in pairs if x != 0.0 and y != 0.0]
@@ -100,6 +97,19 @@ def consistency_probe(
         n_sign_pairs=len(nonzero),
         pairs=pairs,
     )
+
+
+def _correlation(x: np.ndarray, y: np.ndarray) -> float | None:
+    """np.corrcoef(x, y)[0, 1] by numpy's own steps in its order, so with its
+    bits, but only the one entry; None when x or y is constant."""
+    X = np.stack((x, y))
+    if (X.std(axis=1) == 0.0).any():
+        return None
+    X -= X.mean(axis=1)[:, None]
+    c = np.dot(X, X.T.conj())
+    c *= np.true_divide(1, X.shape[1] - 1)
+    stddev = np.sqrt(np.diag(c))
+    return float(np.clip(c[0, 1] / stddev[0] / stddev[1], -1, 1))
 
 
 @dataclass

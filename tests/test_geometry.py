@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import math
 
+import geometry_reference as reference
 import numpy as np
 import pytest
 
+from entlab import geometry
 from entlab.geometry import (
     DriftConfig,
+    ParamDrift,
     ParamPolicy,
+    RegularizedDrift,
     check_simplex,
     entropy,
     entropy_natural_gradient,
@@ -213,3 +217,152 @@ def test_drift_matches_finite_differences(kind, trials):
 def test_verify_drift_fd_rejects_unknown_kind():
     with pytest.raises(ValueError):
         verify_drift_fd("entropy", 1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("trials,min_size,max_size", [(-1, 3, 10), (5, 1, 10), (5, 0, 10), (5, 6, 5)])
+@pytest.mark.parametrize("kind", ["resp", "regularized", "parametrized"])
+def test_verify_drift_fd_refuses_bad_sizes_before_any_draw(kind, trials, min_size, max_size):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="min_size"):
+        verify_drift_fd(kind, trials, rng, min_size=min_size, max_size=max_size)
+    assert rng.bit_generator.state == state
+
+
+def _bits(x):
+    """x's type, shape and bytes, field by field for a dataclass, so that 0.0 and -0.0 differ."""
+    if hasattr(x, "__dict__"):
+        return [_bits(v) for v in vars(x).values()]
+    return type(x), np.shape(x), np.asarray(x).tobytes()
+
+
+def _same(got, want):
+    return _bits(got) == _bits(want)
+
+
+#: (seed, trials, keyword arguments): one size group (min_size == max_size), the smallest size, and
+#: a step and tolerances off their defaults, besides the defaults at 1, 7 and 800 trials.
+VERIFY_CASES = [
+    (0, 800, {}),
+    (1, 7, {}),
+    (7, 1, {}),
+    (3, 0, {}),
+    (5, 120, {"min_size": 6, "max_size": 6}),
+    (9, 120, {"min_size": 2, "max_size": 2}),
+    (4, 200, {"min_size": 2}),
+    (6, 200, {"fd_step": 1e-4, "tol_rel": 1e-3, "tol_abs": 1e-6}),
+]
+
+
+@pytest.mark.parametrize("seed,trials,kwargs", VERIFY_CASES)
+@pytest.mark.parametrize("kind", ["resp", "regularized", "parametrized"])
+def test_stacked_verify_is_the_per_trial_loop(kind, seed, trials, kwargs):
+    """The size groups give every report of the per-trial reference, bit for bit and in order, and leave
+    the generator where the reference leaves it."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = verify_drift_fd(kind, trials, rng, **kwargs)
+    want = reference.verify_drift_fd(kind, trials, ref_rng, **kwargs)
+    assert [_bits(r) for r in got] == [_bits(r) for r in want]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _configs(rng, m):
+    """Regularizer settings that reach every branch: each coefficient off and on, pi_ref absent, given,
+    ignored (gamma 0) and refused (gamma on), and a zero advantage, whose score direction holds -0.0."""
+    adv = float(rng.uniform(-2.0, 2.0))
+    return [DriftConfig(advantage=adv), DriftConfig(advantage=adv, beta=0.7), DriftConfig(advantage=adv, gamma=0.05),
+            DriftConfig(advantage=adv, beta=0.3, gamma=0.08, pi_ref=random_interior_simplex(m, rng)),
+            DriftConfig(advantage=0.0), DriftConfig(advantage=0.0, beta=0.2),
+            DriftConfig(advantage=-1.0, pi_ref=np.array([2.0, -1.0])),
+            DriftConfig(advantage=1.0, gamma=0.1, pi_ref=np.array([0.5, 0.6]))]
+
+
+def test_one_trial_functions_are_the_scalar_formulas():
+    """Each function of one trial, the one-row case of a stacked pass, returns the scalar formula's value
+    with its bits and type, signed zeros included."""
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        m = int(rng.integers(2, 11))
+        pi = random_interior_simplex(m, rng)
+        a = int(rng.integers(m))
+        direction = rng.normal(size=m)
+        direction -= direction.mean()
+        cases = [(f, (pi,)) for f in ("entropy", "surprisal", "entropy_natural_gradient", "check_simplex")]
+        cases += [("kl_divergence", (pi, random_interior_simplex(m, rng))),
+                  ("score_direction", (pi, a, float(rng.uniform(-2.0, 2.0)))),
+                  ("resp_entropy_drift", (pi, a, float(rng.uniform(-2.0, 2.0)))),
+                  ("_fd_entropy_simplex", (pi, direction, 1e-6))]
+        d = int(rng.integers(2, m + 1))
+        features, theta = rng.normal(size=(m, d)), 0.5 * rng.normal(size=d)
+        policy, ref_policy = ParamPolicy(features, theta), reference.ParamPolicy(features, theta)
+        for name in ("probs", "scores", "kernel"):
+            assert _same(getattr(policy, name)(), getattr(ref_policy, name)()), name
+        assert _same(geometry.param_entropy_gradient(policy), reference.param_entropy_gradient(ref_policy))
+        step = rng.normal(size=d)
+        got = geometry._fd_entropy_param(policy, step, 1e-6)
+        assert _same(got, reference._fd_entropy_param(ref_policy, step, 1e-6))
+        for cfg in _configs(rng, m):
+            cases += [(f, (pi, a, cfg)) for f in ("regularized_drift", "objective_direction")]
+            for f in ("parametrized_drift", "param_objective_gradient"):
+                try:
+                    want = getattr(reference, f)(ref_policy, a, cfg)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        getattr(geometry, f)(policy, a, cfg)
+                    continue
+                assert _same(getattr(geometry, f)(policy, a, cfg), want), f
+        for name, args in cases:
+            try:
+                want = getattr(reference, name)(*args)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    getattr(geometry, name)(*args)
+                continue
+            assert _same(getattr(geometry, name)(*args), want), name
+
+
+def test_stacked_rows_leave_out_each_rows_inactive_terms():
+    """One stack holds rows with beta or gamma at 0 (their pi_ref given but unused) beside rows where they are
+    active, and zero advantages; every row is the scalar formula's value, bit for bit."""
+    rng = np.random.default_rng(17)
+    n, m, d = 12, 5, 3
+    pi = np.stack([random_interior_simplex(m, rng) for _ in range(n)])
+    ref = np.stack([random_interior_simplex(m, rng) for _ in range(n)])
+    a = rng.integers(m, size=n)
+    advantage = np.array([0.0, 1.5, -0.7, 0.0, 2.0, -1.0, 0.0, 0.3, 0.0, 0.0, 0.0, 0.0])
+    beta = np.array([0.0, 0.4, 0.0, 0.3, 0.0, 0.9, 0.0, 0.2, 0.0, 0.0, 0.0, 0.0])
+    gamma = np.array([0.0, 0.0, 0.05, 0.05, 0.0, 0.02, 0.07, 0.0, 0.0, 0.0, 0.0, 0.0])
+    t = geometry._Trials(a, advantage, beta, gamma, ref)
+    cfgs = [DriftConfig(float(advantage[i]), float(beta[i]), float(gamma[i]), ref[i]) for i in range(n)]
+    policy = ParamPolicy(rng.normal(size=(n, m, d)), 0.5 * rng.normal(size=(n, d)))
+    regularized = geometry._regularized_rows(pi, t)
+    direction = geometry._direction_rows(pi, t)
+    param = geometry._param_drift_rows(policy.probs(), policy.kernel(), t)
+    gradient = geometry._param_gradient_rows(policy.probs(), policy.scores(), t)
+    for i, cfg in enumerate(cfgs):
+        one = reference.ParamPolicy(policy.features[i], policy.theta[i])
+        assert _same(RegularizedDrift(*(float(x[i]) for x in regularized)), reference.regularized_drift(pi[i], a[i], cfg))
+        assert _same(direction[i], reference.objective_direction(pi[i], a[i], cfg))
+        assert _same(ParamDrift(*(float(x[i]) for x in param)), reference.parametrized_drift(one, a[i], cfg))
+        assert _same(gradient[i], reference.param_objective_gradient(one, a[i], cfg))
+
+
+@pytest.mark.parametrize("pi", [[0.5, 0.6], [1.2, -0.2], [1.0], [[0.5, 0.5]], [0.5, 0.5 + 2e-9], [0.3, 0.0, 0.7]])
+def test_check_simplex_refuses_what_the_scalar_check_refused(pi):
+    with pytest.raises(ValueError) as got:
+        check_simplex(pi)
+    with pytest.raises(ValueError) as want:
+        reference.check_simplex(pi)
+    assert str(got.value) == str(want.value)
+
+
+def test_param_policy_stack_is_one_row_per_policy():
+    rng = np.random.default_rng(8)
+    features, theta = rng.normal(size=(5, 4, 3)), rng.normal(size=(5, 3))
+    stack = ParamPolicy(features, theta)
+    for name in ("probs", "scores", "kernel"):
+        rows = getattr(stack, name)()
+        for i in range(5):
+            assert rows[i].tobytes() == getattr(ParamPolicy(features[i], theta[i]), name)().tobytes()
+    with pytest.raises(ValueError):
+        ParamPolicy(features, theta[:4])

@@ -7,9 +7,11 @@ import pytest
 
 from entlab.envs import make_env, reachable
 from entlab.geometry import entropy
-from entlab.policy import PolicySnapshot, TablePolicy, Vocabulary, random_policy
+from entlab.modulation import group_minmax_normalize, modulation_coeffs, response_entropy_proxy
+from entlab.policy import PolicySnapshot, TablePolicy, Vocabulary, random_policy, sample_response
 from entlab.probes import (
     DOOB_ROUNDOFF,
+    _correlation,
     consistency_probe,
     doob_exact_residuals,
     doob_probe,
@@ -80,6 +82,65 @@ def test_consistency_probe_rejects_constant_coordinates():
     policy = TablePolicy(vocab=Vocabulary(size=4, terminator_id=3), max_len=1)
     with pytest.raises(ValueError):
         consistency_probe(policy, ["s"], 16, np.random.default_rng(0))
+
+
+def _corrcoef_statistics(policy, states, k_samples, rng, n_bootstrap, lam=1.0, eps=1e-8):
+    """consistency_probe's pairs, pearson_r and bootstrap interval with np.corrcoef and two .std() checks
+    per resample: the reference of its one-entry correlation."""
+    snapshot = PolicySnapshot.of(policy)
+    pairs = []
+    for state in states:
+        responses = [sample_response(snapshot, state, rng) for _ in range(k_samples)]
+        surprisals = [r.surprisal for r in responses]
+        h_mc = sum(surprisals) / len(surprisals)
+        h_tilde, degenerate = group_minmax_normalize([response_entropy_proxy(r) for r in responses], eps)
+        alphas = [1.0] * k_samples if degenerate else modulation_coeffs(h_tilde, lam, eps)
+        pairs.extend((alpha - 1.0, -(s - h_mc)) for alpha, s in zip(alphas, surprisals))
+    xs, ys = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+    if xs.std() == 0.0 or ys.std() == 0.0:
+        raise ValueError("constant coordinate")
+    r = float(np.corrcoef(xs, ys)[0, 1])
+    boot = np.empty(n_bootstrap)
+    for b in range(n_bootstrap):
+        idx = rng.integers(0, len(pairs), size=len(pairs))
+        bx, by = xs[idx], ys[idx]
+        boot[b] = 0.0 if bx.std() == 0.0 or by.std() == 0.0 else np.corrcoef(bx, by)[0, 1]
+    ci_low, ci_high = (float(q) for q in np.percentile(boot, [2.5, 97.5]))
+    return pairs, r, ci_low, ci_high
+
+
+@pytest.mark.parametrize("k_samples,n_bootstrap", [(2, 200), (3, 200), (64, 300)])
+def test_consistency_bootstrap_is_corrcoef_bit_for_bit(k_samples, n_bootstrap):
+    """Two or three pairs make constant resamples common, so the zero branch is taken; every statistic keeps
+    np.corrcoef's bits, and the generator ends where the reference leaves it."""
+    policy = _split_entropy_policy()
+    compared = 0
+    for seed in range(30):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            pairs, r, ci_low, ci_high = _corrcoef_statistics(policy, ["s"], k_samples, ref_rng, n_bootstrap)
+        except ValueError:
+            with pytest.raises(ValueError):
+                consistency_probe(policy, ["s"], k_samples, rng, n_bootstrap=n_bootstrap)
+            continue
+        report = consistency_probe(policy, ["s"], k_samples, rng, n_bootstrap=n_bootstrap)
+        assert report.pairs == pairs
+        assert [np.float64(v).tobytes() for v in (report.pearson_r, report.ci_low, report.ci_high)] == [
+            np.float64(v).tobytes() for v in (r, ci_low, ci_high)]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        compared += 1
+    assert compared >= 5
+
+
+def test_one_entry_correlation_is_corrcoef():
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 7, 64, 3072):
+        for _ in range(20):
+            x, y = rng.normal(size=n), rng.normal(size=n)
+            y[: n // 2] = x[: n // 2]
+            assert np.float64(_correlation(x, y)).tobytes() == np.corrcoef(x, y)[0, 1].tobytes()
+    assert _correlation(np.array([1.0, 1.0, 1.0]), np.array([0.0, 1.0, 2.0])) is None
+    assert _correlation(np.array([0.0, 1.0, 2.0]), np.full(3, -0.5)) is None
 
 
 def test_doob_exact_residuals_vanish():
