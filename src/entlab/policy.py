@@ -309,6 +309,7 @@ class _Shape(NamedTuple):
     edges: np.ndarray  # row_row * |V| + row_tok, an index of the flat table,
     starts: np.ndarray  # and the first entry of each leaf
     leaf_at: dict[tuple[int, ...], int]  # each complete response's index in leaves
+    path_rows: np.ndarray  # (leaves, max_len): each leaf's rows root to leaf, padded with the zero row len(prefixes)
 
 
 @lru_cache(maxsize=16)
@@ -330,8 +331,11 @@ def _tree_shape(vocab: Vocabulary, max_len: int) -> _Shape:
     child = tuple(tuple(rows.get(u + (tok,), len(prefixes)) for tok in range(vocab.size)) for u in prefixes)
     cols = [np.array(col) for col in zip(*[(j, rows[path[:k]], tok)
                                            for j, path in enumerate(leaves) for k, tok in enumerate(path)])]
-    return _Shape(tuple(leaves), prefixes, rows, child, *cols, cols[1] * vocab.size + cols[2],
-                  np.flatnonzero(np.diff(cols[0], prepend=-1)), {path: j for j, path in enumerate(leaves)})
+    starts = np.flatnonzero(np.diff(cols[0], prepend=-1))
+    path_rows = np.full((len(leaves), max_len), len(prefixes))
+    path_rows[cols[0], np.arange(len(cols[0])) - starts[cols[0]]] = cols[1]
+    return _Shape(tuple(leaves), prefixes, rows, child, *cols, cols[1] * vocab.size + cols[2], starts,
+                  {path: j for j, path in enumerate(leaves)}, path_rows)
 
 
 def response_space(vocab: Vocabulary, max_len: int) -> tuple[tuple[int, ...], ...]:
@@ -373,6 +377,27 @@ def pathwise_entropy(policy: TablePolicy | PolicySnapshot, state: str) -> float:
         if prob != 0.0:
             total += prob * path_sum
     return total
+
+
+def entropy_routes(snapshot: PolicySnapshot, states: list[str]) -> tuple[list[float], list[float]]:
+    """(exact_response_entropy, pathwise_entropy) at each state, bit for bit, in one stacked pass over
+    tables(states): _leaf_probs, math.log per leaf, and each left-to-right sum of the one-state reads as
+    _sum_rows.  A leaf of probability 0.0 adds 0.0 and a pad of path_rows the zero row's 0.0, which leave
+    the sums as the reads' skips leave them: no sum here is ever -0.0."""
+    shape, n = snapshot._shape, len(states)
+    tables = np.stack(snapshot.tables(states))
+    probs = _leaf_probs(tables.reshape(n, -1), shape)
+    logs = np.array(_leaf_logs(probs.ravel().tolist())).reshape(probs.shape)
+    exact = _sum_rows(-(probs * np.where(probs > 0.0, logs, 0.0)))  # h + -(p log p) is h - p log p
+    h = np.zeros((n, len(shape.prefixes) + 1))
+    h[:, :-1] = _log_and_entropy(tables.reshape(-1, tables.shape[-1]))[1].reshape(n, -1)
+    return exact.tolist(), _sum_rows(probs * _sum_rows(h[:, shape.path_rows])).tolist()
+
+
+def _sum_rows(terms: np.ndarray) -> np.ndarray:
+    """Each row of terms (along the last axis) added left to right from 0.0, as a Python loop adds them."""
+    zero = np.zeros(terms.shape[:-1] + (1,))
+    return np.add.accumulate(np.concatenate((zero, terms), axis=-1), axis=-1)[..., -1]
 
 
 def _log_and_entropy(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

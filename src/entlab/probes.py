@@ -12,7 +12,7 @@ import numpy as np
 
 from .envs import Env, reachable
 from .modulation import group_minmax_normalize, modulation_coeffs, response_entropy_proxy
-from .policy import PolicySnapshot, TablePolicy, _log_and_entropy, path_entropy_sums, sample_response
+from .policy import BATCH_ENTRIES, PolicySnapshot, TablePolicy, _log_and_entropy, path_entropy_sums, sample_response
 from .trainer import StepMetrics
 
 #: A doob_probe residual mean this small is float roundoff and passes, whatever its stderr.
@@ -54,9 +54,13 @@ def consistency_probe(
     come from the standard pipeline over their entropy proxies, the entropy
     change proxy from their surprisals around the MC mean.  One pair per
     sampled response; sign agreement counts only pairs where both sides are
-    nonzero.
+    nonzero.  The bootstrap draws its n_bootstrap resamples in chunks of at most BATCH_ENTRIES coordinates
+    (at least one resample), one rng.integers call per chunk: the draws of one call per resample.
     """
+    if n_bootstrap < 1:
+        raise ValueError(f"n_bootstrap must be at least 1, got {n_bootstrap}")
     snapshot = PolicySnapshot.of(policy)
+    snapshot.samplers(states)  # every state's sampler in one batched pass
     pairs: list[tuple[float, float]] = []
     for state in states:
         responses = [sample_response(snapshot, state, rng) for _ in range(k_samples)]
@@ -76,12 +80,15 @@ def consistency_probe(
     if r is None:
         raise ValueError("consistency statistics undefined: a pair coordinate is constant")
 
-    boot = np.empty(n_bootstrap)
-    n = len(pairs)
-    for b in range(n_bootstrap):
-        idx = rng.integers(0, n, size=n)
-        corr = _correlation(xs[idx], ys[idx])
-        boot[b] = 0.0 if corr is None else corr
+    n, per = len(pairs), max(1, BATCH_ENTRIES // (2 * len(pairs)))
+    block, chunks = np.empty((per, 2, n)), []  # one buffer: a fresh 0.5 MB block per chunk cost more than it saved
+    for lo in range(0, n_bootstrap, per):
+        idx = rng.integers(0, n, size=(min(per, n_bootstrap - lo), n))
+        np.take(xs, idx, out=block[:len(idx), 0], mode="clip")  # idx is in range; "raise" would copy through a buffer
+        np.take(ys, idx, out=block[:len(idx), 1], mode="clip")
+        chunks.append(_correlations(block[:len(idx)]))
+    boot = np.concatenate(chunks)
+    boot[np.isnan(boot)] = 0.0  # a constant resample counts as no correlation
     ci_low, ci_high = (float(q) for q in np.percentile(boot, [2.5, 97.5]))
 
     nonzero = [(x, y) for x, y in pairs if x != 0.0 and y != 0.0]
@@ -99,17 +106,24 @@ def consistency_probe(
     )
 
 
+def _correlations(block: np.ndarray) -> np.ndarray:
+    """np.corrcoef(x, y)[0, 1] of each (x, y) pair of a (k, 2, n) block, by numpy's own steps in its order, so with
+    its bits: the centring, np.corrcoef's one np.dot(X, X.T.conj()) per pair, std's zero check (from the squares of
+    the centred rows, as np.std takes it), then the scaling, the divisions and the clip over the block.  NaN for a
+    pair with a constant row.  The block is overwritten."""
+    block -= block.mean(axis=2, keepdims=True)
+    c = np.array([np.dot(X, X.T.conj()) for X in block])
+    constant = (np.square(block, out=block).sum(axis=2) / block.shape[2] == 0.0).any(axis=1)
+    c = c[~constant] * np.true_divide(1, block.shape[2] - 1)
+    r = np.full(len(block), math.nan)
+    r[~constant] = np.clip(c[:, 0, 1] / np.sqrt(c[:, 0, 0]) / np.sqrt(c[:, 1, 1]), -1, 1)
+    return r
+
+
 def _correlation(x: np.ndarray, y: np.ndarray) -> float | None:
-    """np.corrcoef(x, y)[0, 1] by numpy's own steps in its order, so with its
-    bits, but only the one entry; None when x or y is constant."""
-    X = np.stack((x, y))
-    if (X.std(axis=1) == 0.0).any():
-        return None
-    X -= X.mean(axis=1)[:, None]
-    c = np.dot(X, X.T.conj())
-    c *= np.true_divide(1, X.shape[1] - 1)
-    stddev = np.sqrt(np.diag(c))
-    return float(np.clip(c[0, 1] / stddev[0] / stddev[1], -1, 1))
+    """np.corrcoef(x, y)[0, 1] bit for bit, the one-pair case of _correlations; None when x or y is constant."""
+    r = float(_correlations(np.stack((x, y))[None])[0])
+    return None if math.isnan(r) else r
 
 
 @dataclass
@@ -136,8 +150,10 @@ def doob_probe(policy: TablePolicy | PolicySnapshot, state: str, n_samples: int,
     sampling a leaf of the enumerated response tree, so the residual of each
     complete path is precomputed once and paths are drawn categorically;
     this keeps large n_samples cheap without changing the estimand.  ok means
-    |mean| <= max(4 * stderr, DOOB_ROUNDOFF).
+    |mean| <= max(4 * stderr, DOOB_ROUNDOFF); a stderr needs n_samples >= 2.
     """
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     snapshot = PolicySnapshot.of(policy)
     paths, probs = snapshot._shape.leaves, snapshot.leaf_probs(state)
     residuals = np.array([(-math.log(prob) if prob > 0.0 else math.inf) - entropy_sum
@@ -147,7 +163,7 @@ def doob_probe(policy: TablePolicy | PolicySnapshot, state: str, n_samples: int,
     idx = rng.choice(len(paths), size=n_samples, p=np.divide(probs, np.sum(probs)))
     sample = residuals[idx]
     mean = float(sample.mean())
-    stderr = float(sample.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
+    stderr = float(sample.std(ddof=1) / math.sqrt(n_samples))
 
     per_length: dict[int, dict[str, float]] = {}
     for length in sorted(set(lengths[idx])):

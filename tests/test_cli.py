@@ -13,17 +13,19 @@ import tempfile
 import time
 import traceback
 
+import numpy as np
 import pytest
 
 import entlab.policy
 
-from entlab.cli import main
+from entlab.cli import _nesting_reports, main
 from entlab.config import apply_overrides, config_from_doc, config_to_doc, load_config, save_config
 from entlab.envs import make_env
 from entlab.policy import TablePolicy, save_checkpoint
 from entlab.probes import reachable_states
 from entlab.trainer import StepMetrics, TrainConfig
 from derivations import record_softmax_passes
+from nesting_reference import nesting_reports
 
 FAST_SET = [
     "--set", "steps=3",
@@ -122,6 +124,20 @@ def test_verify_all_kinds(tmp_path):
     assert summary["n_fail"] == 0
     assert summary["n_reports"] == 20
     assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("trials", [0, 1, 2, 9, 800])
+def test_nesting_pass_is_the_per_trial_loop(trials):
+    """The trials grouped by size and evaluated in stacked passes give the per-trial loop's reports, in its
+    order, field by field by type and bytes, and leave the generator where it leaves it."""
+    def as_bytes(row):
+        return [(key, type(value), np.float64(value).tobytes() if type(value) is float else value)
+                for key, value in row.items()]
+    for seed in range(10):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = _nesting_reports(trials, rng, 1e-10), nesting_reports(trials, ref_rng, 1e-10)
+        assert [as_bytes(row) for row in got] == [as_bytes(row) for row in want]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_verify_unattainable_tolerance_exits_2(tmp_path):

@@ -18,6 +18,7 @@ from entlab.policy import (
     Response,
     TablePolicy,
     Vocabulary,
+    entropy_routes,
     enumerate_responses,
     exact_response_entropy,
     load_checkpoint,
@@ -167,6 +168,8 @@ def test_child_rows_index_the_response_tree(name):
             rows.append(row)
             row = shape.child[row][tok]
         assert row == leaf and rows == [shape.rows[tokens[:k]] for k in range(len(tokens))]
+        padded = shape.path_rows[shape.leaf_at[tokens]].tolist()
+        assert padded == rows + [leaf] * (max_len - len(tokens))  # padded with the zero row
     assert len(shape.leaves) == len(leaves) and sorted(leaves) == list(shape.leaves)
 
 
@@ -575,6 +578,30 @@ def test_a_token_of_probability_zero_adds_no_entropy():
         assert response.entropies[0] == h and all(map(math.isfinite, response.entropies))
     assert exact_response_entropy(policy, "s") == 1.2424533248940002
     assert pathwise_entropy(policy, "s") == pytest.approx(exact_response_entropy(policy, "s"), abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("size,max_len", [(size, max_len) for size in (2, 3, 4) for max_len in (2, 3, 4)])
+def test_stacked_entropy_routes_are_the_one_state_reads(size, max_len):
+    """entropy_routes gives exact_response_entropy and pathwise_entropy at each state by bytes, at every size the
+    nesting check draws.  The states are random, unwritten (uniform), or hold underflowed logits: a -800 makes
+    leaves of probability 0.0 (at |V| = 2 a root row of (0.0, 1.0), whose entropy is -0.0), a 750 a row of one 1.0."""
+    policy = TablePolicy(Vocabulary(size=size, terminator_id=size - 1), max_len)
+    rng = np.random.default_rng(10 * size + max_len)
+    states = ["r0", "r1", "r2", "r3", "unwritten", "r4"]
+    for state in ("r0", "r1", "r2", "r3", "r4"):
+        block, written = policy._block(state)
+        block[:], written[:] = 1.5 * rng.normal(size=block.shape), True
+    policy.logit_vector("r0", ())[0] = -800.0
+    policy.logit_vector("r1", (0,))[1] = 750.0
+    policy.logit_vector("r1", ())[size - 1] = -800.0
+    snapshot = PolicySnapshot(policy)
+    assert 0.0 in snapshot.leaf_probs("r0") and 0.0 in snapshot.leaf_probs("r1")
+    exact, pathwise = entropy_routes(snapshot, states)
+    as_bytes = lambda values: [np.float64(v).tobytes() for v in values]  # noqa: E731
+    assert as_bytes(exact) == as_bytes(exact_response_entropy(PolicySnapshot(policy), s) for s in states)
+    assert as_bytes(pathwise) == as_bytes(pathwise_entropy(PolicySnapshot(policy), s) for s in states)
+    assert entropy_routes(snapshot, states[:1]) == ([exact[0]], [pathwise[0]])
 
 
 def test_uniform_single_token_entropy_value():

@@ -109,13 +109,18 @@ def _corrcoef_statistics(policy, states, k_samples, rng, n_bootstrap, lam=1.0, e
     return pairs, r, ci_low, ci_high
 
 
-@pytest.mark.parametrize("k_samples,n_bootstrap", [(2, 200), (3, 200), (64, 300)])
+@pytest.mark.parametrize("k_samples,n_bootstrap", [(2, 200), (3, 200), (64, 300), (3071, 25), (3072, 1000),
+                                                   (32768, 3)])
 def test_consistency_bootstrap_is_corrcoef_bit_for_bit(k_samples, n_bootstrap):
     """Two or three pairs make constant resamples common, so the zero branch is taken; every statistic keeps
-    np.corrcoef's bits, and the generator ends where the reference leaves it."""
+    np.corrcoef's bits, and the generator ends where the reference leaves it.  The bootstrap draws chunks of
+    BATCH_ENTRIES // (2 n) resamples: the first three cases fit in one chunk, 3,071 pairs (odd) take chunks of
+    10, 10 and 5, the referee's 3,072 pairs 100 chunks of 10, and 32,768 pairs chunks of one resample.  One
+    rng.integers call per chunk draws what one call per resample draws only because PCG64 keeps the unused
+    32-bit half of a draw across calls; a generator that drops it fails here."""
     policy = _split_entropy_policy()
     compared = 0
-    for seed in range(30):
+    for seed in range(30 if k_samples < 1000 else 2):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         try:
             pairs, r, ci_low, ci_high = _corrcoef_statistics(policy, ["s"], k_samples, ref_rng, n_bootstrap)
@@ -129,7 +134,17 @@ def test_consistency_bootstrap_is_corrcoef_bit_for_bit(k_samples, n_bootstrap):
             np.float64(v).tobytes() for v in (r, ci_low, ci_high)]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         compared += 1
-    assert compared >= 5
+    assert compared >= (5 if k_samples < 1000 else 2)
+
+
+@pytest.mark.parametrize("n_bootstrap", [0, -1])
+def test_consistency_probe_refuses_no_bootstrap(n_bootstrap):
+    """No resample has no interval: refused before any draw (numpy's percentile or shape errors, before)."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="n_bootstrap must be at least 1"):
+        consistency_probe(_split_entropy_policy(), ["s"], 16, rng, n_bootstrap=n_bootstrap)
+    assert rng.bit_generator.state == state
 
 
 def test_one_entry_correlation_is_corrcoef():
@@ -141,6 +156,9 @@ def test_one_entry_correlation_is_corrcoef():
             assert np.float64(_correlation(x, y)).tobytes() == np.corrcoef(x, y)[0, 1].tobytes()
     assert _correlation(np.array([1.0, 1.0, 1.0]), np.array([0.0, 1.0, 2.0])) is None
     assert _correlation(np.array([0.0, 1.0, 2.0]), np.full(3, -0.5)) is None
+    # A spread whose squares underflow is np.std's 0.0: constant, though no entry equals the mean.
+    tiny = np.array([0.0, 1e-170, 0.0])
+    assert tiny.std() == 0.0 and _correlation(tiny, np.array([0.0, 1.0, 2.0])) is None
 
 
 def test_doob_exact_residuals_vanish():
@@ -184,6 +202,17 @@ def test_doob_probe_empirical_mean_is_small():
     assert report.n_samples == 20000
     assert sum(entry["count"] for entry in report.per_length.values()) == 20000
     assert all(1 <= length <= 3 for length in report.per_length)
+
+
+@pytest.mark.parametrize("n_samples", [1, 0, -1])
+def test_doob_probe_refuses_fewer_than_two_samples(n_samples):
+    """A stderr needs two samples, as the CLI's --samples does: refused before any draw (NaN or a stderr of 0.0,
+    before)."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="n_samples must be at least 2"):
+        doob_probe(random_policy(3, 2, np.random.default_rng(1)), "s", n_samples, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_doob_probe_uniform_policy_is_roundoff_zero():
