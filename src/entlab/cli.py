@@ -24,7 +24,8 @@ import numpy as np
 from . import __version__, geometry, probes
 from .config import apply_overrides, config_from_doc, config_to_doc, load_config, save_config
 from .envs import make_env
-from .policy import EnumerationBudgetError, PolicySnapshot, TablePolicy, Vocabulary, entropy_routes, load_checkpoint
+from .policy import (EnumerationBudgetError, PolicySnapshot, TablePolicy, draw_logits, entropy_routes, load_checkpoint,
+                     random_policy)
 from .trainer import TrainConfig, load_metrics, train
 
 
@@ -113,16 +114,17 @@ def _nesting_reports(trials: int, rng: np.random.Generator, tol_abs: float) -> l
     a state of its group's policy, and each group's routes are one entropy_routes pass; the reports keep
     draw order."""
     groups: dict[tuple[int, int], TablePolicy] = {}
+    states: dict[tuple[int, int], list[str]] = {}
     for trial in range(trials):
-        vocab_size, max_len = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        if (vocab_size, max_len) not in groups:
-            groups[vocab_size, max_len] = TablePolicy(Vocabulary(vocab_size, vocab_size - 1), max_len)
-        block, written = groups[vocab_size, max_len]._block(str(trial))
-        block[:], written[:] = 1.5 * rng.normal(size=block.shape), True  # random_policy's draws and scale
+        size = int(rng.integers(2, 5)), int(rng.integers(2, 5))  # |V|, max_len
+        if size in groups:
+            draw_logits(groups[size], str(trial), rng)
+        else:
+            groups[size] = random_policy(*size, rng, state=str(trial))
+        states.setdefault(size, []).append(str(trial))
     routes = {}
-    for policy in groups.values():
-        states = list(policy._blocks)
-        routes.update(zip(states, zip(*entropy_routes(PolicySnapshot(policy), states))))
+    for size, policy in groups.items():
+        routes.update(zip(states[size], zip(*entropy_routes(PolicySnapshot(policy), states[size]))))
     reports = []
     for trial in range(trials):
         route_a, route_b = routes[str(trial)]

@@ -243,14 +243,9 @@ class PolicySnapshot:
         return _leaf_probs(self.table(state).ravel(), self._shape).tolist()
 
     @_per_state
-    def leaf_logs(self, state: str) -> tuple[list[float], float]:
-        """(logs, H) at ``state``: _leaf_logs of leaf_probs(state), and the response entropy H,
-        -prob * log subtracted left to right from 0.0 over the leaves with prob > 0."""
-        probs = self.leaf_probs(state)
-        logs, h = _leaf_logs(probs), 0.0
-        for prob, log in zip(probs, logs):
-            h -= prob * log if prob > 0.0 else 0.0  # h - 0.0 is h
-        return logs, h
+    def leaf_logs(self, state: str) -> list[float]:
+        """Each complete response's log probability at ``state``, leaves in order: _leaf_logs of leaf_probs(state)."""
+        return _leaf_logs(self.leaf_probs(state))
 
 
 def _leaf_probs(tables: np.ndarray, shape: _Shape) -> np.ndarray:
@@ -358,10 +353,14 @@ def enumerate_responses(policy: TablePolicy | PolicySnapshot, state: str) -> lis
 def exact_response_entropy(policy: TablePolicy | PolicySnapshot, state: str) -> float:
     """Exact Shannon entropy of the full response distribution at ``state``.
 
-    Computed as sum_a pi(a) * (-log pi(a)) over the enumerated response space (PolicySnapshot.leaf_logs).
-    Raises EnumerationBudgetError when the response count exceeds the path budget.
+    Computed as sum_a pi(a) * (-log pi(a)) over the enumerated response space: -prob * log subtracted left
+    to right from 0.0 over the leaves with prob > 0.  Raises EnumerationBudgetError when the response count
+    exceeds the path budget.
     """
-    return PolicySnapshot.of(policy).leaf_logs(state)[1]
+    snapshot, h = PolicySnapshot.of(policy), 0.0
+    for prob, log in zip(snapshot.leaf_probs(state), snapshot.leaf_logs(state)):
+        h -= prob * log if prob > 0.0 else 0.0  # h - 0.0 is h
+    return h
 
 
 def pathwise_entropy(policy: TablePolicy | PolicySnapshot, state: str) -> float:
@@ -383,7 +382,9 @@ def entropy_routes(snapshot: PolicySnapshot, states: list[str]) -> tuple[list[fl
     """(exact_response_entropy, pathwise_entropy) at each state, bit for bit, in one stacked pass over
     tables(states): _leaf_probs, math.log per leaf, and each left-to-right sum of the one-state reads as
     _sum_rows.  A leaf of probability 0.0 adds 0.0 and a pad of path_rows the zero row's 0.0, which leave
-    the sums as the reads' skips leave them: no sum here is ever -0.0."""
+    the sums as the reads' skips leave them: no sum here is ever -0.0.  The one-state reads keep their
+    per-leaf loops: as this pass at one state, they made keychain-paired's checks_per_s 0.37x
+    (BENCH_referee_batches2.json one_state_routes)."""
     shape, n = snapshot._shape, len(states)
     tables = np.stack(snapshot.tables(states))
     probs = _leaf_probs(tables.reshape(n, -1), shape)
@@ -440,10 +441,15 @@ def random_policy(vocab_size: int, max_len: int, rng: np.random.Generator,
                   scale: float = 1.5, state: str = "s") -> TablePolicy:
     """Policy with normal(0, scale) logits on every reachable prefix of one state."""
     policy = TablePolicy(vocab=Vocabulary(size=vocab_size, terminator_id=vocab_size - 1), max_len=max_len)
-    # One row of draws per prefix in the block's walk order, so a seed always gives the same policy.
+    draw_logits(policy, state, rng, scale)
+    return policy
+
+
+def draw_logits(policy: TablePolicy, state: str, rng: np.random.Generator, scale: float = 1.5) -> None:
+    """Write normal(0, scale) logits on every row of ``state``'s block: one rng.normal call, a row of draws per
+    prefix in the block's walk order, so a seed always gives the same logits."""
     block, written = policy._block(state)
     block[:], written[:] = scale * rng.normal(size=block.shape), True
-    return policy
 
 
 CHECKPOINT_VERSION = 1

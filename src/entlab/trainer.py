@@ -241,7 +241,7 @@ def _regularizer(snapshot: PolicySnapshot, ref_policy: TablePolicy | PolicySnaps
     ref = PolicySnapshot.of(ref_policy) if config.kl_coef != 0.0 else None  # log ratios are 0 without one
     if ref:
         ref.tables(states)  # the states the run-long snapshot has not derived yet, in one pass
-    log_ratios = logs - (np.where(live, [ref.leaf_logs(state)[0] for state in states], 0.0) if ref else logs)
+    log_ratios = logs - (np.where(live, [ref.leaf_logs(state) for state in states], 0.0) if ref else logs)
     # A leaf of prob 0.0 adds a 0.0 term, and a sum from 0.0 is never -0.0, so h - 0.0 is h and kl + 0.0 is kl.
     h = np.subtract.accumulate(np.hstack((zero, probs * logs)), axis=1)[:, -1]
     kl = np.add.accumulate(np.hstack((zero, probs * log_ratios)), axis=1)[:, -1]

@@ -18,6 +18,7 @@ from entlab.policy import (
     Response,
     TablePolicy,
     Vocabulary,
+    draw_logits,
     entropy_routes,
     enumerate_responses,
     exact_response_entropy,
@@ -590,8 +591,7 @@ def test_stacked_entropy_routes_are_the_one_state_reads(size, max_len):
     rng = np.random.default_rng(10 * size + max_len)
     states = ["r0", "r1", "r2", "r3", "unwritten", "r4"]
     for state in ("r0", "r1", "r2", "r3", "r4"):
-        block, written = policy._block(state)
-        block[:], written[:] = 1.5 * rng.normal(size=block.shape), True
+        draw_logits(policy, state, rng)
     policy.logit_vector("r0", ())[0] = -800.0
     policy.logit_vector("r1", (0,))[1] = 750.0
     policy.logit_vector("r1", ())[size - 1] = -800.0

@@ -7,7 +7,7 @@ import pytest
 
 from entlab.envs import REWARD_SCHEMES, make_env, reachable
 from entlab.modulation import response_entropy_proxy
-from entlab.policy import PolicySnapshot, TablePolicy
+from entlab.policy import PolicySnapshot, TablePolicy, draw_logits
 from entlab.rollout import (
     collect_group,
     collect_groups,
@@ -29,8 +29,7 @@ def _random_policy(env, rng) -> TablePolicy:
     """Normal logits on every row of every reachable state's block, so that rollouts differ in length."""
     policy = _uniform_policy(env)
     for state in reachable(env, [env.reset(t) for t in range(env.task_count)]):
-        block, written = policy._block(state.policy_key)
-        block[:], written[:] = 1.5 * rng.normal(size=block.shape), True
+        draw_logits(policy, state.policy_key, rng)
     return policy
 
 

@@ -22,6 +22,7 @@ from entlab.policy import (
     Response,
     TablePolicy,
     Vocabulary,
+    draw_logits,
     enumerate_responses,
     exact_response_entropy,
     load_checkpoint,
@@ -284,10 +285,9 @@ def _regularizer_state_per_path(policy, ref_policy, state, config, grad, weight)
 
 
 def _random_blocks(policy, states, rng, scale=1.5):
-    """Write normal(0, scale) logits on every row of each state, a row of draws per prefix in walk order."""
+    """Write normal(0, scale) logits on every row of each state, states in turn (draw_logits)."""
     for state in states:
-        block, written = policy._block(state)
-        block[:], written[:] = scale * rng.normal(size=block.shape), True
+        draw_logits(policy, state, rng, scale)
     return policy
 
 
