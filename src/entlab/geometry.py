@@ -88,18 +88,9 @@ def natural_gradient(pi: np.ndarray, euclidean_grad: np.ndarray) -> np.ndarray:
     return pi * (g - float(np.dot(pi, g)))
 
 
-def entropy_natural_gradient(pi: np.ndarray) -> np.ndarray:
-    """Natural gradient of the Shannon entropy: pi * (S - H)."""
-    return _entropy_gradient(check_simplex(pi)[None])[0]
-
-
 def _entropy_gradient(pi: np.ndarray) -> np.ndarray:
+    """Natural gradient of the Shannon entropy, pi * (S - H), of each row of an (n, m) stack."""
     return pi * (surprisal(pi) - entropy(pi)[:, None])
-
-
-def score_direction(pi: np.ndarray, a: int, advantage: float) -> np.ndarray:
-    """Natural gradient of the advantage-weighted log-likelihood: A * (e_a - pi)."""
-    return objective_direction(pi, a, DriftConfig(advantage=advantage))
 
 
 def resp_entropy_drift(pi: np.ndarray, a: int, advantage: float) -> float:
@@ -184,19 +175,10 @@ def _regularized_rows(pi: np.ndarray, t: _Trials) -> tuple[np.ndarray, ...]:
     return task + pressure - ref_term, task, pressure, ref_term
 
 
-def objective_direction(pi: np.ndarray, a: int, cfg: DriftConfig) -> np.ndarray:
-    """Natural-gradient direction of the full regularized objective at pi.
-
-    Advantage-weighted score plus beta times the entropy gradient
-    minus gamma times the KL-to-reference gradient.  Tangent by construction.
-    """
-    pi = check_simplex(pi)
-    return _direction_rows(pi[None], _Trials.one(a, cfg, pi.size))[0]
-
-
 def _direction_rows(pi: np.ndarray, t: _Trials) -> np.ndarray:
-    """objective_direction for each row of an (n, m) stack.  A term whose
-    coefficient is 0 is left out of that row, not added as 0 * term."""
+    """Natural-gradient direction of the regularized objective at each row of an (n, m) stack: A * (e_a - pi) plus
+    beta times the entropy gradient minus gamma times the KL-to-reference gradient, tangent by construction.  A term
+    whose coefficient is 0 is left out of that row, not added as 0 * term."""
     e = np.zeros_like(pi)
     e[np.arange(len(pi)), t.a] = 1.0
     direction = t.advantage[:, None] * (e - pi)
@@ -254,15 +236,9 @@ def _param_entropy_gradient(pi: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.matmul(_entropy_gradient(pi)[:, None, :], g)[:, 0]
 
 
-def param_objective_gradient(policy: ParamPolicy, a: int, cfg: DriftConfig) -> np.ndarray:
-    """d / d theta of the regularized objective for response a."""
-    pi = policy.probs()
-    return _param_gradient_rows(pi[None], policy.scores()[None], _Trials.one(a, cfg, pi.size))[0]
-
-
 def _param_gradient_rows(pi: np.ndarray, g: np.ndarray, t: _Trials) -> np.ndarray:
-    """param_objective_gradient for each policy of a stack, from its
-    probabilities (n, m) and score matrices (n, m, d)."""
+    """d / d theta of the regularized objective for response a, for each policy
+    of a stack, from its probabilities (n, m) and score matrices (n, m, d)."""
     grad = t.advantage[:, None] * g[np.arange(len(pi)), t.a]
     beta, gamma = t.beta[:, None], t.gamma[:, None]
     grad = np.where(beta != 0.0, grad + beta * _param_entropy_gradient(pi, g), grad)

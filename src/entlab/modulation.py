@@ -153,6 +153,9 @@ def modulate_batch(
 
 
 def apply_modulation(table: AdvantageTable, mod: ModulationSet) -> AdvantageTable:
-    """Multiply every span advantage by its coefficient, span-uniformly."""
+    """Multiply every span advantage by its coefficient, span-uniformly.  A degenerate set returns table itself:
+    its every alpha is exactly 1.0, and 1.0 * x is x."""
+    if mod.degenerate:
+        return table
     alpha = mod.alpha
     return AdvantageTable({key: alpha[key] * val for key, val in table.values.items()})

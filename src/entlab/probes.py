@@ -57,6 +57,8 @@ def consistency_probe(
     nonzero.  The bootstrap draws its n_bootstrap resamples in chunks of at most BATCH_ENTRIES coordinates
     (at least one resample), one rng.integers call per chunk: the draws of one call per resample.
     """
+    if k_samples < 2:  # one sample per state has alpha 1.0: its coefficients are constant
+        raise ValueError(f"k_samples must be at least 2, got {k_samples}")
     if n_bootstrap < 1:
         raise ValueError(f"n_bootstrap must be at least 1, got {n_bootstrap}")
     snapshot = PolicySnapshot.of(policy)
@@ -214,10 +216,10 @@ def transition_tracker(baseline: list[StepMetrics], modulated: list[StepMetrics]
 
     Early/late values are means over the first/last quartile of steps; final
     success is the last-quartile mean success rate.  Both runs must cover the
-    same number of steps.
+    same, nonzero number of steps.
     """
-    if len(baseline) != len(modulated):
-        raise ValueError("runs must have the same number of steps to compare")
+    if len(baseline) != len(modulated) or not baseline:
+        raise ValueError("runs must have the same, nonzero number of steps to compare")
     n = len(baseline)
     q = max(1, n // 4)
 

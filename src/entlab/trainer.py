@@ -17,12 +17,13 @@ import time
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from . import modulation as mod
 from .advantage import ESTIMATORS, AdvantageTable, compute_advantages
-from .envs import REWARD_SCHEMES, env_class, make_env
+from .envs import REWARD_SCHEMES, Env, RewardScheme, env_class, make_env
 from .policy import PolicySnapshot, TablePolicy, _check_budget, _leaf_logs, _leaf_probs, save_checkpoint
 from .rollout import FILTER_MODES, Group, collect_groups, filter_degenerate_groups, generator_from, seed_states
 
@@ -293,6 +294,49 @@ def _group_rngs(config: TrainConfig) -> Iterator[list[np.random.Generator]]:
             yield [generator_from(row) for row in rows[first:first + size]]
 
 
+class StepUpdate(NamedTuple):
+    """What a step trains on: the trained groups, their applied advantage tables, their ModulationSets (None when
+    nothing modulates), the masked (group_idx, rollout, turn) keys, and each collected group's span proxies by id."""
+
+    groups: list[Group]
+    tables: list[AdvantageTable]
+    sets: list[mod.ModulationSet] | None
+    masked: set[tuple[int, int, int]]
+    h_bar: dict[int, list[float]]
+
+
+def prepare_update(snapshot: PolicySnapshot, groups: list[Group], config: TrainConfig, env: Env,
+                   scheme: RewardScheme, step: int, mask_sign: int | None, timings: dict[str, float]) -> StepUpdate:
+    """The rules that make a step AEM, between rollout and the loss: the group filter and the advantages (timed as
+    timings["advantage"]), then each collected span's entropy proxy, the modulation ("aem" populations when only
+    mask_sign asks for coefficients) and the masked quadrant (timed as timings["aem"])."""
+    t0 = time.perf_counter()
+    trained = filter_degenerate_groups(groups, config.filter_mode)
+    tables = [compute_advantages(g, config.estimator, env=env, policy=snapshot, scheme=scheme) for g in trained]
+    timings["advantage"] += time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    # Trained groups are collected groups, so each span's proxy is computed once, here, in span order by group.
+    proxy = mod.response_entropy_proxy
+    h_bar = {id(g): [proxy(span.response) for span in g.spans] for g in groups}
+    sets = None
+    if config.aem_mode != "off" or mask_sign is not None:
+        sets = mod.modulate_batch(trained, mode=config.aem_mode if config.aem_mode != "off" else "aem",
+                                  lam=config.aem_lambda, eps=config.aem_eps, proxies=[h_bar[id(g)] for g in trained],
+                                  rng=_rng_for(config.seed, 2, step) if config.aem_mode == "shuffle" else None)
+    applied = tables
+    if config.aem_mode != "off":
+        applied = [mod.apply_modulation(t, s) for t, s in zip(tables, sets)]
+    masked = set()
+    if mask_sign is not None:
+        # A span is masked when sgn(A * (alpha - 1)) == mask_sign; a table holds one value per span.
+        for g_idx, (table, mset) in enumerate(zip(tables, sets)):
+            masked.update((g_idx, *key) for key, adv in table.values.items()
+                          if mask_sign * (adv * (mset.alpha[key] - 1.0)) > 0.0)
+    timings["aem"] += time.perf_counter() - t0
+    return StepUpdate(trained, applied, sets, masked, h_bar)
+
+
 def train(
     config: TrainConfig,
     metrics_path: str | None = None,
@@ -330,40 +374,15 @@ def train(
             groups = collect_groups(snapshot, env, tasks, scheme, [next(group_rngs) for _ in tasks])
             timings["rollout"] += time.perf_counter() - t0
 
-            t0 = time.perf_counter()
-            trained = filter_degenerate_groups(groups, config.filter_mode)
-            tables = [compute_advantages(g, config.estimator, env=env, policy=snapshot, scheme=scheme) for g in trained]
-            timings["advantage"] += time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            # Trained groups are collected groups, so each span's proxy is computed once, here, in span order by group.
-            proxy = mod.response_entropy_proxy
-            h_bar = {id(g): [proxy(span.response) for span in g.spans] for g in groups}
-            sets = None
-            if config.aem_mode != "off" or mask_sign is not None:
-                sets = mod.modulate_batch(trained, mode=config.aem_mode if config.aem_mode != "off" else "aem",
-                                          lam=config.aem_lambda, eps=config.aem_eps,
-                                          proxies=[h_bar[id(g)] for g in trained],
-                                          rng=_rng_for(config.seed, 2, step) if config.aem_mode == "shuffle" else None)
-            applied = tables
-            if config.aem_mode != "off":
-                # Every alpha of a degenerate set is exactly 1.0, and 1.0 * x is x: its group trains on its table.
-                applied = [t if s.degenerate else mod.apply_modulation(t, s) for t, s in zip(tables, sets)]
-            masked = set()
-            if mask_sign is not None:
-                # A span is masked when sgn(A * (alpha - 1)) == mask_sign; a table holds one value per span.
-                for g_idx, (table, mset) in enumerate(zip(tables, sets)):
-                    masked.update((g_idx, *key) for key, adv in table.values.items()
-                                  if mask_sign * (adv * (mset.alpha[key] - 1.0)) > 0.0)
-            timings["aem"] += time.perf_counter() - t0
+            update = prepare_update(snapshot, groups, config, env, scheme, step, mask_sign, timings)
 
             t0 = time.perf_counter()
             loss_value = 0.0
-            if trained:
+            if update.groups:
                 for epoch in range(config.epochs):
                     # The first write below ends the snapshot, so later epochs read a new one.
-                    loss, grad = surrogate_loss(snapshot if epoch == 0 else policy, trained, applied, config,
-                                                ref, masked)
+                    loss, grad = surrogate_loss(snapshot if epoch == 0 else policy, update.groups, update.tables,
+                                                config, ref, update.masked)
                     if epoch == 0:
                         loss_value = loss
                     for state, (gvec, rows) in grad.items():
@@ -373,7 +392,7 @@ def train(
             timings["update"] += time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            record = _step_metrics(step, groups, trained, applied, sets, loss_value, h_bar)
+            record = _step_metrics(step, groups, update, loss_value)
             metrics.append(record)
             if metrics_fh:
                 metrics_fh.write(json.dumps(record.to_doc(), sort_keys=True))
@@ -414,18 +433,17 @@ def load_metrics(path: str) -> list[StepMetrics]:
     return records
 
 
-def _step_metrics(step: int, collected: list[Group], trained: list[Group],
-                  applied: list[AdvantageTable], sets: list[mod.ModulationSet] | None,
-                  loss_value: float, h_bar: dict[int, list[float]]) -> StepMetrics:
-    """Step summaries, h_bar each collected group's span proxies by id(group); with no sets alpha is 1, h_tilde None."""
+def _step_metrics(step: int, collected: list[Group], update: StepUpdate, loss_value: float) -> StepMetrics:
+    """Step summaries over the collected groups and the update; with no sets alpha is 1 and h_tilde None."""
     rewards = [traj.reward for g in collected for traj in g.trajectories]
     successes = [traj.success for g in collected for traj in g.trajectories]
+    sets, h_bar = update.sets, update.h_bar
     proxies = [h for hs in h_bar.values() for h in hs]
 
     span_docs = []
     alphas: list[float] = []
     n_pos = 0
-    for g_idx, (group, table) in enumerate(zip(trained, applied)):
+    for g_idx, (group, table) in enumerate(zip(update.groups, update.tables)):
         for span, proxy in zip(group.spans, h_bar[id(group)]):
             key = (span.rollout_index, span.turn_index)
             adv = table.values[key]

@@ -364,6 +364,7 @@ COMMAND_ERRORS = [
     ["report", "--run", "{no_entropy_run}"], ["report", "--run", "{nan_entropy_run}"],
     ["report", "--run", "{short_span_run}"],
     ["probe-transition", "--baseline", "{no_entropy_run}", "--modulated", "{no_entropy_run}"],
+    ["probe-transition", "--baseline", "{empty_run}", "--modulated", "{empty_run}"],
     ["train", "--set", "kl_coef=0", "--set", "env_overrides.key_len=20"],
 ]
 #: Copies of "{ckpt}" whose first entry is broken one way each (vocab 3, max_len 2).
@@ -386,11 +387,12 @@ BROKEN_DOCUMENTS = {
 }
 
 
-#: Run directories whose one metrics line is broken one way each.
+#: Run directories whose one metrics line is broken one way each, or (None) whose metrics file is empty.
 BROKEN_RUNS = {
     "{no_entropy_run}": lambda doc: {k: v for k, v in doc.items() if k != "policy_entropy_estimate"},
     "{nan_entropy_run}": lambda doc: dict(doc, policy_entropy_estimate=float("nan")),
     "{short_span_run}": lambda doc: dict(doc, spans=[[0, 0, 0, 1.0, None, 1.0]]),
+    "{empty_run}": lambda doc: None,
 }
 
 
@@ -399,7 +401,8 @@ def _broken_run(tmp_path, name: str):
                          frac_positive_advantage=0.5, loss_value=0.0, spans=[[0, 0, 0, 0.5, None, 1.0, 0.5]])
     run = tmp_path / name.strip("{}")
     run.mkdir()
-    (run / "metrics.jsonl").write_text(json.dumps(BROKEN_RUNS[name](record.to_doc())) + "\n")
+    doc = BROKEN_RUNS[name](record.to_doc())
+    (run / "metrics.jsonl").write_text("" if doc is None else json.dumps(doc) + "\n")
     return run
 
 

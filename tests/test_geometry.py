@@ -16,17 +16,13 @@ from entlab.geometry import (
     RegularizedDrift,
     check_simplex,
     entropy,
-    entropy_natural_gradient,
     kl_divergence,
     natural_gradient,
-    objective_direction,
     param_entropy_gradient,
-    param_objective_gradient,
     parametrized_drift,
     random_interior_simplex,
     regularized_drift,
     resp_entropy_drift,
-    score_direction,
     surprisal,
     verify_drift_fd,
 )
@@ -93,18 +89,35 @@ def test_natural_gradient_is_tangent_and_metric_dual():
         assert fisher_rao_inner(pi, v, u) == pytest.approx(float(np.dot(g, u)), abs=1e-9)
 
 
+def _entropy_gradient(pi):
+    """The natural gradient of the entropy at one point: the stacked pass over a stack of one row."""
+    return geometry._entropy_gradient(check_simplex(pi)[None])[0]
+
+
+def _direction(pi, a, cfg):
+    """The regularized objective's natural-gradient direction at one point: the stacked pass over one row."""
+    pi = check_simplex(pi)
+    return geometry._direction_rows(pi[None], geometry._Trials.one(a, cfg, pi.size))[0]
+
+
+def _param_gradient(policy, a, cfg):
+    """d / d theta of the regularized objective for one policy: the stacked pass over a stack of one."""
+    pi = policy.probs()
+    return geometry._param_gradient_rows(pi[None], policy.scores()[None], geometry._Trials.one(a, cfg, pi.size))[0]
+
+
 def test_entropy_natural_gradient_worked_values():
     pi = np.array([0.5, 0.3, 0.2])
-    got = entropy_natural_gradient(pi)
-    np.testing.assert_allclose(got, [-0.168255, 0.052300, 0.115955], atol=1e-5)
-    assert abs(got.sum()) < 1e-12
+    for got in (_entropy_gradient(pi), reference.entropy_natural_gradient(pi)):
+        np.testing.assert_allclose(got, [-0.168255, 0.052300, 0.115955], atol=1e-5)
+        assert abs(got.sum()) < 1e-12
 
 
 def test_score_direction_shape():
     pi = np.array([0.2, 0.3, 0.5])
-    d = score_direction(pi, 1, 2.0)
-    np.testing.assert_allclose(d, 2.0 * (np.array([0.0, 1.0, 0.0]) - pi))
-    assert abs(d.sum()) < 1e-12
+    for d in (_direction(pi, 1, DriftConfig(advantage=2.0)), reference.score_direction(pi, 1, 2.0)):
+        np.testing.assert_allclose(d, 2.0 * (np.array([0.0, 1.0, 0.0]) - pi))
+        assert abs(d.sum()) < 1e-12
 
 
 def test_drift_routes_agree():
@@ -115,7 +128,7 @@ def test_drift_routes_agree():
         a = int(rng.integers(m))
         adv = float(rng.uniform(-2.0, 2.0))
         closed = resp_entropy_drift(pi, a, adv)
-        inner = fisher_rao_inner(pi, entropy_natural_gradient(pi), score_direction(pi, a, adv))
+        inner = fisher_rao_inner(pi, _entropy_gradient(pi), _direction(pi, a, DriftConfig(advantage=adv)))
         assert abs(closed - inner) < 1e-12
 
 
@@ -163,7 +176,7 @@ def test_objective_direction_is_tangent():
         pi = random_interior_simplex(m, rng)
         cfg = DriftConfig(advantage=1.3, beta=0.4, gamma=0.05,
                           pi_ref=random_interior_simplex(m, rng))
-        d = objective_direction(pi, int(rng.integers(m)), cfg)
+        d = _direction(pi, int(rng.integers(m)), cfg)
         assert abs(d.sum()) < 1e-10
 
 
@@ -184,7 +197,7 @@ def test_param_drift_is_theta_space_inner_product():
         a = int(rng.integers(m))
         cfg = DriftConfig(advantage=float(rng.uniform(-2.0, 2.0)))
         drift = parametrized_drift(policy, a, cfg)
-        want = float(np.dot(param_entropy_gradient(policy), param_objective_gradient(policy, a, cfg)))
+        want = float(np.dot(param_entropy_gradient(policy), _param_gradient(policy, a, cfg)))
         assert drift.total == pytest.approx(want, rel=1e-9)
         closed = cfg.advantage * (pi[a] * (s[a] - h) - float(np.dot(pi**2, s - h)))
         assert drift.total == pytest.approx(closed, rel=1e-9)
@@ -277,9 +290,19 @@ def _configs(rng, m):
             DriftConfig(advantage=1.0, gamma=0.1, pi_ref=np.array([0.5, 0.6]))]
 
 
+#: The reference's one-trial functions that geometry keeps only as stacked passes, as those passes over one row.
+ONE_ROW = {"entropy_natural_gradient": _entropy_gradient, "objective_direction": _direction,
+           "score_direction": lambda pi, a, advantage: _direction(pi, a, DriftConfig(advantage=advantage)),
+           "param_objective_gradient": _param_gradient}
+
+
+def _one_trial(name):
+    return ONE_ROW[name] if name in ONE_ROW else getattr(geometry, name)
+
+
 def test_one_trial_functions_are_the_scalar_formulas():
-    """Each function of one trial, the one-row case of a stacked pass, returns the scalar formula's value
-    with its bits and type, signed zeros included."""
+    """Each function of one trial, and each stacked pass over one row (ONE_ROW), returns the scalar formula's
+    value with its bits and type, signed zeros included."""
     rng = np.random.default_rng(21)
     for _ in range(60):
         m = int(rng.integers(2, 11))
@@ -308,17 +331,17 @@ def test_one_trial_functions_are_the_scalar_formulas():
                     want = getattr(reference, f)(ref_policy, a, cfg)
                 except ValueError:
                     with pytest.raises(ValueError):
-                        getattr(geometry, f)(policy, a, cfg)
+                        _one_trial(f)(policy, a, cfg)
                     continue
-                assert _same(getattr(geometry, f)(policy, a, cfg), want), f
+                assert _same(_one_trial(f)(policy, a, cfg), want), f
         for name, args in cases:
             try:
                 want = getattr(reference, name)(*args)
             except ValueError:
                 with pytest.raises(ValueError):
-                    getattr(geometry, name)(*args)
+                    _one_trial(name)(*args)
                 continue
-            assert _same(getattr(geometry, name)(*args), want), name
+            assert _same(_one_trial(name)(*args), want), name
 
 
 def test_stacked_rows_leave_out_each_rows_inactive_terms():

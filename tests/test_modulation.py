@@ -205,6 +205,18 @@ def test_apply_modulation_multiplies_span_advantages():
         assert out.values[key] == table.values[key] * mod.alpha[key]
 
 
+def test_apply_modulation_returns_a_degenerate_sets_table_itself():
+    """Every alpha of a degenerate set is exactly 1.0, and 1.0 * x is x: the table comes back as it was given,
+    for a group whose population is flat and for a group with no spans."""
+    table = AdvantageTable(values={(0, 0): 1.0, (1, 0): -0.0, (2, 0): 0.5})
+    flat, empty = modulate_batch([_group_from_entropies([[0.5], [0.52], [0.55]]),
+                                  Group(prompt_id=1, trajectories=[], spans=[])], "aem")
+    assert flat.degenerate and empty.degenerate
+    assert apply_modulation(table, flat) is table
+    blank = AdvantageTable()
+    assert apply_modulation(blank, empty) is blank
+
+
 def _legacy_population(h_bars, lam, eps):
     h_tilde, degenerate = group_minmax_normalize(h_bars, eps)
     if degenerate:

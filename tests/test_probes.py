@@ -147,6 +147,17 @@ def test_consistency_probe_refuses_no_bootstrap(n_bootstrap):
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("k_samples", [1, 0, -1])
+def test_consistency_probe_refuses_fewer_than_two_samples(k_samples):
+    """One sample per state has alpha 1.0, a constant coordinate: refused before any draw (a ZeroDivisionError at
+    0, and at 1 every state sampled before the constant coordinate was found, before)."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="k_samples must be at least 2"):
+        consistency_probe(_split_entropy_policy(), ["s", "t"], k_samples, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_one_entry_correlation_is_corrcoef():
     rng = np.random.default_rng(5)
     for n in (2, 3, 7, 64, 3072):
@@ -263,6 +274,12 @@ def test_transition_tracker_rejects_mismatched_runs():
     modulated = [_metrics(i, 1.0, 0.0, 0.0) for i in range(5)]
     with pytest.raises(ValueError):
         transition_tracker(baseline, modulated)
+
+
+def test_transition_tracker_refuses_runs_with_no_steps():
+    """Two empty runs have no quartile to average: refused, not summarized as zeros."""
+    with pytest.raises(ValueError, match="nonzero number of steps"):
+        transition_tracker([], [])
 
 
 def test_reachable_state_counts_match_env_structure():

@@ -40,6 +40,7 @@ from entlab.trainer import (
     _gradient_blocks,
     _regularizer,
     _TERM,
+    prepare_update,
     surrogate_loss,
     train,
 )
@@ -747,6 +748,55 @@ def test_masked_runs_diverge_by_sign():
         if key in down.policy.logits
     )
     assert not (identical and up.policy.logits.keys() == down.policy.logits.keys())
+
+
+def _table_bits(tables):
+    return [[(key, float(value).hex()) for key, value in table.values.items()] for table in tables]
+
+
+#: (fields, mask_sign) that reach every rule of prepare_update: each population, the group filter, both masks
+#: (one with aem_mode "off", which modulates for the mask only) and second epochs, one of them masked.
+STEP_CASES = [
+    (dict(MODULATING, aem_mode="aem"), None), (dict(MODULATING, aem_mode="off"), None),
+    (dict(MODULATING, aem_mode="shuffle"), None), (dict(MODULATING, aem_mode="batch_norm", epochs=2), None),
+    (BANDIT_TRAJ, None), (dict(MODULATING, filter_mode="drop_uniform"), None),
+    (dict(MODULATING, aem_mode="off"), 1), (dict(MODULATING, aem_mode="aem", epochs=2), -1),
+]
+
+
+@pytest.mark.parametrize("fields,mask_sign", STEP_CASES,
+                         ids=["aem", "off", "shuffle", "batch_norm-epochs2", "traj_norm", "drop_uniform",
+                              "off-mask+1", "aem-mask-1-epochs2"])
+def test_train_hands_the_loss_what_prepare_update_returns(fields, mask_sign, monkeypatch):
+    """train() has one copy of a step's rules: at every step the loss gets the groups, tables and masked keys
+    that prepare_update returns for that step's snapshot and collected groups, bit for bit, in every epoch."""
+    config, collected, steps = TrainConfig(**fields), [], []
+    collect, loss = entlab.trainer.collect_groups, entlab.trainer.surrogate_loss
+    monkeypatch.setattr(entlab.trainer, "collect_groups",
+                        lambda *a: collected.append((a, found := collect(*a))) or found)
+
+    def checked(policy, groups, tables, config_, ref, masked):
+        if isinstance(policy, PolicySnapshot):  # epoch 0 reads the step's snapshot, before any write
+            (snapshot, env, _, scheme, _), found = collected[-1]
+            timings = {"advantage": 0.0, "aem": 0.0}
+            want = prepare_update(policy, found, config, env, scheme, len(collected) - 1, mask_sign, timings)
+            assert policy is snapshot and timings["advantage"] > 0.0 and timings["aem"] > 0.0
+            assert [id(g) for g in groups] == [id(g) for g in want.groups]
+            assert _table_bits(tables) == _table_bits(want.tables) and masked == want.masked
+            steps.append((len(collected) - 1, groups, tables, masked, len(found), want.sets))
+        else:
+            assert steps[-1][1:4] == (groups, tables, masked)  # later epochs train on the same update
+        return loss(policy, groups, tables, config_, ref, masked)
+
+    monkeypatch.setattr(entlab.trainer, "surrogate_loss", checked)
+    train(config, mask_sign=mask_sign)
+    assert steps
+    if config.filter_mode == "drop_uniform":
+        assert len(steps) < config.steps or any(len(groups) < n for _, groups, _, _, n, _ in steps)
+    if mask_sign is not None:
+        assert any(masked for _, _, _, masked, _, _ in steps)
+    modulated = any(alpha != 1.0 for *_, sets in steps if sets for s in sets for alpha in s.alpha.values())
+    assert modulated == (config.aem_mode != "off" or mask_sign is not None)
 
 
 @pytest.mark.parametrize("fields", [dict(FAST, kl_coef=0.01), dict(GRID_ORACLE, steps=2),
