@@ -783,18 +783,18 @@ def test_train_hands_the_loss_what_prepare_update_returns(fields, mask_sign, mon
             assert policy is snapshot and timings["advantage"] > 0.0 and timings["aem"] > 0.0
             assert [id(g) for g in groups] == [id(g) for g in want.groups]
             assert _table_bits(tables) == _table_bits(want.tables) and masked == want.masked
-            steps.append((len(collected) - 1, groups, tables, masked, len(found), want.sets))
+            steps.append((groups, tables, masked, len(found), want.sets))
         else:
-            assert steps[-1][1:4] == (groups, tables, masked)  # later epochs train on the same update
+            assert steps[-1][:3] == (groups, tables, masked)  # later epochs train on the same update
         return loss(policy, groups, tables, config_, ref, masked)
 
     monkeypatch.setattr(entlab.trainer, "surrogate_loss", checked)
     train(config, mask_sign=mask_sign)
     assert steps
     if config.filter_mode == "drop_uniform":
-        assert len(steps) < config.steps or any(len(groups) < n for _, groups, _, _, n, _ in steps)
+        assert len(steps) < config.steps or any(len(groups) < n for groups, _, _, n, _ in steps)
     if mask_sign is not None:
-        assert any(masked for _, _, _, masked, _, _ in steps)
+        assert any(masked for _, _, masked, _, _ in steps)
     modulated = any(alpha != 1.0 for *_, sets in steps if sets for s in sets for alpha in s.alpha.values())
     assert modulated == (config.aem_mode != "off" or mask_sign is not None)
 
