@@ -283,6 +283,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     files: dict[str, object] = {}
     for name, run_dir in zip(names, args.run):
         metrics = load_metrics(os.path.join(run_dir, "metrics.jsonl"))
+        if not metrics:
+            raise CliError(f"{os.path.join(run_dir, 'metrics.jsonl')} holds no steps to report")
         files[f"{name}_series.csv"] = [
             ["step", "entropy", "success_rate", "mean_reward", "mean_alpha", "frac_positive_advantage",
              "live_population_frac"],

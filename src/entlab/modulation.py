@@ -100,6 +100,14 @@ def modulation_coeffs(h_tilde: list[float], lam: float = DEFAULT_LAMBDA, eps: fl
     return [r / (mean_raw + eps) for r in raw]
 
 
+def population_coeffs(h_bars: list[float], lam: float = DEFAULT_LAMBDA,
+                      eps: float = DEFAULT_EPS) -> tuple[list[float] | None, list[float]]:
+    """(h_tilde, alpha) of one population: group_minmax_normalize, then alpha 1.0 for each span of a degenerate
+    population (whose h_tilde is None), else modulation_coeffs of h_tilde."""
+    h_tilde, degenerate = group_minmax_normalize(h_bars, eps)
+    return (None, [1.0] * len(h_bars)) if degenerate else (h_tilde, modulation_coeffs(h_tilde, lam, eps))
+
+
 def modulate_batch(
     groups: list[Group],
     mode: str,
@@ -132,15 +140,14 @@ def modulate_batch(
             populations.setdefault(population, []).append((out, run_keys, run_h))
     for runs in populations.values():
         h_bars = runs[0][2] if len(runs) == 1 else [h for _, _, run_h in runs for h in run_h]
-        h_tilde, degenerate = group_minmax_normalize(h_bars, eps)
-        if degenerate:
+        h_tilde, alphas = population_coeffs(h_bars, -lam if mode == "reverse" else lam, eps)
+        if h_tilde is None:
             for out, keys, _ in runs:
                 h_tilde_out, alpha_out = out.h_tilde, out.alpha
                 for key in keys:
                     h_tilde_out[key] = None
                     alpha_out[key] = 1.0
             continue
-        alphas = modulation_coeffs(h_tilde, -lam if mode == "reverse" else lam, eps)
         if mode == "shuffle":
             alphas = [alphas[int(j)] for j in rng.permutation(len(alphas))]
         lo = 0

@@ -188,8 +188,8 @@ def _one(batch):
 class PolicySnapshot:
     """Read-only view of one policy version, the one reader of its softmaxes; every read is memoized per state, and
     raises once the policy has been written since.  tables(states) holds one softmax per row of _tree_shape at each
-    state, refused unless each is a distribution, as Generator.choice refuses p, and samplers(states) the sampler's
-    rows; table(state) and sampler(state) are batches of one.  leaf_probs(state) is each complete response's
+    state, refused unless each is a distribution, as Generator.choice refuses p, and samplers(states) the flat lists
+    _walk samples; table(state) and sampler(state) are batches of one.  leaf_probs(state) is each complete response's
     probability and leaf_logs(state) their logs.  Every exact route reads the tables or the leaf probabilities."""
 
     def __init__(self, policy: TablePolicy) -> None:
@@ -225,15 +225,15 @@ class PolicySnapshot:
         return (z,) if len(states) == 1 else z.reshape(len(states), len(prefixes), size)
 
     @_batched
-    def samplers(self, states: list[str]) -> list[tuple[list[list[float]], list[list[float]], list[float]]]:
-        """(cdf, logp, H) at each state as lists, a row per row of its table: cdf is cumsum(p) / cumsum(p)[-1] (what
-        choice searches), logp and H the rows of _log_and_entropy; one pass over the stacked tables."""
+    def samplers(self, states: list[str]) -> list[tuple[list[float], list[float], list[float]]]:
+        """(cdf, logp, H) at each state as flat lists, row r of its table at r * |V| .. r * |V| + |V| - 1 of cdf and
+        logp and at r of H: cdf is cumsum(p) / cumsum(p)[-1] (what choice searches), logp and H the rows of
+        _log_and_entropy.  One pass over the stacked tables, and one tolist of each, a flat list per state."""
         table = np.concatenate(self.tables(states))
         cdf = table.cumsum(axis=1)
         cdf /= cdf[:, -1:]
         logp, h = _log_and_entropy(table)
-        n, (cdf, logp, h) = len(self._shape.prefixes), (cdf.tolist(), logp.tolist(), h.tolist())
-        return [(cdf[i:i + n], logp[i:i + n], h[i:i + n]) for i in range(0, len(h), n)]
+        return list(zip(*(column.reshape(len(states), -1).tolist() for column in (cdf, logp, h))))
 
     table, sampler = _one(tables), _one(samplers)
 
@@ -259,23 +259,28 @@ def _leaf_logs(probs: list[float]) -> list[float]:
 
 
 def sample_response(policy: TablePolicy | PolicySnapshot, state: str, rng: np.random.Generator) -> Response:
-    """Sample one response token by token, recording logprob and conditional entropy per token.
-
-    The walk follows _tree_shape's child rows from row 0 to a leaf, so only the tree says where a response ends.
-    Each token is one rng.random() draw searched right-sided in its row's cdf of snapshot.sampler: the draw and
-    the search of rng.choice(|V|, p=p), so a seed gives the same tokens and generator state.  A TablePolicy is
-    read through a new snapshot.
-    """
+    """Sample one response token by token, recording logprob and conditional entropy per token: _walk of
+    snapshot.sampler(state), so a seed gives the tokens and generator state of rng.choice(|V|, p=p) per token.
+    A TablePolicy is read through a new snapshot."""
     snapshot = PolicySnapshot.of(policy)
-    cdf, logp, h = snapshot.sampler(state)
-    child, leaf = snapshot._shape.child, len(snapshot._shape.prefixes)
-    tokens, logprobs, entropies, row = [], [], [], 0
+    return _walk(snapshot, snapshot.sampler(state), rng)
+
+
+def _walk(snapshot: PolicySnapshot, sampler: tuple[list[float], list[float], list[float]],
+          rng: np.random.Generator) -> Response:
+    """The one sampling walk, over the flat sampler lists of one of snapshot's states: from row 0 along _tree_shape's
+    flat child rows to a leaf, so only the tree says where a response ends.  Each token is one rng.random() draw
+    searched right-sided in its row's cdf, bisect_right over base .. base + |V| at base = row * |V|: the draw and
+    the search of rng.choice(|V|, p=p)."""
+    (cdf, logp, h), child, size = sampler, snapshot._shape.child, snapshot.policy.vocab.size
+    tokens, logprobs, entropies, row, leaf = [], [], [], 0, len(h)
     while row != leaf:
-        tok = bisect_right(cdf[row], rng.random())
-        tokens.append(tok)
-        logprobs.append(logp[row][tok])
+        base = row * size
+        at = bisect_right(cdf, rng.random(), base, base + size)
+        tokens.append(at - base)
+        logprobs.append(logp[at])
         entropies.append(h[row])
-        row = child[row][tok]
+        row = child[at]
     return Response(tokens=tokens, logprobs=logprobs, entropies=entropies)
 
 
@@ -297,7 +302,7 @@ class _Shape(NamedTuple):
     leaves: tuple[tuple[int, ...], ...]  # the complete responses, sorted
     prefixes: list[tuple[int, ...]]  # the internal prefixes in depth-first walk order: the table's and block's rows
     rows: dict[tuple[int, ...], int]  # each internal prefix's row
-    child: tuple[tuple[int, ...], ...]  # child[row][tok]: the row of prefix + (tok,), len(prefixes) at a leaf
+    child: tuple[int, ...]  # child[row * |V| + tok]: the row of prefix + (tok,), len(prefixes) at a leaf
     row_path: np.ndarray  # then one entry per (leaf, position), leaves in order: the leaf's index,
     row_row: np.ndarray  # the row of the position's prefix,
     row_tok: np.ndarray  # the token there,
@@ -323,7 +328,7 @@ def _tree_shape(vocab: Vocabulary, max_len: int) -> _Shape:
             (leaves if tok == vocab.terminator_id or len(path) == max_len else stack).append(path)
     leaves.sort()
     rows = {u: i for i, u in enumerate(prefixes)}
-    child = tuple(tuple(rows.get(u + (tok,), len(prefixes)) for tok in range(vocab.size)) for u in prefixes)
+    child = tuple(rows.get(u + (tok,), len(prefixes)) for u in prefixes for tok in range(vocab.size))
     cols = [np.array(col) for col in zip(*[(j, rows[path[:k]], tok)
                                            for j, path in enumerate(leaves) for k, tok in enumerate(path)])]
     starts = np.flatnonzero(np.diff(cols[0], prepend=-1))

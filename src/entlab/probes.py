@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .envs import Env, reachable
-from .modulation import group_minmax_normalize, modulation_coeffs, response_entropy_proxy
+from .modulation import population_coeffs, response_entropy_proxy
 from .policy import BATCH_ENTRIES, PolicySnapshot, TablePolicy, _log_and_entropy, path_entropy_sums, sample_response
 from .trainer import StepMetrics
 
@@ -69,8 +69,7 @@ def consistency_probe(
         h_bars = [response_entropy_proxy(r) for r in responses]
         surprisals = [r.surprisal for r in responses]
         h_mc = sum(surprisals) / len(surprisals)
-        h_tilde, degenerate = group_minmax_normalize(h_bars, eps)
-        alphas = [1.0] * k_samples if degenerate else modulation_coeffs(h_tilde, lam, eps)
+        _, alphas = population_coeffs(h_bars, lam, eps)
         for alpha, s in zip(alphas, surprisals):
             pairs.append((alpha - 1.0, -(s - h_mc)))
 

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .envs import Env, EnvState, RewardScheme, terminal_reward
-from .policy import PolicySnapshot, Response, TablePolicy, sample_response
+from .policy import PolicySnapshot, Response, TablePolicy, _walk
 
 FILTER_MODES = ("off", "drop_uniform")
 
@@ -83,7 +83,7 @@ def parse_spans(trajectory: Trajectory, rollout_index: int = 0) -> list[Response
 def collect_groups(policy: PolicySnapshot | TablePolicy, env: Env, prompt_ids: list[int], scheme: RewardScheme,
                    rngs_per_group: list[list[np.random.Generator]]) -> list[Group]:
     """One group per prompt, rollout i of group g on its own generator rngs_per_group[g][i], all in lockstep: each turn
-    first asks the snapshot for the samplers at the live rollouts' states in one batched read, then samples and steps
+    reads the samplers at the live rollouts' states in one batched read, then walks (as sample_response) and steps
     each on its own generator, so every draw is the one it makes played alone.  A TablePolicy gets one snapshot."""
     snapshot = PolicySnapshot.of(policy)
     starts = [env.reset(prompt_id) for prompt_id in prompt_ids]
@@ -91,10 +91,10 @@ def collect_groups(policy: PolicySnapshot | TablePolicy, env: Env, prompt_ids: l
                 for prompt_id, start, rngs in zip(prompt_ids, starts, rngs_per_group)]
     live = [rollout for group in rollouts for rollout in group]
     while live:  # final_state is each trajectory's current state until it is done
-        snapshot.samplers([traj.final_state.policy_key for traj, _ in live])
-        for traj, rng in live:
+        samplers = snapshot.samplers([traj.final_state.policy_key for traj, _ in live])
+        for (traj, rng), sampler in zip(live, samplers):
             state = traj.final_state
-            response = sample_response(snapshot, state.policy_key, rng)
+            response = _walk(snapshot, sampler, rng)
             traj.final_state, valid = env.step(state, response.tokens)
             traj.turns.append(Turn(state=state, response=response, valid=valid))
         live = [(traj, rng) for traj, rng in live if not traj.final_state.done]

@@ -362,7 +362,7 @@ COMMAND_ERRORS = [
     ["ablate", "--variants", "aem,aem", "--seeds", "0,0"], ["ablate", "--variants", "aem,aem", "--seeds", "0"],
     ["ablate", "--variants", "aem", "--seeds", "0,0"],
     ["report", "--run", "{no_entropy_run}"], ["report", "--run", "{nan_entropy_run}"],
-    ["report", "--run", "{short_span_run}"],
+    ["report", "--run", "{short_span_run}"], ["report", "--run", "{empty_run}"],
     ["probe-transition", "--baseline", "{no_entropy_run}", "--modulated", "{no_entropy_run}"],
     ["probe-transition", "--baseline", "{empty_run}", "--modulated", "{empty_run}"],
     ["train", "--set", "kl_coef=0", "--set", "env_overrides.key_len=20"],

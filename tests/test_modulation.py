@@ -15,6 +15,7 @@ from entlab.modulation import (
     group_minmax_normalize,
     modulate_batch,
     modulation_coeffs,
+    population_coeffs,
     response_entropy_proxy,
 )
 from entlab.policy import Response
@@ -106,6 +107,24 @@ def test_pipeline_matches_straight_line_rewrite():
             expect = [r / (mean_raw + eps) for r in raw]
         got = [mod.alpha[(s.rollout_index, s.turn_index)] for s in group.spans]
         assert got == expect  # bit-for-bit, no tolerance
+
+
+def test_population_coeffs_is_the_rule_of_one_population():
+    """population_coeffs is group_minmax_normalize, then alpha 1.0 and no h_tilde for a degenerate population, else
+    modulation_coeffs; an "aem" group's set holds exactly its values, and a "reverse" group's those at -lam."""
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        h_bars = rng.uniform(0.0, float(rng.choice([0.05, 2.0])), size=int(rng.integers(1, 9))).tolist()
+        lam, eps = float(rng.uniform(0.2, 3.0)), 1e-8
+        h_tilde, degenerate = group_minmax_normalize(h_bars, eps)
+        want = (None, [1.0] * len(h_bars)) if degenerate else (h_tilde, modulation_coeffs(h_tilde, lam, eps))
+        assert population_coeffs(h_bars, lam, eps) == want
+        group = _group_from_entropies([[h] for h in h_bars])
+        for mode, sign in (("aem", 1.0), ("reverse", -1.0)):
+            got = _modulate(group, mode, lam=lam, eps=eps)
+            h_tilde, alphas = population_coeffs(h_bars, sign * lam, eps)
+            assert list(got.alpha.values()) == alphas and got.degenerate == (h_tilde is None)
+            assert list(got.h_tilde.values()) == (h_tilde or [None] * len(h_bars))
 
 
 def test_degenerate_group_gets_identity_coefficients():

@@ -38,6 +38,7 @@ import entlab.policy as policy_module
 from entlab.probes import consistency_probe, doob_exact_residuals, doob_probe
 from entlab.trainer import TrainConfig, _regularizer
 from grad_rows import step_tables
+from sampler_reference import nested_samplers, nested_walk, sampler_row
 
 
 def test_vocabulary_validation():
@@ -149,25 +150,24 @@ CHILD_SHAPES = {
 
 @pytest.mark.parametrize("name", CHILD_SHAPES)
 def test_child_rows_index_the_response_tree(name):
-    """child[rows[u]][t] is rows[u + (t,)] for an internal extension and len(prefixes), the zero row, for a
+    """child[rows[u] * |V| + t] is rows[u + (t,)] for an internal extension and len(prefixes), the zero row, for a
     leaf (never a negative index); a walk from row 0 along each leaf's tokens reaches it at the last token."""
     size, max_len = CHILD_SHAPES[name]
     shape = _tree_shape(Vocabulary(size=size, terminator_id=size - 1), max_len)
     leaf, leaves = len(shape.prefixes), set(shape.leaves)
-    assert list(shape.rows) == shape.prefixes and len(shape.child) == leaf
+    assert list(shape.rows) == shape.prefixes and len(shape.child) == leaf * size
     for u in shape.prefixes:
-        assert len(shape.child[shape.rows[u]]) == size
         for t in range(size):
             extension = u + (t,)
             assert (extension in leaves) != (extension in shape.rows)
-            assert shape.child[shape.rows[u]][t] == (leaf if extension in leaves else shape.rows[extension])
-    assert all(0 < row <= leaf for rows in shape.child for row in rows)  # no child is the root, none negative
+            assert shape.child[shape.rows[u] * size + t] == (leaf if extension in leaves else shape.rows[extension])
+    assert all(0 < row <= leaf for row in shape.child)  # no child is the root, none negative
     for tokens in shape.leaves:
         row, rows = 0, []
         for tok in tokens:
             assert row != leaf, tokens
             rows.append(row)
-            row = shape.child[row][tok]
+            row = shape.child[row * size + tok]
         assert row == leaf and rows == [shape.rows[tokens[:k]] for k in range(len(tokens))]
         padded = shape.path_rows[shape.leaf_at[tokens]].tolist()
         assert padded == rows + [leaf] * (max_len - len(tokens))  # padded with the zero row
@@ -270,8 +270,8 @@ def test_inverse_cdf_sampler_searches_right_sided():
     so a zero-probability token is never drawn; random draws almost never hit a cdf value exactly."""
     policy = TablePolicy(vocab=Vocabulary(size=4, terminator_id=3), max_len=1)
     policy.logit_vector("s", ())[:] = (0.0, -1000.0, 1.0, 0.5)
-    cdf = PolicySnapshot(policy).sampler("s")[0][0]
-    assert cdf[0] == cdf[1]
+    cdf = PolicySnapshot(policy).sampler("s")[0]  # max_len 1: the root row is the whole flat list
+    assert len(cdf) == 4 and cdf[0] == cdf[1]
     draws = [0.0, *cdf[:-1], 0.5]
     got = [sample_response(policy, "s", _Draws([u])).tokens[0] for u in draws]
     assert got == np.searchsorted(cdf, draws, side="right").tolist()
@@ -287,17 +287,18 @@ def test_snapshot_entries_are_the_token_distribution_bit_for_bit():
         # Every reachable prefix by its table row, plus a state with no stored logits (uniform).
         keys = [("s", row, u) for row, u in enumerate(_tree_shape(policy.vocab, max_len).prefixes)] + [("other", 0, ())]
         # One read at a state derives the sampler rows of all its prefixes: the rest are never sampled first.
-        assert [len(column) for column in snapshot.sampler("s")] == [len(keys) - 1] * 3
+        assert [len(column) for column in snapshot.sampler("s")] == [(len(keys) - 1) * size] * 2 + [len(keys) - 1]
         assert list(snapshot._memos["samplers"]) == ["s"]
         for state, row, prefix in keys:
-            cdf, logp, h = (column[row] for column in snapshot.sampler(state))
+            sampler = snapshot.sampler(state)
+            cdf, logp, h = sampler_row(sampler, row)
             want = token_distribution(policy, state, prefix)
             assert snapshot.table(state)[row].tobytes() == want.tobytes()
             csum = want.cumsum()
             assert cdf == (csum / csum[-1]).tolist()
             assert logp == np.log(want).tolist()
             assert h == entropy(want)
-            assert snapshot.sampler(state)[0][row] is cdf
+            assert snapshot.sampler(state)[0] is sampler[0]  # a memo hit: the same flat list
         assert list(policy.logits) == list(before)
         assert all(np.array_equal(policy.logits[k], v) for k, v in before.items())
         assert PolicySnapshot.of(snapshot) is snapshot
@@ -361,13 +362,46 @@ def test_batched_rows_are_the_token_distribution_bit_for_bit(shape):
 
         sampled = PolicySnapshot(policy)
         for row, u in enumerate(prefixes):
-            cdf, logp, h = (column[row] for column in sampled.sampler(state))
+            cdf, logp, h = sampler_row(sampled.sampler(state), row)
             want = token_distribution(policy, state, u)
             csum = want.cumsum()
             assert sampled.table(state)[row].tobytes() == want.tobytes()
             assert cdf == (csum / csum[-1]).tolist()
             assert logp == np.log(want).tolist()
             assert h == _entropy(want)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("shape", TABLE_SHAPES)
+def test_flat_sampler_lists_are_the_nested_rows_bit_for_bit(shape):
+    """A state's flat cdf and logp lists are the nested derivation's rows end to end and its H the nested H, by
+    bytes, on absent, repeated, +-700 and +-1e300 rows, whose tokens of p = 0.0 repeat the cdf value before them.
+    The flat walk draws what the nested walk draws, with the same stats and generator state, on random draws and
+    on draws equal to a cdf value, which take the token after the last equal entry."""
+    size, max_len = TABLE_SHAPES[shape]
+    policy = TablePolicy(vocab=Vocabulary(size=size, terminator_id=size - 1), max_len=max_len)
+    states = _edge_rows(policy, np.random.default_rng(size * 10 + max_len))
+    as_bytes = lambda values: np.array(values, dtype=float).tobytes()  # noqa: E731
+    same = lambda a, b: a.tokens == b.tokens and all(  # noqa: E731
+        as_bytes(x) == as_bytes(y) for x, y in ((a.logprobs, b.logprobs), (a.entropies, b.entropies)))
+    snapshot = PolicySnapshot(policy)
+    flat, nested = snapshot.samplers(states), nested_samplers(PolicySnapshot(policy), states)
+    zeros = ties = 0
+    for state, (cdf, logp, h), want in zip(states, flat, nested):
+        assert as_bytes(cdf) == as_bytes([x for row in want[0] for x in row])
+        assert as_bytes(logp) == as_bytes([x for row in want[1] for x in row])
+        assert as_bytes(h) == as_bytes(want[2])
+        zeros += logp.count(-math.inf)
+        for seed in range(20):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert same(sample_response(snapshot, state, ours), nested_walk(snapshot, want, theirs))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+        hits = [u for u in sorted(set(cdf)) if u < 1.0]  # every cdf value that is a possible draw
+        ties += len(set(cdf[:size]) & set(hits))  # the first draw equals a root cdf value
+        for u in hits:
+            assert same(sample_response(snapshot, state, _Draws([u] * max_len)),
+                        nested_walk(snapshot, want, _Draws([u] * max_len)))
+    assert zeros > 0 and ties > 0  # some token has p = 0.0, some draw ties
 
 
 def test_snapshot_ends_at_the_first_write():
@@ -572,7 +606,7 @@ def test_a_token_of_probability_zero_adds_no_entropy():
     policy = TablePolicy(vocab=Vocabulary(size=3, terminator_id=2), max_len=2)
     policy.logit_vector("s", ())[:] = (0.0, -800.0, 0.0)
     snapshot = PolicySnapshot(policy)
-    p, (_, logp, h) = snapshot.table("s")[0], (column[0] for column in snapshot.sampler("s"))
+    p, (_, logp, h) = snapshot.table("s")[0], sampler_row(snapshot.sampler("s"), 0)
     assert p[1] == 0.0 and logp[1] == -math.inf and h == -(p[0] * logp[0] + p[2] * logp[2])
     for seed in range(8):
         response = sample_response(snapshot, "s", np.random.default_rng(seed))

@@ -398,8 +398,8 @@ def _surrogate_per_token(policy, ref_policy, groups, tables, config, masked_keys
     grad, clipped, seen, j_clip = {}, 0, [], 0.0
     for adv, state, tokens, behavior_lp in span_rows:
         rows = [snapshot._shape.rows[tuple(tokens[:k])] for k in range(len(tokens))]
-        dists, logp = snapshot.table(state)[rows], snapshot.sampler(state)[1]
-        log_ratios = [logp[row][tok] - lp for row, tok, lp in zip(rows, tokens, behavior_lp)]
+        dists, logp, size = snapshot.table(state)[rows], snapshot.sampler(state)[1], snapshot.policy.vocab.size
+        log_ratios = [logp[row * size + tok] - lp for row, tok, lp in zip(rows, tokens, behavior_lp)]
         seen.extend(math.exp(x) for x in log_ratios)
         if config.loss == "gspo_seq":
             ratios = [math.exp(sum(log_ratios) / len(tokens))]
