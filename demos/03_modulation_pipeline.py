@@ -15,6 +15,7 @@ import argparse
 
 import numpy as np
 
+from entlab.envs import EnvState
 from entlab.modulation import (
     DEGENERATE_RANGE,
     group_minmax_normalize,
@@ -22,13 +23,14 @@ from entlab.modulation import (
     modulation_coeffs,
 )
 from entlab.policy import Response
-from entlab.rollout import Group, ResponseSpan
+from entlab.rollout import Group, Turn
 
 
-def span(i: int, turn: int, entropies: list[float]) -> ResponseSpan:
+def span(i: int, turn: int, entropies: list[float]) -> Turn:
+    """Turn `turn` of rollout i as a span: only its response's entropies matter to the modulation."""
     n = len(entropies)
-    return ResponseSpan(rollout_index=i, turn_index=turn, state_key="s",
-                        response=Response(tokens=[0] * n, logprobs=[-1.0] * n, entropies=entropies))
+    return Turn(rollout_index=i, turn_index=turn, state=EnvState("demo", 0, turn, ()),
+                response=Response(tokens=[0] * n, logprobs=[-1.0] * n, entropies=entropies), valid=True)
 
 
 def worked_example() -> None:

@@ -7,7 +7,7 @@ difference verification of the entropy-drift identities that motivate it.
 
 __version__ = "0.1.0"
 
-from .advantage import AdvantageTable, grpo_advantage, oracle_value_advantage, rloo_advantage
+from .advantage import grpo_advantage, oracle_value_advantage, rloo_advantage
 from .envs import EnvState, RewardScheme, make_env, terminal_reward
 from .geometry import (
     DriftConfig,
@@ -29,11 +29,10 @@ from .policy import (
     sample_response,
 )
 from .probes import consistency_probe, doob_probe, transition_tracker
-from .rollout import Group, Trajectory, collect_group, parse_spans
+from .rollout import Group, Trajectory, collect_group
 from .trainer import StepMetrics, TrainConfig, TrainResult, surrogate_loss, train
 
 __all__ = [
-    "AdvantageTable",
     "DriftConfig",
     "DriftReport",
     "EnvState",
@@ -60,7 +59,6 @@ __all__ = [
     "natural_gradient",
     "oracle_value_advantage",
     "parametrized_drift",
-    "parse_spans",
     "regularized_drift",
     "resp_entropy_drift",
     "rloo_advantage",

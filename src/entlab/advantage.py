@@ -1,6 +1,7 @@
 """Group-relative advantage estimators.
 
-All estimators produce one value per (rollout, turn) span.  The group-based
+All estimators return a plain dict with one value per span, keyed by
+(rollout_index, turn_index).  The group-based
 ones (grpo, rloo) assign each trajectory a single scalar broadcast to all of
 its spans; the enumeration oracle subtracts an exact per-state value baseline
 instead.
@@ -9,7 +10,6 @@ instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import pairwise
 
 import numpy as np
@@ -21,21 +21,11 @@ from .rollout import Group
 GRPO_EPS = 1e-8
 
 
-@dataclass
-class AdvantageTable:
-    """Span-indexed advantages: values[(rollout_index, turn_index)] for one group."""
-
-    values: dict[tuple[int, int], float] = field(default_factory=dict)
+def _broadcast(group: Group, per_traj: list[float]) -> dict[tuple[int, int], float]:
+    return {(span.rollout_index, span.turn_index): per_traj[span.rollout_index] for span in group.spans}
 
 
-def _broadcast(group: Group, per_traj: list[float]) -> AdvantageTable:
-    table = AdvantageTable()
-    for span in group.spans:
-        table.values[(span.rollout_index, span.turn_index)] = per_traj[span.rollout_index]
-    return table
-
-
-def grpo_advantage(group: Group, eps: float = GRPO_EPS) -> AdvantageTable:
+def grpo_advantage(group: Group, eps: float = GRPO_EPS) -> dict[tuple[int, int], float]:
     """Group-standardized advantage: (R_i - mean(R)) / (population std(R) + eps).
 
     A zero-variance group yields all-zero advantages rather than an error.
@@ -49,7 +39,7 @@ def grpo_advantage(group: Group, eps: float = GRPO_EPS) -> AdvantageTable:
     return _broadcast(group, per_traj)
 
 
-def rloo_advantage(group: Group) -> AdvantageTable:
+def rloo_advantage(group: Group) -> dict[tuple[int, int], float]:
     """Leave-one-out advantage: R_i minus the mean reward of the other rollouts."""
     rewards = group.rewards
     n = len(rewards)
@@ -97,16 +87,13 @@ def state_value(policy: TablePolicy | PolicySnapshot, env: Env, state: EnvState,
 
 
 def oracle_value_advantage(group: Group, env: Env, policy: TablePolicy | PolicySnapshot,
-                           scheme: RewardScheme) -> AdvantageTable:
+                           scheme: RewardScheme) -> dict[tuple[int, int], float]:
     """Exact-baseline advantage: R(trajectory) minus state_value of each turn's state, under one snapshot and
     one memo, so each group's first turn (its task's start) evaluates one plan that holds every later turn."""
     snapshot = PolicySnapshot.of(policy)
     memo: dict = {}
-    table = AdvantageTable()
-    for i, traj in enumerate(group.trajectories):
-        for t, turn in enumerate(traj.turns):
-            table.values[(i, t)] = traj.reward - state_value(snapshot, env, turn.state, scheme, memo)
-    return table
+    return {(i, t): traj.reward - state_value(snapshot, env, turn.state, scheme, memo)
+            for i, traj in enumerate(group.trajectories) for t, turn in enumerate(traj.turns)}
 
 
 ESTIMATORS = ("grpo", "rloo", "oracle_value")
@@ -114,7 +101,7 @@ ESTIMATORS = ("grpo", "rloo", "oracle_value")
 
 def compute_advantages(group: Group, estimator: str, env: Env | None = None,
                        policy: TablePolicy | PolicySnapshot | None = None,
-                       scheme: RewardScheme | None = None) -> AdvantageTable:
+                       scheme: RewardScheme | None = None) -> dict[tuple[int, int], float]:
     """Dispatch by estimator name; the oracle needs env, policy and scheme."""
     if estimator == "grpo":
         return grpo_advantage(group)

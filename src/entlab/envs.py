@@ -392,8 +392,7 @@ class ValuePlan(NamedTuple):
 
 def value_plan(env: Env, start: EnvState) -> ValuePlan:
     """The ValuePlan of a non-terminal start, built from the successor rows once per env definition."""
-    successors(env, start)
-    table = env._successors
+    table = _table(env)
     plan = table.plans.get(start)
     if plan is None:
         states = tuple(reachable(env, [start]))

@@ -25,7 +25,6 @@ from operator import itemgetter
 
 import numpy as np
 
-from .advantage import AdvantageTable
 from .policy import Response
 from .rollout import Group
 
@@ -159,10 +158,10 @@ def modulate_batch(
     return sets
 
 
-def apply_modulation(table: AdvantageTable, mod: ModulationSet) -> AdvantageTable:
+def apply_modulation(table: dict[tuple[int, int], float], mod: ModulationSet) -> dict[tuple[int, int], float]:
     """Multiply every span advantage by its coefficient, span-uniformly.  A degenerate set returns table itself:
     its every alpha is exactly 1.0, and 1.0 * x is x."""
     if mod.degenerate:
         return table
     alpha = mod.alpha
-    return AdvantageTable({key: alpha[key] * val for key, val in table.values.items()})
+    return {key: alpha[key] * val for key, val in table.items()}

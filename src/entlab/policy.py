@@ -362,9 +362,10 @@ def exact_response_entropy(policy: TablePolicy | PolicySnapshot, state: str) -> 
     to right from 0.0 over the leaves with prob > 0.  Raises EnumerationBudgetError when the response count
     exceeds the path budget.
     """
-    snapshot, h = PolicySnapshot.of(policy), 0.0
-    for prob, log in zip(snapshot.leaf_probs(state), snapshot.leaf_logs(state)):
-        h -= prob * log if prob > 0.0 else 0.0  # h - 0.0 is h
+    h = 0.0
+    for prob in PolicySnapshot.of(policy).leaf_probs(state):
+        if prob > 0.0:  # math.log(prob), as _leaf_logs takes it
+            h -= prob * math.log(prob)
     return h
 
 

@@ -1,9 +1,10 @@
-"""Group rollouts and the span bookkeeping that links tokens back to turns.
+"""Group rollouts: one record per turn, which is also the turn's span.
 
 A group is N independent trajectories from the same prompt (an environment
-task).  Every turn's response becomes one environment-reactive span; a span
-references its Response, whose per-token entropies and logprobs recorded at
-sampling time are what the modulation and the trainer consume.
+task).  Every turn's response is one environment-reactive span, keyed by
+(rollout, turn); it references its Response, whose per-token entropies and
+logprobs recorded at sampling time are what the modulation and the trainer
+consume.
 """
 
 from __future__ import annotations
@@ -21,8 +22,11 @@ FILTER_MODES = ("off", "drop_uniform")
 
 @dataclass
 class Turn:
-    """One (state, response) interaction plus the environment's validity verdict."""
+    """Turn turn_index of rollout rollout_index: the state, the sampled response and the environment's verdict.
+    It is also the turn's span, keyed by (rollout_index, turn_index)."""
 
+    rollout_index: int
+    turn_index: int
     state: EnvState
     response: Response
     valid: bool
@@ -47,37 +51,20 @@ class Trajectory:
 
 
 @dataclass
-class ResponseSpan:
-    """Turn t of rollout i: the policy key it was sampled at and the sampled response."""
-
-    rollout_index: int
-    turn_index: int
-    state_key: str
-    response: Response
-
-
-@dataclass
 class Group:
-    """N trajectories for one prompt plus their parsed spans."""
+    """N trajectories for one prompt; spans are their turns, rollout by rollout in turn order, unless given."""
 
     prompt_id: int
     trajectories: list[Trajectory]
-    spans: list[ResponseSpan] = field(default_factory=list)
+    spans: list[Turn] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.spans:
-            for i, traj in enumerate(self.trajectories):
-                self.spans.extend(parse_spans(traj, rollout_index=i))
+            self.spans = [turn for traj in self.trajectories for turn in traj.turns]
 
     @property
     def rewards(self) -> list[float]:
         return [traj.reward for traj in self.trajectories]
-
-
-def parse_spans(trajectory: Trajectory, rollout_index: int = 0) -> list[ResponseSpan]:
-    """One span per turn, in turn order; the spans' responses tile the trajectory's token stream."""
-    return [ResponseSpan(rollout_index, t, turn.state.policy_key, turn.response)
-            for t, turn in enumerate(trajectory.turns)]
 
 
 def collect_groups(policy: PolicySnapshot | TablePolicy, env: Env, prompt_ids: list[int], scheme: RewardScheme,
@@ -87,18 +74,18 @@ def collect_groups(policy: PolicySnapshot | TablePolicy, env: Env, prompt_ids: l
     each on its own generator, so every draw is the one it makes played alone.  A TablePolicy gets one snapshot."""
     snapshot = PolicySnapshot.of(policy)
     starts = [env.reset(prompt_id) for prompt_id in prompt_ids]
-    rollouts = [[(Trajectory(prompt_id, [], start), rng) for rng in rngs]
+    rollouts = [[(Trajectory(prompt_id, [], start), i, rng) for i, rng in enumerate(rngs)]
                 for prompt_id, start, rngs in zip(prompt_ids, starts, rngs_per_group)]
     live = [rollout for group in rollouts for rollout in group]
     while live:  # final_state is each trajectory's current state until it is done
-        samplers = snapshot.samplers([traj.final_state.policy_key for traj, _ in live])
-        for (traj, rng), sampler in zip(live, samplers):
+        samplers = snapshot.samplers([traj.final_state.policy_key for traj, _, _ in live])
+        for (traj, i, rng), sampler in zip(live, samplers):
             state = traj.final_state
             response = _walk(snapshot, sampler, rng)
             traj.final_state, valid = env.step(state, response.tokens)
-            traj.turns.append(Turn(state=state, response=response, valid=valid))
-        live = [(traj, rng) for traj, rng in live if not traj.final_state.done]
-    groups = [Group(prompt_id, [traj for traj, _ in group]) for prompt_id, group in zip(prompt_ids, rollouts)]
+            traj.turns.append(Turn(i, len(traj.turns), state, response, valid))
+        live = [(traj, i, rng) for traj, i, rng in live if not traj.final_state.done]
+    groups = [Group(prompt_id, [traj for traj, _, _ in group]) for prompt_id, group in zip(prompt_ids, rollouts)]
     for traj in (traj for group in groups for traj in group.trajectories):
         traj.reward = terminal_reward(traj, scheme)
     return groups

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import modulation as mod
-from .advantage import ESTIMATORS, AdvantageTable, compute_advantages
+from .advantage import ESTIMATORS, compute_advantages
 from .envs import REWARD_SCHEMES, Env, RewardScheme, env_class, make_env
 from .policy import PolicySnapshot, TablePolicy, _check_budget, _leaf_logs, _leaf_probs, save_checkpoint
 from .rollout import FILTER_MODES, Group, collect_groups, filter_degenerate_groups, generator_from, seed_states
@@ -36,6 +36,7 @@ _FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real, "dic
 _FIELD_RANGES = {
     "env_seed": (">= 0", lambda v: v >= 0),
     "seed": (">= 0", lambda v: v >= 0),
+    "aem_lambda": ("in [-700, 700]", lambda v: abs(v) <= 700.0),  # math.exp(700) is finite, math.exp(710) raises
     "aem_eps": (">= 0", lambda v: v >= 0.0),
     "clip_low": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
     "clip_high": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
@@ -132,7 +133,7 @@ _TERM = np.dtype([("state", np.intp), ("row", np.intp), ("tok", np.intp), ("coef
 def surrogate_loss(
     policy: TablePolicy | PolicySnapshot,
     groups: list[Group],
-    tables: list[AdvantageTable],
+    tables: list[dict[tuple[int, int], float]],
     config: TrainConfig,
     ref_policy: TablePolicy | PolicySnapshot | None = None,
     masked_keys: set[tuple[int, int, int]] | None = None,
@@ -156,8 +157,8 @@ def surrogate_loss(
     masked_keys = masked_keys or set()
     snapshot = PolicySnapshot.of(policy)
 
-    # (advantage, state_key, tokens, behavior logprobs) per surviving span.
-    span_rows = [(table.values[(s.rollout_index, s.turn_index)], s.state_key, s.response.tokens, s.response.logprobs)
+    # (advantage, policy key, tokens, behavior logprobs) per surviving span.
+    span_rows = [(table[(s.rollout_index, s.turn_index)], s.state.policy_key, s.response.tokens, s.response.logprobs)
                  for g_idx, (group, table) in enumerate(zip(groups, tables)) for s in group.spans
                  if (g_idx, s.rollout_index, s.turn_index) not in masked_keys]
 
@@ -299,7 +300,7 @@ class StepUpdate(NamedTuple):
     nothing modulates), the masked (group_idx, rollout, turn) keys, and each collected group's span proxies by id."""
 
     groups: list[Group]
-    tables: list[AdvantageTable]
+    tables: list[dict[tuple[int, int], float]]
     sets: list[mod.ModulationSet] | None
     masked: set[tuple[int, int, int]]
     h_bar: dict[int, list[float]]
@@ -331,7 +332,7 @@ def prepare_update(snapshot: PolicySnapshot, groups: list[Group], config: TrainC
     if mask_sign is not None:
         # A span is masked when sgn(A * (alpha - 1)) == mask_sign; a table holds one value per span.
         for g_idx, (table, mset) in enumerate(zip(tables, sets)):
-            masked.update((g_idx, *key) for key, adv in table.values.items()
+            masked.update((g_idx, *key) for key, adv in table.items()
                           if mask_sign * (adv * (mset.alpha[key] - 1.0)) > 0.0)
     timings["aem"] += time.perf_counter() - t0
     return StepUpdate(trained, applied, sets, masked, h_bar)
@@ -446,7 +447,7 @@ def _step_metrics(step: int, collected: list[Group], update: StepUpdate, loss_va
     for g_idx, (group, table) in enumerate(zip(update.groups, update.tables)):
         for span, proxy in zip(group.spans, h_bar[id(group)]):
             key = (span.rollout_index, span.turn_index)
-            adv = table.values[key]
+            adv = table[key]
             alpha = sets[g_idx].alpha[key] if sets else 1.0
             alphas.append(alpha)
             n_pos += 1 if adv > 0.0 else 0

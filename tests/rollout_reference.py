@@ -13,12 +13,12 @@ def sequential_group(policy, env, prompt_id, scheme, rngs):
     sampled through a new snapshot of the TablePolicy, so nothing is shared across turns, and every turn is
     the fresh-_move reference step, built apart from the env's kept table."""
     trajectories = []
-    for rng in rngs:
+    for i, rng in enumerate(rngs):
         state, turns = env.reset(prompt_id), []
         while not state.done:
             response = sample_response(policy, state.policy_key, rng)
             nxt, valid = fresh_step(env, state, response.tokens)
-            turns.append(Turn(state=state, response=response, valid=valid))
+            turns.append(Turn(rollout_index=i, turn_index=len(turns), state=state, response=response, valid=valid))
             state = nxt
         traj = Trajectory(prompt_id, turns, state)
         traj.reward = terminal_reward(traj, scheme)

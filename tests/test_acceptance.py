@@ -15,9 +15,8 @@ import time
 
 import numpy as np
 
-from entlab.advantage import AdvantageTable
 from entlab.cli import main as cli_main
-from entlab.envs import REWARD_SCHEMES, make_env
+from entlab.envs import REWARD_SCHEMES, EnvState, make_env
 from entlab.geometry import (
     DriftConfig,
     ParamPolicy,
@@ -33,7 +32,7 @@ from entlab.geometry import (
 from entlab.modulation import group_minmax_normalize, modulate_batch, modulation_coeffs
 from entlab.policy import Response, TablePolicy, exact_response_entropy, pathwise_entropy, random_policy
 from entlab.probes import consistency_probe, doob_exact_residuals, doob_probe, reachable_states
-from entlab.rollout import Group, ResponseSpan, collect_group
+from entlab.rollout import Group, Turn, collect_group
 from entlab.trainer import LOSSES, TrainConfig, surrogate_loss, train
 from grad_rows import grad_rows
 from seeding import child_rngs
@@ -119,9 +118,9 @@ def test_parametrized_drift_matches_theta_gradients():
             f"max |V - ||grad H||^2| {worst_v:.3e} (tol 1e-10)")
 
 
-def _span(i: int, h: float) -> ResponseSpan:
-    return ResponseSpan(rollout_index=i, turn_index=0, state_key="s",
-                        response=Response(tokens=[0], logprobs=[-1.0], entropies=[h]))
+def _span(i: int, h: float) -> Turn:
+    return Turn(rollout_index=i, turn_index=0, state=EnvState("synthetic", 0, 0, ()),
+                response=Response(tokens=[0], logprobs=[-1.0], entropies=[h]), valid=True)
 
 
 def _reference_pipeline(h_bars: list[float], lam: float, eps: float):
@@ -322,12 +321,11 @@ def test_loss_gradients_match_finite_differences():
         policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
         ref_policy = policy.copy()
         group = collect_group(policy, env, c % 2, scheme, child_rngs(rng, 4))
-        table = AdvantageTable(values={
-            (s.rollout_index, s.turn_index): float(rng.normal()) for s in group.spans})
+        table = {(s.rollout_index, s.turn_index): float(rng.normal()) for s in group.spans}
         if c % 2 == 1:
             for span in group.spans:
                 for k in range(len(span.response.tokens)):
-                    vec = policy.logit_vector(span.state_key, tuple(span.response.tokens[:k]))
+                    vec = policy.logit_vector(span.state.policy_key, tuple(span.response.tokens[:k]))
                     vec += rng.normal(scale=0.3, size=vec.shape)
 
         _, grad = surrogate_loss(policy, [group], [table], config, ref_policy)

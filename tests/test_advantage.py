@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from entlab.advantage import (
+    ESTIMATORS,
     compute_advantages,
     grpo_advantage,
     oracle_value_advantage,
@@ -27,13 +28,13 @@ def _group_with_rewards(rewards):
     """Minimal single-turn group whose trajectories carry the given rewards."""
     env = make_env("key-chain", seed=0)
     trajectories = []
-    for r in rewards:
+    for i, r in enumerate(rewards):
         resp = Response(tokens=[env.vocab.terminator_id], logprobs=[-1.0], entropies=[1.0])
         state = env.reset(0)
         nxt, valid = env.step(state, resp.tokens)
         traj = Trajectory(
             prompt_id=0,
-            turns=[Turn(state=state, response=resp, valid=valid)],
+            turns=[Turn(rollout_index=i, turn_index=0, state=state, response=resp, valid=valid)],
             final_state=nxt,
             reward=float(r),
         )
@@ -44,14 +45,14 @@ def _group_with_rewards(rewards):
 def test_grpo_worked_values():
     group = _group_with_rewards([10.0, 0.0, 0.0, 10.0])
     table = grpo_advantage(group)
-    got = [table.values[(i, 0)] for i in range(4)]
+    got = [table[(i, 0)] for i in range(4)]
     np.testing.assert_allclose(got, [1.0, -1.0, -1.0, 1.0], rtol=1e-6)
 
 
 def test_grpo_zero_variance_yields_zeros():
     group = _group_with_rewards([3.0, 3.0, 3.0])
     table = grpo_advantage(group)
-    assert all(v == 0.0 for v in table.values.values())
+    assert all(v == 0.0 for v in table.values())
 
 
 def test_grpo_shift_invariance():
@@ -60,8 +61,8 @@ def test_grpo_shift_invariance():
         rewards = rng.normal(size=6)
         a = grpo_advantage(_group_with_rewards(rewards))
         b = grpo_advantage(_group_with_rewards(rewards + 17.5))
-        for key in a.values:
-            assert a.values[key] == pytest.approx(b.values[key], abs=1e-9)
+        for key in a:
+            assert a[key] == pytest.approx(b[key], abs=1e-9)
 
 
 def test_grpo_mean_zero():
@@ -69,16 +70,16 @@ def test_grpo_mean_zero():
     for _ in range(20):
         rewards = rng.normal(size=5)
         table = grpo_advantage(_group_with_rewards(rewards))
-        per_traj = [table.values[(i, 0)] for i in range(5)]
+        per_traj = [table[(i, 0)] for i in range(5)]
         assert sum(per_traj) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_rloo_worked_values():
     group = _group_with_rewards([10.0, 0.0, 0.0, 0.0])
     table = rloo_advantage(group)
-    assert table.values[(0, 0)] == pytest.approx(10.0)
+    assert table[(0, 0)] == pytest.approx(10.0)
     for i in (1, 2, 3):
-        assert table.values[(i, 0)] == pytest.approx(-10.0 / 3.0)
+        assert table[(i, 0)] == pytest.approx(-10.0 / 3.0)
 
 
 def test_rloo_needs_two_rollouts():
@@ -87,14 +88,19 @@ def test_rloo_needs_two_rollouts():
 
 
 def test_advantage_broadcast_covers_every_span():
+    """Every estimator gives a plain dict with one value per span, keyed by its (rollout_index, turn_index)."""
     env = make_env("key-chain", seed=0)
     policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
-    group = collect_group(policy, env, 0, REWARD_SCHEMES["sparse"], child_rngs(np.random.default_rng(3), 8))
-    table = grpo_advantage(group)
-    assert set(table.values) == {(s.rollout_index, s.turn_index) for s in group.spans}
-    # every span of one trajectory shares that trajectory's scalar
-    for span in group.spans:
-        assert table.values[(span.rollout_index, span.turn_index)] == table.values[(span.rollout_index, 0)]
+    scheme = REWARD_SCHEMES["sparse"]
+    group = collect_group(policy, env, 0, scheme, child_rngs(np.random.default_rng(3), 8))
+    assert any(len(traj.turns) > 1 for traj in group.trajectories)
+    for estimator in ESTIMATORS:
+        table = compute_advantages(group, estimator, env=env, policy=policy, scheme=scheme)
+        assert type(table) is dict
+        assert list(table) == [(s.rollout_index, s.turn_index) for s in group.spans]
+        if estimator != "oracle_value":  # every span of one trajectory shares that trajectory's scalar
+            for span in group.spans:
+                assert table[(span.rollout_index, span.turn_index)] == table[(span.rollout_index, 0)]
 
 
 def test_state_value_uniform_key_chain():
@@ -133,7 +139,7 @@ def test_oracle_value_advantage_matches_reward_minus_value():
     for i, traj in enumerate(group.trajectories):
         for t, turn in enumerate(traj.turns):
             want = traj.reward - state_value(policy, env, turn.state, scheme, memo)
-            assert table.values[(i, t)] == pytest.approx(want)
+            assert table[(i, t)] == pytest.approx(want)
 
 
 def test_oracle_advantage_mean_zero_over_on_policy_samples():
@@ -143,7 +149,7 @@ def test_oracle_advantage_mean_zero_over_on_policy_samples():
     scheme = REWARD_SCHEMES["binary"]
     group = collect_group(policy, env, 0, scheme, child_rngs(np.random.default_rng(8), 2000))
     table = oracle_value_advantage(group, env, policy, scheme)
-    first_turn = np.array([table.values[(i, 0)] for i in range(len(group.trajectories))])
+    first_turn = np.array([table[(i, 0)] for i in range(len(group.trajectories))])
     stderr = first_turn.std() / np.sqrt(len(first_turn))
     assert abs(float(first_turn.mean())) < 4.0 * stderr
 
@@ -154,10 +160,10 @@ def test_compute_advantages_dispatch():
     scheme = REWARD_SCHEMES["binary"]
     group = collect_group(policy, env, 0, scheme, child_rngs(np.random.default_rng(2), 4))
     mixed = _group_with_rewards([1.0, 0.0, 0.0, 0.5])
-    assert compute_advantages(mixed, "grpo").values == grpo_advantage(mixed).values
-    assert compute_advantages(mixed, "rloo").values == rloo_advantage(mixed).values != grpo_advantage(mixed).values
+    assert compute_advantages(mixed, "grpo") == grpo_advantage(mixed)
+    assert compute_advantages(mixed, "rloo") == rloo_advantage(mixed) != grpo_advantage(mixed)
     oracle = compute_advantages(group, "oracle_value", env=env, policy=policy, scheme=scheme)
-    assert oracle.values == oracle_value_advantage(group, env, policy, scheme).values
+    assert oracle == oracle_value_advantage(group, env, policy, scheme)
     with pytest.raises(ValueError):
         compute_advantages(group, "oracle_value")
     with pytest.raises(ValueError):

@@ -282,6 +282,10 @@ RANGE_ERRORS = [
     ["env_kind=grid-fetch", "env_overrides.width=1", "env_overrides.height=1"],
     ["env_kind=bandit-chain", "env_overrides.n_arms=0"], ["env_kind=bandit-chain", "env_overrides.chain_len=0"],
     ["env_kind=bandit-chain", "env_overrides.task_count=0"],
+    # A live population with |aem_lambda| past 700 would overflow math.exp in the coefficients mid-run.
+    ["aem_mode=reverse", "aem_lambda=1000", "lr=2.0", "reward_scheme=binary", "env_overrides.chain_len=1"],
+    ["aem_mode=aem", "aem_lambda=-1000", "lr=2.0", "reward_scheme=binary", "env_overrides.chain_len=1"],
+    ["aem_lambda=700.5"],
 ]
 
 

@@ -279,12 +279,12 @@ def _run_to_reward(env, task_id, responses, scheme):
 
     state = env.reset(task_id)
     turns = []
-    for tokens in responses:
+    for t, tokens in enumerate(responses):
         nxt, valid = env.step(state, tokens)
         fake = Response(tokens=list(tokens), logprobs=[0.0] * len(tokens), entropies=[0.0] * len(tokens))
         from entlab.rollout import Turn
 
-        turns.append(Turn(state=state, response=fake, valid=valid))
+        turns.append(Turn(rollout_index=0, turn_index=t, state=state, response=fake, valid=valid))
         state = nxt
         if state.done:
             break

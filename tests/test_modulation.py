@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from entlab.advantage import AdvantageTable
+from entlab.envs import EnvState
 from entlab.modulation import (
     DEGENERATE_RANGE,
     MODES,
@@ -19,12 +19,13 @@ from entlab.modulation import (
     response_entropy_proxy,
 )
 from entlab.policy import Response
-from entlab.rollout import Group, ResponseSpan
+from entlab.rollout import Group, Turn
 
 
 def _span(i, t, entropies):
     n = len(entropies)
-    return ResponseSpan(i, t, "s", Response(tokens=[0] * n, logprobs=[-1.0] * n, entropies=list(entropies)))
+    response = Response(tokens=[0] * n, logprobs=[-1.0] * n, entropies=list(entropies))
+    return Turn(i, t, EnvState("synthetic", 0, t, ()), response, True)
 
 
 def _modulate(group, mode="aem", **kwargs):
@@ -218,21 +219,21 @@ def test_empty_batch_gives_no_sets():
 def test_apply_modulation_multiplies_span_advantages():
     group = _group_from_entropies([[0.0], [0.5], [1.0]])
     mod = _modulate(group)
-    table = AdvantageTable(values={(0, 0): 1.0, (1, 0): -2.0, (2, 0): 0.5})
+    table = {(0, 0): 1.0, (1, 0): -2.0, (2, 0): 0.5}
     out = apply_modulation(table, mod)
-    for key in table.values:
-        assert out.values[key] == table.values[key] * mod.alpha[key]
+    for key in table:
+        assert out[key] == table[key] * mod.alpha[key]
 
 
 def test_apply_modulation_returns_a_degenerate_sets_table_itself():
     """Every alpha of a degenerate set is exactly 1.0, and 1.0 * x is x: the table comes back as it was given,
     for a group whose population is flat and for a group with no spans."""
-    table = AdvantageTable(values={(0, 0): 1.0, (1, 0): -0.0, (2, 0): 0.5})
+    table = {(0, 0): 1.0, (1, 0): -0.0, (2, 0): 0.5}
     flat, empty = modulate_batch([_group_from_entropies([[0.5], [0.52], [0.55]]),
                                   Group(prompt_id=1, trajectories=[], spans=[])], "aem")
     assert flat.degenerate and empty.degenerate
     assert apply_modulation(table, flat) is table
-    blank = AdvantageTable()
+    blank = {}
     assert apply_modulation(blank, empty) is blank
 
 

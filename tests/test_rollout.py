@@ -1,4 +1,4 @@
-"""Tests for trajectory collection, span parsing and degenerate-group filtering."""
+"""Tests for trajectory collection, the spans of collected groups and degenerate-group filtering."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from entlab.rollout import (
     collect_groups,
     filter_degenerate_groups,
     generator_from,
-    parse_spans,
     seed_states,
 )
 from derivations import record_softmax_passes
@@ -57,36 +56,43 @@ def test_rollout_terminates_and_scores():
 
 
 def test_spans_tile_the_token_stream():
+    """A collected group's spans are its trajectories' turns themselves, rollout by rollout in turn order; each
+    span's key is its position, and the spans' responses tile each rollout's token stream."""
     env = make_env("grid-fetch", seed=0)
     policy = _uniform_policy(env)
-    rng = np.random.default_rng(1)
-    traj = _play(policy, env, 0, REWARD_SCHEMES["binary"], rng)
-    spans = parse_spans(traj, rollout_index=3)
-    stream = _tokens(traj)
-    assert len(spans) == len(traj.turns)
-    for t, (span, turn) in enumerate(zip(spans, traj.turns)):
-        assert span.rollout_index == 3
-        assert span.turn_index == t
-        assert span.response is turn.response  # referenced, not copied
-    assert [tok for span in spans for tok in span.response.tokens] == stream
+    group = collect_group(policy, env, 0, REWARD_SCHEMES["binary"], child_rngs(np.random.default_rng(1), 4))
+    turns = [turn for traj in group.trajectories for turn in traj.turns]
+    assert len(group.spans) == len(turns) and all(span is turn for span, turn in zip(group.spans, turns))
+    assert any(len(traj.turns) > 1 for traj in group.trajectories)
+    for i, traj in enumerate(group.trajectories):
+        spans = [span for span in group.spans if span.rollout_index == i]
+        assert [span.turn_index for span in spans] == list(range(len(traj.turns)))
+        assert [tok for span in spans for tok in span.response.tokens] == _tokens(traj)
 
 
 def test_span_state_keys_follow_turn_states():
+    """Each span holds the state its response was sampled at: a rollout's spans chain from the task's start
+    through each turn's next state to the trajectory's final state."""
     env = make_env("bandit-chain", seed=0)
     policy = _uniform_policy(env)
-    traj = _play(policy, env, 0, REWARD_SCHEMES["binary"], np.random.default_rng(2))
-    spans = parse_spans(traj)
-    for span, turn in zip(spans, traj.turns):
-        assert span.state_key == turn.state.policy_key
-    # bandit-chain always plays the full chain
-    assert len(spans) == env.chain_len
+    group = collect_group(policy, env, 0, REWARD_SCHEMES["binary"], child_rngs(np.random.default_rng(2), 3))
+    for i, traj in enumerate(group.trajectories):
+        spans = [span for span in group.spans if span.rollout_index == i]
+        state = env.reset(0)
+        for span in spans:
+            assert span.state is state
+            state, valid = env.step(state, span.response.tokens)
+            assert span.valid == valid
+        assert state is traj.final_state
+        # bandit-chain always plays the full chain
+        assert len(spans) == env.chain_len
 
 
 def test_span_h_bar_is_mean_entropy():
     env = make_env("key-chain", seed=0)
     policy = _uniform_policy(env)
-    traj = _play(policy, env, 0, REWARD_SCHEMES["binary"], np.random.default_rng(3))
-    for span in parse_spans(traj):
+    group = collect_group(policy, env, 0, REWARD_SCHEMES["binary"], child_rngs(np.random.default_rng(3), 4))
+    for span in group.spans:
         entropies = span.response.entropies
         assert response_entropy_proxy(span.response) == pytest.approx(sum(entropies) / len(entropies))
 
@@ -166,7 +172,7 @@ def test_lockstep_derives_each_state_once_in_one_pass_per_turn(monkeypatch):
     groups = collect_groups(snapshot, env, prompts, scheme, [child_rngs(np.random.default_rng(p), 8) for p in prompts])
     turns = max(len(traj.turns) for group in groups for traj in group.trajectories)
     derived = [state for states in passes for _, _, state in states]
-    visited = {span.state_key for group in groups for span in group.spans}
+    visited = {span.state.policy_key for group in groups for span in group.spans}
     assert 1 < len(passes) <= turns
     assert len(derived) == len(set(derived)) and set(derived) == visited
     before = list(passes)

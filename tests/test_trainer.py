@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from entlab.advantage import AdvantageTable, compute_advantages
+from entlab.advantage import compute_advantages
 from entlab.envs import REWARD_SCHEMES, make_env
 import entlab.envs
 import entlab.modulation
@@ -102,9 +102,10 @@ def test_config_rejects_bad_fields():
     # Ranges: every float is finite, and each bounded field keeps its bound.
     for bad in ({"lr": math.nan}, {"aem_lambda": math.inf}, {"kl_coef": -math.inf}, {"aem_eps": -1.0},
                 {"prompts_per_step": 0}, {"ckpt_every": -1}, {"lr": -0.5}, {"epochs": -1}, {"seed": -1},
-                {"env_seed": -1}):
+                {"env_seed": -1}, {"aem_lambda": 1000.0}, {"aem_lambda": -700.5}):
         with pytest.raises(ValueError, match="must be"):
             TrainConfig(**bad)
+    assert TrainConfig(aem_lambda=700.0).aem_lambda == -TrainConfig(aem_lambda=-700.0).aem_lambda == 700.0
     # Env sizes are checked when the config is built, whether or not the run enumerates.
     for overrides in ({"key_len": 0}, {"task_count": 0}, {"chain_len": 0}):
         with pytest.raises(ValueError, match=">= 1"):
@@ -151,7 +152,7 @@ def _loss_inputs(config, jitter=0.0, jitter_seed=3):
         for group in groups:
             for span in group.spans:
                 for k in range(len(span.response.tokens)):
-                    vec = policy.logit_vector(span.state_key, tuple(span.response.tokens[:k]))
+                    vec = policy.logit_vector(span.state.policy_key, tuple(span.response.tokens[:k]))
                     vec += rng.normal(scale=jitter, size=vec.shape)
     return policy, ref_policy, groups, tables
 
@@ -391,7 +392,7 @@ def _surrogate_per_token(policy, ref_policy, groups, tables, config, masked_keys
     regularizer walk included.  The reference for its loss value and blocks; returns (loss, gradient, how many clip
     terms were clipped, each token's ratio)."""
     snapshot = PolicySnapshot(policy)
-    span_rows = [(table.values[(span.rollout_index, span.turn_index)], span.state_key, span.response.tokens,
+    span_rows = [(table[(span.rollout_index, span.turn_index)], span.state.policy_key, span.response.tokens,
                   span.response.logprobs) for g_idx, (group, table) in enumerate(zip(groups, tables))
                  for span in group.spans if (g_idx, span.rollout_index, span.turn_index) not in masked_keys]
     n_spans, total_tokens = len(span_rows), sum(len(row[2]) for row in span_rows)
@@ -446,12 +447,11 @@ def _block_inputs(shape):
     ref_policy = policy.copy()
     rng = np.random.default_rng(19)
     groups = [collect_group(policy, env, task, scheme, child_rngs(rng, 6)) for task in range(2)]
-    tables = [AdvantageTable(values={(s.rollout_index, s.turn_index): float(rng.normal()) for s in g.spans})
-              for g in groups]
+    tables = [{(s.rollout_index, s.turn_index): float(rng.normal()) for s in g.spans} for g in groups]
     for group in groups:
         for span in group.spans:
             for k in range(len(span.response.tokens)):
-                vec = policy.logit_vector(span.state_key, tuple(span.response.tokens[:k]))
+                vec = policy.logit_vector(span.state.policy_key, tuple(span.response.tokens[:k]))
                 vec += rng.normal(scale=0.5, size=vec.shape)
     return policy, ref_policy, groups, tables
 
@@ -508,7 +508,7 @@ def test_loss_value_is_the_per_token_loop(loss, shape, regularized):
     _assert_is_the_per_token_loop(policy, ref_policy, groups, tables, config, keys[::2])
     assert _assert_is_the_per_token_loop(policy, ref_policy, groups, tables, config, keys) == []
     assert repr(surrogate_loss(policy, groups, tables, config, ref_policy, set(keys))[0]) == "-0.0"
-    zeros = [AdvantageTable(values=dict.fromkeys(table.values, 0.0)) for table in tables]
+    zeros = [dict.fromkeys(table, 0.0) for table in tables]
     _assert_is_the_per_token_loop(policy, ref_policy, groups, zeros, config)
 
 
@@ -522,8 +522,8 @@ def test_a_sampled_token_that_underflowed_has_ratio_zero(loss, regularized):
     policy, ref_policy, groups, tables = _block_inputs("grid-fetch")
     for group in groups:
         span = group.spans[0]
-        policy.logit_vector(span.state_key, ())[span.response.tokens[0]] = -800.0
-        assert token_distribution(policy, span.state_key, ())[span.response.tokens[0]] == 0.0
+        policy.logit_vector(span.state.policy_key, ())[span.response.tokens[0]] = -800.0
+        assert token_distribution(policy, span.state.policy_key, ())[span.response.tokens[0]] == 0.0
     assert 0.0 in _assert_is_the_per_token_loop(policy, ref_policy, groups, tables, config)
 
 
@@ -532,7 +532,7 @@ def test_no_gradient_term_gives_no_block_and_no_write():
     """With every advantage 0 and both coefficients 0, the gradient is {} and a train() step writes nothing."""
     config = TrainConfig(loss="grpo_clip", kl_coef=0.0, entropy_coef=0.0)
     policy, ref_policy, groups, tables = _block_inputs("grid-fetch")
-    zeros = [AdvantageTable(values=dict.fromkeys(table.values, 0.0)) for table in tables]
+    zeros = [dict.fromkeys(table, 0.0) for table in tables]
     writes = policy.writes
     assert surrogate_loss(policy, groups, zeros, config, ref_policy)[1] == {}
     assert policy.writes == writes
@@ -557,7 +557,7 @@ def test_surrogate_loss_refuses_a_span_that_is_not_a_complete_response(shape):
     short = [[0] * k for k in range(1, max_len)] + [[1] * k for k in range(1, max_len)]
     for tokens in [*past, *short, [-1], [size], [0] * (max_len - 1) + [-1]]:
         span.response = Response(tokens=tokens, logprobs=[-1.0] * len(tokens), entropies=[0.5] * len(tokens))
-        message = f"span tokens {tokens} at {span.state_key!r} are not one complete response"
+        message = f"span tokens {tokens} at {span.state.policy_key!r} are not one complete response"
         with pytest.raises(ValueError, match=re.escape(message)):
             surrogate_loss(policy, groups, tables, config, ref_policy)
 
@@ -751,7 +751,7 @@ def test_masked_runs_diverge_by_sign():
 
 
 def _table_bits(tables):
-    return [[(key, float(value).hex()) for key, value in table.values.items()] for table in tables]
+    return [[(key, float(value).hex()) for key, value in table.items()] for table in tables]
 
 
 #: (fields, mask_sign) that reach every rule of prepare_update: each population, the group filter, both masks
