@@ -23,7 +23,7 @@ from entlab.modulation import (
     modulation_coeffs,
 )
 from entlab.policy import Response
-from entlab.rollout import Group, Turn
+from entlab.rollout import Group, Trajectory, Turn
 
 
 def span(i: int, turn: int, entropies: list[float]) -> Turn:
@@ -49,9 +49,10 @@ def worked_example() -> None:
 
 
 def ablation_modes(seed: int) -> None:
-    spans = [span(0, 0, [0.1, 0.3]), span(0, 1, [1.2, 1.6]),
-             span(1, 0, [0.8, 0.8]), span(1, 1, [0.3, 0.5])]
-    group = Group(prompt_id=0, trajectories=[], spans=spans)
+    rollouts = [[span(0, 0, [0.1, 0.3]), span(0, 1, [1.2, 1.6])],
+                [span(1, 0, [0.8, 0.8]), span(1, 1, [0.3, 0.5])]]
+    group = Group(prompt_id=0, trajectories=[Trajectory(0, turns, EnvState("demo", 0, 2, (), done=True))
+                                             for turns in rollouts])
     print("\nablation variants on one two-rollout group (keys are rollout, turn):")
     rng = np.random.default_rng(seed)
     for mode in ("aem", "reverse", "shuffle", "traj_norm"):

@@ -87,9 +87,8 @@ def _number(kind: type, low: float, strict: bool = False):
 
 
 def _resolve_config(args: argparse.Namespace) -> TrainConfig:
-    doc = config_to_doc(load_config(args.config)) if args.config else config_to_doc(TrainConfig())
-    doc = apply_overrides(doc, args.set or [])
-    return config_from_doc(doc)
+    doc = load_config(args.config) if args.config else config_to_doc(TrainConfig())
+    return config_from_doc(apply_overrides(doc, args.set or []))
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -241,8 +240,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
     if len(set(variants)) < len(variants) or len(set(seeds)) < len(seeds):
         raise CliError(f"--variants and --seeds must each name every entry once, got {variants} and {seeds}")
-    runs = [[config_from_doc({**config_to_doc(config), "aem_mode": variant, "seed": seed}) for seed in seeds]
-            for variant in variants]
+    runs = [[dataclasses.replace(config, aem_mode=variant, seed=seed) for seed in seeds] for variant in variants]
     os.makedirs(args.out, exist_ok=True)
     rows = []
     with open(os.path.join(args.out, "results.csv"), "w", newline="") as fh:
@@ -326,9 +324,12 @@ def build_parser() -> _Parser:
                    default="all")
     p.add_argument("--trials", type=_number(int, 1), default=200)
     p.add_argument("--seed", type=_number(int, 0), default=0)
-    p.add_argument("--fd-step", type=_number(float, 0, strict=True), default=geometry.DEFAULT_FD_STEP)
-    p.add_argument("--tol-rel", type=_number(float, 0), default=geometry.DEFAULT_REL_TOL)
-    p.add_argument("--tol-abs", type=_number(float, 0), default=geometry.DEFAULT_ABS_TOL)
+    p.add_argument("--fd-step", type=_number(float, 0, strict=True), default=geometry.DEFAULT_FD_STEP,
+                   help="central finite-difference step of the resp, regularized and parametrized kinds")
+    p.add_argument("--tol-rel", type=_number(float, 0), default=geometry.DEFAULT_REL_TOL,
+                   help="relative tolerance of those kinds: a report is ok within --tol-rel or --tol-abs")
+    p.add_argument("--tol-abs", type=_number(float, 0), default=geometry.DEFAULT_ABS_TOL,
+                   help="absolute tolerance of those kinds; nesting keeps its fixed absolute 1e-10")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_verify)
 

@@ -26,12 +26,13 @@ def config_from_doc(doc: dict) -> TrainConfig:
     return TrainConfig(**doc)
 
 
-def load_config(path: str) -> TrainConfig:
+def load_config(path: str) -> dict:
+    """The config file's JSON object, unchecked against TrainConfig so that overrides can still patch it."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
-    return config_from_doc(doc)
+    return doc
 
 
 def save_config(config: TrainConfig, path: str) -> None:

@@ -19,7 +19,6 @@ reproduces its states exactly.
 from __future__ import annotations
 
 import numbers
-from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -27,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .policy import Vocabulary, response_space
+from .policy import Vocabulary, _tree_shape
 
 
 @dataclass(frozen=True)
@@ -109,12 +108,6 @@ def _successor_table(cls: type, attributes: tuple) -> _Table:
     return _Table()
 
 
-@lru_cache(maxsize=16)
-def _contents(vocab: Vocabulary, max_len: int) -> tuple[tuple[int, ...], ...]:
-    """The content of each response of response_space, in order; a truncated response is its own tuple."""
-    return tuple(r[:-1] if r[-1] == vocab.terminator_id else r for r in response_space(vocab, max_len))
-
-
 class Env:
     """The episode contract every environment shares; each kind writes only _start and _move.
 
@@ -154,14 +147,14 @@ class Env:
         pair = table.get((state, tokens))
         if pair is not None:
             return pair
-        leaves = response_space(self.vocab, self.max_len)
-        leaf = bisect_left(leaves, tokens)
-        if leaf == len(leaves) or leaves[leaf] != tokens:
+        shape = _tree_shape(self.vocab, self.max_len)
+        leaf = shape.leaf_at.get(tokens)
+        if leaf is None:
             raise ValueError(f"tokens {list(tokens)} are not one complete response: tokens in range({self.vocab.size}) "
                              f"that end at the first {self.vocab.terminator_id} or at max_len {self.max_len}")
         if state.done:
             raise ValueError("step called on a terminated state")
-        pair = table[state, tokens] = _pair(self, state, self._move(state, _contents(self.vocab, self.max_len)[leaf]))
+        pair = table[state, tokens] = _pair(self, state, self._move(state, shape.contents[leaf]))
         return pair
 
     def _start(self, task_id: int) -> tuple[int, ...]:
@@ -338,7 +331,7 @@ def _pair(env: Env, state: EnvState, outcome: tuple[tuple[int, ...], bool, bool,
 
 def successors(env: Env, state: EnvState) -> tuple[tuple[tuple[EnvState, bool], ...], np.ndarray]:
     """(pairs, index), the row of ``state``: the distinct (next state, valid) pairs of its turn in first-seen
-    order, and as int32 each response's pair index, responses in response_space order.
+    order, and as int32 each response's pair index, responses in the order of _tree_shape's leaves.
 
     One _move per response's content, one _pair per distinct outcome.  Dynamics are a pure function of
     (definition, state, response), so a row is computed once per env definition per process, whatever the
@@ -351,7 +344,8 @@ def successors(env: Env, state: EnvState) -> tuple[tuple[tuple[EnvState, bool], 
         if state.done:
             raise ValueError("step called on a terminated state")
         outcomes: dict = {}  # outcome -> pair index, streamed: no list of 10^5 outcomes on a large space
-        index = [outcomes.setdefault(env._move(state, c), len(outcomes)) for c in _contents(env.vocab, env.max_len)]
+        contents = _tree_shape(env.vocab, env.max_len).contents
+        index = [outcomes.setdefault(env._move(state, c), len(outcomes)) for c in contents]
         row = table[state] = (tuple(_pair(env, state, outcome) for outcome in outcomes),
                               np.array(index, dtype=np.int32))
     return row

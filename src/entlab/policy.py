@@ -298,8 +298,9 @@ def _check_budget(vocab: Vocabulary, max_len: int) -> None:
 
 
 class _Shape(NamedTuple):
-    """The response tree of a (vocabulary, max_len), indexed for a snapshot's table and a policy's blocks."""
+    """The response tree of a (vocabulary, max_len), indexed for a snapshot's table, a policy's blocks and env steps."""
     leaves: tuple[tuple[int, ...], ...]  # the complete responses, sorted
+    contents: tuple[tuple[int, ...], ...]  # each leaf without its terminator, in leaf order (a truncated leaf itself)
     prefixes: list[tuple[int, ...]]  # the internal prefixes in depth-first walk order: the table's and block's rows
     rows: dict[tuple[int, ...], int]  # each internal prefix's row
     child: tuple[int, ...]  # child[row * |V| + tok]: the row of prefix + (tok,), len(prefixes) at a leaf
@@ -334,13 +335,9 @@ def _tree_shape(vocab: Vocabulary, max_len: int) -> _Shape:
     starts = np.flatnonzero(np.diff(cols[0], prepend=-1))
     path_rows = np.full((len(leaves), max_len), len(prefixes))
     path_rows[cols[0], np.arange(len(cols[0])) - starts[cols[0]]] = cols[1]
-    return _Shape(tuple(leaves), prefixes, rows, child, *cols, cols[1] * vocab.size + cols[2], starts,
+    contents = tuple(path[:-1] if path[-1] == vocab.terminator_id else path for path in leaves)
+    return _Shape(tuple(leaves), contents, prefixes, rows, child, *cols, cols[1] * vocab.size + cols[2], starts,
                   {path: j for j, path in enumerate(leaves)}, path_rows)
-
-
-def response_space(vocab: Vocabulary, max_len: int) -> tuple[tuple[int, ...], ...]:
-    """Every complete response (terminator-ended or max_len-truncated) over a vocabulary, sorted."""
-    return _tree_shape(vocab, max_len).leaves
 
 
 def enumerate_responses(policy: TablePolicy | PolicySnapshot, state: str) -> list[tuple[tuple[int, ...], float]]:
@@ -349,7 +346,7 @@ def enumerate_responses(policy: TablePolicy | PolicySnapshot, state: str) -> lis
     A path is complete when it ends with the terminator or reaches max_len.
     The returned probabilities sum to 1 exactly up to roundoff because the
     two stopping rules partition the outcome space.  They are PolicySnapshot.leaf_probs,
-    bit for bit the same as every other exact route sees, paired with response_space.
+    bit for bit the same as every other exact route sees, paired with _tree_shape's leaves.
     """
     snapshot = PolicySnapshot.of(policy)
     return list(zip(snapshot._shape.leaves, snapshot.leaf_probs(state)))
@@ -500,8 +497,8 @@ def load_checkpoint(path: str) -> TablePolicy:
     size, term = policy.vocab.size, policy.vocab.terminator_id
     for i, entry in enumerate(doc["entries"]):
         state, prefix, vec = entry if isinstance(entry, list) and len(entry) == 3 else (None, None, None)
-        if not (isinstance(state, str) and isinstance(prefix, list) and len(prefix) < policy.max_len
-                and all(type(t) is int and 0 <= t < size and t != term for t in prefix) and isinstance(vec, list)
+        if not (isinstance(state, str) and isinstance(prefix, list) and all(type(t) is int for t in prefix)
+                and tuple(prefix) in _tree_shape(policy.vocab, policy.max_len).rows and isinstance(vec, list)
                 and len(vec) == size and all(type(x) in (int, float) and math.isfinite(x) for x in vec)):
             raise ValueError(f"checkpoint {path} entry {i} {entry!r} is not [state, prefix of fewer than "
                              f"{policy.max_len} tokens in range({size}) but {term}, {size} finite logits]")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .envs import Env, reachable
-from .modulation import population_coeffs, response_entropy_proxy
+from .modulation import DEFAULT_EPS, DEFAULT_LAMBDA, population_coeffs, response_entropy_proxy
 from .policy import BATCH_ENTRIES, PolicySnapshot, TablePolicy, _log_and_entropy, path_entropy_sums, sample_response
 from .trainer import StepMetrics
 
@@ -44,8 +44,8 @@ def consistency_probe(
     states: list[str],
     k_samples: int,
     rng: np.random.Generator,
-    lam: float = 1.0,
-    eps: float = 1e-8,
+    lam: float = DEFAULT_LAMBDA,
+    eps: float = DEFAULT_EPS,
     n_bootstrap: int = 1000,
 ) -> ConsistencyReport:
     """Check that the modulation coefficients anticipate Monte-Carlo entropy changes.

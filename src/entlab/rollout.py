@@ -9,7 +9,7 @@ consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -52,15 +52,13 @@ class Trajectory:
 
 @dataclass
 class Group:
-    """N trajectories for one prompt; spans are their turns, rollout by rollout in turn order, unless given."""
+    """N trajectories for one prompt; spans are their turns, rollout by rollout in turn order."""
 
     prompt_id: int
     trajectories: list[Trajectory]
-    spans: list[Turn] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if not self.spans:
-            self.spans = [turn for traj in self.trajectories for turn in traj.turns]
+        self.spans = [turn for traj in self.trajectories for turn in traj.turns]
 
     @property
     def rewards(self) -> list[float]:

@@ -59,8 +59,8 @@ class TrainConfig:
     reward_scheme: str = "sparse"
     estimator: str = "grpo"
     aem_mode: str = "aem"
-    aem_lambda: float = 1.0
-    aem_eps: float = 1e-8
+    aem_lambda: float = mod.DEFAULT_LAMBDA
+    aem_eps: float = mod.DEFAULT_EPS
     loss: str = "grpo_clip"
     clip_low: float = 0.2
     clip_high: float = 0.2
@@ -94,8 +94,7 @@ class TrainConfig:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         if self.filter_mode not in FILTER_MODES:
             raise ValueError(f"filter_mode must be one of {FILTER_MODES}, got {self.filter_mode!r}")
-        # Build the env so that bad sizes fail before any file is written.  Every run enumerates
-        # response_space (make_env's solvability check), so an over-budget one is refused up front too.
+        # Build the env so bad sizes fail before any file is written; make_env enumerates its tree, so check the budget.
         env = env_class(self.env_kind, self.env_overrides)(seed=self.env_seed, **self.env_overrides)
         _check_budget(env.vocab, env.max_len)
 

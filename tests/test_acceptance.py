@@ -32,7 +32,7 @@ from entlab.geometry import (
 from entlab.modulation import group_minmax_normalize, modulate_batch, modulation_coeffs
 from entlab.policy import Response, TablePolicy, exact_response_entropy, pathwise_entropy, random_policy
 from entlab.probes import consistency_probe, doob_exact_residuals, doob_probe, reachable_states
-from entlab.rollout import Group, Turn, collect_group
+from entlab.rollout import Group, Trajectory, Turn, collect_group
 from entlab.trainer import LOSSES, TrainConfig, surrogate_loss, train
 from grad_rows import grad_rows
 from seeding import child_rngs
@@ -118,9 +118,11 @@ def test_parametrized_drift_matches_theta_gradients():
             f"max |V - ||grad H||^2| {worst_v:.3e} (tol 1e-10)")
 
 
-def _span(i: int, h: float) -> Turn:
-    return Turn(rollout_index=i, turn_index=0, state=EnvState("synthetic", 0, 0, ()),
+def _rollout(i: int, h: float) -> Trajectory:
+    """Rollout i as one trajectory of one turn, whose span has the entropy proxy h."""
+    turn = Turn(rollout_index=i, turn_index=0, state=EnvState("synthetic", 0, 0, ()),
                 response=Response(tokens=[0], logprobs=[-1.0], entropies=[h]), valid=True)
+    return Trajectory(prompt_id=0, turns=[turn], final_state=EnvState("synthetic", 0, 1, (), done=True))
 
 
 def _reference_pipeline(h_bars: list[float], lam: float, eps: float):
@@ -151,7 +153,7 @@ def test_modulation_pipeline_matches_straight_line_reference():
         else:
             h_bars = [float(h) for h in rng.uniform(0.0, 2.0, size=n)]
         lam = 1.0 if g % 2 == 0 else float(rng.uniform(0.25, 4.0))
-        group = Group(prompt_id=0, trajectories=[], spans=[_span(i, h) for i, h in enumerate(h_bars)])
+        group = Group(prompt_id=0, trajectories=[_rollout(i, h) for i, h in enumerate(h_bars)])
         got = modulate_batch([group], "aem", lam=lam, eps=eps)[0]
 
         ref_tilde, ref_alpha, degenerate = _reference_pipeline(h_bars, lam, eps)

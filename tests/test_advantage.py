@@ -17,7 +17,7 @@ from entlab.advantage import (
 )
 import entlab.envs
 from entlab.envs import REWARD_SCHEMES, EnvState, make_env, reachable
-from entlab.policy import Response, TablePolicy, Vocabulary, _tree_shape, enumerate_responses, response_space
+from entlab.policy import Response, TablePolicy, Vocabulary, _tree_shape, enumerate_responses
 from entlab.probes import reachable_states
 from entlab.rollout import Group, Trajectory, Turn, collect_group
 from env_reference import fresh_step
@@ -193,7 +193,7 @@ def _reachable(env):
     states = [env.reset(task) for task in range(env.task_count)]
     seen = set(states)
     for state in states:
-        for tokens in response_space(env.vocab, env.max_len):
+        for tokens in _tree_shape(env.vocab, env.max_len).leaves:
             nxt, _ = fresh_step(env, state, list(tokens))
             if not nxt.done and nxt not in seen:
                 seen.add(nxt)

@@ -48,7 +48,7 @@ def test_config_doc_round_trip(tmp_path):
     assert config_from_doc(doc) == config
     path = tmp_path / "config.json"
     save_config(config, str(path))
-    assert load_config(str(path)) == config
+    assert config_from_doc(load_config(str(path))) == config
 
 
 def test_config_rejects_unknown_keys():
@@ -108,9 +108,24 @@ def test_train_with_config_file(tmp_path):
     out = tmp_path / "run"
     assert main(["train", "--config", str(path), "--out", str(out),
                  "--set", "steps=4"]) == 0
-    saved = load_config(str(out / "config.json"))
+    saved = config_from_doc(load_config(str(out / "config.json")))
     assert saved.steps == 4
     assert saved.lr == 0.5
+
+
+def test_set_repairs_a_bad_field_of_a_config_file(tmp_path, capsys):
+    """--set patches the file's document before any check, so it can repair a field the file got wrong; the file
+    alone is still refused with one error line and no run directory."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"steps": 0}))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "bad"), *FAST_SET[2:]]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: steps must be >= 1, got 0"]
+    assert not (tmp_path / "bad").exists()
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--out", str(out), *FAST_SET[2:], "--set", "steps=2"]) == 0
+    assert config_from_doc(load_config(str(out / "config.json"))).steps == 2
+    assert len((out / "metrics.jsonl").read_text().splitlines()) == 2
 
 
 def test_verify_all_kinds(tmp_path):

@@ -20,14 +20,14 @@ from entlab.envs import (
     terminal_reward,
     verify_success_reachable,
 )
-from entlab.policy import TablePolicy, response_space
+from entlab.policy import TablePolicy, _tree_shape
 from entlab.rollout import Trajectory, collect_group
 from env_reference import fresh_step
 from seeding import child_rngs
 
 
 def _expanded(row):
-    """A successors row (pairs, index) as one (next state, valid) pair per response, in response_space order."""
+    """A successors row (pairs, index) as one (next state, valid) pair per response, in leaf order."""
     pairs, index = row
     return tuple(pairs[i] for i in index)
 
@@ -66,7 +66,7 @@ def test_successor_rows_equal_env_step(kind, overrides):
     first-seen order, with an int32 index; equal pairs are one object across rows; and a terminated state is
     refused with step's error."""
     env = make_env(kind, seed=0, **overrides)
-    space = response_space(env.vocab, env.max_len)
+    space = _tree_shape(env.vocab, env.max_len).leaves
     states = list(reachable(env, [env.reset(t) for t in range(env.task_count)]))
     shared: dict = {}
     for state in states:
@@ -94,7 +94,7 @@ def test_rollout_turns_step_to_the_kept_pairs(kind):
     """Every turn of collect_group, on every task, moves to the kept row's next state object (is), with its
     valid flag: a rollout's states are the env graph's own, from the kept start on."""
     env = make_env(kind, seed=0)
-    leaf = {r: j for j, r in enumerate(response_space(env.vocab, env.max_len))}
+    leaf = {r: j for j, r in enumerate(_tree_shape(env.vocab, env.max_len).leaves)}
     policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
     turns = 0
     for task in range(env.task_count):
@@ -128,7 +128,7 @@ def test_step_refuses_bad_tokens_and_terminated_states_whatever_it_keeps(kind):
     terminated state are refused alike before and after it holds (state, tokens) entries; a refusal keeps none."""
     env = make_env(kind, seed=3)
     state, term, size = env.reset(0), env.vocab.terminator_id, env.vocab.size
-    space = response_space(env.vocab, env.max_len)
+    space = _tree_shape(env.vocab, env.max_len).leaves
     bad = [[term, 0], [0] * env.max_len + [term], [0] * (env.max_len - 1), [size, term], [-1, term], []]
     done = next(nxt for s in reachable(env, [state]) for nxt, _ in successors(env, s)[0] if nxt.done)
     for kept in (False, True):
@@ -200,7 +200,7 @@ class _TorusGridEnv(GridFetchEnv):
 
 def _rows_are_env_step(env) -> bool:
     """Every reachable row of env's successors, expanded, equals the fresh-_move reference over the response space."""
-    space = response_space(env.vocab, env.max_len)
+    space = _tree_shape(env.vocab, env.max_len).leaves
     return all(_expanded(successors(env, s)) == tuple(fresh_step(env, s, list(r)) for r in space)
                for s in reachable(env, [env.reset(t) for t in range(env.task_count)]))
 
@@ -405,14 +405,22 @@ def test_reset_refuses_a_task_id_out_of_range(kind):
 
 
 def test_response_space_is_complete_and_sorted():
+    """The tree's leaves are every complete response, sorted; contents[j] is leaf j without its terminator, and
+    the leaf itself when it is truncated at max_len."""
     from entlab.policy import Vocabulary
 
-    space = response_space(Vocabulary(size=3, terminator_id=2), max_len=2)
+    shape = _tree_shape(Vocabulary(size=3, terminator_id=2), max_len=2)
+    space = shape.leaves
     assert list(space) == sorted(space)
     # 2-token window over {0, 1, term}: (term,), (0,*), (1,*)
     assert (2,) in space
     assert (0, 2) in space and (1, 1) in space
     assert len(space) == 1 + 2 * 3
+    assert len(shape.contents) == len(space)
+    for leaf, content in zip(space, shape.contents):
+        assert content == (leaf[:-1] if leaf[-1] == 2 else leaf)
+    assert shape.contents[space.index((2,))] == () and shape.contents[space.index((0, 2))] == (0,)
+    assert shape.contents[space.index((1, 1))] == (1, 1) and shape.contents[space.index((0, 1))] == (0, 1)
 
 
 def test_make_env_verifies_and_rejects_unknown_kind():

@@ -19,7 +19,7 @@ from entlab.modulation import (
     response_entropy_proxy,
 )
 from entlab.policy import Response
-from entlab.rollout import Group, Turn
+from entlab.rollout import Group, Trajectory, Turn
 
 
 def _span(i, t, entropies):
@@ -28,25 +28,31 @@ def _span(i, t, entropies):
     return Turn(i, t, EnvState("synthetic", 0, t, ()), response, True)
 
 
+def _group(rollouts):
+    """Group with one trajectory per rollout, whose turns are that rollout's spans."""
+    return Group(prompt_id=0, trajectories=[Trajectory(0, spans, EnvState("synthetic", 0, len(spans), (), done=True))
+                                            for spans in rollouts])
+
+
 def _modulate(group, mode="aem", **kwargs):
     return modulate_batch([group], mode, **kwargs)[0]
 
 
 def _group_from_entropies(per_span):
     """Group with one single-turn span per rollout, one entropy list each."""
-    spans = [_span(i, 0, ent) for i, ent in enumerate(per_span)]
-    return Group(prompt_id=0, trajectories=[], spans=spans)
+    return _group([[_span(i, 0, ent)] for i, ent in enumerate(per_span)])
 
 
 def _random_group(rng, multi_turn=False, spread=1.5):
     n = int(rng.integers(2, 9))
-    spans = []
+    rollouts = []
     for i in range(n):
         turns = int(rng.integers(1, 4)) if multi_turn else 1
+        rollouts.append([])
         for t in range(turns):
             length = int(rng.integers(1, 5))
-            spans.append(_span(i, t, rng.uniform(0.0, spread, size=length).tolist()))
-    return Group(prompt_id=0, trajectories=[], spans=spans)
+            rollouts[-1].append(_span(i, t, rng.uniform(0.0, spread, size=length).tolist()))
+    return _group(rollouts)
 
 
 def test_proxy_is_length_normalized():
@@ -160,13 +166,10 @@ def test_shuffle_mode_permutes_the_same_multiset():
 
 
 def test_traj_norm_normalizes_per_trajectory():
-    spans = [
-        _span(0, 0, [0.0]),
-        _span(0, 1, [1.0]),
-        _span(1, 0, [0.3]),
-        _span(1, 1, [0.32]),
-    ]
-    group = Group(prompt_id=0, trajectories=[], spans=spans)
+    group = _group([
+        [_span(0, 0, [0.0]), _span(0, 1, [1.0])],
+        [_span(1, 0, [0.3]), _span(1, 1, [0.32])],
+    ])
     mod = _modulate(group, "traj_norm")
     # rollout 0 has range 1.0: active population of size two
     a00, a01 = mod.alpha[(0, 0)], mod.alpha[(0, 1)]
@@ -230,7 +233,7 @@ def test_apply_modulation_returns_a_degenerate_sets_table_itself():
     for a group whose population is flat and for a group with no spans."""
     table = {(0, 0): 1.0, (1, 0): -0.0, (2, 0): 0.5}
     flat, empty = modulate_batch([_group_from_entropies([[0.5], [0.52], [0.55]]),
-                                  Group(prompt_id=1, trajectories=[], spans=[])], "aem")
+                                  Group(prompt_id=1, trajectories=[])], "aem")
     assert flat.degenerate and empty.degenerate
     assert apply_modulation(table, flat) is table
     blank = {}

@@ -27,7 +27,6 @@ from entlab.policy import (
     path_entropy_sums,
     pathwise_entropy,
     random_policy,
-    response_space,
     sample_response,
     save_checkpoint,
     token_distribution,
@@ -517,7 +516,7 @@ def test_response_tree_is_bit_identical_to_per_call_walk(size, max_len):
             assert all(np.array_equal(dists[u], p) for u, p in want_dists.items())
             assert paths == want_paths
             assert {u: entropy(p) for u, p in dists.items()} == want_entropies
-            assert [tokens for tokens, _ in paths] == list(response_space(policy.vocab, max_len))
+            assert [tokens for tokens, _ in paths] == list(_tree_shape(policy.vocab, max_len).leaves)
             assert snapshot.leaf_probs("s") is snapshot.leaf_probs("s")
 
 
@@ -557,9 +556,9 @@ def test_tree_ends_at_the_first_write():
 
 @pytest.mark.parametrize("size,max_len", [(2, 1), (2, 5), (3, 2), (3, 13), (4, 4), (5, 3), (6, 2)])
 def test_enumeration_budget_counts_complete_responses(size, max_len, monkeypatch):
-    """The budget check counts real leaves: a budget of exactly len(response_space) passes, one less refuses."""
+    """The budget check counts real leaves: a budget of exactly the number of leaves passes, one less refuses."""
     vocab = Vocabulary(size=size, terminator_id=size - 1)
-    n_paths = len(response_space(vocab, max_len))
+    n_paths = len(_tree_shape(vocab, max_len).leaves)
     monkeypatch.setattr(policy_module, "ENUMERATION_BUDGET", n_paths)
     _check_budget(vocab, max_len)
     monkeypatch.setattr(policy_module, "ENUMERATION_BUDGET", n_paths - 1)
@@ -753,6 +752,8 @@ def test_checkpoint_refuses_a_malformed_document(tmp_path, doc, field):
     ["s", [], [0.0, 0.0, 0.0], "extra"],
     ["s", [2], [0.0, 0.0, 0.0]],  # a prefix holding the terminator has no row
     "s",
+    ["s", [0.0], [0.0, 0.0, 0.0]],  # hashes as (0,), a row: the int check must come before the rows lookup
+    ["s", [[0]], [0.0, 0.0, 0.0]],  # unhashable: the int check refuses it before the lookup could raise TypeError
 ])
 def test_checkpoint_refuses_a_malformed_entry(tmp_path, entry):
     path = tmp_path / "policy.json"

@@ -115,7 +115,7 @@ def test_config_rejects_bad_fields():
 
 
 def test_config_checks_enumeration_budget_on_every_run():
-    """make_env's solvability check enumerates response_space, so every run enumerates, regularized or not."""
+    """make_env's solvability check enumerates the response tree, so every run enumerates, regularized or not."""
     big = {"key_len": 20}  # 2,097,151 complete responses, over the budget
     for fields in ({}, {"kl_coef": 0.0, "entropy_coef": 0.1}, {"kl_coef": 0.0, "estimator": "oracle_value"},
                    {"kl_coef": 0.0}):
