@@ -57,7 +57,8 @@ def ablation_modes(seed: int) -> None:
     rng = np.random.default_rng(seed)
     for mode in ("aem", "reverse", "shuffle", "traj_norm"):
         out = modulate_batch([group], mode, rng=rng)[0]
-        rendered = {key: round(val, 4) for key, val in sorted(out.alpha.items())}
+        rendered = {(s.rollout_index, s.turn_index): round(val, 4)
+                    for s, val in zip(group.spans, out.alpha, strict=True)}
         print(f"  {mode:<9} alpha={rendered}")
     print("  (reverse flips the ordering; shuffle permutes the standard alphas;")
     print("   traj_norm normalizes within each rollout, so a flat rollout degenerates)")

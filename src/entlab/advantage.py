@@ -1,10 +1,9 @@
 """Group-relative advantage estimators.
 
-All estimators return a plain dict with one value per span, keyed by
-(rollout_index, turn_index).  The group-based
-ones (grpo, rloo) assign each trajectory a single scalar broadcast to all of
-its spans; the enumeration oracle subtracts an exact per-state value baseline
-instead.
+All estimators return a list with one value per span, in group.spans order.
+The group-based ones (grpo, rloo) assign each trajectory a single scalar
+broadcast to all of its spans; the enumeration oracle subtracts an exact
+per-state value baseline instead.
 """
 
 from __future__ import annotations
@@ -21,11 +20,11 @@ from .rollout import Group
 GRPO_EPS = 1e-8
 
 
-def _broadcast(group: Group, per_traj: list[float]) -> dict[tuple[int, int], float]:
-    return {(span.rollout_index, span.turn_index): per_traj[span.rollout_index] for span in group.spans}
+def _broadcast(group: Group, per_traj: list[float]) -> list[float]:
+    return [per_traj[span.rollout_index] for span in group.spans]
 
 
-def grpo_advantage(group: Group, eps: float = GRPO_EPS) -> dict[tuple[int, int], float]:
+def grpo_advantage(group: Group, eps: float = GRPO_EPS) -> list[float]:
     """Group-standardized advantage: (R_i - mean(R)) / (population std(R) + eps).
 
     A zero-variance group yields all-zero advantages rather than an error.
@@ -39,7 +38,7 @@ def grpo_advantage(group: Group, eps: float = GRPO_EPS) -> dict[tuple[int, int],
     return _broadcast(group, per_traj)
 
 
-def rloo_advantage(group: Group) -> dict[tuple[int, int], float]:
+def rloo_advantage(group: Group) -> list[float]:
     """Leave-one-out advantage: R_i minus the mean reward of the other rollouts."""
     rewards = group.rewards
     n = len(rewards)
@@ -87,13 +86,12 @@ def state_value(policy: TablePolicy | PolicySnapshot, env: Env, state: EnvState,
 
 
 def oracle_value_advantage(group: Group, env: Env, policy: TablePolicy | PolicySnapshot,
-                           scheme: RewardScheme) -> dict[tuple[int, int], float]:
-    """Exact-baseline advantage: R(trajectory) minus state_value of each turn's state, under one snapshot and
-    one memo, so each group's first turn (its task's start) evaluates one plan that holds every later turn."""
-    snapshot = PolicySnapshot.of(policy)
+                           scheme: RewardScheme) -> list[float]:
+    """Exact-baseline advantage: R(trajectory) minus state_value of each span's state, under one snapshot and
+    one memo, so each group's first span (its task's start) evaluates one plan that holds every later turn."""
+    snapshot, rewards = PolicySnapshot.of(policy), group.rewards
     memo: dict = {}
-    return {(i, t): traj.reward - state_value(snapshot, env, turn.state, scheme, memo)
-            for i, traj in enumerate(group.trajectories) for t, turn in enumerate(traj.turns)}
+    return [rewards[span.rollout_index] - state_value(snapshot, env, span.state, scheme, memo) for span in group.spans]
 
 
 ESTIMATORS = ("grpo", "rloo", "oracle_value")
@@ -101,7 +99,7 @@ ESTIMATORS = ("grpo", "rloo", "oracle_value")
 
 def compute_advantages(group: Group, estimator: str, env: Env | None = None,
                        policy: TablePolicy | PolicySnapshot | None = None,
-                       scheme: RewardScheme | None = None) -> dict[tuple[int, int], float]:
+                       scheme: RewardScheme | None = None) -> list[float]:
     """Dispatch by estimator name; the oracle needs env, policy and scheme."""
     if estimator == "grpo":
         return grpo_advantage(group)

@@ -28,6 +28,9 @@ from .policy import (EnumerationBudgetError, PolicySnapshot, TablePolicy, draw_l
                      random_policy)
 from .trainer import TrainConfig, load_metrics, train
 
+#: Absolute tolerance of verify's nesting check: its two routes to the response entropy differ by roundoff only.
+NESTING_TOL_ABS = 1e-10
+
 
 class CliError(Exception):
     """Config or usage problem: maps to exit code 1."""
@@ -105,10 +108,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _nesting_reports(trials: int, rng: np.random.Generator, tol_abs: float) -> list[dict]:
+def _nesting_reports(trials: int, rng: np.random.Generator) -> list[dict]:
     """The nesting check: at each of ``trials`` random one-state policies, the exact response entropy
     (-sum p log p over the complete responses) against the chain-rule route (the expected sum of the
-    per-position entropies), ok when they agree within tol_abs.  Each trial draws |V| and max_len from
+    per-position entropies), ok when they agree within NESTING_TOL_ABS.  Each trial draws |V| and max_len from
     2-4 and then random_policy's logits, trials in turn.  The trials are grouped by (|V|, max_len), each
     a state of its group's policy, and each group's routes are one entropy_routes pass; the reports keep
     draw order."""
@@ -134,7 +137,7 @@ def _nesting_reports(trials: int, rng: np.random.Generator, tol_abs: float) -> l
             "finite_difference": route_b,
             "abs_error": err,
             "rel_error": err / abs(route_a) if route_a != 0.0 else float("inf"),
-            "ok": err <= tol_abs,
+            "ok": err <= NESTING_TOL_ABS,
         })
     return reports
 
@@ -146,7 +149,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for kind in kinds:
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, kinds.index(kind)]))
         if kind == "nesting":
-            rows.extend(_nesting_reports(args.trials, rng, tol_abs=1e-10))
+            rows.extend(_nesting_reports(args.trials, rng))
         else:
             reports = geometry.verify_drift_fd(
                 kind, args.trials, rng,
@@ -254,9 +257,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                 run_dir = os.path.join(args.out, f"{variant}_seed{run_cfg.seed}")
                 os.makedirs(run_dir, exist_ok=True)
                 result = train(run_cfg, metrics_path=os.path.join(run_dir, "metrics.jsonl"))
-                q = max(1, len(result.metrics) // 4)
-                successes.append(sum(m.success_rate for m in result.metrics[-q:]) / q)
-                rewards.append(sum(m.mean_reward for m in result.metrics[-q:]) / q)
+                successes.append(probes.last_quartile_mean([m.success_rate for m in result.metrics]))
+                rewards.append(probes.last_quartile_mean([m.mean_reward for m in result.metrics]))
             row = [variant, len(seeds),
                    float(np.mean(successes)), float(np.std(successes, ddof=1) if len(seeds) > 1 else 0.0),
                    float(np.mean(rewards)), float(np.std(rewards, ddof=1) if len(seeds) > 1 else 0.0)]
@@ -329,7 +331,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tol-rel", type=_number(float, 0), default=geometry.DEFAULT_REL_TOL,
                    help="relative tolerance of those kinds: a report is ok within --tol-rel or --tol-abs")
     p.add_argument("--tol-abs", type=_number(float, 0), default=geometry.DEFAULT_ABS_TOL,
-                   help="absolute tolerance of those kinds; nesting keeps its fixed absolute 1e-10")
+                   help=f"absolute tolerance of those kinds; nesting keeps its fixed absolute {NESTING_TOL_ABS:g}")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_verify)
 

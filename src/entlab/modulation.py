@@ -4,7 +4,8 @@ Each environment-reactive span gets a coefficient alpha derived from its
 length-normalized entropy proxy: proxies are min-max normalized over a
 population, passed through exp(-lambda * h), and rescaled by the population
 mean so that alpha averages to ~1.  Advantages are then multiplied by alpha,
-span-uniformly.
+span-uniformly.  Proxies, coefficients and advantages are lists with one entry
+per span, in group.spans order.
 
 The modes differ only in the population: "aem" normalizes over the group,
 "reverse" does the same with lambda negated, "shuffle" permutes the group's
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import groupby
-from operator import itemgetter
+from operator import attrgetter
 
 import numpy as np
 
@@ -36,24 +37,24 @@ DEFAULT_LAMBDA = 1.0
 DEFAULT_EPS = 1e-8
 
 
-def _rollout_runs(g_idx: int, keys: list, h_bars: list) -> list:
-    """(population, span keys, proxies) of each run of consecutive spans of one rollout of group g_idx."""
+def _rollout_runs(g_idx: int, spans: list) -> list:
+    """(population, lo, hi) of each run spans[lo:hi] of consecutive spans of one rollout of group g_idx."""
     runs, lo = [], 0
-    for rollout, run in groupby(keys, itemgetter(0)):  # a span key is (rollout_index, turn_index)
-        run_keys = list(run)
-        runs.append(((g_idx, rollout), run_keys, h_bars[lo:lo + len(run_keys)]))
-        lo += len(run_keys)
+    for rollout, run in groupby(spans, attrgetter("rollout_index")):
+        hi = lo + sum(1 for _ in run)
+        runs.append(((g_idx, rollout), lo, hi))
+        lo = hi
     return runs
 
 
-#: Each mode's normalization populations over the spans of group g_idx, as (population key, span keys, proxies)
-#: per run of consecutive spans in one population: the group, the rollout (g_idx, rollout_index) or the batch (None).
+#: Each mode's normalization populations over the spans of group g_idx, as (population key, lo, hi) per run spans[lo:hi]
+#: of consecutive spans in one population: the group, the rollout (g_idx, rollout_index) or the batch (None).
 _POPULATION = {
-    "aem": lambda g_idx, keys, h_bars: ((g_idx, keys, h_bars),),
-    "reverse": lambda g_idx, keys, h_bars: ((g_idx, keys, h_bars),),
-    "shuffle": lambda g_idx, keys, h_bars: ((g_idx, keys, h_bars),),
+    "aem": lambda g_idx, spans: ((g_idx, 0, len(spans)),),
+    "reverse": lambda g_idx, spans: ((g_idx, 0, len(spans)),),
+    "shuffle": lambda g_idx, spans: ((g_idx, 0, len(spans)),),
     "traj_norm": _rollout_runs,
-    "batch_norm": lambda g_idx, keys, h_bars: ((None, keys, h_bars),),
+    "batch_norm": lambda g_idx, spans: ((None, 0, len(spans)),),
 }
 
 #: Modulation modes understood by the trainer: "off" skips modulation.
@@ -62,15 +63,15 @@ MODES = ("off", *_POPULATION)
 
 @dataclass
 class ModulationSet:
-    """Per-span modulation results for one group.
+    """Per-span modulation results for one group, one entry per span in group.spans order.
 
     h_tilde entries are None when the span's population hit the degenerate-range
     guard (its alpha is then exactly 1).  degenerate is True when every population
     holding one of the group's spans is degenerate.
     """
 
-    h_tilde: dict[tuple[int, int], float | None] = field(default_factory=dict)
-    alpha: dict[tuple[int, int], float] = field(default_factory=dict)
+    h_tilde: list[float | None] = field(default_factory=list)
+    alpha: list[float] = field(default_factory=list)
     degenerate: bool = False
 
 
@@ -128,40 +129,34 @@ def modulate_batch(
     if mode == "shuffle" and rng is None:
         raise ValueError("shuffle mode needs an rng for the permutation")
     runs_of, sets = _POPULATION[mode], []
-    populations: dict = {}  # population -> its runs: (set, span keys, proxies) per run, in order of first span
+    populations: dict = {}  # population -> its runs: (set, first position, proxies) per run, in order of first span
     for g_idx, group in enumerate(groups):
-        sets.append(out := ModulationSet({}, {}, True))
-        if not group.spans:
+        n = len(group.spans)
+        sets.append(out := ModulationSet([None] * n, [1.0] * n, True))  # what a degenerate population leaves
+        if not n:
             continue
         h_bars = proxies[g_idx] if proxies is not None else [response_entropy_proxy(s.response) for s in group.spans]
-        keys = [(span.rollout_index, span.turn_index) for span in group.spans]
-        for population, run_keys, run_h in runs_of(g_idx, keys, h_bars):
-            populations.setdefault(population, []).append((out, run_keys, run_h))
+        for population, lo, hi in runs_of(g_idx, group.spans):
+            populations.setdefault(population, []).append((out, lo, h_bars[lo:hi]))
     for runs in populations.values():
-        h_bars = runs[0][2] if len(runs) == 1 else [h for _, _, run_h in runs for h in run_h]
+        h_bars = runs[0][2] if len(runs) == 1 else [h for *_, run_h in runs for h in run_h]
         h_tilde, alphas = population_coeffs(h_bars, -lam if mode == "reverse" else lam, eps)
         if h_tilde is None:
-            for out, keys, _ in runs:
-                h_tilde_out, alpha_out = out.h_tilde, out.alpha
-                for key in keys:
-                    h_tilde_out[key] = None
-                    alpha_out[key] = 1.0
             continue
         if mode == "shuffle":
             alphas = [alphas[int(j)] for j in rng.permutation(len(alphas))]
-        lo = 0
-        for out, keys, _ in runs:
-            out.h_tilde.update(zip(keys, h_tilde[lo:lo + len(keys)]))
-            out.alpha.update(zip(keys, alphas[lo:lo + len(keys)]))
+        at = 0
+        for out, lo, run_h in runs:
+            size = len(run_h)
+            out.h_tilde[lo:lo + size], out.alpha[lo:lo + size] = h_tilde[at:at + size], alphas[at:at + size]
             out.degenerate = False
-            lo += len(keys)
+            at += size
     return sets
 
 
-def apply_modulation(table: dict[tuple[int, int], float], mod: ModulationSet) -> dict[tuple[int, int], float]:
-    """Multiply every span advantage by its coefficient, span-uniformly.  A degenerate set returns table itself:
+def apply_modulation(advantages: list[float], mod: ModulationSet) -> list[float]:
+    """Multiply every span advantage by its coefficient, span-uniformly.  A degenerate set returns advantages itself:
     its every alpha is exactly 1.0, and 1.0 * x is x."""
     if mod.degenerate:
-        return table
-    alpha = mod.alpha
-    return {key: alpha[key] * val for key, val in table.items()}
+        return advantages
+    return [alpha * val for alpha, val in zip(mod.alpha, advantages, strict=True)]

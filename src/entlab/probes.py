@@ -157,8 +157,8 @@ def doob_probe(policy: TablePolicy | PolicySnapshot, state: str, n_samples: int,
         raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     snapshot = PolicySnapshot.of(policy)
     paths, probs = snapshot._shape.leaves, snapshot.leaf_probs(state)
-    residuals = np.array([(-math.log(prob) if prob > 0.0 else math.inf) - entropy_sum
-                          for prob, entropy_sum in zip(probs, path_entropy_sums(snapshot, state))])
+    residuals = np.array([-log - entropy_sum
+                          for log, entropy_sum in zip(snapshot.leaf_logs(state), path_entropy_sums(snapshot, state))])
     lengths = np.array([len(tokens) for tokens in paths], dtype=int)
 
     idx = rng.choice(len(paths), size=n_samples, p=np.divide(probs, np.sum(probs)))
@@ -210,6 +210,17 @@ def _series(metrics: list[StepMetrics], name: str) -> list[float]:
     return [getattr(m, name) for m in metrics]
 
 
+def _quartile(n: int) -> int:
+    """Steps in the first or last quartile of a run of n steps: n // 4, at least one."""
+    return max(1, n // 4)
+
+
+def last_quartile_mean(xs: list[float]) -> float:
+    """Mean of the last quartile of a nonempty per-step series, summed left to right."""
+    q = _quartile(len(xs))
+    return sum(xs[len(xs) - q:]) / q
+
+
 def transition_tracker(baseline: list[StepMetrics], modulated: list[StepMetrics]) -> TransitionSummary:
     """Align a baseline run with a modulated run and summarize the entropy transition.
 
@@ -220,13 +231,10 @@ def transition_tracker(baseline: list[StepMetrics], modulated: list[StepMetrics]
     if len(baseline) != len(modulated) or not baseline:
         raise ValueError("runs must have the same, nonzero number of steps to compare")
     n = len(baseline)
-    q = max(1, n // 4)
+    q = _quartile(n)
 
     def early(xs: list[float]) -> float:
         return sum(xs[:q]) / q
-
-    def late(xs: list[float]) -> float:
-        return sum(xs[n - q:]) / q
 
     b_ent = _series(baseline, "policy_entropy_estimate")
     m_ent = _series(modulated, "policy_entropy_estimate")
@@ -239,10 +247,10 @@ def transition_tracker(baseline: list[StepMetrics], modulated: list[StepMetrics]
         quartile=q,
         baseline_early_entropy=early(b_ent),
         modulated_early_entropy=early(m_ent),
-        baseline_late_entropy=late(b_ent),
-        modulated_late_entropy=late(m_ent),
-        baseline_final_success=late(b_succ),
-        modulated_final_success=late(m_succ),
+        baseline_late_entropy=last_quartile_mean(b_ent),
+        modulated_late_entropy=last_quartile_mean(m_ent),
+        baseline_final_success=last_quartile_mean(b_succ),
+        modulated_final_success=last_quartile_mean(m_succ),
         baseline_early_frac_positive=early(b_pos),
         modulated_early_frac_positive=early(m_pos),
     )

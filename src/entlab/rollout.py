@@ -1,10 +1,10 @@
 """Group rollouts: one record per turn, which is also the turn's span.
 
 A group is N independent trajectories from the same prompt (an environment
-task).  Every turn's response is one environment-reactive span, keyed by
-(rollout, turn); it references its Response, whose per-token entropies and
-logprobs recorded at sampling time are what the modulation and the trainer
-consume.
+task).  Every turn's response is one environment-reactive span that carries
+its (rollout, turn) identity and references its Response, whose per-token
+entropies and logprobs recorded at sampling time are what the modulation and
+the trainer consume; per-span values are lists in group.spans order.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ FILTER_MODES = ("off", "drop_uniform")
 @dataclass
 class Turn:
     """Turn turn_index of rollout rollout_index: the state, the sampled response and the environment's verdict.
-    It is also the turn's span, keyed by (rollout_index, turn_index)."""
+    It is also the turn's span; per-span values are lists in Group.spans order, not keyed by its indices."""
 
     rollout_index: int
     turn_index: int

@@ -1,9 +1,10 @@
 """Tabular group-based policy-gradient trainer with optional advantage modulation.
 
 One training step collects N rollouts per prompt, turns group rewards into
-span advantages, optionally modulates them by the entropy coefficients, and
-applies one (or more) analytic-gradient updates of a clipped surrogate with
-exact enumeration-based entropy/KL regularizers.  Every step is a pure
+span advantages (a list per group, in its spans order), optionally modulates
+them by the entropy coefficients, and applies one (or more) analytic-gradient
+updates of a clipped surrogate with exact enumeration-based entropy/KL
+regularizers.  Every step is a pure
 function of (config, seed): rerunning a config reproduces the metrics log
 byte for byte.
 """
@@ -47,6 +48,9 @@ _FIELD_RANGES = {
     "epochs": (">= 1", lambda v: v >= 1),
     "ckpt_every": (">= 0", lambda v: v >= 0),
 }
+#: Accepted values per named-choice TrainConfig field, checked after its type.
+_FIELD_CHOICES = {"reward_scheme": tuple(sorted(REWARD_SCHEMES)), "estimator": ESTIMATORS, "aem_mode": mod.MODES,
+                  "loss": LOSSES, "filter_mode": FILTER_MODES}
 
 
 @dataclass
@@ -84,16 +88,8 @@ class TrainConfig:
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
             if f.name in _FIELD_RANGES and not _FIELD_RANGES[f.name][1](value):
                 raise ValueError(f"{f.name} must be {_FIELD_RANGES[f.name][0]}, got {value!r}")
-        if self.loss not in LOSSES:
-            raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
-        if self.aem_mode not in mod.MODES:
-            raise ValueError(f"aem_mode must be one of {mod.MODES}, got {self.aem_mode!r}")
-        if self.reward_scheme not in REWARD_SCHEMES:
-            raise ValueError(f"reward_scheme must be one of {sorted(REWARD_SCHEMES)}")
-        if self.estimator not in ESTIMATORS:
-            raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
-        if self.filter_mode not in FILTER_MODES:
-            raise ValueError(f"filter_mode must be one of {FILTER_MODES}, got {self.filter_mode!r}")
+            if f.name in _FIELD_CHOICES and value not in _FIELD_CHOICES[f.name]:
+                raise ValueError(f"{f.name} must be one of {_FIELD_CHOICES[f.name]}, got {value!r}")
         # Build the env so bad sizes fail before any file is written; make_env enumerates its tree, so check the budget.
         env = env_class(self.env_kind, self.env_overrides)(seed=self.env_seed, **self.env_overrides)
         _check_budget(env.vocab, env.max_len)
@@ -132,18 +128,18 @@ _TERM = np.dtype([("state", np.intp), ("row", np.intp), ("tok", np.intp), ("coef
 def surrogate_loss(
     policy: TablePolicy | PolicySnapshot,
     groups: list[Group],
-    tables: list[dict[tuple[int, int], float]],
+    advantages: list[list[float]],
     config: TrainConfig,
     ref_policy: TablePolicy | PolicySnapshot | None = None,
-    masked_keys: set[tuple[int, int, int]] | None = None,
+    masked_keys: set[tuple[int, int]] | None = None,
 ) -> tuple[float, dict[str, tuple[np.ndarray, np.ndarray]]]:
     """Negated clipped objective plus regularizers, with its analytic logit gradient as one
     (G, mask) per state: G is the gradient over the state's logit block, +0.0 outside the rows of mask.
 
-    tables[g] carries the (possibly modulated) advantage of each span of
-    groups[g]; each span's recorded logprobs are the behavior policy's, so the
+    advantages[g] lists the (possibly modulated) advantage of each span of
+    groups[g], in groups[g].spans order; each span's recorded logprobs are the behavior policy's, so the
     importance ratio per token is exp(logprob_now - logprob_behavior).
-    masked_keys are (group_idx, rollout, turn) triples excluded entirely.
+    masked_keys are (group index, span position) pairs excluded entirely.
     At the behavior policy all ratios are 1 and the per-token gradient of the
     unclipped surrogate reduces to -A * dlogpi.  ``policy`` and ``ref_policy`` are read
     as PolicySnapshots (see PolicySnapshot.of); train() passes one ref snapshot per run.
@@ -157,9 +153,9 @@ def surrogate_loss(
     snapshot = PolicySnapshot.of(policy)
 
     # (advantage, policy key, tokens, behavior logprobs) per surviving span.
-    span_rows = [(table[(s.rollout_index, s.turn_index)], s.state.policy_key, s.response.tokens, s.response.logprobs)
-                 for g_idx, (group, table) in enumerate(zip(groups, tables)) for s in group.spans
-                 if (g_idx, s.rollout_index, s.turn_index) not in masked_keys]
+    span_rows = [(adv, s.state.policy_key, s.response.tokens, s.response.logprobs)
+                 for g_idx, (group, advs) in enumerate(zip(groups, advantages, strict=True))
+                 for pos, (s, adv) in enumerate(zip(group.spans, advs, strict=True)) if (g_idx, pos) not in masked_keys]
 
     counts = Counter(row[1] for row in span_rows)
     states, shape, size = list(counts), snapshot._shape, snapshot.policy.vocab.size  # states in order of first span
@@ -295,13 +291,14 @@ def _group_rngs(config: TrainConfig) -> Iterator[list[np.random.Generator]]:
 
 
 class StepUpdate(NamedTuple):
-    """What a step trains on: the trained groups, their applied advantage tables, their ModulationSets (None when
-    nothing modulates), the masked (group_idx, rollout, turn) keys, and each collected group's span proxies by id."""
+    """What a step trains on: the trained groups, their applied advantages, their ModulationSets (None when nothing
+    modulates), the masked (group index, span position) pairs, and each collected group's span proxies by id.
+    Every per-span value is a list in its group's spans order."""
 
     groups: list[Group]
-    tables: list[dict[tuple[int, int], float]]
+    advantages: list[list[float]]
     sets: list[mod.ModulationSet] | None
-    masked: set[tuple[int, int, int]]
+    masked: set[tuple[int, int]]
     h_bar: dict[int, list[float]]
 
 
@@ -312,7 +309,7 @@ def prepare_update(snapshot: PolicySnapshot, groups: list[Group], config: TrainC
     mask_sign asks for coefficients) and the masked quadrant (timed as timings["aem"])."""
     t0 = time.perf_counter()
     trained = filter_degenerate_groups(groups, config.filter_mode)
-    tables = [compute_advantages(g, config.estimator, env=env, policy=snapshot, scheme=scheme) for g in trained]
+    advantages = [compute_advantages(g, config.estimator, env=env, policy=snapshot, scheme=scheme) for g in trained]
     timings["advantage"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -324,15 +321,14 @@ def prepare_update(snapshot: PolicySnapshot, groups: list[Group], config: TrainC
         sets = mod.modulate_batch(trained, mode=config.aem_mode if config.aem_mode != "off" else "aem",
                                   lam=config.aem_lambda, eps=config.aem_eps, proxies=[h_bar[id(g)] for g in trained],
                                   rng=_rng_for(config.seed, 2, step) if config.aem_mode == "shuffle" else None)
-    applied = tables
+    applied = advantages
     if config.aem_mode != "off":
-        applied = [mod.apply_modulation(t, s) for t, s in zip(tables, sets)]
+        applied = [mod.apply_modulation(advs, s) for advs, s in zip(advantages, sets)]
     masked = set()
-    if mask_sign is not None:
-        # A span is masked when sgn(A * (alpha - 1)) == mask_sign; a table holds one value per span.
-        for g_idx, (table, mset) in enumerate(zip(tables, sets)):
-            masked.update((g_idx, *key) for key, adv in table.items()
-                          if mask_sign * (adv * (mset.alpha[key] - 1.0)) > 0.0)
+    if mask_sign is not None:  # a span is masked when sgn(A * (alpha - 1)) == mask_sign
+        for g_idx, (advs, mset) in enumerate(zip(advantages, sets)):
+            masked.update((g_idx, pos) for pos, (adv, alpha) in enumerate(zip(advs, mset.alpha, strict=True))
+                          if mask_sign * (adv * (alpha - 1.0)) > 0.0)
     timings["aem"] += time.perf_counter() - t0
     return StepUpdate(trained, applied, sets, masked, h_bar)
 
@@ -381,7 +377,7 @@ def train(
             if update.groups:
                 for epoch in range(config.epochs):
                     # The first write below ends the snapshot, so later epochs read a new one.
-                    loss, grad = surrogate_loss(snapshot if epoch == 0 else policy, update.groups, update.tables,
+                    loss, grad = surrogate_loss(snapshot if epoch == 0 else policy, update.groups, update.advantages,
                                                 config, ref, update.masked)
                     if epoch == 0:
                         loss_value = loss
@@ -443,15 +439,14 @@ def _step_metrics(step: int, collected: list[Group], update: StepUpdate, loss_va
     span_docs = []
     alphas: list[float] = []
     n_pos = 0
-    for g_idx, (group, table) in enumerate(zip(update.groups, update.tables)):
-        for span, proxy in zip(group.spans, h_bar[id(group)]):
-            key = (span.rollout_index, span.turn_index)
-            adv = table[key]
-            alpha = sets[g_idx].alpha[key] if sets else 1.0
+    for g_idx, (group, advs) in enumerate(zip(update.groups, update.advantages)):
+        n = len(group.spans)
+        h_tildes, group_alphas = (sets[g_idx].h_tilde, sets[g_idx].alpha) if sets else ([None] * n, [1.0] * n)
+        for span, proxy, h_tilde, alpha, adv in zip(group.spans, h_bar[id(group)], h_tildes, group_alphas, advs,
+                                                    strict=True):
             alphas.append(alpha)
             n_pos += 1 if adv > 0.0 else 0
-            span_docs.append([g_idx, key[0], key[1], proxy, sets[g_idx].h_tilde[key] if sets else None,
-                              alpha, adv])
+            span_docs.append([g_idx, span.rollout_index, span.turn_index, proxy, h_tilde, alpha, adv])
 
     return StepMetrics(
         step=step,

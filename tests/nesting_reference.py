@@ -6,10 +6,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from entlab.cli import NESTING_TOL_ABS
 from entlab.policy import PolicySnapshot, exact_response_entropy, pathwise_entropy, random_policy
 
 
-def nesting_reports(trials: int, rng: np.random.Generator, tol_abs: float) -> list[dict]:
+def nesting_reports(trials: int, rng: np.random.Generator) -> list[dict]:
     reports = []
     for _ in range(trials):
         vocab_size = int(rng.integers(2, 5))
@@ -24,6 +25,6 @@ def nesting_reports(trials: int, rng: np.random.Generator, tol_abs: float) -> li
             "finite_difference": route_b,
             "abs_error": err,
             "rel_error": err / abs(route_a) if route_a != 0.0 else float("inf"),
-            "ok": err <= tol_abs,
+            "ok": err <= NESTING_TOL_ABS,
         })
     return reports

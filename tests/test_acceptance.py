@@ -158,7 +158,7 @@ def test_modulation_pipeline_matches_straight_line_reference():
 
         ref_tilde, ref_alpha, degenerate = _reference_pipeline(h_bars, lam, eps)
         for i in range(n):
-            if got.alpha[(i, 0)] != ref_alpha[i] or got.h_tilde[(i, 0)] != ref_tilde[i]:
+            if got.alpha[i] != ref_alpha[i] or got.h_tilde[i] != ref_tilde[i]:  # span i is rollout i's one turn
                 mismatches += 1
         if degenerate != got.degenerate:
             mismatches += 1
@@ -323,23 +323,23 @@ def test_loss_gradients_match_finite_differences():
         policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
         ref_policy = policy.copy()
         group = collect_group(policy, env, c % 2, scheme, child_rngs(rng, 4))
-        table = {(s.rollout_index, s.turn_index): float(rng.normal()) for s in group.spans}
+        advantages = [float(rng.normal()) for _ in group.spans]
         if c % 2 == 1:
             for span in group.spans:
                 for k in range(len(span.response.tokens)):
                     vec = policy.logit_vector(span.state.policy_key, tuple(span.response.tokens[:k]))
                     vec += rng.normal(scale=0.3, size=vec.shape)
 
-        _, grad = surrogate_loss(policy, [group], [table], config, ref_policy)
+        _, grad = surrogate_loss(policy, [group], [advantages], config, ref_policy)
         assert grad
         analytic, fd = [], []
         for (state, prefix), gvec in grad_rows(policy, grad).items():
             vec = policy.logit_vector(state, prefix)
             for tok in range(len(gvec)):
                 vec[tok] += h
-                up, _ = surrogate_loss(policy, [group], [table], config, ref_policy)
+                up, _ = surrogate_loss(policy, [group], [advantages], config, ref_policy)
                 vec[tok] -= 2 * h
-                down, _ = surrogate_loss(policy, [group], [table], config, ref_policy)
+                down, _ = surrogate_loss(policy, [group], [advantages], config, ref_policy)
                 vec[tok] += h
                 analytic.append(gvec[tok])
                 fd.append((up - down) / (2 * h))

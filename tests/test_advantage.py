@@ -44,15 +44,15 @@ def _group_with_rewards(rewards):
 
 def test_grpo_worked_values():
     group = _group_with_rewards([10.0, 0.0, 0.0, 10.0])
-    table = grpo_advantage(group)
-    got = [table[(i, 0)] for i in range(4)]
+    advantages = grpo_advantage(group)
+    got = [advantages[i] for i in range(4)]  # one single-turn span per rollout, in rollout order
     np.testing.assert_allclose(got, [1.0, -1.0, -1.0, 1.0], rtol=1e-6)
 
 
 def test_grpo_zero_variance_yields_zeros():
     group = _group_with_rewards([3.0, 3.0, 3.0])
-    table = grpo_advantage(group)
-    assert all(v == 0.0 for v in table.values())
+    advantages = grpo_advantage(group)
+    assert all(v == 0.0 for v in advantages)
 
 
 def test_grpo_shift_invariance():
@@ -61,25 +61,25 @@ def test_grpo_shift_invariance():
         rewards = rng.normal(size=6)
         a = grpo_advantage(_group_with_rewards(rewards))
         b = grpo_advantage(_group_with_rewards(rewards + 17.5))
-        for key in a:
-            assert a[key] == pytest.approx(b[key], abs=1e-9)
+        for pos in range(len(a)):
+            assert a[pos] == pytest.approx(b[pos], abs=1e-9)
 
 
 def test_grpo_mean_zero():
     rng = np.random.default_rng(1)
     for _ in range(20):
         rewards = rng.normal(size=5)
-        table = grpo_advantage(_group_with_rewards(rewards))
-        per_traj = [table[(i, 0)] for i in range(5)]
+        advantages = grpo_advantage(_group_with_rewards(rewards))
+        per_traj = [advantages[i] for i in range(5)]
         assert sum(per_traj) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_rloo_worked_values():
     group = _group_with_rewards([10.0, 0.0, 0.0, 0.0])
-    table = rloo_advantage(group)
-    assert table[(0, 0)] == pytest.approx(10.0)
+    advantages = rloo_advantage(group)
+    assert advantages[0] == pytest.approx(10.0)
     for i in (1, 2, 3):
-        assert table[(i, 0)] == pytest.approx(-10.0 / 3.0)
+        assert advantages[i] == pytest.approx(-10.0 / 3.0)
 
 
 def test_rloo_needs_two_rollouts():
@@ -88,19 +88,20 @@ def test_rloo_needs_two_rollouts():
 
 
 def test_advantage_broadcast_covers_every_span():
-    """Every estimator gives a plain dict with one value per span, keyed by its (rollout_index, turn_index)."""
+    """Every estimator gives a plain list with one value per span, in group.spans order."""
     env = make_env("key-chain", seed=0)
     policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
     scheme = REWARD_SCHEMES["sparse"]
     group = collect_group(policy, env, 0, scheme, child_rngs(np.random.default_rng(3), 8))
     assert any(len(traj.turns) > 1 for traj in group.trajectories)
     for estimator in ESTIMATORS:
-        table = compute_advantages(group, estimator, env=env, policy=policy, scheme=scheme)
-        assert type(table) is dict
-        assert list(table) == [(s.rollout_index, s.turn_index) for s in group.spans]
+        advantages = compute_advantages(group, estimator, env=env, policy=policy, scheme=scheme)
+        assert type(advantages) is list
+        assert len(advantages) == len(group.spans)
         if estimator != "oracle_value":  # every span of one trajectory shares that trajectory's scalar
-            for span in group.spans:
-                assert table[(span.rollout_index, span.turn_index)] == table[(span.rollout_index, 0)]
+            first = {span.rollout_index: adv for span, adv in zip(group.spans, advantages) if span.turn_index == 0}
+            for span, adv in zip(group.spans, advantages, strict=True):
+                assert adv == first[span.rollout_index]
 
 
 def test_state_value_uniform_key_chain():
@@ -134,12 +135,13 @@ def test_oracle_value_advantage_matches_reward_minus_value():
     policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
     scheme = REWARD_SCHEMES["binary"]
     group = collect_group(policy, env, 0, scheme, child_rngs(np.random.default_rng(5), 6))
-    table = oracle_value_advantage(group, env, policy, scheme)
+    advantages = iter(oracle_value_advantage(group, env, policy, scheme))
     memo: dict = {}
-    for i, traj in enumerate(group.trajectories):
-        for t, turn in enumerate(traj.turns):
+    for traj in group.trajectories:  # group.spans order: rollout by rollout, turns in order
+        for turn in traj.turns:
             want = traj.reward - state_value(policy, env, turn.state, scheme, memo)
-            assert table[(i, t)] == pytest.approx(want)
+            assert next(advantages) == pytest.approx(want)
+    assert next(advantages, None) is None
 
 
 def test_oracle_advantage_mean_zero_over_on_policy_samples():
@@ -148,8 +150,8 @@ def test_oracle_advantage_mean_zero_over_on_policy_samples():
     policy = TablePolicy(vocab=env.vocab, max_len=env.max_len)
     scheme = REWARD_SCHEMES["binary"]
     group = collect_group(policy, env, 0, scheme, child_rngs(np.random.default_rng(8), 2000))
-    table = oracle_value_advantage(group, env, policy, scheme)
-    first_turn = np.array([table[(i, 0)] for i in range(len(group.trajectories))])
+    advantages = oracle_value_advantage(group, env, policy, scheme)
+    first_turn = np.array([adv for span, adv in zip(group.spans, advantages, strict=True) if span.turn_index == 0])
     stderr = first_turn.std() / np.sqrt(len(first_turn))
     assert abs(float(first_turn.mean())) < 4.0 * stderr
 

@@ -18,7 +18,7 @@ import pytest
 
 import entlab.policy
 
-from entlab.cli import _nesting_reports, main
+from entlab.cli import NESTING_TOL_ABS, _nesting_reports, main
 from entlab.config import apply_overrides, config_from_doc, config_to_doc, load_config, save_config
 from entlab.envs import make_env
 from entlab.policy import TablePolicy, save_checkpoint
@@ -150,9 +150,17 @@ def test_nesting_pass_is_the_per_trial_loop(trials):
                 for key, value in row.items()]
     for seed in range(10):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got, want = _nesting_reports(trials, rng, 1e-10), nesting_reports(trials, ref_rng, 1e-10)
+        got, want = _nesting_reports(trials, rng), nesting_reports(trials, ref_rng)
         assert [as_bytes(row) for row in got] == [as_bytes(row) for row in want]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_nesting_tolerance_is_one_constant_quoted_by_the_help(capsys):
+    """The nesting check's fixed absolute tolerance is one constant, and the --tol-abs help text quotes it."""
+    assert NESTING_TOL_ABS == 1e-10
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "nesting keeps its fixed absolute 1e-10" in " ".join(capsys.readouterr().out.split())
 
 
 def test_verify_unattainable_tolerance_exits_2(tmp_path):

@@ -112,7 +112,7 @@ def test_pipeline_matches_straight_line_rewrite():
             raw = [math.exp(-lam * h) for h in h_tilde]
             mean_raw = sum(raw) / len(raw)
             expect = [r / (mean_raw + eps) for r in raw]
-        got = [mod.alpha[(s.rollout_index, s.turn_index)] for s in group.spans]
+        got = mod.alpha
         assert got == expect  # bit-for-bit, no tolerance
 
 
@@ -130,24 +130,24 @@ def test_population_coeffs_is_the_rule_of_one_population():
         for mode, sign in (("aem", 1.0), ("reverse", -1.0)):
             got = _modulate(group, mode, lam=lam, eps=eps)
             h_tilde, alphas = population_coeffs(h_bars, sign * lam, eps)
-            assert list(got.alpha.values()) == alphas and got.degenerate == (h_tilde is None)
-            assert list(got.h_tilde.values()) == (h_tilde or [None] * len(h_bars))
+            assert got.alpha == alphas and got.degenerate == (h_tilde is None)
+            assert got.h_tilde == (h_tilde or [None] * len(h_bars))
 
 
 def test_degenerate_group_gets_identity_coefficients():
     group = _group_from_entropies([[0.5], [0.52], [0.55]])
     mod = _modulate(group)
     assert mod.degenerate
-    assert all(a == 1.0 for a in mod.alpha.values())
-    assert all(ht is None for ht in mod.h_tilde.values())
+    assert mod.alpha == [1.0] * 3 and all(a == 1.0 for a in mod.alpha)
+    assert mod.h_tilde == [None] * 3 and all(ht is None for ht in mod.h_tilde)
 
 
 def test_reverse_mode_flips_ordering():
     group = _group_from_entropies([[0.2], [0.5], [0.8]])
     fwd = _modulate(group, "aem")
     rev = _modulate(group, "reverse")
-    f = [fwd.alpha[(i, 0)] for i in range(3)]
-    r = [rev.alpha[(i, 0)] for i in range(3)]
+    f = [fwd.alpha[i] for i in range(3)]  # one single-turn span per rollout, in rollout order
+    r = [rev.alpha[i] for i in range(3)]
     np.testing.assert_allclose(r, f[::-1], atol=1e-6)
     np.testing.assert_allclose(f, [1.519442, 0.921588, 0.558971], atol=1e-5)
 
@@ -156,7 +156,7 @@ def test_shuffle_mode_permutes_the_same_multiset():
     group = _group_from_entropies([[0.1], [0.4], [0.7], [1.0]])
     base = _modulate(group, "aem")
     shuf = _modulate(group, "shuffle", rng=np.random.default_rng(0))
-    assert sorted(shuf.alpha.values()) == pytest.approx(sorted(base.alpha.values()))
+    assert sorted(shuf.alpha) == pytest.approx(sorted(base.alpha))
     again = _modulate(group, "shuffle", rng=np.random.default_rng(0))
     assert shuf.alpha == again.alpha
     with pytest.raises(ValueError):
@@ -172,11 +172,11 @@ def test_traj_norm_normalizes_per_trajectory():
     ])
     mod = _modulate(group, "traj_norm")
     # rollout 0 has range 1.0: active population of size two
-    a00, a01 = mod.alpha[(0, 0)], mod.alpha[(0, 1)]
+    a00, a01 = mod.alpha[0], mod.alpha[1]  # spans (0, 0), (0, 1), (1, 0), (1, 1) in order
     expect = modulation_coeffs(group_minmax_normalize([0.0, 1.0])[0], lam=1.0)
     np.testing.assert_allclose([a00, a01], expect, rtol=1e-12)
     # rollout 1 has range 0.02: degenerate on its own
-    assert mod.alpha[(1, 0)] == 1.0 and mod.alpha[(1, 1)] == 1.0
+    assert mod.alpha[2] == 1.0 and mod.alpha[3] == 1.0
     assert not mod.degenerate  # only one of the two populations hit the guard
 
 
@@ -187,7 +187,7 @@ def test_batch_norm_pools_across_groups():
     pooled = modulation_coeffs(
         group_minmax_normalize([0.0, 0.01, 1.0, 0.99])[0], lam=1.0
     )
-    got = [sets[0].alpha[(0, 0)], sets[0].alpha[(1, 0)], sets[1].alpha[(0, 0)], sets[1].alpha[(1, 0)]]
+    got = [sets[0].alpha[0], sets[0].alpha[1], sets[1].alpha[0], sets[1].alpha[1]]
     np.testing.assert_allclose(got, pooled, rtol=1e-12)
     # per-group both would be degenerate; pooling activates them
     assert _modulate(g1).degenerate and _modulate(g2).degenerate
@@ -222,21 +222,21 @@ def test_empty_batch_gives_no_sets():
 def test_apply_modulation_multiplies_span_advantages():
     group = _group_from_entropies([[0.0], [0.5], [1.0]])
     mod = _modulate(group)
-    table = {(0, 0): 1.0, (1, 0): -2.0, (2, 0): 0.5}
-    out = apply_modulation(table, mod)
-    for key in table:
-        assert out[key] == table[key] * mod.alpha[key]
+    advantages = [1.0, -2.0, 0.5]
+    out = apply_modulation(advantages, mod)
+    for pos in range(len(advantages)):
+        assert out[pos] == advantages[pos] * mod.alpha[pos]
 
 
 def test_apply_modulation_returns_a_degenerate_sets_table_itself():
-    """Every alpha of a degenerate set is exactly 1.0, and 1.0 * x is x: the table comes back as it was given,
-    for a group whose population is flat and for a group with no spans."""
-    table = {(0, 0): 1.0, (1, 0): -0.0, (2, 0): 0.5}
+    """Every alpha of a degenerate set is exactly 1.0, and 1.0 * x is x: the advantages come back as they were
+    given, for a group whose population is flat and for a group with no spans."""
+    table = [1.0, -0.0, 0.5]
     flat, empty = modulate_batch([_group_from_entropies([[0.5], [0.52], [0.55]]),
                                   Group(prompt_id=1, trajectories=[])], "aem")
     assert flat.degenerate and empty.degenerate
     assert apply_modulation(table, flat) is table
-    blank = {}
+    blank = []
     assert apply_modulation(blank, empty) is blank
 
 
@@ -288,7 +288,8 @@ def _legacy_batch(groups, mode, lam, eps, rng):
 
 
 def test_population_pass_matches_per_mode_code_paths():
-    """One population pass is bit-identical to the per-mode paths: values, key order, degenerate, rng state."""
+    """One population pass is bit-identical to the per-mode paths: values per span in group.spans order, degenerate,
+    rng state."""
     rng = np.random.default_rng(11)
     n_live = n_dead = 0
     for trial in range(400):
@@ -305,9 +306,10 @@ def test_population_pass_matches_per_mode_code_paths():
         got = modulate_batch(groups, mode, lam=lam, eps=eps, rng=got_rng)
         want = _legacy_batch(groups, mode, lam, eps, want_rng)
         assert len(got) == len(want)
-        for mset, (h_tilde, alpha, degenerate) in zip(got, want):
-            assert list(mset.h_tilde.items()) == list(h_tilde.items())
-            assert list(mset.alpha.items()) == list(alpha.items())
+        for group, mset, (h_tilde, alpha, degenerate) in zip(groups, got, want):
+            keys = [(s.rollout_index, s.turn_index) for s in group.spans]
+            assert mset.h_tilde == [h_tilde[key] for key in keys] and len(h_tilde) == len(keys)
+            assert mset.alpha == [alpha[key] for key in keys] and len(alpha) == len(keys)
             assert mset.degenerate == degenerate
             n_live += not degenerate
             n_dead += degenerate

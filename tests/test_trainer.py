@@ -11,7 +11,14 @@ import sys
 import numpy as np
 import pytest
 
-from entlab.advantage import compute_advantages
+from entlab.advantage import (
+    ESTIMATORS,
+    compute_advantages,
+    grpo_advantage,
+    oracle_value_advantage,
+    rloo_advantage,
+    state_value,
+)
 from entlab.envs import REWARD_SCHEMES, make_env
 import entlab.envs
 import entlab.modulation
@@ -29,7 +36,9 @@ from entlab.policy import (
     random_policy,
     token_distribution,
 )
-from entlab.rollout import collect_group
+from entlab.modulation import MODES, apply_modulation, modulate_batch, population_coeffs, response_entropy_proxy
+from entlab.probes import reachable_states
+from entlab.rollout import FILTER_MODES, collect_group
 import entlab.trainer
 from entlab.trainer import (
     LOSSES,
@@ -114,6 +123,17 @@ def test_config_rejects_bad_fields():
     assert TrainConfig(lr=1, kl_coef=0, seed=np.int64(3), env_overrides={"task_count": np.int64(2)}).lr == 1
 
 
+@pytest.mark.parametrize("name, bad", [("loss", "ppo"), ("aem_mode", "sideways"), ("reward_scheme", "dense"),
+                                       ("estimator", "bogus"), ("filter_mode", "drop_all")])
+def test_config_names_the_choices_and_the_bad_value(name, bad):
+    """Each named-choice field is refused with one message: the values it accepts, then the value it got."""
+    choices = {"loss": LOSSES, "aem_mode": MODES, "reward_scheme": tuple(sorted(REWARD_SCHEMES)),
+               "estimator": ESTIMATORS, "filter_mode": FILTER_MODES}[name]
+    with pytest.raises(ValueError) as refused:
+        TrainConfig(**{name: bad})
+    assert str(refused.value) == f"{name} must be one of {choices}, got {bad!r}"
+
+
 def test_config_checks_enumeration_budget_on_every_run():
     """make_env's solvability check enumerates the response tree, so every run enumerates, regularized or not."""
     big = {"key_len": 20}  # 2,097,151 complete responses, over the budget
@@ -126,7 +146,7 @@ def test_config_checks_enumeration_budget_on_every_run():
 
 
 def _loss_inputs(config, jitter=0.0, jitter_seed=3):
-    """Collect a couple of groups and the tables the trainer would feed the loss.
+    """Collect a couple of groups and the advantages the trainer would feed the loss.
 
     Collection seeds are fixed to ones that give mixed rewards in every group,
     so the advantages are not all zero.  jitter > 0 shifts the policy after
@@ -144,7 +164,7 @@ def _loss_inputs(config, jitter=0.0, jitter_seed=3):
         for task in range(2)
     ]
     assert all(len(set(g.rewards)) > 1 for g in groups)
-    tables = [
+    advantages = [
         compute_advantages(g, config.estimator, env=env, policy=policy, scheme=scheme)
         for g in groups
     ]
@@ -154,12 +174,12 @@ def _loss_inputs(config, jitter=0.0, jitter_seed=3):
                 for k in range(len(span.response.tokens)):
                     vec = policy.logit_vector(span.state.policy_key, tuple(span.response.tokens[:k]))
                     vec += rng.normal(scale=jitter, size=vec.shape)
-    return policy, ref_policy, groups, tables
+    return policy, ref_policy, groups, advantages
 
 
-def _fd_check(policy, ref_policy, groups, tables, config, h=1e-6, tol=2e-6):
+def _fd_check(policy, ref_policy, groups, advantages, config, h=1e-6, tol=2e-6):
     """Central finite differences of the loss against every analytic grad entry."""
-    loss0, grad = surrogate_loss(policy, groups, tables, config, ref_policy)
+    loss0, grad = surrogate_loss(policy, groups, advantages, config, ref_policy)
     assert math.isfinite(loss0)
     assert grad, "expected a nonempty gradient table"
     checked = 0
@@ -167,9 +187,9 @@ def _fd_check(policy, ref_policy, groups, tables, config, h=1e-6, tol=2e-6):
         vec = policy.logit_vector(state, prefix)
         for tok in range(len(gvec)):
             vec[tok] += h
-            up, _ = surrogate_loss(policy, groups, tables, config, ref_policy)
+            up, _ = surrogate_loss(policy, groups, advantages, config, ref_policy)
             vec[tok] -= 2 * h
-            down, _ = surrogate_loss(policy, groups, tables, config, ref_policy)
+            down, _ = surrogate_loss(policy, groups, advantages, config, ref_policy)
             vec[tok] += h
             fd = (up - down) / (2 * h)
             assert abs(fd - gvec[tok]) <= tol * max(1.0, abs(gvec[tok])), (
@@ -181,30 +201,30 @@ def _fd_check(policy, ref_policy, groups, tables, config, h=1e-6, tol=2e-6):
 @pytest.mark.parametrize("loss", LOSSES)
 def test_loss_gradient_matches_finite_differences(loss):
     config = TrainConfig(loss=loss, kl_coef=0.0, entropy_coef=0.0, **FAST)
-    policy, ref_policy, groups, tables = _loss_inputs(config)
-    _fd_check(policy, ref_policy, groups, tables, config)
+    policy, ref_policy, groups, advantages = _loss_inputs(config)
+    _fd_check(policy, ref_policy, groups, advantages, config)
 
 
 @pytest.mark.parametrize("loss", LOSSES)
 def test_loss_gradient_with_regularizers(loss):
     config = TrainConfig(loss=loss, kl_coef=0.05, entropy_coef=0.02, **FAST)
-    policy, ref_policy, groups, tables = _loss_inputs(config)
-    _fd_check(policy, ref_policy, groups, tables, config)
+    policy, ref_policy, groups, advantages = _loss_inputs(config)
+    _fd_check(policy, ref_policy, groups, advantages, config)
 
 
 @pytest.mark.parametrize("loss", LOSSES)
 def test_loss_gradient_off_behavior_policy(loss):
     """Ratios far from 1 select both clip branches; the gradient must track them."""
     config = TrainConfig(loss=loss, kl_coef=0.01, entropy_coef=0.0, **FAST)
-    policy, ref_policy, groups, tables = _loss_inputs(config, jitter=0.5)
-    _fd_check(policy, ref_policy, groups, tables, config)
+    policy, ref_policy, groups, advantages = _loss_inputs(config, jitter=0.5)
+    _fd_check(policy, ref_policy, groups, advantages, config)
 
 
 def test_kl_coef_without_reference_raises():
     config = TrainConfig(kl_coef=0.1, **FAST)
-    policy, _, groups, tables = _loss_inputs(config)
+    policy, _, groups, advantages = _loss_inputs(config)
     with pytest.raises(ValueError):
-        surrogate_loss(policy, groups, tables, config, ref_policy=None)
+        surrogate_loss(policy, groups, advantages, config, ref_policy=None)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -386,15 +406,15 @@ def _clipped_term(ratio, advantage, clip_low, clip_high):
     return min(ratio * advantage, clipped * advantage)
 
 
-def _surrogate_per_token(policy, ref_policy, groups, tables, config, masked_keys=()):
+def _surrogate_per_token(policy, ref_policy, groups, advantages, config, masked_keys=()):
     """surrogate_loss's loss and gradient by a per-span, per-token loop: J added token by token (span by span for
     gspo_seq) from 0.0, the gradient accumulated key by key with _grad_add and negated key by key, the per-path
     regularizer walk included.  The reference for its loss value and blocks; returns (loss, gradient, how many clip
     terms were clipped, each token's ratio)."""
     snapshot = PolicySnapshot(policy)
-    span_rows = [(table[(span.rollout_index, span.turn_index)], span.state.policy_key, span.response.tokens,
-                  span.response.logprobs) for g_idx, (group, table) in enumerate(zip(groups, tables))
-                 for span in group.spans if (g_idx, span.rollout_index, span.turn_index) not in masked_keys]
+    span_rows = [(advs[pos], span.state.policy_key, span.response.tokens, span.response.logprobs)
+                 for g_idx, (group, advs) in enumerate(zip(groups, advantages))
+                 for pos, span in enumerate(group.spans) if (g_idx, pos) not in masked_keys]
     n_spans, total_tokens = len(span_rows), sum(len(row[2]) for row in span_rows)
     grad, clipped, seen, j_clip = {}, 0, [], 0.0
     for adv, state, tokens, behavior_lp in span_rows:
@@ -428,13 +448,13 @@ def _surrogate_per_token(policy, ref_policy, groups, tables, config, masked_keys
     return -(j_clip + j_reg), {key: -vec for key, vec in grad.items()}, clipped, seen
 
 
-def _surrogate_grad_per_key(policy, ref_policy, groups, tables, config):
+def _surrogate_grad_per_key(policy, ref_policy, groups, advantages, config):
     """The per-token reference's (gradient, how many clip terms were clipped): the reference for the blocks."""
-    return _surrogate_per_token(policy, ref_policy, groups, tables, config)[1:3]
+    return _surrogate_per_token(policy, ref_policy, groups, advantages, config)[1:3]
 
 
 def _block_inputs(shape):
-    """Policy, ref policy, groups and tables of random advantages whose ratios are moved off 1 by jitter."""
+    """Policy, ref policy, groups and lists of random advantages whose ratios are moved off 1 by jitter."""
     env = make_env("grid-fetch", seed=0) if shape != "key-chain" else make_env("key-chain", seed=0,
                                                                              **FAST["env_overrides"])
     scheme = REWARD_SCHEMES["binary"]
@@ -447,13 +467,13 @@ def _block_inputs(shape):
     ref_policy = policy.copy()
     rng = np.random.default_rng(19)
     groups = [collect_group(policy, env, task, scheme, child_rngs(rng, 6)) for task in range(2)]
-    tables = [{(s.rollout_index, s.turn_index): float(rng.normal()) for s in g.spans} for g in groups]
+    advantages = [[float(rng.normal()) for _ in g.spans] for g in groups]
     for group in groups:
         for span in group.spans:
             for k in range(len(span.response.tokens)):
                 vec = policy.logit_vector(span.state.policy_key, tuple(span.response.tokens[:k]))
                 vec += rng.normal(scale=0.5, size=vec.shape)
-    return policy, ref_policy, groups, tables
+    return policy, ref_policy, groups, advantages
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -464,12 +484,12 @@ def test_gradient_blocks_are_the_per_key_accumulation(loss, shape, regularized):
     """Each state's (G, mask) holds, byte for byte, the per-key gradient of _grad_add in its masked rows,
     and exactly +0.0 in the rest; the states come in the reference's order of first key."""
     config = TrainConfig(loss=loss, kl_coef=0.05 if regularized else 0.0, entropy_coef=0.02 if regularized else 0.0)
-    policy, ref_policy, groups, tables = _block_inputs(shape)
-    want, clipped = _surrogate_grad_per_key(policy, ref_policy, groups, tables, config)
+    policy, ref_policy, groups, advantages = _block_inputs(shape)
+    want, clipped = _surrogate_grad_per_key(policy, ref_policy, groups, advantages, config)
     assert clipped > 0
     if shape == "grid-fetch-underflow":
         assert any((np.signbit(vec) & (vec == 0.0)).any() for vec in want.values())
-    _, blocks = surrogate_loss(policy, groups, tables, config, ref_policy)
+    _, blocks = surrogate_loss(policy, groups, advantages, config, ref_policy)
     got = grad_rows(policy, blocks)
     assert sorted(got) == sorted(want)
     for key, vec in want.items():
@@ -480,11 +500,11 @@ def test_gradient_blocks_are_the_per_key_accumulation(loss, shape, regularized):
     assert list(blocks) == list(dict.fromkeys(state for state, _ in want))
 
 
-def _assert_is_the_per_token_loop(policy, ref_policy, groups, tables, config, masked_keys=()):
+def _assert_is_the_per_token_loop(policy, ref_policy, groups, advantages, config, masked_keys=()):
     """surrogate_loss's loss is the per-token reference's by repr and its blocks are the reference's byte for byte;
     returns the reference's token ratios."""
-    want, want_grad, _, ratios = _surrogate_per_token(policy, ref_policy, groups, tables, config, masked_keys)
-    loss, blocks = surrogate_loss(policy, groups, tables, config, ref_policy, set(masked_keys))
+    want, want_grad, _, ratios = _surrogate_per_token(policy, ref_policy, groups, advantages, config, masked_keys)
+    loss, blocks = surrogate_loss(policy, groups, advantages, config, ref_policy, set(masked_keys))
     assert type(loss) is float and repr(loss) == repr(want)
     got = grad_rows(policy, blocks)
     assert sorted(got) == sorted(want_grad)
@@ -501,14 +521,14 @@ def test_loss_value_is_the_per_token_loop(loss, shape, regularized):
     """The loss value is the per-token loop's, by repr, with ratios moved off 1 by jitter: with every span in,
     with every other span masked, with every span masked (no span: -0.0) and with every advantage 0."""
     config = TrainConfig(loss=loss, kl_coef=0.05 if regularized else 0.0, entropy_coef=0.02 if regularized else 0.0)
-    policy, ref_policy, groups, tables = _block_inputs(shape)
-    keys = [(g_idx, span.rollout_index, span.turn_index) for g_idx, group in enumerate(groups) for span in group.spans]
-    ratios = _assert_is_the_per_token_loop(policy, ref_policy, groups, tables, config)
+    policy, ref_policy, groups, advantages = _block_inputs(shape)
+    keys = [(g_idx, pos) for g_idx, group in enumerate(groups) for pos in range(len(group.spans))]
+    ratios = _assert_is_the_per_token_loop(policy, ref_policy, groups, advantages, config)
     assert sum(ratio != 1.0 for ratio in ratios) > len(ratios) // 2
-    _assert_is_the_per_token_loop(policy, ref_policy, groups, tables, config, keys[::2])
-    assert _assert_is_the_per_token_loop(policy, ref_policy, groups, tables, config, keys) == []
-    assert repr(surrogate_loss(policy, groups, tables, config, ref_policy, set(keys))[0]) == "-0.0"
-    zeros = [dict.fromkeys(table, 0.0) for table in tables]
+    _assert_is_the_per_token_loop(policy, ref_policy, groups, advantages, config, keys[::2])
+    assert _assert_is_the_per_token_loop(policy, ref_policy, groups, advantages, config, keys) == []
+    assert repr(surrogate_loss(policy, groups, advantages, config, ref_policy, set(keys))[0]) == "-0.0"
+    zeros = [[0.0] * len(advs) for advs in advantages]
     _assert_is_the_per_token_loop(policy, ref_policy, groups, zeros, config)
 
 
@@ -519,20 +539,20 @@ def test_a_sampled_token_that_underflowed_has_ratio_zero(loss, regularized):
     """A sampled token whose probability underflowed to 0.0 after sampling (as by a later epoch) has log -inf and
     ratio 0.0, as in the sampler rows' log, and the update raises no RuntimeWarning."""
     config = TrainConfig(loss=loss, kl_coef=0.05 if regularized else 0.0, entropy_coef=0.02 if regularized else 0.0)
-    policy, ref_policy, groups, tables = _block_inputs("grid-fetch")
+    policy, ref_policy, groups, advantages = _block_inputs("grid-fetch")
     for group in groups:
         span = group.spans[0]
         policy.logit_vector(span.state.policy_key, ())[span.response.tokens[0]] = -800.0
         assert token_distribution(policy, span.state.policy_key, ())[span.response.tokens[0]] == 0.0
-    assert 0.0 in _assert_is_the_per_token_loop(policy, ref_policy, groups, tables, config)
+    assert 0.0 in _assert_is_the_per_token_loop(policy, ref_policy, groups, advantages, config)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_no_gradient_term_gives_no_block_and_no_write():
     """With every advantage 0 and both coefficients 0, the gradient is {} and a train() step writes nothing."""
     config = TrainConfig(loss="grpo_clip", kl_coef=0.0, entropy_coef=0.0)
-    policy, ref_policy, groups, tables = _block_inputs("grid-fetch")
-    zeros = [dict.fromkeys(table, 0.0) for table in tables]
+    policy, ref_policy, groups, advantages = _block_inputs("grid-fetch")
+    zeros = [[0.0] * len(advs) for advs in advantages]
     writes = policy.writes
     assert surrogate_loss(policy, groups, zeros, config, ref_policy)[1] == {}
     assert policy.writes == writes
@@ -548,9 +568,9 @@ def test_no_gradient_term_gives_no_block_and_no_write():
 def test_surrogate_loss_refuses_a_span_that_is_not_a_complete_response(shape):
     """Span tokens that run past a leaf (after the terminator or past max_len), stop short of one or leave the
     vocabulary are refused with the state and the tokens named, not read at a wrong row or wrapped round."""
-    policy, ref_policy, groups, tables = _block_inputs(shape)
+    policy, ref_policy, groups, advantages = _block_inputs(shape)
     config = TrainConfig(kl_coef=0.05)
-    surrogate_loss(policy, groups, tables, config, ref_policy)
+    surrogate_loss(policy, groups, advantages, config, ref_policy)
     span, size, max_len = groups[1].spans[-1], policy.vocab.size, policy.max_len
     term = policy.vocab.terminator_id
     past = [[*span.response.tokens, 0], [term, term], [0] * max_len + [term]]
@@ -559,7 +579,7 @@ def test_surrogate_loss_refuses_a_span_that_is_not_a_complete_response(shape):
         span.response = Response(tokens=tokens, logprobs=[-1.0] * len(tokens), entropies=[0.5] * len(tokens))
         message = f"span tokens {tokens} at {span.state.policy_key!r} are not one complete response"
         with pytest.raises(ValueError, match=re.escape(message)):
-            surrogate_loss(policy, groups, tables, config, ref_policy)
+            surrogate_loss(policy, groups, advantages, config, ref_policy)
 
 
 GRID_KL = dict(env_kind="grid-fetch", kl_coef=0.01, steps=3)
@@ -750,8 +770,71 @@ def test_masked_runs_diverge_by_sign():
     assert not (identical and up.policy.logits.keys() == down.policy.logits.keys())
 
 
-def _table_bits(tables):
-    return [[(key, float(value).hex()) for key, value in table.items()] for table in tables]
+def test_every_per_span_value_is_a_list_in_span_order():
+    """Advantages, coefficients and the mask are one format: each estimator, compute_advantages, apply_modulation
+    and each ModulationSet field give a list with one entry per span of group.spans, in its order; prepare_update's
+    masked (group index, span position) pairs index those lists; and surrogate_loss and apply_modulation refuse an
+    advantage list one entry short."""
+    config = TrainConfig(**dict(FAST, env_overrides=dict(FAST["env_overrides"], chain_len=2), reward_scheme="sparse"))
+    env = make_env(config.env_kind, seed=config.env_seed, **config.env_overrides)
+    scheme = REWARD_SCHEMES[config.reward_scheme]
+    policy, rng = TablePolicy(vocab=env.vocab, max_len=env.max_len), np.random.default_rng(7)
+    for state in reachable_states(env):
+        draw_logits(policy, state, rng)
+    snapshot = PolicySnapshot(policy)
+    groups = [collect_group(snapshot, env, task, scheme, child_rngs(rng, 8)) for task in range(2)]
+    assert any(len(traj.turns) > 1 for group in groups for traj in group.trajectories)
+    for group in groups:
+        rewards, memo = group.rewards, {}
+        mean, std = np.mean(rewards), np.std(rewards)
+        want = {
+            "grpo": [(rewards[s.rollout_index] - mean) / (std + 1e-8) for s in group.spans],
+            "rloo": [rewards[s.rollout_index] - (sum(rewards) - rewards[s.rollout_index]) / (len(rewards) - 1)
+                     for s in group.spans],
+            "oracle_value": [rewards[s.rollout_index] - state_value(snapshot, env, s.state, scheme, memo)
+                             for s in group.spans],
+        }
+        got = {"grpo": grpo_advantage(group), "rloo": rloo_advantage(group),
+               "oracle_value": oracle_value_advantage(group, env, snapshot, scheme)}
+        for estimator in ESTIMATORS:
+            dispatched = compute_advantages(group, estimator, env=env, policy=snapshot, scheme=scheme)
+            assert type(got[estimator]) is list and dispatched == got[estimator]
+            np.testing.assert_allclose(got[estimator], want[estimator], rtol=1e-12, atol=1e-12)
+    for mode in MODES[1:]:
+        for group, mset in zip(groups, modulate_batch(groups, mode, rng=np.random.default_rng(0))):
+            assert type(mset.alpha) is list and len(mset.alpha) == len(group.spans)
+            assert type(mset.h_tilde) is list and len(mset.h_tilde) == len(group.spans)
+    sets = modulate_batch(groups, "aem")
+    assert not all(mset.degenerate for mset in sets)
+    for group, mset in zip(groups, sets):
+        h_tilde, alphas = population_coeffs([response_entropy_proxy(s.response) for s in group.spans])
+        assert mset.alpha == alphas and mset.h_tilde == (h_tilde or [None] * len(group.spans))
+        advantages = grpo_advantage(group)
+        applied = apply_modulation(advantages, mset)
+        assert applied == [alpha * adv for alpha, adv in zip(alphas, advantages)]
+        if not mset.degenerate:
+            with pytest.raises(ValueError):
+                apply_modulation(advantages[:-1], mset)
+    n_masked = 0
+    for mask_sign in (1, -1):
+        timings = {"advantage": 0.0, "aem": 0.0}
+        update = prepare_update(snapshot, groups, config, env, scheme, 0, mask_sign, timings)
+        raw = [compute_advantages(group, config.estimator) for group in update.groups]
+        assert all(len(advs) == len(group.spans) for group, advs in zip(update.groups, update.advantages))
+        assert update.masked == {(g_idx, pos) for g_idx, advs in enumerate(raw) for pos, adv in enumerate(advs)
+                                 if mask_sign * (adv * (update.sets[g_idx].alpha[pos] - 1.0)) > 0.0}
+        for g_idx, pos in update.masked:
+            assert 0 <= pos < len(update.groups[g_idx].spans)
+        n_masked += len(update.masked)
+        surrogate_loss(snapshot, update.groups, update.advantages, config, policy.copy(), update.masked)
+        with pytest.raises(ValueError):
+            surrogate_loss(snapshot, update.groups, [advs[:-1] for advs in update.advantages], config,
+                           policy.copy(), update.masked)
+    assert n_masked > 0
+
+
+def _advantage_bits(advantages):
+    return [[float(value).hex() for value in advs] for advs in advantages]
 
 
 #: (fields, mask_sign) that reach every rule of prepare_update: each population, the group filter, both masks
@@ -768,25 +851,25 @@ STEP_CASES = [
                          ids=["aem", "off", "shuffle", "batch_norm-epochs2", "traj_norm", "drop_uniform",
                               "off-mask+1", "aem-mask-1-epochs2"])
 def test_train_hands_the_loss_what_prepare_update_returns(fields, mask_sign, monkeypatch):
-    """train() has one copy of a step's rules: at every step the loss gets the groups, tables and masked keys
+    """train() has one copy of a step's rules: at every step the loss gets the groups, advantages and masked spans
     that prepare_update returns for that step's snapshot and collected groups, bit for bit, in every epoch."""
     config, collected, steps = TrainConfig(**fields), [], []
     collect, loss = entlab.trainer.collect_groups, entlab.trainer.surrogate_loss
     monkeypatch.setattr(entlab.trainer, "collect_groups",
                         lambda *a: collected.append((a, found := collect(*a))) or found)
 
-    def checked(policy, groups, tables, config_, ref, masked):
+    def checked(policy, groups, advantages, config_, ref, masked):
         if isinstance(policy, PolicySnapshot):  # epoch 0 reads the step's snapshot, before any write
             (snapshot, env, _, scheme, _), found = collected[-1]
             timings = {"advantage": 0.0, "aem": 0.0}
             want = prepare_update(policy, found, config, env, scheme, len(collected) - 1, mask_sign, timings)
             assert policy is snapshot and timings["advantage"] > 0.0 and timings["aem"] > 0.0
             assert [id(g) for g in groups] == [id(g) for g in want.groups]
-            assert _table_bits(tables) == _table_bits(want.tables) and masked == want.masked
-            steps.append((groups, tables, masked, len(found), want.sets))
+            assert _advantage_bits(advantages) == _advantage_bits(want.advantages) and masked == want.masked
+            steps.append((groups, advantages, masked, len(found), want.sets))
         else:
-            assert steps[-1][:3] == (groups, tables, masked)  # later epochs train on the same update
-        return loss(policy, groups, tables, config_, ref, masked)
+            assert steps[-1][:3] == (groups, advantages, masked)  # later epochs train on the same update
+        return loss(policy, groups, advantages, config_, ref, masked)
 
     monkeypatch.setattr(entlab.trainer, "surrogate_loss", checked)
     train(config, mask_sign=mask_sign)
@@ -795,7 +878,7 @@ def test_train_hands_the_loss_what_prepare_update_returns(fields, mask_sign, mon
         assert len(steps) < config.steps or any(len(groups) < n for groups, _, _, n, _ in steps)
     if mask_sign is not None:
         assert any(masked for _, _, masked, _, _ in steps)
-    modulated = any(alpha != 1.0 for *_, sets in steps if sets for s in sets for alpha in s.alpha.values())
+    modulated = any(alpha != 1.0 for *_, sets in steps if sets for s in sets for alpha in s.alpha)
     assert modulated == (config.aem_mode != "off" or mask_sign is not None)
 
 
