@@ -100,7 +100,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_config(config, os.path.join(args.out, "config.json"))
     metrics_path = os.path.join(args.out, "metrics.jsonl")
     result = train(config, metrics_path=metrics_path, checkpoint_dir=args.out, mask_sign=args.mask_sign)
-    outputs = sorted(f for f in os.listdir(args.out) if f != "manifest.json")
+    outputs = sorted(["config.json", "metrics.jsonl", *result.checkpoints])
     _write_manifest(args.out, "train", config_to_doc(config), config.seed, outputs, result.timings)
     final = result.metrics[-1]
     print(f"trained {config.steps} steps: success_rate={final.success_rate:.3f} "
@@ -245,7 +245,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         raise CliError(f"--variants and --seeds must each name every entry once, got {variants} and {seeds}")
     runs = [[dataclasses.replace(config, aem_mode=variant, seed=seed) for seed in seeds] for variant in variants]
     os.makedirs(args.out, exist_ok=True)
-    rows = []
+    rows, outputs = [], ["results.csv"]
     with open(os.path.join(args.out, "results.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "n_seeds", "success_mean", "success_std",
@@ -254,9 +254,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         for variant, run_cfgs in zip(variants, runs):
             successes, rewards = [], []
             for run_cfg in run_cfgs:
-                run_dir = os.path.join(args.out, f"{variant}_seed{run_cfg.seed}")
-                os.makedirs(run_dir, exist_ok=True)
-                result = train(run_cfg, metrics_path=os.path.join(run_dir, "metrics.jsonl"))
+                run_dir = f"{variant}_seed{run_cfg.seed}"
+                os.makedirs(os.path.join(args.out, run_dir), exist_ok=True)
+                result = train(run_cfg, metrics_path=os.path.join(args.out, run_dir, "metrics.jsonl"))
+                outputs.append(f"{run_dir}/metrics.jsonl")
                 successes.append(probes.last_quartile_mean([m.success_rate for m in result.metrics]))
                 rewards.append(probes.last_quartile_mean([m.mean_reward for m in result.metrics]))
             row = [variant, len(seeds),
@@ -265,7 +266,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             rows.append(row)
             writer.writerow(row)
             fh.flush()
-    _write_manifest(args.out, "ablate", config_to_doc(config), config.seed, ["results.csv"], {})
+    _write_manifest(args.out, "ablate", config_to_doc(config), config.seed, outputs, {})
     for row in rows:
         print(f"{row[0]}: success {row[2]:.3f} +/- {row[3]:.3f}, reward {row[4]:.3f} +/- {row[5]:.3f}")
     return 0

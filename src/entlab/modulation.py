@@ -9,8 +9,8 @@ per span, in group.spans order.
 
 The modes differ only in the population: "aem" normalizes over the group,
 "reverse" does the same with lambda negated, "shuffle" permutes the group's
-coefficients, "traj_norm" normalizes over one trajectory and "batch_norm"
-over the whole batch.
+coefficients, "traj_norm" normalizes over one trajectory, "batch_norm"
+over the whole batch, and "off" has no population, so every alpha is 1.
 
 Deliberately plain Python floats throughout: the arithmetic is tiny and the
 exact operation order is part of the contract (tests hold a straight-line
@@ -48,8 +48,9 @@ def _rollout_runs(g_idx: int, spans: list) -> list:
 
 
 #: Each mode's normalization populations over the spans of group g_idx, as (population key, lo, hi) per run spans[lo:hi]
-#: of consecutive spans in one population: the group, the rollout (g_idx, rollout_index) or the batch (None).
+#: of consecutive spans in one population: the group, the rollout (g_idx, rollout_index), the batch (None) or none.
 _POPULATION = {
+    "off": lambda g_idx, spans: (),
     "aem": lambda g_idx, spans: ((g_idx, 0, len(spans)),),
     "reverse": lambda g_idx, spans: ((g_idx, 0, len(spans)),),
     "shuffle": lambda g_idx, spans: ((g_idx, 0, len(spans)),),
@@ -57,19 +58,20 @@ _POPULATION = {
     "batch_norm": lambda g_idx, spans: ((None, 0, len(spans)),),
 }
 
-#: Modulation modes understood by the trainer: "off" skips modulation.
-MODES = ("off", *_POPULATION)
+#: Modulation modes understood by the trainer.
+MODES = tuple(_POPULATION)
 
 
 @dataclass
 class ModulationSet:
     """Per-span modulation results for one group, one entry per span in group.spans order.
 
-    h_tilde entries are None when the span's population hit the degenerate-range
-    guard (its alpha is then exactly 1).  degenerate is True when every population
-    holding one of the group's spans is degenerate.
+    h_bar holds each span's response_entropy_proxy.  h_tilde entries are None when the span's population hit the
+    degenerate-range guard or the span has none (its alpha is then exactly 1).  degenerate is True when every
+    population holding one of the group's spans is degenerate, as in mode "off", where no span has one.
     """
 
+    h_bar: list[float] = field(default_factory=list)
     h_tilde: list[float | None] = field(default_factory=list)
     alpha: list[float] = field(default_factory=list)
     degenerate: bool = False
@@ -114,15 +116,14 @@ def modulate_batch(
     lam: float = DEFAULT_LAMBDA,
     eps: float = DEFAULT_EPS,
     rng: np.random.Generator | None = None,
-    proxies: list[list[float]] | None = None,
 ) -> list[ModulationSet]:
     """Modulation for a whole training batch, one ModulationSet per group.
 
     Splits the batch's spans into the populations of ``mode`` (see _POPULATION)
     and normalizes and calibrates each population once, in order of first span.
     "reverse" negates lambda; "shuffle" permutes each non-degenerate
-    population's coefficients with ``rng``.  ``proxies[g]``, when the caller
-    has computed them, lists the response_entropy_proxy of each span of groups[g].
+    population's coefficients with ``rng``.  Each span's response_entropy_proxy
+    is computed once and kept as its set's h_bar.
     """
     if mode not in _POPULATION:
         raise ValueError(f"unknown modulation mode {mode!r}; choose from {tuple(_POPULATION)}")
@@ -132,10 +133,10 @@ def modulate_batch(
     populations: dict = {}  # population -> its runs: (set, first position, proxies) per run, in order of first span
     for g_idx, group in enumerate(groups):
         n = len(group.spans)
-        sets.append(out := ModulationSet([None] * n, [1.0] * n, True))  # what a degenerate population leaves
+        h_bars = [response_entropy_proxy(s.response) for s in group.spans]
+        sets.append(out := ModulationSet(h_bars, [None] * n, [1.0] * n, True))  # what a degenerate population leaves
         if not n:
             continue
-        h_bars = proxies[g_idx] if proxies is not None else [response_entropy_proxy(s.response) for s in group.spans]
         for population, lo, hi in runs_of(g_idx, group.spans):
             populations.setdefault(population, []).append((out, lo, h_bars[lo:hi]))
     for runs in populations.values():
@@ -156,7 +157,9 @@ def modulate_batch(
 
 def apply_modulation(advantages: list[float], mod: ModulationSet) -> list[float]:
     """Multiply every span advantage by its coefficient, span-uniformly.  A degenerate set returns advantages itself:
-    its every alpha is exactly 1.0, and 1.0 * x is x."""
+    its every alpha is exactly 1.0, and 1.0 * x is x.  A list of another length than the set's is refused."""
+    if len(advantages) != len(mod.alpha):
+        raise ValueError(f"{len(advantages)} advantages for a set of {len(mod.alpha)} spans")
     if mod.degenerate:
         return advantages
-    return [alpha * val for alpha, val in zip(mod.alpha, advantages, strict=True)]
+    return [alpha * val for alpha, val in zip(mod.alpha, advantages)]

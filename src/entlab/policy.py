@@ -471,9 +471,12 @@ def save_checkpoint(policy: TablePolicy, path: str) -> None:
         "max_len": policy.max_len,
         "entries": entries,
     }
+    try:
+        text = json.dumps(doc, allow_nan=False)
+    except ValueError:
+        raise ValueError(f"checkpoint {path}: a logit is not finite, and JSON holds finite numbers only") from None
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_checkpoint(path: str) -> TablePolicy:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import modulation as mod
 from .advantage import ESTIMATORS, compute_advantages
-from .envs import REWARD_SCHEMES, Env, RewardScheme, env_class, make_env
+from .envs import REWARD_SCHEMES, Env, env_class, make_env
 from .policy import PolicySnapshot, TablePolicy, _check_budget, _leaf_logs, _leaf_probs, save_checkpoint
 from .rollout import FILTER_MODES, Group, collect_groups, filter_degenerate_groups, generator_from, seed_states
 
@@ -42,6 +42,8 @@ _FIELD_RANGES = {
     "clip_low": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
     "clip_high": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
     "lr": ("> 0", lambda v: v > 0.0),
+    "kl_coef": (">= 0", lambda v: v >= 0.0),  # the pressure (kl_coef + entropy_coef) * Var(S) is then never negative
+    "entropy_coef": (">= 0", lambda v: v >= 0.0),
     "group_size": (">= 2", lambda v: v >= 2),
     "prompts_per_step": (">= 1", lambda v: v >= 1),
     "steps": (">= 1", lambda v: v >= 1),
@@ -119,6 +121,7 @@ class TrainResult:
     ref_policy: TablePolicy
     metrics: list[StepMetrics]
     timings: dict[str, float]
+    checkpoints: list[str]  # the names of the checkpoint files written, in order
 
 
 #: One gradient term: coeff * (onehot(tok) - p) at one row of the table of the step's state at index ``state``.
@@ -291,39 +294,36 @@ def _group_rngs(config: TrainConfig) -> Iterator[list[np.random.Generator]]:
 
 
 class StepUpdate(NamedTuple):
-    """What a step trains on: the trained groups, their applied advantages, their ModulationSets (None when nothing
-    modulates), the masked (group index, span position) pairs, and each collected group's span proxies by id.
-    Every per-span value is a list in its group's spans order."""
+    """What a step trains on: the trained groups, their applied advantages, their ModulationSets, the masked
+    (group index, span position) pairs, and every collected span's proxy, in collection order.  Every per-span value
+    of a trained group is a list in its group's spans order."""
 
     groups: list[Group]
     advantages: list[list[float]]
-    sets: list[mod.ModulationSet] | None
+    sets: list[mod.ModulationSet]
     masked: set[tuple[int, int]]
-    h_bar: dict[int, list[float]]
+    h_bar: list[float]
 
 
-def prepare_update(snapshot: PolicySnapshot, groups: list[Group], config: TrainConfig, env: Env,
-                   scheme: RewardScheme, step: int, mask_sign: int | None, timings: dict[str, float]) -> StepUpdate:
+def prepare_update(snapshot: PolicySnapshot, groups: list[Group], config: TrainConfig, env: Env, step: int,
+                   mask_sign: int | None, timings: dict[str, float]) -> StepUpdate:
     """The rules that make a step AEM, between rollout and the loss: the group filter and the advantages (timed as
     timings["advantage"]), then each collected span's entropy proxy, the modulation ("aem" populations when only
     mask_sign asks for coefficients) and the masked quadrant (timed as timings["aem"])."""
     t0 = time.perf_counter()
     trained = filter_degenerate_groups(groups, config.filter_mode)
+    scheme = REWARD_SCHEMES[config.reward_scheme]
     advantages = [compute_advantages(g, config.estimator, env=env, policy=snapshot, scheme=scheme) for g in trained]
     timings["advantage"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # Trained groups are collected groups, so each span's proxy is computed once, here, in span order by group.
-    proxy = mod.response_entropy_proxy
-    h_bar = {id(g): [proxy(span.response) for span in g.spans] for g in groups}
-    sets = None
-    if config.aem_mode != "off" or mask_sign is not None:
-        sets = mod.modulate_batch(trained, mode=config.aem_mode if config.aem_mode != "off" else "aem",
-                                  lam=config.aem_lambda, eps=config.aem_eps, proxies=[h_bar[id(g)] for g in trained],
-                                  rng=_rng_for(config.seed, 2, step) if config.aem_mode == "shuffle" else None)
-    applied = advantages
-    if config.aem_mode != "off":
-        applied = [mod.apply_modulation(advs, s) for advs, s in zip(advantages, sets)]
+    off = config.aem_mode == "off"
+    sets = mod.modulate_batch(trained, "aem" if off and mask_sign is not None else config.aem_mode, config.aem_lambda,
+                              config.aem_eps, _rng_for(config.seed, 2, step) if config.aem_mode == "shuffle" else None)
+    # Each trained span's proxy is read from its set; a group the filter dropped has none, so its proxies are here.
+    kept = {id(g): s.h_bar for g, s in zip(trained, sets)}
+    h_bar = [h for g in groups for h in kept.get(id(g)) or [mod.response_entropy_proxy(s.response) for s in g.spans]]
+    applied = advantages if off else [mod.apply_modulation(advs, s) for advs, s in zip(advantages, sets)]
     masked = set()
     if mask_sign is not None:  # a span is masked when sgn(A * (alpha - 1)) == mask_sign
         for g_idx, (advs, mset) in enumerate(zip(advantages, sets)):
@@ -343,7 +343,9 @@ def train(
 
     mask_sign (+1 or -1), when given, drops every span whose sgn(A * (alpha - 1))
     equals it from the update (the masked-quadrant experiment); modulation
-    coefficients are computed for the mask even when aem_mode is "off".
+    coefficients are computed for the mask even when aem_mode is "off".  A step
+    record holding an inf or nan stops the run with a ValueError, after the
+    lines of the steps before it.
     """
     if mask_sign not in (None, 1, -1):
         raise ValueError(f"mask_sign must be None, +1 or -1, got {mask_sign!r}")
@@ -356,8 +358,14 @@ def train(
     timings = {"rollout": 0.0, "advantage": 0.0, "aem": 0.0, "update": 0.0, "record": 0.0, "total": 0.0}
     metrics: list[StepMetrics] = []
     metrics_fh = open(metrics_path, "w") if metrics_path else None
+    checkpoints: list[str] = []
+
+    def checkpoint(name: str) -> None:
+        save_checkpoint(policy, f"{checkpoint_dir}/{name}")
+        checkpoints.append(name)
+
     if checkpoint_dir:
-        save_checkpoint(policy, f"{checkpoint_dir}/policy_init.json")
+        checkpoint("policy_init.json")
 
     t_run = time.perf_counter()
     group_rngs = _group_rngs(config)
@@ -370,7 +378,7 @@ def train(
             groups = collect_groups(snapshot, env, tasks, scheme, [next(group_rngs) for _ in tasks])
             timings["rollout"] += time.perf_counter() - t0
 
-            update = prepare_update(snapshot, groups, config, env, scheme, step, mask_sign, timings)
+            update = prepare_update(snapshot, groups, config, env, step, mask_sign, timings)
 
             t0 = time.perf_counter()
             loss_value = 0.0
@@ -391,10 +399,9 @@ def train(
             record = _step_metrics(step, groups, update, loss_value)
             metrics.append(record)
             if metrics_fh:
-                metrics_fh.write(json.dumps(record.to_doc(), sort_keys=True))
-                metrics_fh.write("\n")
+                metrics_fh.write(_metrics_line(record))
             if checkpoint_dir and config.ckpt_every and (step + 1) % config.ckpt_every == 0:
-                save_checkpoint(policy, f"{checkpoint_dir}/policy_step_{step + 1:04d}.json")
+                checkpoint(f"policy_step_{step + 1:04d}.json")
             timings["record"] += time.perf_counter() - t0
     finally:
         if metrics_fh:
@@ -402,8 +409,24 @@ def train(
     timings["total"] = time.perf_counter() - t_run
 
     if checkpoint_dir:
-        save_checkpoint(policy, f"{checkpoint_dir}/policy_final.json")
-    return TrainResult(policy=policy, ref_policy=ref_policy, metrics=metrics, timings=timings)
+        checkpoint("policy_final.json")
+    return TrainResult(policy=policy, ref_policy=ref_policy, metrics=metrics, timings=timings, checkpoints=checkpoints)
+
+
+def _metrics_line(record: StepMetrics) -> str:
+    """The record as one sorted JSON line.  JSON holds no inf or nan, so a record with one is refused, by step and
+    field, before anything of it is written."""
+    doc = record.to_doc()
+    try:
+        return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        name = next(name for name, value in doc.items() if not _finite(value))
+        raise ValueError(f"step {record.step}: {name} is not finite, and a metrics file holds no inf or nan") from None
+
+
+def _finite(value: object) -> bool:
+    """Whether a metrics value (a number, None, or a list of them, nested) holds no inf or nan."""
+    return all(map(_finite, value)) if isinstance(value, list) else value is None or math.isfinite(value)
 
 
 def load_metrics(path: str) -> list[StepMetrics]:
@@ -430,19 +453,15 @@ def load_metrics(path: str) -> list[StepMetrics]:
 
 
 def _step_metrics(step: int, collected: list[Group], update: StepUpdate, loss_value: float) -> StepMetrics:
-    """Step summaries over the collected groups and the update; with no sets alpha is 1 and h_tilde None."""
+    """Summaries of the collected groups and the update; a trained span's h_bar, h_tilde and alpha are its set's."""
     rewards = [traj.reward for g in collected for traj in g.trajectories]
     successes = [traj.success for g in collected for traj in g.trajectories]
-    sets, h_bar = update.sets, update.h_bar
-    proxies = [h for hs in h_bar.values() for h in hs]
 
     span_docs = []
     alphas: list[float] = []
     n_pos = 0
-    for g_idx, (group, advs) in enumerate(zip(update.groups, update.advantages)):
-        n = len(group.spans)
-        h_tildes, group_alphas = (sets[g_idx].h_tilde, sets[g_idx].alpha) if sets else ([None] * n, [1.0] * n)
-        for span, proxy, h_tilde, alpha, adv in zip(group.spans, h_bar[id(group)], h_tildes, group_alphas, advs,
+    for g_idx, (group, mset, advs) in enumerate(zip(update.groups, update.sets, update.advantages)):
+        for span, proxy, h_tilde, alpha, adv in zip(group.spans, mset.h_bar, mset.h_tilde, mset.alpha, advs,
                                                     strict=True):
             alphas.append(alpha)
             n_pos += 1 if adv > 0.0 else 0
@@ -452,7 +471,7 @@ def _step_metrics(step: int, collected: list[Group], update: StepUpdate, loss_va
         step=step,
         mean_reward=sum(rewards) / len(rewards) if rewards else 0.0,
         success_rate=sum(successes) / len(successes) if successes else 0.0,
-        policy_entropy_estimate=sum(proxies) / len(proxies) if proxies else 0.0,
+        policy_entropy_estimate=sum(update.h_bar) / len(update.h_bar) if update.h_bar else 0.0,
         mean_alpha=sum(alphas) / len(alphas) if alphas else 1.0,
         frac_positive_advantage=n_pos / len(alphas) if alphas else 0.0,
         loss_value=loss_value,

@@ -23,7 +23,7 @@ from entlab.config import apply_overrides, config_from_doc, config_to_doc, load_
 from entlab.envs import make_env
 from entlab.policy import TablePolicy, save_checkpoint
 from entlab.probes import reachable_states
-from entlab.trainer import StepMetrics, TrainConfig
+from entlab.trainer import StepMetrics, TrainConfig, load_metrics
 from derivations import record_softmax_passes
 from nesting_reference import nesting_reports
 
@@ -235,6 +235,34 @@ def test_ablate_cli(tmp_path):
     for variant in ("off", "aem"):
         for seed in (0, 1):
             assert (out / f"{variant}_seed{seed}" / "metrics.jsonl").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["results.csv", "off_seed0/metrics.jsonl", "off_seed1/metrics.jsonl",
+                                   "aem_seed0/metrics.jsonl", "aem_seed1/metrics.jsonl"]
+
+
+def test_train_manifest_names_only_the_files_this_run_wrote(tmp_path):
+    """A reused --out keeps an earlier run's checkpoints, but the manifest lists only what this run wrote."""
+    out = tmp_path / "run"
+    assert _train(out, extra=["--set", "steps=4", "--set", "ckpt_every=2"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == [
+        "config.json", "metrics.jsonl", "policy_final.json", "policy_init.json",
+        "policy_step_0002.json", "policy_step_0004.json"]
+    assert _train(out, extra=["--set", "steps=3"]) == 0
+    assert (out / "policy_step_0004.json").exists()
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == [
+        "config.json", "metrics.jsonl", "policy_final.json", "policy_init.json"]
+
+
+def test_train_that_meets_a_non_finite_number_exits_1(tmp_path, capsys):
+    """entropy_coef=1e308 overflows the loss to -inf at step 0: the run stops with exit code 1 and one error line,
+    and what it leaves of metrics.jsonl is accepted by load_metrics."""
+    out = tmp_path / "run"
+    with np.errstate(over="ignore"):  # numpy's own report of the overflow
+        assert main(["train", "--out", str(out), "--set", "entropy_coef=1e308", "--set", "steps=5"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: step 0: loss_value is not finite, and a metrics file holds no inf or nan"]
+    assert load_metrics(str(out / "metrics.jsonl")) == []
+    assert not (out / "manifest.json").exists()
 
 
 def test_report_cli(tmp_path):

@@ -207,7 +207,7 @@ def test_modulate_batch_defers_to_per_group_modes():
 
 def test_unknown_mode_rejected():
     group = _group_from_entropies([[0.1], [0.9]])
-    for mode in ("softmax", "off"):
+    for mode in ("softmax",):
         with pytest.raises(ValueError):
             _modulate(group, mode)
         with pytest.raises(ValueError):  # checked up front, even for an empty batch
@@ -215,7 +215,7 @@ def test_unknown_mode_rejected():
 
 
 def test_empty_batch_gives_no_sets():
-    for mode in MODES[1:]:
+    for mode in MODES:
         assert modulate_batch([], mode, rng=np.random.default_rng(0)) == []
 
 
@@ -238,6 +238,33 @@ def test_apply_modulation_returns_a_degenerate_sets_table_itself():
     assert apply_modulation(table, flat) is table
     blank = []
     assert apply_modulation(blank, empty) is blank
+
+
+def test_apply_modulation_refuses_a_list_of_another_length_for_a_degenerate_set_too():
+    flat, live = modulate_batch([_group_from_entropies([[0.5], [0.52], [0.55]]),
+                                 _group_from_entropies([[0.0], [0.5], [1.0]])], "aem")
+    assert flat.degenerate and not live.degenerate
+    for mset in (flat, live):
+        for advantages in ([1.0], [1.0, 2.0, 3.0, 4.0], []):
+            with pytest.raises(ValueError, match="advantages for a set of 3 spans"):
+                apply_modulation(advantages, mset)
+
+
+def test_every_set_holds_its_spans_proxies_and_off_leaves_every_alpha_one():
+    """Every mode records each span's response_entropy_proxy as h_bar; "off" has no population, so its sets are
+    identity sets (h_tilde None, alpha 1.0, degenerate) and apply_modulation gives the advantages back as they are."""
+    rng = np.random.default_rng(5)
+    groups = [_random_group(rng, multi_turn=True) for _ in range(3)] + [Group(prompt_id=9, trajectories=[])]
+    for mode in MODES:
+        for group, mset in zip(groups, modulate_batch(groups, mode, rng=np.random.default_rng(0)), strict=True):
+            assert mset.h_bar == [response_entropy_proxy(s.response) for s in group.spans], mode
+    off = modulate_batch(groups, "off")
+    assert [len(mset.h_bar) for mset in off] == [len(group.spans) for group in groups] and not off[-1].h_bar
+    for group, mset in zip(groups, off):
+        n = len(group.spans)
+        assert mset.h_tilde == [None] * n and mset.alpha == [1.0] * n and mset.degenerate
+        advantages = [float(k) - 1.5 for k in range(n)]
+        assert apply_modulation(advantages, mset) is advantages
 
 
 def _legacy_population(h_bars, lam, eps):

@@ -708,6 +708,16 @@ def test_checkpoint_bytes_are_stable(tmp_path):
     assert p3.read_bytes() == p1.read_bytes()
 
 
+def test_checkpoint_refuses_a_logit_that_is_not_finite(tmp_path):
+    """JSON holds no inf or nan, so such a logit is refused and no file is written."""
+    for bad in (math.inf, -math.inf, math.nan):
+        policy = random_policy(3, 2, np.random.default_rng(5))
+        policy.logit_vector("a", (0,))[1] = bad
+        with pytest.raises(ValueError, match="a logit is not finite"):
+            save_checkpoint(policy, str(tmp_path / "policy.json"))
+        assert not (tmp_path / "policy.json").exists()
+
+
 def _write_entries(path, entries):
     """A key-chain checkpoint document (vocab 3, max_len 2) holding the given entries."""
     path.write_text(json.dumps({"format_version": 1, "vocab_size": 3, "terminator_id": 2, "max_len": 2,

@@ -114,6 +114,10 @@ def test_config_rejects_bad_fields():
                 {"env_seed": -1}, {"aem_lambda": 1000.0}, {"aem_lambda": -700.5}):
         with pytest.raises(ValueError, match="must be"):
             TrainConfig(**bad)
+    # The regularizer coefficients are never negative, so the pressure (kl_coef + entropy_coef) * Var(S) is not.
+    for bad in ({"kl_coef": -1e6}, {"kl_coef": -1e-300}, {"entropy_coef": -1e6}, {"entropy_coef": -0.1}):
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be >= 0, got"):
+            TrainConfig(**bad)
     assert TrainConfig(aem_lambda=700.0).aem_lambda == -TrainConfig(aem_lambda=-700.0).aem_lambda == 700.0
     # Env sizes are checked when the config is built, whether or not the run enumerates.
     for overrides in ({"key_len": 0}, {"task_count": 0}, {"chain_len": 0}):
@@ -812,13 +816,12 @@ def test_every_per_span_value_is_a_list_in_span_order():
         advantages = grpo_advantage(group)
         applied = apply_modulation(advantages, mset)
         assert applied == [alpha * adv for alpha, adv in zip(alphas, advantages)]
-        if not mset.degenerate:
-            with pytest.raises(ValueError):
-                apply_modulation(advantages[:-1], mset)
+        with pytest.raises(ValueError):
+            apply_modulation(advantages[:-1], mset)
     n_masked = 0
     for mask_sign in (1, -1):
         timings = {"advantage": 0.0, "aem": 0.0}
-        update = prepare_update(snapshot, groups, config, env, scheme, 0, mask_sign, timings)
+        update = prepare_update(snapshot, groups, config, env, 0, mask_sign, timings)
         raw = [compute_advantages(group, config.estimator) for group in update.groups]
         assert all(len(advs) == len(group.spans) for group, advs in zip(update.groups, update.advantages))
         assert update.masked == {(g_idx, pos) for g_idx, advs in enumerate(raw) for pos, adv in enumerate(advs)
@@ -860,9 +863,9 @@ def test_train_hands_the_loss_what_prepare_update_returns(fields, mask_sign, mon
 
     def checked(policy, groups, advantages, config_, ref, masked):
         if isinstance(policy, PolicySnapshot):  # epoch 0 reads the step's snapshot, before any write
-            (snapshot, env, _, scheme, _), found = collected[-1]
+            (snapshot, env, *_), found = collected[-1]
             timings = {"advantage": 0.0, "aem": 0.0}
-            want = prepare_update(policy, found, config, env, scheme, len(collected) - 1, mask_sign, timings)
+            want = prepare_update(policy, found, config, env, len(collected) - 1, mask_sign, timings)
             assert policy is snapshot and timings["advantage"] > 0.0 and timings["aem"] > 0.0
             assert [id(g) for g in groups] == [id(g) for g in want.groups]
             assert _advantage_bits(advantages) == _advantage_bits(want.advantages) and masked == want.masked
@@ -878,7 +881,7 @@ def test_train_hands_the_loss_what_prepare_update_returns(fields, mask_sign, mon
         assert len(steps) < config.steps or any(len(groups) < n for groups, _, _, n, _ in steps)
     if mask_sign is not None:
         assert any(masked for _, _, masked, _, _ in steps)
-    modulated = any(alpha != 1.0 for *_, sets in steps if sets for s in sets for alpha in s.alpha)
+    modulated = any(alpha != 1.0 for *_, sets in steps for s in sets for alpha in s.alpha)
     assert modulated == (config.aem_mode != "off" or mask_sign is not None)
 
 
@@ -894,6 +897,65 @@ def test_one_softmax_per_policy_version(fields, monkeypatch):
     keys = [key for derived in passes for key in derived]
     assert keys and len(keys) == len(set(keys))
     assert singles == []
+
+
+@pytest.mark.parametrize("fields,mask_sign", [(dict(MODULATING, aem_mode="off"), None),
+                                              (dict(MODULATING, aem_mode="off"), 1),
+                                              (dict(MODULATING, aem_mode="off", filter_mode="drop_uniform"), -1),
+                                              (dict(MODULATING, aem_mode="aem", filter_mode="drop_uniform"), None)],
+                         ids=["off", "off-mask+1", "off-drop_uniform-mask-1", "aem-drop_uniform"])
+def test_prepare_update_returns_a_set_per_trained_group_in_every_mode(fields, mask_sign):
+    """Every mode gives one ModulationSet per trained group, holding its spans' h_bar, h_tilde and alpha: under
+    "off" the sets are "aem" ones when a mask asks for coefficients and identity sets otherwise, and the applied
+    advantages are the raw ones.  update.h_bar lists every collected span's proxy, dropped groups included."""
+    config = TrainConfig(**fields)
+    env = make_env(config.env_kind, seed=config.env_seed, **config.env_overrides)
+    scheme = REWARD_SCHEMES[config.reward_scheme]
+    policy, rng = TablePolicy(vocab=env.vocab, max_len=env.max_len), np.random.default_rng(4)
+    for state in reachable_states(env):
+        draw_logits(policy, state, rng, scale=2.0)
+    snapshot = PolicySnapshot(policy)
+    groups = [collect_group(snapshot, env, task % 2, scheme, child_rngs(rng, 8)) for task in range(6)]
+    update = prepare_update(snapshot, groups, config, env, 0, mask_sign, {"advantage": 0.0, "aem": 0.0})
+    if config.filter_mode == "drop_uniform":
+        assert 0 < len(update.groups) < len(groups)
+    assert type(update.sets) is list and len(update.sets) == len(update.groups)
+    assert update.h_bar == [response_entropy_proxy(span.response) for group in groups for span in group.spans]
+    raw = [compute_advantages(group, config.estimator) for group in update.groups]
+    want = modulate_batch(update.groups, "aem" if mask_sign is not None else config.aem_mode)
+    assert not all(mset.degenerate for mset in want) or config.aem_mode == "off" and mask_sign is None
+    for group, mset, want_set in zip(update.groups, update.sets, want, strict=True):
+        assert mset == want_set and mset.h_bar == [response_entropy_proxy(span.response) for span in group.spans]
+    if config.aem_mode == "off":
+        assert update.advantages == raw
+    else:
+        assert update.advantages == [apply_modulation(advs, mset) for advs, mset in zip(raw, want)]
+
+
+def test_train_refuses_a_record_that_is_not_finite(tmp_path, monkeypatch):
+    """A step record holding an inf or nan stops the run with a ValueError naming its step and field; the lines of
+    the steps before it stay written, byte for byte a clean run's, and load_metrics reads them."""
+    path = tmp_path / "metrics.jsonl"
+    with pytest.raises(ValueError, match="step 0: loss_value is not finite"), np.errstate(over="ignore"):
+        train(TrainConfig(**dict(FAST, entropy_coef=1e308)), metrics_path=str(path))
+    assert load_metrics(str(path)) == []
+    train(TrainConfig(**FAST), metrics_path=str(tmp_path / "clean.jsonl"))
+    clean = (tmp_path / "clean.jsonl").read_text().splitlines(keepends=True)
+    step_metrics = entlab.trainer._step_metrics
+    for field_name, poison in (("mean_alpha", math.nan), ("spans", -math.inf)):
+        def poisoned(step, *args):
+            record = step_metrics(step, *args)
+            if step == 2 and field_name == "spans":
+                record.spans[-1][-1] = poison
+            elif step == 2:
+                setattr(record, field_name, poison)
+            return record
+
+        monkeypatch.setattr(entlab.trainer, "_step_metrics", poisoned)
+        with pytest.raises(ValueError, match=f"step 2: {field_name} is not finite"):
+            train(TrainConfig(**FAST), metrics_path=str(path))
+        assert path.read_text().splitlines(keepends=True) == clean[:2]
+        assert len(load_metrics(str(path))) == 2
 
 
 def test_one_entropy_proxy_per_collected_span(monkeypatch):
